@@ -1,0 +1,6 @@
+import os
+import sys
+
+BENCH_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(BENCH_DIR)
+sys.path[:0] = [BENCH_DIR, os.path.join(ROOT, "src")]
