@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -153,11 +154,6 @@ def cmd_carve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _texp_cut_bound(N, D, eps):
-    b = np.log2(N)
-    return float(4 * N**3 * (D + 3) ** b * np.exp(-(D - 1.5) * eps) + 12 * eps)
-
-
 def _cutprob_row(space, net, entry, trials, n_centers, seed, threads):
     schedule = schedule_from_json(entry)
     if isinstance(schedule, TgeoRun):
@@ -170,7 +166,10 @@ def _cutprob_row(space, net, entry, trials, n_centers, seed, threads):
         law = schedule.law()
         l, M = schedule.l, schedule.M
         probe = schedule.probe_radius
-        bound = _texp_cut_bound(schedule.N, schedule.D, schedule.eps)
+        try:  # one layer's cut bound: the m-th root of a constraint's, in log space
+            bound = math.exp(texp_csp_bounds(schedule).log_p_bound / schedule.m)
+        except OverflowError:
+            bound = math.inf
         regime = law.in_estimate_regime and 0 < schedule.eps < 1 \
             and schedule.D > 1 / schedule.eps + 0.5
     else:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carving import RadiusAssignment, _assign_block, carve, greedy_color
+from .carving import CarveError, Coloring, RadiusAssignment, _law_bounds, carve, greedy_color
 from .decomposition import PaddedDecomposition, VerificationReport, verify_padded
 from .nets import Net, net_graph
 from .sampler import TexpParams, TgeoParams, sample_texp, sample_tgeo
@@ -357,6 +357,7 @@ class MoserTardosResult:
     violated_history: list  # violated-constraint count after init and each round
     residual_violations: int
     seed: int
+    coloring: Coloring  # the band-graph coloring the layers were carved with
 
     def __bool__(self):
         return self.success
@@ -370,12 +371,6 @@ class MoserTardosFailure(RuntimeError):
             f"resampling did not converge: {result.residual_violations} violated "
             f"constraints after {result.rounds} rounds")
         self.result = result
-
-
-def _law_bounds(law):
-    if isinstance(law, TexpParams):
-        return law.l, law.M
-    return 1.0, float(law.M)
 
 
 def _sample_law(law, rng, size):
@@ -394,24 +389,31 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     assignment can have changed.  Deterministic given ``seed``; reports
     failure (never retries) after ``max_rounds`` (default: 100 per
     constraint).
+
+    Carving reads a neighbour table built once: row p lists the members
+    within the radius cap M of point p (no other ball can cover it) in color
+    order, padded with infinite distance, so the owner of p is the first
+    covering entry of its row.  The points a redrawn domain can reach are
+    rows of a member-to-point ``dist < M`` mask.  Neither array exceeds
+    n * |net| entries, so the matrix guard bounds them as well.
     """
     if csp.net is not net:
         raise ValueError("csp was built for a different net")
     members = net.members
     T = len(members)
     l, M = _law_bounds(csp.law)
-    if T == 0:
-        return MoserTardosResult(True, 0, [RadiusAssignment(np.empty(0), l, M)
-                                           for _ in range(csp.m)], [0], 0, seed)
-    if l < net.eps:
+    if T and l < net.eps:
         raise ValueError(f"law lower truncation {l} is below the covering radius {net.eps}")
     if space.n * T > _MT_MATRIX_GUARD:
         raise ValueError("space times net size exceeds the resampler's matrix guard")
+    coloring = greedy_color(net_graph(net, 2 * M))
+    if T == 0:
+        return MoserTardosResult(True, 0, [RadiusAssignment(np.empty(0), l, M)
+                                           for _ in range(csp.m)], [0], 0, seed, coloring)
     if max_rounds is None:
         max_rounds = 100 * T
 
-    coloring = greedy_color(net_graph(net, 2 * M))
-    colors, K = coloring.colors, coloring.num_colors
+    colors = coloring.colors
     dist_pm = space.dist_block(np.arange(space.n), members)
     dist_mm = dist_pm[members]
 
@@ -420,9 +422,41 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     flat = np.concatenate(balls)
     offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
 
+    within = dist_pm < M
+    reach = np.ascontiguousarray(within.T)  # member -> points its ball can cover
+    by_color = np.argsort(colors, kind="stable")
+    near = within[:, by_color]
+    width = near.sum(axis=1)
+    slots = np.arange(width.max()) < width[:, None]
+    nb = np.zeros(slots.shape, dtype=np.intp)
+    nb[slots] = np.broadcast_to(by_color, near.shape)[near]
+    nb_d = np.where(slots, np.take_along_axis(dist_pm, nb, axis=1), np.inf)
+    # only a row holding two members of one color can see a color tie
+    nb_c = colors[nb]
+    tie_rows = ((nb_c[:, 1:] == nb_c[:, :-1]) & slots[:, 1:]).any(axis=1)
+    del dist_pm, within, near, slots, nb_c
+
+    def owners(t, pts):
+        """Member position owning each point of ``pts`` under radii ``t``:
+        the lowest-color ball covering it, as in :func:`carving.carve`."""
+        cand = nb[pts]
+        covered = nb_d[pts] < t[cand]
+        first = covered.argmax(axis=1)
+        rows = np.arange(len(pts))
+        if not covered[rows, first].all():
+            raise CarveError("a point is covered by no ball; radii violate the "
+                             "coverage precondition l >= covering radius")
+        tied = np.nonzero(tie_rows[pts])[0]
+        best = colors[cand[tied, first[tied]]]
+        same = covered[tied] & (colors[cand[tied]] == best[:, None])
+        if (same.sum(axis=1) > 1).any():
+            raise CarveError("two same-color centers cover one point; the coloring "
+                             "is not proper for the doubled radius band")
+        return cand[rows, first]
+
     rng = np.random.default_rng(seed)
     radii = [_sample_law(csp.law, rng, T) for _ in range(csp.m)]
-    assign = [_assign_block(dist_pm, colors, t, K) for t in radii]
+    assign = [owners(t, np.arange(space.n)) for t in radii]
 
     def cut_per_constraint(a):
         f = a[flat]
@@ -443,20 +477,16 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
         dom = np.nonzero(dist_mm[u] < csp.domain_radius)[0]
         for li in range(csp.m):
             radii[li][dom] = _sample_law(csp.law, rng, len(dom))
-        affected = np.nonzero((dist_pm[:, dom] < M).any(axis=1))[0]
-        if len(affected):
-            cand = np.nonzero((dist_pm[affected] < M).any(axis=0))[0]
-            sub = dist_pm[np.ix_(affected, cand)]
-            for li in range(csp.m):
-                idx = _assign_block(sub, colors[cand], radii[li][cand], K)
-                assign[li][affected] = cand[idx]
+        affected = np.nonzero(reach[dom].any(axis=0))[0]
+        for li in range(csp.m):
+            assign[li][affected] = owners(radii[li], affected)
         violated = violated_now()
         rounds += 1
         history.append(int(violated.sum()))
     residual = int(violated.sum())
     return MoserTardosResult(residual == 0, rounds,
                              [RadiusAssignment(t, l, M) for t in radii],
-                             history, residual, seed)
+                             history, residual, seed, coloring)
 
 
 @dataclass
@@ -476,9 +506,8 @@ def certify_decomposition(space: FiniteMetricSpace, net: Net, schedule, seed: in
     result = moser_tardos(space, net, csp, seed, max_rounds=max_rounds)
     if not result.success:
         raise MoserTardosFailure(result)
-    l, M = _law_bounds(csp.law)
-    coloring = greedy_color(net_graph(net, 2 * M))
-    partition_layers = [carve(space, net, coloring, assignment)
+    _, M = _law_bounds(csp.law)
+    partition_layers = [carve(space, net, result.coloring, assignment)
                         for assignment in result.assignments]
     layers = [layer.cluster_sets() for layer in partition_layers]
     pd = PaddedDecomposition(net, layers, R=csp.probe_radius, D=2 * M)

@@ -374,7 +374,10 @@ def load_points(path, metric: str = "l2") -> CoordSpace:
     width = {len(r) for r in rows}
     if len(width) != 1:
         raise ValueError("inconsistent coordinate count across lines")
-    return CoordSpace(np.asarray(rows), metric, f"points:{path}")
+    coords = np.asarray(rows)
+    if not np.isfinite(coords).all():
+        raise ValueError(f"non-finite coordinate in {path}")
+    return CoordSpace(coords, metric, f"points:{path}")
 
 
 def load_edge_list(path) -> MatrixSpace:
@@ -396,9 +399,11 @@ def load_edge_list(path) -> MatrixSpace:
             if len(parts) not in (2, 3):
                 raise ValueError(f"bad edge line: {line!r}")
             u, v = int(parts[0]), int(parts[1])
+            if u < 0 or v < 0:
+                raise ValueError(f"negative vertex id in edge line: {line!r}")
             w = float(parts[2]) if len(parts) == 3 else 1.0
-            if w <= 0:
-                raise ValueError("edge weights must be positive")
+            if not 0 < w < np.inf:
+                raise ValueError("edge weights must be positive and finite")
             if len(parts) == 3 and w != 1.0:
                 weighted = True
             edges.append((u, v, w))
@@ -453,9 +458,16 @@ def parse_fixture(spec: str) -> FiniteMetricSpace:
         heis:12
         cloud:500:2:seed=7     (seed optional, default 0)
         tree:3:6
+        points:PATH:linf       (a load_points file; metric optional, default l2)
+        edges:PATH             (a load_edge_list file)
     """
+    kind, _, path = spec.strip().partition(":")
+    if kind == "points":
+        head, _, metric = path.rpartition(":")
+        return load_points(head, metric) if metric in ("l1", "l2", "linf") else load_points(path)
+    if kind == "edges":
+        return load_edge_list(path)
     parts = spec.strip().split(":")
-    kind = parts[0]
     try:
         if kind == "segment" and len(parts) == 2:
             return integer_segment(int(parts[1]))

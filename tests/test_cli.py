@@ -57,6 +57,23 @@ class TestGen:
         assert reloaded.n == original.n
         assert np.array_equal(reloaded.distance_matrix(), original.distance_matrix())
 
+    def test_point_file_fixture_keeps_its_metric(self, tmp_path):
+        out = str(tmp_path / "grid.txt")
+        assert main(["gen", "--fixture", "grid:5x5:linf", "--out", out]) == 0
+        again = str(tmp_path / "again.txt")
+        assert main(["gen", "--fixture", f"points:{out}:linf", "--out", again]) == 0
+        assert json.load(open(again + ".json"))["diameter"] == 4.0
+
+    @pytest.mark.parametrize("kind,text,message", [
+        ("edges", "0 1\n1 -1\n", "negative vertex id"),
+        ("points", "0 0\n1 nan\n", "non-finite coordinate"),
+    ])
+    def test_malformed_fixture_file_is_usage_error(self, tmp_path, capsys, kind, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["gen", "--fixture", f"{kind}:{path}", "--out", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
+
 
 CONVERGING = {"kind": "texp", "N": 3, "r": 3.0, "eps": 0.05, "D": 100.0}
 SUPERCRITICAL = {"kind": "texp", "N": 3, "r": 3.0, "eps": 0.05, "D": 20.0}
@@ -161,6 +178,22 @@ class TestCutprob:
         N, D, eps = 3, 20.0, 0.2
         bound = 4 * N**3 * (D + 3) ** np.log2(N) * np.exp(-(D - 1.5) * eps) + 12 * eps
         assert abs(float(rec["bound"]) - bound) <= 1e-9 * bound
+
+    def test_texp_bound_stays_finite_at_huge_D(self, tmp_path):
+        """At D = 1e300 the far term of the texp bound underflows to 0 while
+        (D+3)^{log2 N} overflows; the bound must come out as 12 eps, not NaN
+        reported as a verified failure."""
+        out = str(tmp_path / "cut.csv")
+        cfg = write_config(tmp_path, "cut.json", {
+            "fixture": "segment:400", "net": {"eps": 3, "delta": 3},
+            "trials": 15, "centers": 10, "seed": 1, "out": out,
+            "grid": [{"kind": "texp", "N": 3, "r": 3.0, "eps": 0.05, "D": 1e300}],
+        })
+        assert main(["cutprob", "--config", cfg]) == 0
+        header, row = open(out).read().splitlines()
+        rec = dict(zip(header.split(","), row.split(",")))
+        assert float(rec["bound"]) == pytest.approx(12 * 0.05, rel=1e-12)
+        assert rec["regime"] == "true" and rec["pass"] == "true"
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []

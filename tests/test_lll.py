@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import padlab as pl
 
@@ -292,6 +293,68 @@ class TestMoserTardos:
             lll_mod._MT_MATRIX_GUARD = old
 
 
+INSTANCES = [("segment", 40.0), ("cloud", 6.0), ("cloud", 12.0)]
+
+
+@pytest.fixture(scope="module")
+def small_instances():
+    """(space, net, csp) by (fixture, D): the segment at D=40 converges for
+    some seeds within 40 rounds; the three-layer cloud stalls at D=6 and
+    converges within a few rounds at D=12."""
+    segment = pl.integer_segment(600)
+    cloud = pl.euclidean_cloud(200, 2, seed=3, scale=30.0)
+    nets = {"segment": (segment, pl.build_net(segment, 3, 3)),
+            "cloud": (cloud, pl.build_net(cloud, 1, 1))}
+    out = {}
+    for kind, D in INSTANCES:
+        space, net = nets[kind]
+        sched = (pl.TexpSchedule(N=3, r=3.0, eps=0.05, D=D) if kind == "segment"
+                 else pl.TexpSchedule(N=4, r=1.0, eps=0.05, D=D))
+        out[kind, D] = (space, net, pl.csp_from_schedule(net, sched))
+    return out
+
+
+def dishonest_pair():
+    """Members 0 and 10 of a segment, claiming covering radius 4.5 (point 5
+    is 5 away) and separation 11 (so both get color 0).  A radius draw
+    leaves point 5 uncovered, covered twice, or covered once, and only the
+    last is a valid carving; a valid one always cuts one probe ball."""
+    space = pl.integer_segment(10)
+    net = pl.Net(space, np.array([0, 10]), 4.5, 11.0)
+    law = pl.TexpParams(0.01, 4.5, 6.0)
+    return space, net, pl.CspInstance(net, 1, law, probe_radius=6.0, domain_radius=12.0)
+
+
+class TestIncrementalState:
+    @given(st.sampled_from(INSTANCES), st.integers(0, 10_000), st.integers(0, 40))
+    @example(("segment", 40.0), 1, 40)  # stalls
+    @example(("cloud", 12.0), 0, 40)    # converges
+    @settings(max_examples=25, deadline=None)
+    def test_residual_matches_fresh_recount(self, small_instances, config, seed, max_rounds):
+        """After resampling, the incrementally kept violation count equals a
+        recount that carves each final radius assignment from scratch and
+        counts the probe balls cut in every layer."""
+        space, net, csp = small_instances[config]
+        res = pl.moser_tardos(space, net, csp, seed, max_rounds=max_rounds)
+        coloring = pl.greedy_color(pl.net_graph(net, 2 * csp.law.M))
+        layers = [pl.carve(space, net, coloring, a) for a in res.assignments]
+        fresh = sum(all(pl.is_cut(layer, int(c), csp.probe_radius) for layer in layers)
+                    for c in net.members)
+        assert res.residual_violations == fresh == res.violated_history[-1]
+        assert res.success == (fresh == 0)
+
+    @pytest.mark.parametrize("seed,message", [(0, "covered by no ball"),
+                                              (8, "two same-color centers")])
+    def test_recarve_raises_carve_errors(self, seed, message):
+        """Both carving preconditions are checked on the points a round
+        recarves: the initial carving of these seeds is valid, and a later
+        redraw breaks it."""
+        space, net, csp = dishonest_pair()
+        assert not pl.moser_tardos(space, net, csp, seed, max_rounds=0).success
+        with pytest.raises(pl.CarveError, match=message):
+            pl.moser_tardos(space, net, csp, seed, max_rounds=50)
+
+
 class TestCertify:
     def test_certified_run_contents(self):
         space = pl.integer_segment(1200)
@@ -303,6 +366,17 @@ class TestCertify:
         assert pd.m == 2 and pd.R == 9.0 and pd.D == 2 * sched.M
         assert run.meta["seed"] == 2
         assert run.meta["schedule"]["kind"] == "texp"
+
+    def test_colors_once_per_run(self, monkeypatch):
+        import padlab.lll as lll_mod
+        calls = []
+        monkeypatch.setattr(lll_mod, "greedy_color",
+                            lambda graph: calls.append(graph) or pl.greedy_color(graph))
+        space = pl.integer_segment(600)
+        run = pl.certify_decomposition(space, pl.build_net(space, 3, 3),
+                                       converging_schedule(), seed=0)
+        assert run.report.passed and len(calls) == 1
+        assert all(layer.coloring.graph is calls[0] for layer in run.partition_layers)
 
     def test_certify_on_planar_cloud(self):
         """The pipeline is not segment-specific: three-layer certification on

@@ -139,6 +139,26 @@ def test_edge_list_rejects_disconnected(tmp_path):
         pl.load_edge_list(path)
 
 
+@pytest.mark.parametrize("line,message", [
+    ("1 -1", "negative vertex id"),  # would index vertex 1 from the end: a self-loop
+    ("1 2 nan", "positive and finite"),
+    ("1 2 inf", "positive and finite"),
+])
+def test_edge_list_rejects_bad_lines(tmp_path, line, message):
+    path = tmp_path / "g.txt"
+    path.write_text(f"0 1\n{line}\n")
+    with pytest.raises(ValueError, match=message):
+        pl.load_edge_list(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_point_file_rejects_non_finite_coordinates(tmp_path, token):
+    path = tmp_path / "pts.txt"
+    path.write_text(f"0 0\n1 {token}\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        pl.load_points(path)
+
+
 @pytest.mark.parametrize("spec,n", [
     ("segment:1000", 1001),
     ("grid:10x10:linf", 100),
