@@ -6,29 +6,15 @@ covers and padded decompositions, and a constructive local-lemma engine that
 resamples its way to multi-layer decompositions.
 """
 
-from .spaces import (FiniteMetricSpace, CoordSpace, MatrixSpace, HeisenbergBall,
-                     MeasuredSpace, integer_segment, grid_2d, euclidean_cloud,
-                     balanced_tree, heisenberg_ball, load_points, load_edge_list,
-                     parse_fixture, validate_metric, MetricError)
-from .nets import Net, NetGraph, build_net, net_graph, ball_net_count, NetError
-from .growth import (doubling_constant_estimate, optimal_cover_size,
-                     volume_doubling_estimate, growth_function, growth_table,
-                     loglog_slope)
-from .sampler import (TexpParams, TgeoParams, texp_tail, texp_cdf, texp_conditional,
-                      sample_texp, tgeo_pmf, tgeo_tail, tgeo_conditional, sample_tgeo)
-from .carving import (Coloring, RadiusAssignment, PartitionLayer, CarveError,
-                      greedy_color, carve, is_cut, cut_probability_mc, CutProbeResult,
-                      draw_radii)
-from .decomposition import (Cover, PaddedDecomposition, VerificationReport,
-                            VerificationFailure, verify_cover, verify_padded,
-                            padded_from_cover, cover_from_padded, cover_to_json,
-                            cover_from_json, decomposition_to_json,
-                            decomposition_from_json, set_distance, set_diameter,
-                            shrink_set)
-from .lll import (LllBudget, lll_feasible, TexpSchedule, TgeoSchedule, TgeoRun,
-                  texp_csp_bounds, tgeo_csp_bounds, find_min_D, CspInstance,
-                  csp_from_schedule, moser_tardos, MoserTardosResult,
-                  MoserTardosFailure, certify_decomposition, CertifiedRun,
-                  schedule_to_json, schedule_from_json)
+from . import carving, decomposition, growth, lll, nets, sampler, spaces
+from .spaces import *  # noqa: F401,F403
+from .nets import *  # noqa: F401,F403
+from .growth import *  # noqa: F401,F403
+from .sampler import *  # noqa: F401,F403
+from .carving import *  # noqa: F401,F403
+from .decomposition import *  # noqa: F401,F403
+from .lll import *  # noqa: F401,F403
 
+__all__ = [name for module in (spaces, nets, growth, sampler, carving, decomposition, lll)
+           for name in module.__all__]
 __version__ = "0.1.0"

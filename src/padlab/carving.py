@@ -1,12 +1,20 @@
 """Greedy coloring and randomized ball carving.
 
 The carving stage turns a net, a proper coloring of its band graph and one
-radius per member into a partition of the whole space: every point joins the
-ball that covers it whose center carries the smallest color.  Properness of
-the coloring on the band graph up to twice the radius cap guarantees at most
-one candidate per color class, so the per-point priority rule reproduces the
+radius per member into a partition of the whole space.  One owner rule makes
+every assignment, here and in the resampler: a point joins the lowest-color
+ball that covers it.  A point covered by no ball, or by two balls of that
+color, raises :class:`CarveError`.  Radii of at least the covering radius
+rule out the first case, and properness of the coloring on the band graph up
+to twice the radius cap rules out the second, so the rule reproduces the
 classical inductive peel-off (color class 0 claims its balls, class 1 claims
 what is left, and so on) without quadratic set differences.
+
+The rule reads an owner table: row p lists the members within the radius cap
+M of point p (no other ball can cover it) in color order, padded with
+infinite distance, so the owner of p is the first covering entry of its row.
+:func:`carve` builds the table block by block; the resampler builds it once
+and rereads the rows of the points a redraw can move.
 
 A probe ball is *cut* by a layer when it meets two distinct clusters; the
 Monte Carlo harness estimates cut frequencies over i.i.d. radius draws
@@ -23,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nets import Net, NetGraph, net_graph
-from .sampler import TexpParams, TgeoParams, sample_texp, sample_tgeo
+from .sampler import _law_bounds, _sample_radii
 from .spaces import FiniteMetricSpace
 
 __all__ = [
@@ -151,29 +159,54 @@ class PartitionLayer:
                 fh.write(f"{p},{cid},{int(self.centers[cid])}\n")
 
 
-def _assign_block(dist_sub, colors, t, num_colors):
-    """Priority assignment for a block of points given member distances."""
-    covered = dist_sub < t[None, :]
-    prio = np.where(covered, colors[None, :], num_colors)
-    idx = np.argmin(prio, axis=1)
-    rows = np.arange(len(idx))
-    best = prio[rows, idx]
-    if (best == num_colors).any():
+def _owner_table(dist, colors, M):
+    """Owner table of a block of points, from their distances to every member.
+
+    Returns ``(members, dists, tie_rows)``: row p holds the positions of the
+    members within ``M`` of point p in color order (ties by position) and
+    their distances, padded with infinite distance to the widest row.
+    ``tie_rows`` flags the rows holding two members of one color, the only
+    points that two same-color balls can cover.
+    """
+    within = dist < M
+    by_color = np.argsort(colors, kind="stable")
+    near = within[:, by_color]
+    width = near.sum(axis=1)
+    slots = np.arange(max(1, width.max())) < width[:, None]
+    members = np.zeros(slots.shape, dtype=np.intp)
+    members[slots] = np.broadcast_to(by_color, near.shape)[near]
+    dists = np.where(slots, np.take_along_axis(dist, members, axis=1), np.inf)
+    row_colors = colors[members]
+    tie_rows = ((row_colors[:, 1:] == row_colors[:, :-1]) & slots[:, 1:]).any(axis=1)
+    return members, dists, tie_rows
+
+
+def _first_cover(members, dists, tie_rows, colors, t):
+    """Owner of the point behind each owner-table row under radii ``t``: the
+    member position of the row's first covering entry."""
+    covered = dists < t[members]
+    first = covered.argmax(axis=1)
+    rows = np.arange(len(members))
+    if not covered[rows, first].all():
         raise CarveError("a point is covered by no ball; radii violate the "
                          "coverage precondition l >= covering radius")
-    if ((prio == best[:, None]).sum(axis=1) > 1).any():
+    tied = np.nonzero(tie_rows)[0]
+    best = colors[members[tied, first[tied]]]
+    same = covered[tied] & (colors[members[tied]] == best[:, None])
+    if (same.sum(axis=1) > 1).any():
         raise CarveError("two same-color centers cover one point; the coloring "
                          "is not proper for the doubled radius band")
-    return idx
+    return members[rows, first]
 
 
 def carve(space: FiniteMetricSpace, net: Net, coloring: Coloring,
           radii: RadiusAssignment) -> PartitionLayer:
     """Assign every point to the lowest-color ball covering it.
 
-    Preconditions checked: ``radii.l >= net.eps`` (so every point is covered),
-    the coloring belongs to this net, and its band reaches ``2 * radii.M``
-    (so same-color centers sit more than two radius caps apart).
+    Preconditions checked: a nonempty net and ``radii.l >= net.eps`` (so
+    every point is covered), the coloring belongs to this net, and its band
+    reaches ``2 * radii.M`` (so same-color centers sit more than two radius
+    caps apart).
     """
     if radii.l < net.eps:
         raise ValueError(f"need radii.l >= net.eps for coverage, got l={radii.l} < eps={net.eps}")
@@ -184,13 +217,15 @@ def carve(space: FiniteMetricSpace, net: Net, coloring: Coloring,
                          f"carving needs at least {2 * radii.M}")
     if len(radii.t) != len(net.members):
         raise ValueError("one radius per net member required")
+    if not len(net.members):
+        raise ValueError("an empty net covers no point")
     members = net.members
-    block = max(1, _CARVE_BLOCK_ENTRIES // max(1, len(members)))
+    block = max(1, _CARVE_BLOCK_ENTRIES // len(members))
     assign = np.empty(space.n, dtype=np.int64)
     for start in range(0, space.n, block):
         pts = np.arange(start, min(start + block, space.n))
-        sub = space.dist_block(pts, members)
-        assign[pts] = _assign_block(sub, coloring.colors, radii.t, coloring.num_colors)
+        table = _owner_table(space.dist_block(pts, members), coloring.colors, radii.M)
+        assign[pts] = _first_cover(*table, coloring.colors, radii.t)
     return PartitionLayer(space, net, assign, radii, coloring)
 
 
@@ -206,14 +241,9 @@ def draw_radii(law, net: Net, seed: int, trial: int) -> RadiusAssignment:
     """Radii for one Monte Carlo trial: one vectorized draw from
     ``default_rng([seed, trial])``.  This is the single source of randomness
     for every harness in the package, so runs reproduce exactly."""
+    l, M = _law_bounds(law)
     rng = np.random.default_rng([seed, trial])
-    if isinstance(law, TexpParams):
-        t = sample_texp(law, rng, size=len(net.members))
-        return RadiusAssignment(t, law.l, law.M)
-    if isinstance(law, TgeoParams):
-        t = sample_tgeo(law, rng, size=len(net.members)).astype(float)
-        return RadiusAssignment(t, 1.0, float(law.M))
-    raise TypeError(f"unsupported law {type(law).__name__}")
+    return RadiusAssignment(_sample_radii(law, rng, len(net.members)), l, M)
 
 
 @dataclass
@@ -228,14 +258,6 @@ class CutProbeResult:
     aggregate_freq: float
     aggregate_se: float
     cut_matrix: np.ndarray = field(repr=False)  # trials x centers booleans
-
-
-def _law_bounds(law):
-    if isinstance(law, TexpParams):
-        return law.l, law.M
-    if isinstance(law, TgeoParams):
-        return 1.0, float(law.M)
-    raise TypeError(f"unsupported law {type(law).__name__}")
 
 
 def cut_probability_mc(space: FiniteMetricSpace, net: Net, M: float, l: float, law,
@@ -291,19 +313,16 @@ def cut_probability_mc(space: FiniteMetricSpace, net: Net, M: float, l: float, l
         cut[rows, j] = ~contains.any(axis=1)
 
     # Radii are drawn per trial (stream [seed, trial]), evaluated for all
-    # trials of a chunk at once; threads split the probe loop.
+    # trials of a chunk at once; threads split the probe loop over one pool,
+    # which starts no thread unless threads > 1.
     chunk = max(1, int(30_000_000 // max(1, len(net.members))))
-    for start in range(0, trials, chunk):
-        ks = range(start, min(start + chunk, trials))
-        radii_chunk = np.stack([draw_radii(law, net, seed, k).t for k in ks])
-        rows = np.arange(ks.start, ks.stop)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(lambda j: eval_probe(j, radii_chunk, rows),
-                              range(len(probes))))
-        else:
-            for j in range(len(probes)):
-                eval_probe(j, radii_chunk, rows)
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        run = pool.map if threads > 1 else map
+        for start in range(0, trials, chunk):
+            ks = range(start, min(start + chunk, trials))
+            radii_chunk = np.stack([draw_radii(law, net, seed, k).t for k in ks])
+            rows = np.arange(ks.start, ks.stop)
+            list(run(lambda j: eval_probe(j, radii_chunk, rows), range(len(probes))))
 
     per_freq = cut.mean(axis=0)
     per_se = np.sqrt(per_freq * (1 - per_freq) / trials)

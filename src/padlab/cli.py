@@ -15,7 +15,8 @@ byte-identical output files: floats are capped at 12 significant digits,
 JSON keys are sorted, and nothing timestamps itself.
 
 ``--threads`` (or the LAB_THREADS environment variable, which wins) sets the
-worker count for Monte Carlo trials; it never changes results.
+worker count for Monte Carlo trials, at most the number of CPUs; it never
+changes results.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .lll import (MoserTardosFailure, TexpSchedule, TgeoRun, certify_decompositi
                   schedule_from_json, schedule_to_json, texp_csp_bounds,
                   tgeo_csp_bounds)
 from .nets import build_net
+from .sampler import _law_bounds
 from .spaces import CoordSpace, parse_fixture
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -64,12 +66,11 @@ def _load_config(path) -> dict:
 
 def _threads(args) -> int:
     env = os.environ.get("LAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"LAB_THREADS must be an integer, got {env!r}") from exc
-    return max(1, args.threads)
+    try:
+        wanted = args.threads if env is None else int(env)
+    except ValueError as exc:
+        raise ConfigError(f"LAB_THREADS must be an integer, got {env!r}") from exc
+    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -155,25 +156,20 @@ def cmd_carve(args) -> int:
 
 
 def _cutprob_row(space, net, entry, trials, n_centers, seed, threads):
-    schedule = schedule_from_json(entry)
+    schedule = schedule_from_json(entry)  # a TgeoRun or a TexpSchedule
+    law = schedule.law()
+    l, M = _law_bounds(law)
+    probe = schedule.probe_radius
     if isinstance(schedule, TgeoRun):
-        law = schedule.law()
-        l, M = 1.0, float(schedule.M)
-        probe = schedule.r
         bound = 20.0 * schedule.r * schedule.p
         regime = schedule.p <= 1 / (4 * schedule.b + 5) and schedule.r >= 9
-    elif isinstance(schedule, TexpSchedule):
-        law = schedule.law()
-        l, M = schedule.l, schedule.M
-        probe = schedule.probe_radius
+    else:
         try:  # one layer's cut bound: the m-th root of a constraint's, in log space
             bound = math.exp(texp_csp_bounds(schedule).log_p_bound / schedule.m)
         except OverflowError:
             bound = math.inf
         regime = law.in_estimate_regime and 0 < schedule.eps < 1 \
             and schedule.D > 1 / schedule.eps + 0.5
-    else:
-        raise ConfigError(f"unsupported grid entry {entry}")
     rng = np.random.default_rng([seed, 0xC3])
     centers = rng.choice(net.members, size=min(n_centers, len(net.members)), replace=False)
     centers = np.sort(centers)

@@ -55,8 +55,11 @@ __all__ = [
 _VERIFY_MAX_POINTS = 20000
 
 
-def _as_index_array(points) -> np.ndarray:
+def _as_index_array(points, n: int) -> np.ndarray:
+    """Sorted unique point ids of a set in a space of ``n`` points."""
     arr = np.unique(np.asarray(points, dtype=np.intp))
+    if len(arr) and (arr[0] < 0 or arr[-1] >= n):
+        raise ValueError(f"point ids must lie in 0..{n - 1}, got {arr[0]}..{arr[-1]}")
     return arr
 
 
@@ -70,7 +73,8 @@ class Cover:
     D_bound: float
 
     def __post_init__(self):
-        self.layers = [[_as_index_array(s) for s in layer] for layer in self.layers]
+        self.layers = [[_as_index_array(s, self.space.n) for s in layer]
+                       for layer in self.layers]
 
     @property
     def m(self) -> int:
@@ -87,7 +91,8 @@ class PaddedDecomposition:
     D: float
 
     def __post_init__(self):
-        self.layers = [[_as_index_array(s) for s in layer] for layer in self.layers]
+        self.layers = [[_as_index_array(s, self.space.n) for s in layer]
+                       for layer in self.layers]
 
     @property
     def m(self) -> int:
@@ -146,13 +151,6 @@ def set_distance(space: FiniteMetricSpace, a, b) -> float:
     if len(a) == 0 or len(b) == 0:
         return math.inf
     return float(space.dist_block(a, b).min())
-
-
-def point_to_set_distance(space: FiniteMetricSpace, p: int, points) -> float:
-    points = np.asarray(points, dtype=np.intp)
-    if len(points) == 0:
-        return math.inf
-    return float(space.dist_row(int(p))[points].min())
 
 
 def _guard(space: FiniteMetricSpace):
@@ -240,10 +238,10 @@ def verify_padded(layers, net: Net, R: float, D: float,
     """
     if isinstance(layers, PaddedDecomposition):
         layers = layers.layers
-    layers = [[_as_index_array(s) for s in layer] for layer in layers]
+    space = net.space
+    layers = [[_as_index_array(s, space.n) for s in layer] for layer in layers]
     if not layers:
         raise ValueError("need at least one layer")
-    space = net.space
     _guard(space)
     report = VerificationReport(
         kind="padded_decomposition",
@@ -364,7 +362,7 @@ def shrink_set(space: FiniteMetricSpace, points, margin: float) -> np.ndarray:
 
     The whole set survives when the complement is empty (distance to the
     empty set is +inf by convention)."""
-    s = _as_index_array(points)
+    s = _as_index_array(points, space.n)
     inside = np.zeros(space.n, dtype=bool)
     inside[s] = True
     comp = np.nonzero(~inside)[0]
@@ -479,6 +477,8 @@ def decomposition_from_json(doc: dict, space: FiniteMetricSpace | None = None) -
         space = parse_fixture(doc["fixture"])
     if space.n != doc["n_points"]:
         raise ValueError("fixture size mismatch")
-    net = Net(space, np.asarray(doc["net"]["members"], dtype=np.intp),
-              float(doc["net"]["eps"]), float(doc["net"]["delta"]))
+    members = np.asarray(doc["net"]["members"], dtype=np.intp)
+    if ((members < 0) | (members >= space.n)).any():
+        raise ValueError(f"net members must be point ids in 0..{space.n - 1}")
+    net = Net(space, members, float(doc["net"]["eps"]), float(doc["net"]["delta"]))
     return PaddedDecomposition(net, doc["layers"], float(doc["R"]), float(doc["D"]))

@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carving import CarveError, Coloring, RadiusAssignment, _law_bounds, carve, greedy_color
+from .carving import (PartitionLayer, RadiusAssignment, _first_cover, _owner_table,
+                      greedy_color)
 from .decomposition import PaddedDecomposition, VerificationReport, verify_padded
 from .nets import Net, net_graph
-from .sampler import TexpParams, TgeoParams, sample_texp, sample_tgeo
+from .sampler import TexpParams, TgeoParams, _law_bounds, _sample_radii
 from .spaces import FiniteMetricSpace
 
 __all__ = [
@@ -338,8 +339,7 @@ class CspInstance:
             raise ValueError("need at least one layer")
         if self.probe_radius <= 0 or self.domain_radius <= 0:
             raise ValueError("radii must be positive")
-        if not isinstance(self.law, (TexpParams, TgeoParams)):
-            raise TypeError("law must be TexpParams or TgeoParams")
+        _law_bounds(self.law)  # raises TypeError unless TexpParams or TgeoParams
 
 
 def csp_from_schedule(net: Net, schedule) -> CspInstance:
@@ -357,7 +357,7 @@ class MoserTardosResult:
     violated_history: list  # violated-constraint count after init and each round
     residual_violations: int
     seed: int
-    coloring: Coloring  # the band-graph coloring the layers were carved with
+    layers: list  # m PartitionLayers carved from the final radii (none for an empty net)
 
     def __bool__(self):
         return self.success
@@ -373,29 +373,24 @@ class MoserTardosFailure(RuntimeError):
         self.result = result
 
 
-def _sample_law(law, rng, size):
-    if isinstance(law, TexpParams):
-        return sample_texp(law, rng, size)
-    return sample_tgeo(law, rng, size).astype(float)
-
-
 def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int,
                  max_rounds: int | None = None) -> MoserTardosResult:
     """Resample until every probe ball is uncut in some layer.
 
     All m * |net| radii start i.i.d. from the law.  Each round picks the
     violated constraint with the lowest net index, redraws every radius in
-    its domain across all m layers, and recarves exactly the points whose
-    assignment can have changed.  Deterministic given ``seed``; reports
-    failure (never retries) after ``max_rounds`` (default: 100 per
-    constraint).
+    its domain across all m layers, and recarves the points a redrawn ball
+    can cover (those within the radius cap M of a domain member).
+    Deterministic given ``seed``; reports failure (never retries) after
+    ``max_rounds`` (default: 100 per constraint).
 
-    Carving reads a neighbour table built once: row p lists the members
-    within the radius cap M of point p (no other ball can cover it) in color
-    order, padded with infinite distance, so the owner of p is the first
-    covering entry of its row.  The points a redrawn domain can reach are
-    rows of a member-to-point ``dist < M`` mask.  Neither array exceeds
-    n * |net| entries, so the matrix guard bounds them as well.
+    Every carving, the initial one and each recarve, applies the owner rule
+    of :mod:`padlab.carving` to one owner table built up front: a point joins
+    the lowest-color ball covering it, and a point with no covering ball or
+    two of that color raises :class:`CarveError`.  So the final layers equal
+    :func:`carving.carve` of the final radii and are returned as they stand.
+    The table and the member-to-point reach mask have at most n * |net|
+    entries each, so the matrix guard bounds them as well.
     """
     if csp.net is not net:
         raise ValueError("csp was built for a different net")
@@ -409,7 +404,7 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     coloring = greedy_color(net_graph(net, 2 * M))
     if T == 0:
         return MoserTardosResult(True, 0, [RadiusAssignment(np.empty(0), l, M)
-                                           for _ in range(csp.m)], [0], 0, seed, coloring)
+                                           for _ in range(csp.m)], [0], 0, seed, [])
     if max_rounds is None:
         max_rounds = 100 * T
 
@@ -422,41 +417,13 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     flat = np.concatenate(balls)
     offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
 
-    within = dist_pm < M
-    reach = np.ascontiguousarray(within.T)  # member -> points its ball can cover
-    by_color = np.argsort(colors, kind="stable")
-    near = within[:, by_color]
-    width = near.sum(axis=1)
-    slots = np.arange(width.max()) < width[:, None]
-    nb = np.zeros(slots.shape, dtype=np.intp)
-    nb[slots] = np.broadcast_to(by_color, near.shape)[near]
-    nb_d = np.where(slots, np.take_along_axis(dist_pm, nb, axis=1), np.inf)
-    # only a row holding two members of one color can see a color tie
-    nb_c = colors[nb]
-    tie_rows = ((nb_c[:, 1:] == nb_c[:, :-1]) & slots[:, 1:]).any(axis=1)
-    del dist_pm, within, near, slots, nb_c
-
-    def owners(t, pts):
-        """Member position owning each point of ``pts`` under radii ``t``:
-        the lowest-color ball covering it, as in :func:`carving.carve`."""
-        cand = nb[pts]
-        covered = nb_d[pts] < t[cand]
-        first = covered.argmax(axis=1)
-        rows = np.arange(len(pts))
-        if not covered[rows, first].all():
-            raise CarveError("a point is covered by no ball; radii violate the "
-                             "coverage precondition l >= covering radius")
-        tied = np.nonzero(tie_rows[pts])[0]
-        best = colors[cand[tied, first[tied]]]
-        same = covered[tied] & (colors[cand[tied]] == best[:, None])
-        if (same.sum(axis=1) > 1).any():
-            raise CarveError("two same-color centers cover one point; the coloring "
-                             "is not proper for the doubled radius band")
-        return cand[rows, first]
+    reach = np.ascontiguousarray((dist_pm < M).T)  # member -> points its ball can cover
+    nb, nb_d, tie_rows = _owner_table(dist_pm, colors, M)
+    del dist_pm
 
     rng = np.random.default_rng(seed)
-    radii = [_sample_law(csp.law, rng, T) for _ in range(csp.m)]
-    assign = [owners(t, np.arange(space.n)) for t in radii]
+    radii = [_sample_radii(csp.law, rng, T) for _ in range(csp.m)]
+    assign = [_first_cover(nb, nb_d, tie_rows, colors, t) for t in radii]
 
     def cut_per_constraint(a):
         f = a[flat]
@@ -476,17 +443,19 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
         u = int(np.argmax(violated))
         dom = np.nonzero(dist_mm[u] < csp.domain_radius)[0]
         for li in range(csp.m):
-            radii[li][dom] = _sample_law(csp.law, rng, len(dom))
+            radii[li][dom] = _sample_radii(csp.law, rng, len(dom))
         affected = np.nonzero(reach[dom].any(axis=0))[0]
         for li in range(csp.m):
-            assign[li][affected] = owners(radii[li], affected)
+            assign[li][affected] = _first_cover(nb[affected], nb_d[affected],
+                                                tie_rows[affected], colors, radii[li])
         violated = violated_now()
         rounds += 1
         history.append(int(violated.sum()))
     residual = int(violated.sum())
-    return MoserTardosResult(residual == 0, rounds,
-                             [RadiusAssignment(t, l, M) for t in radii],
-                             history, residual, seed, coloring)
+    assignments = [RadiusAssignment(t, l, M) for t in radii]
+    layers = [PartitionLayer(space, net, a, r, coloring) for a, r in zip(assign, assignments)]
+    return MoserTardosResult(residual == 0, rounds, assignments, history, residual, seed,
+                             layers)
 
 
 @dataclass
@@ -499,18 +468,15 @@ class CertifiedRun:
 
 def certify_decomposition(space: FiniteMetricSpace, net: Net, schedule, seed: int,
                           max_rounds: int | None = None) -> CertifiedRun:
-    """Run the resampler, carve all layers, and exhaustively verify the
-    claimed padding: (R, D) = (probe radius, 2M).  Raises
+    """Run the resampler and exhaustively verify the claimed padding of the
+    layers it carved: (R, D) = (probe radius, 2M).  Raises
     :class:`MoserTardosFailure` when the resampler gives up."""
     csp = csp_from_schedule(net, schedule)
     result = moser_tardos(space, net, csp, seed, max_rounds=max_rounds)
     if not result.success:
         raise MoserTardosFailure(result)
-    _, M = _law_bounds(csp.law)
-    partition_layers = [carve(space, net, result.coloring, assignment)
-                        for assignment in result.assignments]
-    layers = [layer.cluster_sets() for layer in partition_layers]
-    pd = PaddedDecomposition(net, layers, R=csp.probe_radius, D=2 * M)
+    layers = [layer.cluster_sets() for layer in result.layers]
+    pd = PaddedDecomposition(net, layers, R=csp.probe_radius, D=2 * result.assignments[0].M)
     report = verify_padded(pd, net, pd.R, pd.D)
     meta = {
         "seed": seed,
@@ -521,7 +487,7 @@ def certify_decomposition(space: FiniteMetricSpace, net: Net, schedule, seed: in
         "domain_radius": csp.domain_radius,
         "m": csp.m,
     }
-    return CertifiedRun(pd, report, meta, partition_layers)
+    return CertifiedRun(pd, report, meta, result.layers)
 
 
 # ---------------------------------------------------------------------------

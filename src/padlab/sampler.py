@@ -155,3 +155,20 @@ def sample_tgeo(params: TgeoParams, rng: np.random.Generator, size=None):
     raw = np.ceil(np.log1p(-u) / math.log1p(-p))
     out = np.clip(raw, 1, M).astype(np.int64)
     return int(out) if size is None else out
+
+
+def _law_bounds(law):
+    """Truncation window (l, M) of either radius law."""
+    if isinstance(law, TexpParams):
+        return law.l, law.M
+    if isinstance(law, TgeoParams):
+        return 1.0, float(law.M)
+    raise TypeError(f"unsupported law {type(law).__name__}")
+
+
+def _sample_radii(law, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` float radii from either law: the single radius-drawing path
+    behind carving, the Monte Carlo harness and the resampler."""
+    if isinstance(law, TexpParams):
+        return sample_texp(law, rng, size)
+    return sample_tgeo(law, rng, size).astype(float)

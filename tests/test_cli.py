@@ -1,10 +1,12 @@
+import argparse
 import json
+import os
 
 import numpy as np
 import pytest
 
 import padlab as pl
-from padlab.cli import main
+from padlab.cli import _threads, main
 
 
 def write_config(tmp_path, name, payload):
@@ -204,6 +206,13 @@ class TestCutprob:
             outs.append(out)
         assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
 
+    def test_thread_count_is_clamped_to_cpus(self, monkeypatch):
+        cpus = os.cpu_count() or 1
+        monkeypatch.setenv("LAB_THREADS", str(10**9))
+        assert _threads(argparse.Namespace(threads=1)) == cpus
+        monkeypatch.delenv("LAB_THREADS")
+        assert _threads(argparse.Namespace(threads=10**9)) == cpus
+
     def test_threads_flag_keeps_bytes(self, tmp_path):
         out1 = str(tmp_path / "t1.csv")
         assert main(["cutprob", "--config", tgeo_grid_config(tmp_path, out1)]) == 0
@@ -256,6 +265,12 @@ class TestGrowth:
         assert slope["slope_defined"] is False and slope["slope"] is None
 
 
+def cover_doc(sets):
+    """A one-layer cover document on segment:9 (points 0..9)."""
+    return {"kind": "cover", "fixture": "segment:9", "n_points": 10,
+            "r_disjoint": 10.0, "D_bound": 9.0, "m": 1, "layers": [sets]}
+
+
 class TestConvert:
     def make_cover_file(self, tmp_path, separation=7.0):
         space = pl.integer_segment(100)
@@ -294,6 +309,21 @@ class TestConvert:
         path.write_text(json.dumps(pl.cover_to_json(cover, "segment:20")))
         assert main(["convert", "--input", str(path), "--direction", "to-padded",
                      "--R", "1", "--r", "1", "--out", str(tmp_path / "o.json")]) == 1
+
+    @pytest.mark.parametrize("direction,doc", [
+        ("to-padded", cover_doc([list(range(10)) + [12]])),
+        ("to-padded", cover_doc([[-1] + list(range(9))])),
+        ("to-cover", {"kind": "padded_decomposition", "fixture": "segment:9",
+                      "n_points": 10, "R": 3.0, "D": 18.0, "m": 1,
+                      "net": {"members": [0, 42], "eps": 1.0, "delta": 1.0},
+                      "layers": [[list(range(10))]]}),
+    ], ids=["high_point_id", "negative_point_id", "bad_net_member"])
+    def test_out_of_range_ids_are_usage_errors(self, tmp_path, capsys, direction, doc):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        assert main(["convert", "--input", str(path), "--direction", direction,
+                     "--R", "1", "--r", "1", "--out", str(tmp_path / "o.json")]) == 2
+        assert "0..9" in capsys.readouterr().err
 
 
 class TestLllCheck:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -333,11 +334,15 @@ class TestIncrementalState:
     def test_residual_matches_fresh_recount(self, small_instances, config, seed, max_rounds):
         """After resampling, the incrementally kept violation count equals a
         recount that carves each final radius assignment from scratch and
-        counts the probe balls cut in every layer."""
+        counts the probe balls cut in every layer; the layers the resampler
+        returns are those fresh carvings."""
         space, net, csp = small_instances[config]
         res = pl.moser_tardos(space, net, csp, seed, max_rounds=max_rounds)
         coloring = pl.greedy_color(pl.net_graph(net, 2 * csp.law.M))
         layers = [pl.carve(space, net, coloring, a) for a in res.assignments]
+        assert all(np.array_equal(kept.cluster_of, fresh.cluster_of)
+                   and np.array_equal(kept.centers, fresh.centers)
+                   for kept, fresh in zip(res.layers, layers, strict=True))
         fresh = sum(all(pl.is_cut(layer, int(c), csp.probe_radius) for layer in layers)
                     for c in net.members)
         assert res.residual_violations == fresh == res.violated_history[-1]
@@ -377,6 +382,22 @@ class TestCertify:
                                        converging_schedule(), seed=0)
         assert run.report.passed and len(calls) == 1
         assert all(layer.coloring.graph is calls[0] for layer in run.partition_layers)
+
+    def test_reuses_the_resampler_layers(self, monkeypatch):
+        """Certification verifies the layers the resampler carved; it never
+        carves them again."""
+        calls = []
+        original = pl.carve
+        for module in [m for name, m in sys.modules.items() if name.startswith("padlab")]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr,
+                                        lambda *a, **k: calls.append(a) or original(*a, **k))
+        space = pl.integer_segment(600)
+        run = pl.certify_decomposition(space, pl.build_net(space, 3, 3),
+                                       converging_schedule(), seed=0)
+        assert run.report.passed and len(run.partition_layers) == 2
+        assert calls == []
 
     def test_certify_on_planar_cloud(self):
         """The pipeline is not segment-specific: three-layer certification on
