@@ -30,9 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spaces
 from .nets import Net, NetGraph, net_graph
 from .sampler import _law_bounds, _sample_radii
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, _dist_blocks
 
 __all__ = [
     "Coloring",
@@ -46,9 +47,6 @@ __all__ = [
     "CutProbeResult",
     "draw_radii",
 ]
-
-_CARVE_BLOCK_ENTRIES = 4_000_000
-
 
 class CarveError(RuntimeError):
     """The carving preconditions were violated mid-flight."""
@@ -79,16 +77,12 @@ def greedy_color(graph: NetGraph, order=None) -> Coloring:
         if len(order) != T or not np.array_equal(np.sort(order), np.arange(T)):
             raise ValueError("order must be a permutation of the member positions")
     members = graph.net.members
-    space = graph.net.space
     colors = np.full(T, -1, dtype=np.int64)
     scratch = np.empty(graph.max_degree + 2, dtype=bool)
     # Distances come in blocks (one vectorized call per chunk of vertices);
     # the color choice itself is inherently sequential.
-    block = max(1, 4_000_000 // max(1, T))
-    for start in range(0, len(order), block):
-        chunk = order[start:start + block]
-        sub = space.dist_block(members[chunk], members)
-        for i, v in enumerate(chunk):
+    for start, sub in _dist_blocks(graph.net.space, members[order], members):
+        for i, v in enumerate(order[start:start + len(sub)]):
             row = sub[i]
             nb = (row >= graph.band_low) & (row <= graph.band_high)
             used = colors[nb]
@@ -219,13 +213,10 @@ def carve(space: FiniteMetricSpace, net: Net, coloring: Coloring,
         raise ValueError("one radius per net member required")
     if not len(net.members):
         raise ValueError("an empty net covers no point")
-    members = net.members
-    block = max(1, _CARVE_BLOCK_ENTRIES // len(members))
     assign = np.empty(space.n, dtype=np.int64)
-    for start in range(0, space.n, block):
-        pts = np.arange(start, min(start + block, space.n))
-        table = _owner_table(space.dist_block(pts, members), coloring.colors, radii.M)
-        assign[pts] = _first_cover(*table, coloring.colors, radii.t)
+    for start, sub in _dist_blocks(space, np.arange(space.n), net.members):
+        table = _owner_table(sub, coloring.colors, radii.M)
+        assign[start:start + len(sub)] = _first_cover(*table, coloring.colors, radii.t)
     return PartitionLayer(space, net, assign, radii, coloring)
 
 
@@ -315,7 +306,7 @@ def cut_probability_mc(space: FiniteMetricSpace, net: Net, M: float, l: float, l
     # Radii are drawn per trial (stream [seed, trial]), evaluated for all
     # trials of a chunk at once; threads split the probe loop over one pool,
     # which starts no thread unless threads > 1.
-    chunk = max(1, int(30_000_000 // max(1, len(net.members))))
+    chunk = max(1, spaces._BLOCK_ENTRIES // max(1, len(net.members)))
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         run = pool.map if threads > 1 else map
         for start in range(0, trials, chunk):

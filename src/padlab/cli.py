@@ -59,9 +59,12 @@ def _fmt(x) -> str:
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return doc
 
 
 def _threads(args) -> int:
@@ -374,7 +377,7 @@ def main(argv=None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         sys.stderr.write(dump_json(exc.report.to_jsonable()))
         return FAIL
-    except (ValueError, TypeError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

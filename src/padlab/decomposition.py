@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nets import Net
-from .spaces import FiniteMetricSpace, parse_fixture
+from .spaces import FiniteMetricSpace, _dist_blocks, parse_fixture
 
 __all__ = [
     "Cover",
@@ -55,12 +55,18 @@ __all__ = [
 _VERIFY_MAX_POINTS = 20000
 
 
+def _point_ids(points, n: int) -> np.ndarray:
+    """Point ids as an index array, checked to be integers in 0..n-1."""
+    raw = np.asarray(points, dtype=float)
+    bad = raw[(raw < 0) | (raw >= n) | (raw != np.round(raw))]
+    if len(bad):
+        raise ValueError(f"point ids must be integers in 0..{n - 1}, got {bad[0]:g}")
+    return raw.astype(np.intp)
+
+
 def _as_index_array(points, n: int) -> np.ndarray:
     """Sorted unique point ids of a set in a space of ``n`` points."""
-    arr = np.unique(np.asarray(points, dtype=np.intp))
-    if len(arr) and (arr[0] < 0 or arr[-1] >= n):
-        raise ValueError(f"point ids must lie in 0..{n - 1}, got {arr[0]}..{arr[-1]}")
-    return arr
+    return np.unique(_point_ids(points, n))
 
 
 @dataclass
@@ -141,7 +147,7 @@ def set_diameter(space: FiniteMetricSpace, points) -> float:
     points = np.asarray(points, dtype=np.intp)
     if len(points) <= 1:
         return 0.0
-    return float(space.dist_block(points, points).max())
+    return max(float(sub.max()) for _, sub in _dist_blocks(space, points, points))
 
 
 def set_distance(space: FiniteMetricSpace, a, b) -> float:
@@ -150,7 +156,7 @@ def set_distance(space: FiniteMetricSpace, a, b) -> float:
     b = np.asarray(b, dtype=np.intp)
     if len(a) == 0 or len(b) == 0:
         return math.inf
-    return float(space.dist_block(a, b).min())
+    return min(float(sub.min()) for _, sub in _dist_blocks(space, a, b))
 
 
 def _guard(space: FiniteMetricSpace):
@@ -160,25 +166,18 @@ def _guard(space: FiniteMetricSpace):
 
 
 def _layer_pairwise_min(space, layer):
-    """min cross-distance for every pair of sets in a layer."""
-    k = len(layer)
-    out = np.full((k, k), np.inf)
-    if k <= 1:
-        return out
-    pts = np.concatenate(layer)
-    owner = np.concatenate([np.full(len(s), i, dtype=np.intp) for i, s in enumerate(layer)])
-    if len(pts) <= 2500:
-        dmat = space.dist_block(pts, pts)
-        idx_i = np.repeat(owner, len(pts))
-        idx_j = np.tile(owner, len(pts))
-        np.minimum.at(out, (idx_i, idx_j), dmat.ravel())
-    else:
-        for i in range(k):
-            for j in range(i + 1, k):
-                d = set_distance(space, layer[i], layer[j])
-                out[i, j] = out[j, i] = d
-    np.fill_diagonal(out, np.inf)
-    return out
+    """min cross-distance of every pair of sets in a layer (+inf on the diagonal
+    and for empty sets), from each set's blocked column minimum over later sets."""
+    out = np.full((len(layer), len(layer)), np.inf)
+    ids = [i for i, s in enumerate(layer) if len(s)]
+    pts = np.concatenate([np.empty(0, np.intp)] + [layer[i] for i in ids])
+    starts = np.cumsum([0] + [len(layer[i]) for i in ids])
+    for a, i in enumerate(ids[:-1]):
+        colmin = np.full(len(pts) - starts[a + 1], np.inf)
+        for _, sub in _dist_blocks(space, layer[i], pts[starts[a + 1]:]):
+            np.minimum(colmin, sub.min(axis=0), out=colmin)
+        out[i, ids[a + 1:]] = np.minimum.reduceat(colmin, starts[a + 1:-1] - starts[a + 1])
+    return np.minimum(out, out.T)
 
 
 def verify_cover(cover: Cover) -> VerificationReport:
@@ -221,6 +220,25 @@ def verify_cover(cover: Cover) -> VerificationReport:
     return report
 
 
+def _holder_index(layer):
+    """Point -> holder lookup of a layer: its points sorted, beside the set
+    holding each (in ascending set order for a point held twice)."""
+    pts = np.concatenate([np.empty(0, np.intp)] + layer)
+    holder = np.repeat(np.arange(len(layer)), [len(s) for s in layer])
+    order = np.argsort(pts, kind="stable")
+    return pts[order], holder[order]
+
+
+def _spans(keys, points):
+    """Where each of ``points`` sits in a layer's sorted holder keys: ``[lo, hi)``."""
+    return np.searchsorted(keys, points, "left"), np.searchsorted(keys, points, "right")
+
+
+def _contains(s, points):
+    """Mask of the ``points`` that lie in the nonempty sorted set ``s``."""
+    return s[np.minimum(np.searchsorted(s, points), len(s) - 1)] == points
+
+
 def verify_padded(layers, net: Net, R: float, D: float,
                   strict_disjoint: bool = False) -> VerificationReport:
     """Exhaustively check the three padded-decomposition conditions.
@@ -249,35 +267,32 @@ def verify_padded(layers, net: Net, R: float, D: float,
                     "net_size": len(net.members)},
         conditions={"net_partition": True, "diameter": True, "padding": True},
     )
-    masks = []
+    index = []  # per layer: the holder of each key, and each member's [lo, hi) span
     for i, layer in enumerate(layers):
-        layer_masks = np.zeros((len(layer), space.n), dtype=bool)
-        for s_id, s in enumerate(layer):
-            layer_masks[s_id, s] = True
-        masks.append(layer_masks)
-        member_count = layer_masks[:, net.members].sum(axis=0)
-        for pos in np.nonzero(member_count == 0)[0]:
+        keys, holder = _holder_index(layer)
+        lo, hi = _spans(keys, net.members)
+        index.append((holder, lo.tolist(), hi.tolist()))
+        for pos in np.nonzero(hi == lo)[0]:
             report.conditions["net_partition"] = False
             report.witnesses.append({
                 "condition": "net_partition", "layer": int(i),
                 "member": int(net.members[pos]), "problem": "uncovered",
             })
-        for pos in np.nonzero(member_count > 1)[0]:
-            owners = np.nonzero(layer_masks[:, net.members[pos]])[0]
+        for pos in np.nonzero(hi - lo > 1)[0]:
             report.conditions["net_partition"] = False
             report.witnesses.append({
                 "condition": "net_partition", "layer": int(i),
                 "member": int(net.members[pos]), "problem": "overlap",
-                "sets": [int(o) for o in owners],
+                "sets": [int(o) for o in holder[lo[pos]:hi[pos]]],
             })
         if strict_disjoint:
             report.conditions.setdefault("strict_disjointness", True)
-            for p in np.nonzero(layer_masks.sum(axis=0) > 1)[0]:
-                owners = np.nonzero(layer_masks[:, p])[0]
+            shared = np.unique(keys[1:][keys[1:] == keys[:-1]])
+            for p, a, b in zip(shared, *_spans(keys, shared)):
                 report.conditions["strict_disjointness"] = False
                 report.witnesses.append({
                     "condition": "strict_disjointness", "layer": int(i),
-                    "point": int(p), "sets": [int(o) for o in owners],
+                    "point": int(p), "sets": [int(o) for o in holder[a:b]],
                 })
         for s_id, s in enumerate(layer):
             diam = set_diameter(space, s)
@@ -287,40 +302,28 @@ def verify_padded(layers, net: Net, R: float, D: float,
                     "condition": "diameter", "layer": int(i), "set": int(s_id),
                     "diameter": diam, "bound": D,
                 })
-    for x in net.members:
+    for pos, x in enumerate(net.members):
         ball = space.ball(int(x), R)
-        padded = False
-        for layer_masks in masks:
-            holders = np.nonzero(layer_masks[:, x])[0]
-            for s_id in holders:
-                if layer_masks[s_id, ball].all():
-                    padded = True
-                    break
-            if padded:
-                break
-        if not padded:
-            escaping = []
-            for i, layer_masks in enumerate(masks):
-                for s_id in np.nonzero(layer_masks[:, x])[0]:
-                    out = ball[~layer_masks[s_id, ball]]
-                    escaping.append({"layer": int(i), "set": int(s_id),
-                                     "outside_points": [int(p) for p in out[:5]]})
-            report.conditions["padding"] = False
-            report.witnesses.append({
-                "condition": "padding", "member": int(x), "R": R,
-                "closest_misses": escaping[:4],
-            })
+        held = [(i, s_id) for i, (holder, lo, hi) in enumerate(index)
+                for s_id in holder[lo[pos]:hi[pos]]]
+        if any(_contains(layers[i][s_id], ball).all() for i, s_id in held):
+            continue
+        escaping = [{"layer": int(i), "set": int(s_id), "outside_points":
+                     [int(p) for p in ball[~_contains(layers[i][s_id], ball)][:5]]}
+                    for i, s_id in held]
+        report.conditions["padding"] = False
+        report.witnesses.append({
+            "condition": "padding", "member": int(x), "R": R,
+            "closest_misses": escaping[:4],
+        })
     report.sort_witnesses()
     return report
 
 
 def _ball_of_set(space: FiniteMetricSpace, points, R: float) -> np.ndarray:
     """Open R-neighborhood of a point set."""
-    points = np.asarray(points, dtype=np.intp)
     mask = np.zeros(space.n, dtype=bool)
-    block = max(1, 2_000_000 // max(1, space.n))
-    for start in range(0, len(points), block):
-        sub = space.dist_block(points[start:start + block])
+    for _, sub in _dist_blocks(space, points):
         mask |= (sub < R).any(axis=0)
     return np.nonzero(mask)[0]
 
@@ -366,10 +369,10 @@ def shrink_set(space: FiniteMetricSpace, points, margin: float) -> np.ndarray:
     inside = np.zeros(space.n, dtype=bool)
     inside[s] = True
     comp = np.nonzero(~inside)[0]
-    if len(comp) == 0:
+    if len(comp) == 0 or len(s) == 0:
         return s
-    dist_to_comp = space.dist_block(s, comp).min(axis=1)
-    return s[dist_to_comp >= margin]
+    near = np.concatenate([sub.min(axis=1) for _, sub in _dist_blocks(space, s, comp)])
+    return s[near >= margin]
 
 
 def cover_from_padded(pd: PaddedDecomposition, net: Net) -> Cover:
@@ -444,7 +447,7 @@ def cover_to_json(cover: Cover, fixture: str) -> dict:
 
 
 def cover_from_json(doc: dict, space: FiniteMetricSpace | None = None) -> Cover:
-    if doc.get("kind") != "cover":
+    if not isinstance(doc, dict) or doc.get("kind") != "cover":
         raise ValueError("not a cover document")
     if space is None:
         space = parse_fixture(doc["fixture"])
@@ -471,14 +474,12 @@ def decomposition_to_json(pd: PaddedDecomposition, fixture: str) -> dict:
 
 
 def decomposition_from_json(doc: dict, space: FiniteMetricSpace | None = None) -> PaddedDecomposition:
-    if doc.get("kind") != "padded_decomposition":
+    if not isinstance(doc, dict) or doc.get("kind") != "padded_decomposition":
         raise ValueError("not a padded decomposition document")
     if space is None:
         space = parse_fixture(doc["fixture"])
     if space.n != doc["n_points"]:
         raise ValueError("fixture size mismatch")
-    members = np.asarray(doc["net"]["members"], dtype=np.intp)
-    if ((members < 0) | (members >= space.n)).any():
-        raise ValueError(f"net members must be point ids in 0..{space.n - 1}")
-    net = Net(space, members, float(doc["net"]["eps"]), float(doc["net"]["delta"]))
+    net = Net(space, _point_ids(doc["net"]["members"], space.n),
+              float(doc["net"]["eps"]), float(doc["net"]["delta"]))
     return PaddedDecomposition(net, doc["layers"], float(doc["R"]), float(doc["D"]))

@@ -33,9 +33,8 @@ __all__ = [
 _COVER_MATRIX_GUARD = 4000
 
 
-def _greedy_cover_size(dist_ct, radius) -> int:
-    """Greedy max-coverage count: rows = candidate centers, cols = targets."""
-    covers = dist_ct < radius
+def _greedy_cover_size(covers) -> int:
+    """Greedy max-coverage count of a boolean matrix (rows = centers, cols = targets)."""
     remaining = np.ones(covers.shape[1], dtype=bool)
     picks = 0
     while remaining.any():
@@ -72,7 +71,7 @@ def doubling_constant_estimate(space: FiniteMetricSpace, radii, centers=None) ->
             target = np.nonzero(mat[c] < 2 * r)[0]
             # only points within 3r of c can center a useful r-ball
             cand = np.nonzero(mat[c] < 3 * r)[0]
-            size = _greedy_cover_size(mat[np.ix_(cand, target)], r)
+            size = _greedy_cover_size(mat[np.ix_(cand, target)] < r)
             best = max(best, size)
     return best
 
@@ -107,13 +106,7 @@ def optimal_cover_size(space: FiniteMetricSpace, target, radius: float,
     covers = covers[keep]
     if not covers.any(axis=0).all():
         raise ValueError("target not coverable at this radius")
-    # greedy upper bound on the deduplicated boolean matrix
-    remaining = np.ones(covers.shape[1], dtype=bool)
-    upper = 0
-    while remaining.any():
-        gain = (covers & remaining[None, :]).sum(axis=1)
-        remaining &= ~covers[int(np.argmax(gain))]
-        upper += 1
+    upper = _greedy_cover_size(covers)
     for k in range(1, upper):
         for combo in combinations(range(len(covers)), k):
             if covers[list(combo)].any(axis=0).all():

@@ -127,7 +127,7 @@ class TexpSchedule:
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("doubling constant must be >= 2")
-        if self.r <= 0 or self.eps <= 0 or self.D <= 0:
+        if not (self.r > 0 and self.eps > 0 and self.D > 0):
             raise ValueError("r, eps and D must be positive")
         object.__setattr__(self, "lam", self.eps / (3 * self.r))
         object.__setattr__(self, "M", (2 * self.D + 3) * self.r)
@@ -168,11 +168,11 @@ class TgeoRun:
     r: float
 
     def __post_init__(self):
-        if self.b < 0:
+        if not self.b >= 0:
             raise ValueError("growth exponent must be >= 0")
         if not (0 < self.p < 1):
             raise ValueError("need 0 < p < 1")
-        if self.M < 2 or self.m < 1 or self.r <= 0:
+        if self.M < 2 or self.m < 1 or not self.r > 0:
             raise ValueError("need M >= 2, m >= 1, r > 0")
 
     @property
@@ -506,6 +506,8 @@ def schedule_to_json(schedule) -> dict:
 
 
 def schedule_from_json(doc: dict):
+    if not isinstance(doc, dict):
+        raise ValueError(f"a schedule must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "texp":
         return TexpSchedule(N=int(doc["N"]), r=float(doc["r"]),

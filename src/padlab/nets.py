@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import FiniteMetricSpace
+from . import spaces
+from .spaces import FiniteMetricSpace, _dist_blocks
 
 __all__ = ["Net", "NetGraph", "build_net", "net_graph", "ball_net_count", "NetError"]
 
@@ -64,7 +65,7 @@ def build_net(space: FiniteMetricSpace, eps: float, delta: float, order=None) ->
     nearest_seen = np.full(n, np.inf)
     pos = 0
     while pos < n:
-        size = int(max(16, min(n - pos, 2048, 8_000_000 // max(1, count))))
+        size = int(max(16, min(n - pos, 2048, spaces._BLOCK_ENTRIES // max(1, count))))
         block = order[pos:pos + size]
         pos += size
         if count:
@@ -82,7 +83,8 @@ def build_net(space: FiniteMetricSpace, eps: float, delta: float, order=None) ->
     # Re-derive coverage for points seen before later members were admitted.
     uncovered = np.nonzero(nearest_seen >= eps)[0]
     if len(uncovered):
-        far = uncovered[space.dist_block(uncovered, members).min(axis=1) >= eps]
+        far = np.concatenate([uncovered[start:start + len(sub)][sub.min(axis=1) >= eps]
+                              for start, sub in _dist_blocks(space, uncovered, members)])
         if len(far):
             raise NetError(f"sweep left {len(far)} points uncovered at eps={eps}: "
                            f"first witnesses {far[:5].tolist()}")
@@ -108,10 +110,8 @@ class NetGraph:
         members = self.net.members
         T = len(members)
         degs = np.empty(T, dtype=np.int64)
-        block = max(1, 4_000_000 // max(1, T))
-        for start in range(0, T, block):
-            rows = np.arange(start, min(start + block, T))
-            sub = self.net.space.dist_block(members[rows], members)
+        for start, sub in _dist_blocks(self.net.space, members, members):
+            rows = np.arange(start, start + len(sub))
             inband = (sub >= self.band_low) & (sub <= self.band_high)
             inband[np.arange(len(rows)), rows] = False
             degs[rows] = inband.sum(axis=1)

@@ -16,6 +16,9 @@ Three concrete backends cover all fixtures:
 
 Distances for random Euclidean clouds are rounded to 12 decimal digits at
 construction time so that runs reproduce bit-for-bit across platforms.
+
+Passes over many distances read them in row blocks of ``_BLOCK_ENTRIES``
+entries at most (or one wider row), so their memory stays bounded.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ __all__ = [
 
 # Hard ceiling for fixtures that need an all-pairs shortest path matrix.
 _APSP_MAX_POINTS = 5000
+# Distance entries per block of a blocked pass (32 MB of float64).
+_BLOCK_ENTRIES = 4_000_000
 
 
 class MetricError(ValueError):
@@ -128,9 +133,6 @@ class CoordSpace(FiniteMetricSpace):
         return d
 
     def dist_row(self, i):
-        if self.coords.shape[1] == 1:
-            d = np.abs(self.coords[:, 0] - self.coords[i, 0])
-            return np.round(d, self.round_digits) if self.round_digits is not None else d
         return self._reduce(self.coords - self.coords[i])
 
     def dist_block(self, rows, cols=None):
@@ -159,6 +161,14 @@ class MatrixSpace(FiniteMetricSpace):
 
     def distance_matrix(self):
         return self.matrix
+
+
+def _dist_blocks(space: FiniteMetricSpace, rows, cols=None):
+    """Yield ``(start, space.dist_block(rows[start:start + step], cols))`` over
+    ``rows``, ``step`` rows holding at most ``_BLOCK_ENTRIES`` entries (or one)."""
+    step = max(1, _BLOCK_ENTRIES // max(1, space.n if cols is None else len(cols)))
+    for start in range(0, len(rows), step):
+        yield start, space.dist_block(rows[start:start + step], cols)
 
 
 class MeasuredSpace:

@@ -317,7 +317,8 @@ class TestConvert:
                       "n_points": 10, "R": 3.0, "D": 18.0, "m": 1,
                       "net": {"members": [0, 42], "eps": 1.0, "delta": 1.0},
                       "layers": [[list(range(10))]]}),
-    ], ids=["high_point_id", "negative_point_id", "bad_net_member"])
+        ("to-padded", cover_doc([list(range(9)) + [9.7]])),
+    ], ids=["high_point_id", "negative_point_id", "bad_net_member", "fractional_point_id"])
     def test_out_of_range_ids_are_usage_errors(self, tmp_path, capsys, direction, doc):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))
@@ -344,6 +345,36 @@ class TestLllCheck:
 
     def test_bad_schedule_is_usage_error(self):
         assert main(["lll-check", "--schedule", '{"kind": "nope"}']) == 2
+
+
+TEXP = '{"kind": "texp", "N": %s, "r": 3.0, "eps": 0.05, "D": %s}'
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["carve", "--config", "IN"], "[]", "JSON object"),
+    (["cutprob", "--config", "IN"], "[]", "JSON object"),
+    (["carve", "--config", "IN"], '{"fixture": "segment:10", "out": "x", "schedule": [1]}',
+     "JSON object"),
+    (["lll-check", "--schedule", "[1]"], "", "JSON object"),
+    (["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT"], "[1, 2]",
+     "not a padded decomposition"),
+    (["lll-check", "--schedule", TEXP % ("1e400", "100")], "", "infinity"),
+    (["lll-check", "--schedule",
+      '{"kind": "tgeo", "b": 1, "p": 0.0025, "M": 1e400, "m": 2, "r": 9}'], "", "infinity"),
+    (["carve", "--config", "IN"], '{"fixture": "segment:10", "out": "x", "seed": 1e400, '
+     '"schedule": %s}' % (TEXP % (3, 100)), "infinity"),
+    (["lll-check", "--schedule", TEXP % (3, "NaN")], "", "must be positive"),
+], ids=["carve_config_list", "cutprob_config_list", "carve_schedule_list",
+        "lll_schedule_list", "convert_input_list", "texp_huge_N", "tgeo_huge_M",
+        "carve_huge_seed", "texp_nan_D"])
+def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, argv, text, message):
+    """Non-object JSON documents and non-finite numbers exit 2 with a message."""
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    swap = {"IN": str(path), "OUT": str(tmp_path / "out")}
+    assert main([swap.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_two():

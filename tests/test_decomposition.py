@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import padlab as pl
+from padlab import spaces
 from oracles import make_cover, naive_verify_cover, naive_verify_padded
 
 
@@ -251,3 +253,78 @@ class TestSerialization:
         doc = report.to_jsonable()
         assert doc["passed"] is False
         json.dumps(doc)  # must be JSON-clean
+
+
+class TestBlockBudget:
+    def test_every_distance_block_fits_the_budget(self, monkeypatch):
+        """With a tiny block budget, no distance block any verifier, conversion,
+        set reduction, net or carving pass asks for exceeds the budget, or one
+        row when a row is wider."""
+        budget = 20
+        monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", budget)
+        calls = []
+        original = pl.CoordSpace.dist_block
+
+        def recording(self, rows, cols=None):
+            calls.append((len(rows), self.n if cols is None else len(cols)))
+            return original(self, rows, cols)
+
+        monkeypatch.setattr(pl.CoordSpace, "dist_block", recording)
+        space = pl.integer_segment(60)
+        net = pl.build_net(space, 1, 1)
+        cover = pl.Cover(space, [[np.array([p]) for p in range(c, 61, 8)] for c in range(8)],
+                         r_disjoint=7.0, D_bound=0.0)
+        pd = pl.padded_from_cover(cover, net, 3.0)
+        graph = pl.net_graph(net, 6.0)
+        coloring = pl.greedy_color(graph)
+        radii = pl.RadiusAssignment(np.full(len(net.members), 2.0), 1.0, 3.0)
+        ops = {
+            "verify_cover": lambda: pl.verify_cover(cover),
+            "verify_padded": lambda: pl.verify_padded(pd, net, pd.R, pd.D, strict_disjoint=True),
+            "padded_from_cover": lambda: pl.padded_from_cover(cover, net, 3.0),
+            "cover_from_padded": lambda: pl.cover_from_padded(pd, net),
+            "set_diameter": lambda: pl.set_diameter(space, np.arange(61)),
+            "set_distance": lambda: pl.set_distance(space, np.arange(30), np.arange(30, 61)),
+            "shrink_set": lambda: pl.shrink_set(space, np.arange(40), 3.0),
+            "net_graph": lambda: pl.net_graph(net, 6.0),
+            "greedy_color": lambda: pl.greedy_color(graph),
+            "carve": lambda: pl.carve(space, net, coloring, radii),
+        }
+        for name, op in ops.items():
+            calls.clear()
+            op()
+            assert calls, name
+            assert all(rows * width <= max(budget, width) for rows, width in calls), name
+
+
+@st.composite
+def set_systems(draw):
+    """A small cloud, a net on it, and 1-3 layers of possibly empty,
+    overlapping or non-covering point sets."""
+    n = draw(st.integers(2, 24))
+    space = pl.euclidean_cloud(n, 2, seed=draw(st.integers(0, 1000)), scale=4.0)
+    net = pl.build_net(space, draw(st.sampled_from([0.5, 1.0, 2.0])), 0.5)
+    point_sets = st.lists(st.lists(st.integers(0, n - 1), max_size=n), max_size=5)
+    layers = draw(st.lists(point_sets, min_size=1, max_size=3))
+    return space, net, layers, draw(st.floats(0.1, 3.0)), draw(st.floats(0.5, 6.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(set_systems())
+def test_reports_do_not_depend_on_the_block_budget(system):
+    """Verifier reports (strict and not) and shrunk sets are the same under
+    the default budget and under a 7-entry one (one or a few rows a block)."""
+    space, net, layers, R, D = system
+
+    def outputs():
+        cover = pl.Cover(space, layers, r_disjoint=R, D_bound=D)
+        return (pl.verify_cover(cover).to_jsonable(),
+                [pl.verify_padded(layers, net, R, D, strict_disjoint=strict).to_jsonable()
+                 for strict in (False, True)],
+                [pl.shrink_set(space, s, R).tolist() for layer in layers for s in layer])
+
+    assert spaces._BLOCK_ENTRIES == 4_000_000
+    default = outputs()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_BLOCK_ENTRIES", 7)
+        assert outputs() == default
