@@ -200,6 +200,8 @@ def cmd_cutprob(args) -> int:
     if not fixture or out is None or not grid:
         raise ConfigError("cutprob needs fixture, out and a nonempty grid")
     net_cfg = cfg.get("net", {})
+    if not isinstance(net_cfg, dict):
+        raise ConfigError('cutprob "net" must hold a JSON object')
     trials = int(cfg.get("trials", 100))
     n_centers = int(cfg.get("centers", 50))
     space = parse_fixture(fixture)

@@ -14,12 +14,13 @@ These are empirical probes, not exact computations:
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
 
 from .nets import build_net
-from .spaces import FiniteMetricSpace, MeasuredSpace
+from .spaces import FiniteMetricSpace, MeasuredSpace, _dist_blocks
 
 __all__ = [
     "doubling_constant_estimate",
@@ -35,16 +36,25 @@ _COVER_MATRIX_GUARD = 4000
 
 def _greedy_cover_size(covers) -> int:
     """Greedy max-coverage count of a boolean matrix (rows = centers, cols = targets)."""
-    remaining = np.ones(covers.shape[1], dtype=bool)
+    # float32 gains are exact integers below 2**24, so argmax ties break as on counts
+    counts = covers.astype(np.float32)
+    remaining = np.ones(covers.shape[1], dtype=np.float32)
     picks = 0
     while remaining.any():
-        gain = (covers & remaining[None, :]).sum(axis=1)
+        gain = counts @ remaining
         best = int(np.argmax(gain))
         if gain[best] == 0:
             raise ValueError("target point not coverable by any candidate ball")
-        remaining &= ~covers[best]
+        remaining[covers[best]] = 0
         picks += 1
     return picks
+
+
+def _finite_radii(radii) -> list:
+    radii = [float(r) for r in radii]
+    if not all(math.isfinite(r) for r in radii):
+        raise ValueError(f"radii must be finite reals, got {radii}")
+    return radii
 
 
 def doubling_constant_estimate(space: FiniteMetricSpace, radii, centers=None) -> int:
@@ -54,7 +64,7 @@ def doubling_constant_estimate(space: FiniteMetricSpace, radii, centers=None) ->
     means every point; either way the space must be small enough (n <= 4000)
     for its distance matrix to fit in memory.
     """
-    radii = [float(r) for r in radii]
+    radii = _finite_radii(radii)
     if not radii or min(radii) <= 0:
         raise ValueError("radii must be a nonempty list of positive reals")
     if centers is None:
@@ -147,25 +157,31 @@ def growth_function(space: FiniteMetricSpace, r: float, trials: int = 3, seed: i
 
 def growth_table(space: FiniteMetricSpace, radii, trials: int = 3, seed: int = 0) -> dict:
     """Growth estimates for several radii, sharing the sampled nets."""
-    radii = [float(r) for r in radii]
+    radii = _finite_radii(radii)
     if min(radii) < 1:
         raise ValueError("growth is defined for radii >= 1")
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    best = {r: 0 for r in radii}
-    thresholds = np.asarray(sorted(radii))
+    best = dict.fromkeys(radii, 0)
     for t in range(trials):
         order = np.arange(space.n) if t == 0 else rng.permutation(space.n)
         net = build_net(space, 1.0, 1.0, order=order)
-        for c in range(space.n):
-            d = np.sort(space.dist_row(c)[net.members])
-            counts = np.searchsorted(d, thresholds, side="left")
-            for r, cnt in zip(thresholds, counts):
-                r = float(r)
-                if cnt > best[r]:
-                    best[r] = int(cnt)
+        for r, count in zip(best, _max_ball_counts(space, net.members, list(best))):
+            best[r] = max(best[r], count)
     return best
+
+
+def _max_ball_counts(space, members, radii) -> list:
+    """Per radius r, the most ``members`` in any open r-ball around a point.
+
+    A function of its own so that the last distance block is released before
+    the caller builds its next net."""
+    counts = [0] * len(radii)
+    for _, sub in _dist_blocks(space, np.arange(space.n), members):
+        for k, r in enumerate(radii):
+            counts[k] = max(counts[k], int((sub < r).sum(axis=1).max()))
+    return counts
 
 
 def loglog_slope(radii, values) -> float | None:

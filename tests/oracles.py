@@ -138,3 +138,92 @@ def ks_distance(samples, cdf):
     lo = np.max(F - np.arange(n) / n)
     hi = np.max(np.arange(1, n + 1) / n - F)
     return float(max(lo, hi))
+
+
+def heisenberg_distances(radius, rows, cols):
+    """Word metric between Heisenberg ball elements by brute force: BFS the
+    group out to word length ``2*radius`` and look up ``g^-1 h`` per pair."""
+    import padlab as pl
+
+    def mul(g, h):
+        a, b, c = g
+        aa, bb, cc = h
+        return (a + aa, b + bb, c + cc + a * bb)
+
+    length = {(0, 0, 0): 0}
+    frontier = [(0, 0, 0)]
+    for d in range(1, 2 * radius + 1):
+        fresh = []
+        for g in frontier:
+            for s in [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]:
+                h = mul(g, s)
+                if h not in length:
+                    length[h] = d
+                    fresh.append(h)
+        frontier = fresh
+    elements = [tuple(e) for e in pl.heisenberg_ball(radius).elements.tolist()]
+    out = np.empty((len(rows), len(cols)))
+    for x, i in enumerate(rows):
+        a, b, c = elements[i]
+        inverse = (-a, -b, a * b - c)
+        for y, j in enumerate(cols):
+            out[x, y] = length[mul(inverse, elements[j])]
+    return out
+
+
+# The loops below are the package's code before its kernels were vectorized,
+# kept verbatim as references for those kernels.
+
+
+def reference_sampled_validate(space, seed=0, samples=100_000):
+    """The triple-by-triple sampled branch of ``validate_metric``."""
+    from padlab.spaces import MetricError
+
+    n = space.n
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, n, size=(samples, 3))
+    tol = 1e-9
+    for i, j, k in idx:
+        dij = space.dist(int(i), int(j))
+        dji = space.dist(int(j), int(i))
+        if dij != dji:
+            raise MetricError(f"asymmetric: d({i},{j}) != d({j},{i})")
+        if space.dist(int(i), int(i)) != 0.0:
+            raise MetricError(f"nonzero self distance at {i}")
+        if space.dist(int(j), int(k)) > dij + space.dist(int(i), int(k)) + tol * max(1.0, dij):
+            raise MetricError(f"triangle inequality fails on triple ({j},{i},{k})")
+
+
+def reference_greedy_cover_size(covers) -> int:
+    """Greedy max-coverage count of a boolean matrix (rows = centers, cols = targets)."""
+    remaining = np.ones(covers.shape[1], dtype=bool)
+    picks = 0
+    while remaining.any():
+        gain = (covers & remaining[None, :]).sum(axis=1)
+        best = int(np.argmax(gain))
+        if gain[best] == 0:
+            raise ValueError("target point not coverable by any candidate ball")
+        remaining &= ~covers[best]
+        picks += 1
+    return picks
+
+
+def reference_growth_table(space, radii, trials=3, seed=0) -> dict:
+    """Growth estimates for several radii, one center row at a time."""
+    from padlab.nets import build_net
+
+    radii = [float(r) for r in radii]
+    rng = np.random.default_rng(seed)
+    best = {r: 0 for r in radii}
+    thresholds = np.asarray(sorted(radii))
+    for t in range(trials):
+        order = np.arange(space.n) if t == 0 else rng.permutation(space.n)
+        net = build_net(space, 1.0, 1.0, order=order)
+        for c in range(space.n):
+            d = np.sort(space.dist_row(c)[net.members])
+            counts = np.searchsorted(d, thresholds, side="left")
+            for r, cnt in zip(thresholds, counts):
+                r = float(r)
+                if cnt > best[r]:
+                    best[r] = int(cnt)
+    return best

@@ -257,6 +257,14 @@ class TestGrowth:
         assert gammas == [ball.ball_sizes[r - 1] for r in (3, 4, 5, 6)]
         assert json.load(open(out + ".slope.json"))["slope_defined"] is True
 
+    @pytest.mark.parametrize("radii", ["2,nan", "2,inf"])
+    def test_non_finite_radii_are_usage_errors(self, tmp_path, capsys, radii):
+        out = tmp_path / "g.csv"
+        assert main(["growth", "--fixture", "heis:4", "--radii", radii,
+                     "--out", str(out)]) == 2
+        assert "radii must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_point_slope_undefined(self, tmp_path):
         out = str(tmp_path / "g.csv")
         assert main(["growth", "--fixture", "segment:0", "--radii", "2",
@@ -364,9 +372,12 @@ TEXP = '{"kind": "texp", "N": %s, "r": 3.0, "eps": 0.05, "D": %s}'
     (["carve", "--config", "IN"], '{"fixture": "segment:10", "out": "x", "seed": 1e400, '
      '"schedule": %s}' % (TEXP % (3, 100)), "infinity"),
     (["lll-check", "--schedule", TEXP % (3, "NaN")], "", "must be positive"),
+    (["cutprob", "--config", "IN"], '{"fixture": "segment:10", "out": "x", "net": [], '
+     '"grid": [{"kind": "tgeo", "b": 1.0, "p": 0.01, "M": 4, "m": 2, "r": 1.0}]}',
+     "JSON object"),
 ], ids=["carve_config_list", "cutprob_config_list", "carve_schedule_list",
         "lll_schedule_list", "convert_input_list", "texp_huge_N", "tgeo_huge_M",
-        "carve_huge_seed", "texp_nan_D"])
+        "carve_huge_seed", "texp_nan_D", "cutprob_net_list"])
 def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, argv, text, message):
     """Non-object JSON documents and non-finite numbers exit 2 with a message."""
     path = tmp_path / "in.json"

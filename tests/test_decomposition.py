@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import padlab as pl
-from padlab import spaces
+from padlab import growth, spaces
 from oracles import make_cover, naive_verify_cover, naive_verify_padded
 
 
@@ -258,8 +258,8 @@ class TestSerialization:
 class TestBlockBudget:
     def test_every_distance_block_fits_the_budget(self, monkeypatch):
         """With a tiny block budget, no distance block any verifier, conversion,
-        set reduction, net or carving pass asks for exceeds the budget, or one
-        row when a row is wider."""
+        set reduction, net, carving, growth or sampled metric pass asks for
+        exceeds the budget, or one row when a row is wider."""
         budget = 20
         monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", budget)
         calls = []
@@ -270,6 +270,16 @@ class TestBlockBudget:
             return original(self, rows, cols)
 
         monkeypatch.setattr(pl.CoordSpace, "dist_block", recording)
+
+        def unrecorded_build_net(*args, **kwargs):
+            # the net sweep sizes its own blocks (16 rows at least); growth_table's
+            # reads of the finished nets are what is checked here
+            seen = len(calls)
+            net = pl.build_net(*args, **kwargs)
+            del calls[seen:]
+            return net
+
+        monkeypatch.setattr(growth, "build_net", unrecorded_build_net)
         space = pl.integer_segment(60)
         net = pl.build_net(space, 1, 1)
         cover = pl.Cover(space, [[np.array([p]) for p in range(c, 61, 8)] for c in range(8)],
@@ -289,6 +299,9 @@ class TestBlockBudget:
             "net_graph": lambda: pl.net_graph(net, 6.0),
             "greedy_color": lambda: pl.greedy_color(graph),
             "carve": lambda: pl.carve(space, net, coloring, radii),
+            "growth_table": lambda: pl.growth_table(space, [2.0, 5.0], trials=2),
+            "validate_metric": lambda: pl.validate_metric(space, exhaustive_limit=10,
+                                                          samples=50),
         }
         for name, op in ops.items():
             calls.clear()

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import padlab as pl
+from padlab import growth, spaces
+from oracles import reference_greedy_cover_size, reference_growth_table
 
 
 class TestDoublingEstimate:
@@ -38,6 +41,29 @@ class TestDoublingEstimate:
             pl.doubling_constant_estimate(pl.integer_segment(5), [])
         with pytest.raises(ValueError):
             pl.doubling_constant_estimate(pl.integer_segment(5), [-1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**16))
+def test_greedy_cover_matches_the_boolean_loop(rows, cols, density, seed):
+    covers = np.random.default_rng(seed).random((rows, cols)) < density
+
+    def outcome(cover_size):
+        try:
+            return cover_size(covers)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(growth._greedy_cover_size) == outcome(reference_greedy_cover_size)
+
+
+@pytest.mark.parametrize("radii", [[2.0, float("nan")], [float("inf")], [float("-inf")]])
+def test_non_finite_radii_are_rejected(radii):
+    space = pl.integer_segment(10)
+    with pytest.raises(ValueError, match="radii must be finite"):
+        pl.growth_table(space, radii)
+    with pytest.raises(ValueError, match="radii must be finite"):
+        pl.doubling_constant_estimate(space, radii)
 
 
 def test_optimal_cover_size_brute_force_cases():
@@ -102,6 +128,21 @@ class TestGrowthFunction:
         table = pl.growth_table(space, [2.0, 4.0], trials=2, seed=3)
         for r in (2.0, 4.0):
             assert table[r] == pl.growth_function(space, r, trials=2, seed=3)
+
+
+@pytest.mark.parametrize("space", [pl.euclidean_cloud(70, 2, seed=4, scale=6.0),
+                                   pl.grid_2d(9, 7, "linf"), pl.heisenberg_ball(3),
+                                   pl.balanced_tree(2, 5)], ids=lambda s: s.label)
+@pytest.mark.parametrize("budget", [50, spaces._BLOCK_ENTRIES])
+def test_growth_table_matches_the_row_loop(monkeypatch, space, budget):
+    monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", budget)
+    rng = np.random.default_rng(0)
+    for trials in (1, 3):
+        radii = np.round(rng.uniform(1.0, 6.0, 4), 2).tolist() + [3.0, 3.0]
+        seed = int(rng.integers(100))
+        table = pl.growth_table(space, radii, trials=trials, seed=seed)
+        expected = reference_growth_table(space, radii, trials=trials, seed=seed)
+        assert list(table.items()) == list(expected.items())
 
 
 def test_loglog_slope_undefined_cases():

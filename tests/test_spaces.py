@@ -1,8 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import padlab as pl
-from oracles import heisenberg_words
+from padlab import spaces
+from oracles import heisenberg_distances, heisenberg_words, reference_sampled_validate
 
 
 FIXTURES = [
@@ -96,6 +101,40 @@ class TestHeisenberg:
         for i in range(h.n):
             assert h.dist(0, i) == h.word_lengths[i]
         pl.validate_metric(h)
+
+    @pytest.mark.parametrize("chunk", [7, spaces._HEIS_CHUNK_ENTRIES])
+    def test_dist_block_matches_word_metric_oracle(self, monkeypatch, chunk):
+        monkeypatch.setattr(spaces, "_HEIS_CHUNK_ENTRIES", chunk)
+        h = pl.heisenberg_ball(3)
+        everything = np.arange(h.n)
+        assert np.array_equal(h.dist_block(everything),
+                              heisenberg_distances(3, everything, everything))
+        rng = np.random.default_rng(0)
+        rows, cols = rng.integers(0, h.n, 9), rng.integers(0, h.n, 23)
+        assert np.array_equal(h.dist_block(rows, cols), heisenberg_distances(3, rows, cols))
+        assert h.dist_block(rows, []).shape == (9, 0)
+        assert h.dist_block([], cols).shape == (0, 23)
+        for i in range(h.n):
+            assert np.array_equal(h.dist_row(i), h.dist_block([i])[0])
+
+    def test_out_of_table_query_is_an_index_error(self):
+        h = pl.heisenberg_ball(2)
+        h._table[h._table == 2] = spaces._HEIS_ABSENT
+        assert h.dist_block([0], [1])[0, 0] == 1.0
+        with pytest.raises(IndexError, match="outside the word-length table"):
+            h.dist_row(0)
+
+    def test_all_pairs_block_peaks_near_its_output(self):
+        """Row chunks keep one all-pairs block within 1.25x its own bytes."""
+        h = pl.heisenberg_ball(8)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = h.dist_block(np.arange(h.n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
@@ -191,3 +230,66 @@ def test_validate_metric_catches_violations():
     bad2 = pl.MatrixSpace(np.array([[0, 1, 9], [1, 0, 1], [9, 1, 0]], dtype=float))
     with pytest.raises(pl.MetricError):
         pl.validate_metric(bad2)
+
+
+class _Perturbed(pl.CoordSpace):
+    """A coordinate space plus a fixed perturbation matrix, read the same
+    way by ``dist_row`` and ``dist_block``."""
+
+    def __init__(self, coords, metric, extra):
+        super().__init__(coords, metric)
+        self.extra = extra
+
+    def dist_block(self, rows, cols=None):
+        cols = np.arange(self.n) if cols is None else np.asarray(cols, dtype=np.intp)
+        rows = np.asarray(rows, dtype=np.intp)
+        return super().dist_block(rows, cols) + self.extra[np.ix_(rows, cols)]
+
+    def dist_row(self, i):
+        return self.dist_block([i])[0]
+
+
+@st.composite
+def flawed_spaces(draw):
+    """A small l1/l2/linf space, as a coordinate space or as its matrix, with
+    a few injected asymmetries, nonzero self distances or triangle breaks."""
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    coords = rng.integers(0, 6, size=(n, 2)).astype(float)
+    metric = draw(st.sampled_from(["l1", "l2", "linf"]))
+    extra = np.zeros((n, n))
+    for flaw in draw(st.lists(st.sampled_from(["asymmetric", "diagonal", "triangle"]),
+                              max_size=3)):
+        a, b = rng.integers(0, n, 2)
+        if flaw == "asymmetric":
+            extra[a, b] += 0.5
+        elif flaw == "diagonal":
+            extra[a, a] += 0.25
+        else:
+            b = (a + 1) % n
+            extra[a, b] = extra[b, a] = 100.0
+    if draw(st.booleans()):
+        return _Perturbed(coords, metric, extra)
+    return pl.MatrixSpace(pl.CoordSpace(coords, metric).distance_matrix() + extra)
+
+
+def _verdict(check):
+    try:
+        check()
+    except pl.MetricError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(flawed_spaces(), st.integers(0, 1500), st.integers(0, 100),
+       st.sampled_from([9, 50, spaces._BLOCK_ENTRIES]))
+def test_sampled_validation_matches_the_triple_loop(space, samples, seed, budget):
+    """Chunked sampling names the same first failure (or none) as checking
+    the triples one at a time, whatever the chunk size (1, 2 or 666 triples
+    under these budgets) and however the sample count splits into chunks."""
+    expected = _verdict(lambda: reference_sampled_validate(space, seed, samples))
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
+        got = _verdict(lambda: pl.validate_metric(space, seed, exhaustive_limit=0,
+                                                  samples=samples))
+    assert got == expected
