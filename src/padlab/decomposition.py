@@ -69,6 +69,12 @@ def _as_index_array(points, n: int) -> np.ndarray:
     return np.unique(_point_ids(points, n))
 
 
+def _check_bound(name: str, value) -> None:
+    """Reject a radius or diameter bound that is NaN, infinite or negative."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+
+
 @dataclass
 class Cover:
     """Layered family of separated, bounded point sets covering the space."""
@@ -79,6 +85,8 @@ class Cover:
     D_bound: float
 
     def __post_init__(self):
+        _check_bound("r_disjoint", self.r_disjoint)
+        _check_bound("D_bound", self.D_bound)
         self.layers = [[_as_index_array(s, self.space.n) for s in layer]
                        for layer in self.layers]
 
@@ -97,6 +105,8 @@ class PaddedDecomposition:
     D: float
 
     def __post_init__(self):
+        _check_bound("R", self.R)
+        _check_bound("D", self.D)
         self.layers = [[_as_index_array(s, self.space.n) for s in layer]
                        for layer in self.layers]
 
@@ -254,10 +264,13 @@ def verify_padded(layers, net: Net, R: float, D: float,
     decomposition is meant to come from a carving (whose layers partition the
     whole space).
     """
-    if isinstance(layers, PaddedDecomposition):
-        layers = layers.layers
     space = net.space
-    layers = [[_as_index_array(s, space.n) for s in layer] for layer in layers]
+    if isinstance(layers, PaddedDecomposition):
+        if layers.space.n != space.n:
+            raise ValueError("decomposition and net live on spaces of different sizes")
+        layers = layers.layers  # sorted unique ids since construction
+    else:
+        layers = [[_as_index_array(s, space.n) for s in layer] for layer in layers]
     if not layers:
         raise ValueError("need at least one layer")
     _guard(space)
@@ -322,10 +335,11 @@ def verify_padded(layers, net: Net, R: float, D: float,
 
 def _ball_of_set(space: FiniteMetricSpace, points, R: float) -> np.ndarray:
     """Open R-neighborhood of a point set."""
-    mask = np.zeros(space.n, dtype=bool)
-    for _, sub in _dist_blocks(space, points):
+    near = space.candidates(points, R)
+    mask = np.zeros(len(near), dtype=bool)
+    for _, sub in _dist_blocks(space, points, near):
         mask |= (sub < R).any(axis=0)
-    return np.nonzero(mask)[0]
+    return near[mask]
 
 
 def padded_from_cover(cover: Cover, net: Net, R: float) -> PaddedDecomposition:
@@ -338,6 +352,7 @@ def padded_from_cover(cover: Cover, net: Net, R: float) -> PaddedDecomposition:
     space = cover.space
     if space is not net.space:
         raise ValueError("cover and net live on different spaces")
+    _check_bound("R", R)
     in_report = verify_cover(cover)
     if not in_report.passed:
         raise VerificationFailure("input cover fails verification", in_report)
@@ -364,12 +379,16 @@ def shrink_set(space: FiniteMetricSpace, points, margin: float) -> np.ndarray:
     """Points of the set at distance >= margin from its complement.
 
     The whole set survives when the complement is empty (distance to the
-    empty set is +inf by convention)."""
+    empty set is +inf by convention).  Only the complement points within
+    ``margin`` of the set can drop one, so only ``space.candidates`` are read."""
+    if math.isnan(margin):
+        raise ValueError("shrink margin is NaN")
     s = _as_index_array(points, space.n)
-    inside = np.zeros(space.n, dtype=bool)
-    inside[s] = True
-    comp = np.nonzero(~inside)[0]
-    if len(comp) == 0 or len(s) == 0:
+    if len(s) == 0:
+        return s
+    reach = space.candidates(s, margin)
+    comp = reach[~_contains(s, reach)]
+    if len(comp) == 0:
         return s
     near = np.concatenate([sub.min(axis=1) for _, sub in _dist_blocks(space, s, comp)])
     return s[near >= margin]

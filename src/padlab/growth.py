@@ -127,7 +127,7 @@ def optimal_cover_size(space: FiniteMetricSpace, target, radius: float,
 def volume_doubling_estimate(ms: MeasuredSpace, radii, centers=None) -> float:
     """Max sampled ratio mass(B_2r(x)) / mass(B_r(x)); lower estimate of the
     volume doubling constant."""
-    radii = [float(r) for r in radii]
+    radii = _finite_radii(radii)
     if not radii or min(radii) <= 0:
         raise ValueError("radii must be a nonempty list of positive reals")
     if centers is None:

@@ -19,7 +19,12 @@ Distances for random Euclidean clouds are rounded to 12 decimal digits at
 construction time so that runs reproduce bit-for-bit across platforms.
 
 Passes over many distances read them in row blocks of ``_BLOCK_ENTRIES``
-entries at most (or one wider row), so their memory stays bounded.
+entries at most (or one wider row), so their memory stays bounded: a
+:class:`CoordSpace` block accumulates one coordinate at a time and costs
+about twice its output, a :class:`HeisenbergBall` block about its output.
+Reads that only need the points near a set ask
+:meth:`FiniteMetricSpace.candidates` for them first; coordinate spaces
+answer with a bounding box.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ __all__ = [
 
 # Hard ceiling for fixtures that need an all-pairs shortest path matrix.
 _APSP_MAX_POINTS = 5000
-# Distance entries per block of a blocked pass (32 MB of float64).
+# Distance entries per block of a blocked pass (32 MB of float64; a
+# CoordSpace block peaks near 64 MB with its one scratch array).
 _BLOCK_ENTRIES = 4_000_000
 
 
@@ -91,9 +97,15 @@ class FiniteMetricSpace:
         """Indices of the open ball of radius ``r`` around ``center``."""
         return np.nonzero(self.dist_row(center) < r)[0]
 
+    def candidates(self, points, radius: float) -> np.ndarray:
+        """Sorted ids of a superset of the points at distance less than
+        ``radius`` from some point of ``points``: here every point."""
+        return np.arange(self.n)
+
     def diameter(self) -> float:
         if self._diameter is None:
-            self._diameter = max(float(self.dist_row(i).max()) for i in range(self.n))
+            blocks = _dist_blocks(self, np.arange(self.n))
+            self._diameter = max(float(sub.max()) for _, sub in blocks)
         return self._diameter
 
     def distance_matrix(self) -> np.ndarray:
@@ -112,35 +124,77 @@ class CoordSpace(FiniteMetricSpace):
         coords = np.asarray(coords, dtype=float)
         if coords.ndim == 1:
             coords = coords[:, None]
-        if coords.ndim != 2:
-            raise ValueError("coords must be an (n, dim) array")
+        if coords.ndim != 2 or coords.shape[1] < 1:
+            raise ValueError("coords must be an (n, dim) array with dim >= 1")
         if metric not in ("l1", "l2", "linf"):
             raise ValueError(f"unknown metric {metric!r}")
         super().__init__(coords.shape[0], label)
         self.coords = coords
         self.metric = metric
         self.round_digits = round_digits
+        self._by_first = None  # (ids sorted by coordinate 0, that coordinate), on first use
 
-    def _reduce(self, diff):
-        if diff.shape[-1] == 1:
-            d = np.abs(diff[..., 0])  # all three norms coincide in 1-d
-        elif self.metric == "l1":
-            d = np.abs(diff).sum(axis=-1)
-        elif self.metric == "linf":
-            d = np.abs(diff).max(axis=-1)
+    def _distances(self, a, b):
+        """Distances between the coordinate rows ``a`` and ``b``, as a
+        ``len(a) x len(b)`` array.
+
+        Accumulates one coordinate at a time into the output, so a block
+        costs its output plus one same-size scratch array.  For fewer than 8
+        coordinates the sums run in the order numpy's ``sum`` over a last
+        axis uses, so distances are bit-identical to that reduction.
+        """
+        dim = a.shape[1]
+        l2 = self.metric == "l2" and dim > 1  # all three norms coincide in 1-d
+        d = np.subtract.outer(a[:, 0], b[:, 0])
+        if l2:
+            d *= d
         else:
-            d = np.sqrt((diff * diff).sum(axis=-1))
+            np.abs(d, out=d)
+        t = np.empty_like(d) if dim > 1 else None
+        for k in range(1, dim):
+            np.subtract.outer(a[:, k], b[:, k], out=t)
+            if l2:
+                t *= t
+                d += t
+            else:
+                np.abs(t, out=t)
+                (np.add if self.metric == "l1" else np.maximum)(d, t, out=d)
+        if l2:
+            np.sqrt(d, out=d)
         if self.round_digits is not None:
-            d = np.round(d, self.round_digits)
+            np.round(d, self.round_digits, out=d)
         return d
 
     def dist_row(self, i):
-        return self._reduce(self.coords - self.coords[i])
+        return self._distances(self.coords[i, None], self.coords)[0]
 
     def dist_block(self, rows, cols=None):
         a = self.coords[np.asarray(rows, dtype=np.intp)]
         b = self.coords if cols is None else self.coords[np.asarray(cols, dtype=np.intp)]
-        return self._reduce(a[:, None, :] - b[None, :, :])
+        return self._distances(a, b)
+
+    def candidates(self, points, radius):
+        """Sorted ids of the points inside the bounding box of ``points``
+        grown by ``radius`` plus a slack of ``1e-9 * max(1, radius)``.
+
+        Under l1, l2 and linf no coordinate gap exceeds the distance, so the
+        box holds every point within ``radius`` of ``points``; the slack
+        covers the 12-digit rounding of cloud distances and the one-ulp
+        error of ``sqrt``.  Coordinate 0 is bisected in an order sorted on
+        first use, the other coordinates are filtered.
+        """
+        box = self.coords[np.asarray(points, dtype=np.intp)]
+        if len(box) == 0:
+            return np.empty(0, dtype=np.intp)
+        reach = radius + 1e-9 * max(1.0, radius)
+        lo, hi = box.min(axis=0) - reach, box.max(axis=0) + reach
+        if self._by_first is None:
+            order = np.argsort(self.coords[:, 0], kind="stable")
+            self._by_first = order, self.coords[order, 0]
+        order, first = self._by_first
+        ids = order[np.searchsorted(first, lo[0], "left"):np.searchsorted(first, hi[0], "right")]
+        rest = self.coords[ids, 1:]
+        return np.sort(ids[((rest >= lo[1:]) & (rest <= hi[1:])).all(axis=1)])
 
 
 class MatrixSpace(FiniteMetricSpace):

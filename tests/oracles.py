@@ -227,3 +227,62 @@ def reference_growth_table(space, radii, trials=3, seed=0) -> dict:
                 if cnt > best[r]:
                     best[r] = int(cnt)
     return best
+
+
+# The distance reduction and the set reads below are the package's code
+# before coordinate distances were accumulated one coordinate at a time and
+# before set reads were restricted to ``candidates``, kept verbatim as
+# references for those paths.
+
+
+def reference_reduce(self, diff):
+    """``CoordSpace._reduce``: the norm of a difference array over its last axis."""
+    if diff.shape[-1] == 1:
+        d = np.abs(diff[..., 0])  # all three norms coincide in 1-d
+    elif self.metric == "l1":
+        d = np.abs(diff).sum(axis=-1)
+    elif self.metric == "linf":
+        d = np.abs(diff).max(axis=-1)
+    else:
+        d = np.sqrt((diff * diff).sum(axis=-1))
+    if self.round_digits is not None:
+        d = np.round(d, self.round_digits)
+    return d
+
+
+def reference_dist_row(self, i):
+    return reference_reduce(self, self.coords - self.coords[i])
+
+
+def reference_dist_block(self, rows, cols=None):
+    a = self.coords[np.asarray(rows, dtype=np.intp)]
+    b = self.coords if cols is None else self.coords[np.asarray(cols, dtype=np.intp)]
+    return reference_reduce(self, a[:, None, :] - b[None, :, :])
+
+
+def reference_ball_of_set(space, points, R):
+    """Open R-neighborhood of a point set."""
+    from padlab.spaces import _dist_blocks
+
+    mask = np.zeros(space.n, dtype=bool)
+    for _, sub in _dist_blocks(space, points):
+        mask |= (sub < R).any(axis=0)
+    return np.nonzero(mask)[0]
+
+
+def reference_shrink_set(space, points, margin):
+    """Points of the set at distance >= margin from its complement.
+
+    The whole set survives when the complement is empty (distance to the
+    empty set is +inf by convention)."""
+    from padlab.decomposition import _as_index_array
+    from padlab.spaces import _dist_blocks
+
+    s = _as_index_array(points, space.n)
+    inside = np.zeros(space.n, dtype=bool)
+    inside[s] = True
+    comp = np.nonzero(~inside)[0]
+    if len(comp) == 0 or len(s) == 0:
+        return s
+    near = np.concatenate([sub.min(axis=1) for _, sub in _dist_blocks(space, s, comp)])
+    return s[near >= margin]

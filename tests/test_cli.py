@@ -356,6 +356,13 @@ class TestLllCheck:
 
 
 TEXP = '{"kind": "texp", "N": %s, "r": 3.0, "eps": 0.05, "D": %s}'
+COVER = ('{"kind": "cover", "fixture": "segment:9", "n_points": 10, "r_disjoint": %s, '
+         '"D_bound": %s, "m": 1, "layers": [[[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]]]}')
+PADDED = ('{"kind": "padded_decomposition", "fixture": "segment:9", "n_points": 10, '
+          '"R": %s, "D": %s, "m": 1, "net": {"members": [0, 3, 6, 9], "eps": 3, "delta": 3}, '
+          '"layers": [[[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]]]}')
+TO_PADDED = ["convert", "--input", "IN", "--direction", "to-padded", "--r", "1", "--out", "OUT"]
+TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT"]
 
 
 @pytest.mark.parametrize("argv,text,message", [
@@ -375,9 +382,18 @@ TEXP = '{"kind": "texp", "N": %s, "r": 3.0, "eps": 0.05, "D": %s}'
     (["cutprob", "--config", "IN"], '{"fixture": "segment:10", "out": "x", "net": [], '
      '"grid": [{"kind": "tgeo", "b": 1.0, "p": 0.01, "M": 4, "m": 2, "r": 1.0}]}',
      "JSON object"),
+    (TO_COVER, PADDED % (9, "NaN"), "D must be a finite number"),
+    (TO_COVER, PADDED % ("NaN", 9), "R must be a finite number"),
+    (TO_COVER, PADDED % (-1, 9), "R must be a finite number"),
+    (TO_PADDED + ["--R", "1"], COVER % ("NaN", 9), "r_disjoint must be a finite number"),
+    (TO_PADDED + ["--R", "1"], COVER % (9, -2), "D_bound must be a finite number"),
+    (TO_PADDED + ["--R", "nan"], COVER % (9, 9), "R must be a finite number"),
+    (TO_PADDED + ["--R", "-1"], COVER % (9, 9), "R must be a finite number"),
 ], ids=["carve_config_list", "cutprob_config_list", "carve_schedule_list",
         "lll_schedule_list", "convert_input_list", "texp_huge_N", "tgeo_huge_M",
-        "carve_huge_seed", "texp_nan_D", "cutprob_net_list"])
+        "carve_huge_seed", "texp_nan_D", "cutprob_net_list", "padded_nan_D",
+        "padded_nan_R", "padded_negative_R", "cover_nan_r_disjoint",
+        "cover_negative_D_bound", "convert_nan_R", "convert_negative_R"])
 def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, argv, text, message):
     """Non-object JSON documents and non-finite numbers exit 2 with a message."""
     path = tmp_path / "in.json"

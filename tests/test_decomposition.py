@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import padlab as pl
-from padlab import growth, spaces
-from oracles import make_cover, naive_verify_cover, naive_verify_padded
+from padlab import decomposition, growth, spaces
+from oracles import (make_cover, naive_verify_cover, naive_verify_padded,
+                     reference_ball_of_set, reference_shrink_set)
 
 
 def carve_layer(space, net, t_value, M):
@@ -86,6 +87,12 @@ class TestVerifyPadded:
         with pytest.raises(ValueError):
             pl.verify_padded([[np.arange(big.n)]], net, R=1.0, D=50000.0)
 
+    def test_refuses_a_decomposition_of_another_size(self):
+        pd = pl.PaddedDecomposition(self.net, [[np.arange(10)]], R=1.0, D=9.0)
+        other = pl.build_net(pl.integer_segment(12), 1, 1)
+        with pytest.raises(ValueError, match="different sizes"):
+            pl.verify_padded(pd, other, R=1.0, D=9.0)
+
 
 class TestVerifyCover:
     def test_spaced_singletons_pass(self):
@@ -159,6 +166,43 @@ class TestShrink:
     def test_distance_to_empty_set_is_infinite(self):
         space = pl.integer_segment(5)
         assert pl.set_distance(space, [1], []) == np.inf
+
+    def test_nan_margin_is_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            pl.shrink_set(pl.integer_segment(9), np.arange(4), float("nan"))
+
+
+@st.composite
+def coordinate_sets(draw):
+    """A small segment, grid (exact gaps) or cloud (12-digit rounded gaps), a
+    point set on it, and a radius equal to one of its distances, within 1e-13
+    of one, or beyond every distance."""
+    kind = draw(st.sampled_from(["segment", "grid", "cloud"]))
+    if kind == "segment":
+        space = pl.integer_segment(draw(st.integers(0, 30)))
+    elif kind == "grid":
+        space = pl.grid_2d(draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+                           draw(st.sampled_from(["l1", "l2", "linf"])))
+    else:
+        space = pl.euclidean_cloud(draw(st.integers(1, 30)), draw(st.integers(1, 4)),
+                                   seed=draw(st.integers(0, 1000)))
+    points = draw(st.lists(st.integers(0, space.n - 1), max_size=space.n))
+    gaps = np.unique(space.distance_matrix()).tolist() + [1e9]
+    radius = draw(st.sampled_from(gaps)) + draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+    return space, points, radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(coordinate_sets())
+def test_candidate_reads_match_whole_space_reads(system):
+    """Reading only a set's candidates shrinks and grows it exactly as reading
+    the whole complement and the whole space did."""
+    space, points, radius = system
+    assert np.array_equal(pl.shrink_set(space, points, radius),
+                          reference_shrink_set(space, points, radius))
+    s = np.unique(np.asarray(points, dtype=np.intp))
+    assert np.array_equal(decomposition._ball_of_set(space, s, radius),
+                          reference_ball_of_set(space, s, radius))
 
 
 class TestConversions:
@@ -281,6 +325,7 @@ class TestBlockBudget:
 
         monkeypatch.setattr(growth, "build_net", unrecorded_build_net)
         space = pl.integer_segment(60)
+        cloud = pl.euclidean_cloud(50, 2, seed=1)
         net = pl.build_net(space, 1, 1)
         cover = pl.Cover(space, [[np.array([p]) for p in range(c, 61, 8)] for c in range(8)],
                          r_disjoint=7.0, D_bound=0.0)
@@ -296,6 +341,8 @@ class TestBlockBudget:
             "set_diameter": lambda: pl.set_diameter(space, np.arange(61)),
             "set_distance": lambda: pl.set_distance(space, np.arange(30), np.arange(30, 61)),
             "shrink_set": lambda: pl.shrink_set(space, np.arange(40), 3.0),
+            "shrink_set_2d": lambda: pl.shrink_set(cloud, np.arange(0, 50, 2), 0.2),
+            "diameter": lambda: pl.integer_segment(60).diameter(),
             "net_graph": lambda: pl.net_graph(net, 6.0),
             "greedy_color": lambda: pl.greedy_color(graph),
             "carve": lambda: pl.carve(space, net, coloring, radii),

@@ -64,6 +64,8 @@ def test_non_finite_radii_are_rejected(radii):
         pl.growth_table(space, radii)
     with pytest.raises(ValueError, match="radii must be finite"):
         pl.doubling_constant_estimate(space, radii)
+    with pytest.raises(ValueError, match="radii must be finite"):
+        pl.volume_doubling_estimate(pl.MeasuredSpace.uniform(space), radii)
 
 
 def test_optimal_cover_size_brute_force_cases():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import padlab as pl
 from padlab import spaces
-from oracles import heisenberg_distances, heisenberg_words, reference_sampled_validate
+from oracles import (heisenberg_distances, heisenberg_words, reference_dist_block,
+                     reference_dist_row, reference_sampled_validate)
 
 
 FIXTURES = [
@@ -80,6 +81,75 @@ def test_balanced_tree_distances():
     assert t.dist(7, 8) == 2.0       # leaf siblings via node 3
     assert t.dist(7, 14) == 6.0      # leftmost to rightmost leaf
     assert t.diameter() == 6.0
+
+
+@st.composite
+def coord_spaces(draw):
+    """A small coordinate space with 1-7 coordinates: an integer grid (exact
+    gaps), a rounded Euclidean cloud, or real coordinates under any norm with
+    or without 12-digit rounding."""
+    n, dim = draw(st.integers(1, 20)), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["grid", "cloud", "real"]))
+    if kind == "cloud":
+        return pl.euclidean_cloud(n, dim, seed=draw(st.integers(0, 1000)))
+    values = st.integers(-5, 5).map(float) if kind == "grid" else st.floats(-1e3, 1e3)
+    coords = draw(st.lists(st.lists(values, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    digits = None if kind == "grid" else draw(st.sampled_from([None, 12]))
+    return pl.CoordSpace(np.array(coords), draw(st.sampled_from(["l1", "l2", "linf"])),
+                         round_digits=digits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coord_spaces(), st.data())
+def test_coordinate_kernel_is_bit_equal_to_the_difference_reduction(space, data):
+    """Accumulating one coordinate at a time gives the same bits as reducing
+    a (rows, cols, dim) difference array, empty rows or columns included."""
+    ids = st.lists(st.integers(0, space.n - 1), max_size=9)
+    rows, cols = data.draw(ids), data.draw(ids)
+    for got, want in [(space.dist_block(rows, cols), reference_dist_block(space, rows, cols)),
+                      (space.dist_block(rows), reference_dist_block(space, rows))]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for i in rows:
+        assert space.dist_row(i).tobytes() == reference_dist_row(space, i).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(coord_spaces(), st.data())
+def test_candidates_hold_every_point_within_the_radius(space, data):
+    """The candidates of a set are sorted unique ids that include every point
+    at distance <= radius from the set, for radii equal to a distance of the
+    space (exact grid gaps) or within 1e-13 of one (rounded cloud gaps)."""
+    points = data.draw(st.lists(st.integers(0, space.n - 1), min_size=1, max_size=6))
+    dist = space.dist_block(points)
+    gap = data.draw(st.sampled_from(np.unique(dist).tolist()))
+    radius = gap + data.draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+    got = space.candidates(points, radius)
+    assert np.array_equal(got, np.unique(got))
+    assert np.isin(np.nonzero((dist <= radius).any(axis=0))[0], got).all()
+
+
+def test_candidates_are_the_grown_bounding_box():
+    seg = pl.integer_segment(100)
+    assert seg.candidates([50, 52], 3.0).tolist() == list(range(47, 56))
+    grid = pl.grid_2d(10, 10, "linf")
+    assert grid.candidates([0], 1.0).tolist() == [0, 1, 10, 11]
+    assert len(seg.candidates([], 3.0)) == 0
+    tree = pl.balanced_tree(2, 2)
+    assert tree.candidates([0], 1.0).tolist() == list(range(7))
+
+
+def test_coordinate_block_peaks_near_its_output():
+    """One coordinate at a time keeps a 2000 x 2000 block of a 2-d cloud
+    within 2.5x its own bytes (a (rows, cols, dim) difference array cost ~5x)."""
+    cloud = pl.euclidean_cloud(4000, 2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = cloud.dist_block(np.arange(2000), np.arange(2000, 4000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * out.nbytes
 
 
 class TestHeisenberg:
