@@ -13,8 +13,11 @@ what is left, and so on) without quadratic set differences.
 The rule reads an owner table: row p lists the members within the radius cap
 M of point p (no other ball can cover it) in color order, padded with
 infinite distance, so the owner of p is the first covering entry of its row.
-:func:`carve` builds the table block by block; the resampler builds it once
-and rereads the rows of the points a redraw can move.
+That entry usually sits in the first few columns, so the scan reads rows in
+place in column chunks that double in width and drops each row at its first
+covering chunk.  :func:`carve` builds the table block by block and scans
+every row; the resampler builds it once and passes the ids of the rows a
+redraw can move.
 
 A probe ball is *cut* by a layer when it meets two distinct clusters; the
 Monte Carlo harness estimates cut frequencies over i.i.d. radius draws
@@ -175,18 +178,40 @@ def _owner_table(dist, colors, M):
     return members, dists, tie_rows
 
 
-def _first_cover(members, dists, tie_rows, colors, t):
-    """Owner of the point behind each owner-table row under radii ``t``: the
-    member position of the row's first covering entry."""
-    covered = dists < t[members]
-    first = covered.argmax(axis=1)
-    rows = np.arange(len(members))
-    if not covered[rows, first].all():
+_FIRST_CHUNK = 16  # columns in the first chunk of the owner scan
+
+
+def _first_cover(members, dists, tie_rows, colors, t, rows=None):
+    """Owner of the point behind each selected owner-table row under radii
+    ``t``: the member position of the row's first covering entry.
+
+    ``rows`` picks table rows (default: every row, in order; repeats and any
+    order are allowed).  The rows are read in place, in column chunks that
+    double in width, and a row leaves the scan at the first chunk holding a
+    covering entry, so a cover near the front of a row costs one short read.
+    Rows still pending after the last column are covered by no ball.  The
+    same-color check reads full rows, but only those ``tie_rows`` flags.
+    """
+    rows = np.arange(len(members)) if rows is None else np.asarray(rows, dtype=np.intp)
+    width = members.shape[1]
+    first = np.empty(len(rows), dtype=np.intp)
+    pending = np.arange(len(rows))
+    lo, hi = 0, min(_FIRST_CHUNK, width)
+    while len(pending) and lo < width:
+        r = rows[pending]
+        covered = dists[r, lo:hi] < t[members[r, lo:hi]]
+        hit = covered.any(axis=1)
+        first[pending[hit]] = lo + covered[hit].argmax(axis=1)
+        pending = pending[~hit]
+        lo, hi = hi, min(hi + 2 * (hi - lo), width)
+    if len(pending):
         raise CarveError("a point is covered by no ball; radii violate the "
                          "coverage precondition l >= covering radius")
-    tied = np.nonzero(tie_rows)[0]
-    best = colors[members[tied, first[tied]]]
-    same = covered[tied] & (colors[members[tied]] == best[:, None])
+    tied = np.nonzero(tie_rows[rows])[0]
+    tied_rows = rows[tied]
+    best = colors[members[tied_rows, first[tied]]]
+    same = ((dists[tied_rows] < t[members[tied_rows]])
+            & (colors[members[tied_rows]] == best[:, None]))
     if (same.sum(axis=1) > 1).any():
         raise CarveError("two same-color centers cover one point; the coloring "
                          "is not proper for the doubled radius band")

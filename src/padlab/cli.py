@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .carving import cut_probability_mc
+from .carving import CarveError, cut_probability_mc
 from .decomposition import (VerificationFailure, cover_from_json, cover_from_padded,
                             cover_to_json, decomposition_from_json, decomposition_to_json,
                             dump_json, padded_from_cover)
@@ -381,6 +381,12 @@ def main(argv=None) -> int:
         return FAIL
     except (ValueError, TypeError, OSError, KeyError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    except CarveError as exc:
+        print(f"carve error: {exc}", file=sys.stderr)
+        return USAGE
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return USAGE
 
 

@@ -65,7 +65,14 @@ def _point_ids(points, n: int) -> np.ndarray:
 
 
 def _as_index_array(points, n: int) -> np.ndarray:
-    """Sorted unique point ids of a set in a space of ``n`` points."""
+    """Sorted unique point ids of a set in a space of ``n`` points, in a new
+    array.  An integer array already strictly increasing within 0..n-1 (as
+    the converters build their sets) is copied without the float check and
+    the sort; anything else goes through :func:`_point_ids`."""
+    if isinstance(points, np.ndarray) and points.ndim == 1 and points.dtype.kind in "iu":
+        if not len(points) or (points[0] >= 0 and points[-1] < n
+                               and (points[1:] > points[:-1]).all()):
+            return points.astype(np.intp)
     return np.unique(_point_ids(points, n))
 
 

@@ -77,12 +77,17 @@ def doubling_constant_estimate(space: FiniteMetricSpace, radii, centers=None) ->
     mat = space.distance_matrix()
     best = 0
     for r in radii:
+        prev_cand = prev_target = None
         for c in centers:
             target = np.nonzero(mat[c] < 2 * r)[0]
             # only points within 3r of c can center a useful r-ball
             cand = np.nonzero(mat[c] < 3 * r)[0]
-            size = _greedy_cover_size(mat[np.ix_(cand, target)] < r)
-            best = max(best, size)
+            # a center posing the previous center's problem (on a small cloud,
+            # every ball is the whole space) cannot raise the maximum
+            if np.array_equal(cand, prev_cand) and np.array_equal(target, prev_target):
+                continue
+            prev_cand, prev_target = cand, target
+            best = max(best, _greedy_cover_size(mat[np.ix_(cand, target)] < r))
     return best
 
 

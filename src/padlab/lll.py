@@ -387,8 +387,10 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     Every carving, the initial one and each recarve, applies the owner rule
     of :mod:`padlab.carving` to one owner table built up front: a point joins
     the lowest-color ball covering it, and a point with no covering ball or
-    two of that color raises :class:`CarveError`.  So the final layers equal
-    :func:`carving.carve` of the final radii and are returned as they stand.
+    two of that color raises :class:`CarveError`.  A recarve passes the ids
+    of the affected points to the chunked scan, which reads their rows in
+    place.  So the final layers equal :func:`carving.carve` of the final
+    radii and are returned as they stand.
     The table and the member-to-point reach mask have at most n * |net|
     entries each, so the matrix guard bounds them as well.
     """
@@ -446,8 +448,8 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
             radii[li][dom] = _sample_radii(csp.law, rng, len(dom))
         affected = np.nonzero(reach[dom].any(axis=0))[0]
         for li in range(csp.m):
-            assign[li][affected] = _first_cover(nb[affected], nb_d[affected],
-                                                tie_rows[affected], colors, radii[li])
+            assign[li][affected] = _first_cover(nb, nb_d, tie_rows, colors, radii[li],
+                                                affected)
         violated = violated_now()
         rounds += 1
         history.append(int(violated.sum()))

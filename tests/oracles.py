@@ -286,3 +286,23 @@ def reference_shrink_set(space, points, margin):
         return s
     near = np.concatenate([sub.min(axis=1) for _, sub in _dist_blocks(space, s, comp)])
     return s[near >= margin]
+
+
+def reference_first_cover(members, dists, tie_rows, colors, t):
+    """Owner of the point behind each owner-table row under radii ``t``: the
+    member position of the row's first covering entry, read at full width."""
+    from padlab.carving import CarveError
+
+    covered = dists < t[members]
+    first = covered.argmax(axis=1)
+    rows = np.arange(len(members))
+    if not covered[rows, first].all():
+        raise CarveError("a point is covered by no ball; radii violate the "
+                         "coverage precondition l >= covering radius")
+    tied = np.nonzero(tie_rows)[0]
+    best = colors[members[tied, first[tied]]]
+    same = covered[tied] & (colors[members[tied]] == best[:, None])
+    if (same.sum(axis=1) > 1).any():
+        raise CarveError("two same-color centers cover one point; the coloring "
+                         "is not proper for the doubled radius band")
+    return members[rows, first]

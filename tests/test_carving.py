@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import padlab as pl
-from oracles import literal_carve, literal_is_cut
+from padlab.carving import _first_cover
+from oracles import literal_carve, literal_is_cut, reference_first_cover
 
 
 def path_graph_netgraph(n):
@@ -151,6 +153,70 @@ class TestCarve:
         assert lines[0] == "point_id,cluster_id,center_id"
         assert lines[1] == "0,0,0"
         assert lines[5] == "4,1,3"
+
+
+# columns on either side of the owner scan's chunk boundaries (16, 48, 112, 240)
+EDGE_COLUMNS = [0, 1, 14, 15, 16, 17, 46, 47, 48, 49, 110, 111, 112, 113,
+                238, 239, 240, 241, 298, 299]
+
+
+@st.composite
+def owner_tables(draw):
+    """An owner table of random rows with first covers placed around the
+    chunk boundaries, ``inf`` padding after each row's entries, a few
+    tie-flagged rows and maybe one uncovered row, plus a row selection that
+    is every row (``None``) or a list that may be empty, repeat or be
+    unsorted."""
+    width = draw(st.integers(1, 300))
+    n_rows = draw(st.integers(1, 10))
+    T = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    colors = rng.integers(0, draw(st.integers(1, T)), T)
+    t = rng.uniform(1.0, 2.0, T)
+    members = rng.integers(0, T, (n_rows, width))
+    covering = rng.random((n_rows, width)) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    first = [draw(st.sampled_from(EDGE_COLUMNS) | st.integers(0, width - 1)) % width
+             for _ in range(n_rows)]
+    uncovered = draw(st.sets(st.integers(0, n_rows - 1), max_size=1))
+    dists = np.where(covering, t[members] * rng.random((n_rows, width)),
+                     t[members] + rng.integers(0, 2, (n_rows, width)))
+    for i, c in enumerate(first):
+        dists[i, :c] = t[members[i, :c]]  # not covering: balls are open
+        if i not in uncovered:
+            dists[i, c] = 0.5 * t[members[i, c]]
+        length = draw(st.integers(c + 1, width))
+        members[i, length:] = 0
+        dists[i, length:] = np.inf
+        if i in uncovered:
+            dists[i, c:] = np.inf
+    tie_rows = np.zeros(n_rows, dtype=bool)
+    tie_rows[list(draw(st.sets(st.integers(0, n_rows - 1), max_size=2)))] = True
+    rows = draw(st.none() | st.lists(st.integers(0, n_rows - 1), max_size=12))
+    return members, dists, tie_rows, colors, t, rows
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except pl.CarveError as exc:
+        return str(exc)
+
+
+@given(owner_tables())
+@settings(max_examples=300, deadline=None)
+def test_chunked_first_cover_matches_full_width_scan(table):
+    """The chunked in-place scan picks the owners of the full-width scan over
+    the selected rows, and raises CarveError in the same cases with the same
+    message."""
+    members, dists, tie_rows, colors, t, rows = table
+    picked = np.arange(len(members)) if rows is None else np.array(rows, dtype=np.intp)
+    expected = _outcome(reference_first_cover, members[picked], dists[picked],
+                        tie_rows[picked], colors, t)
+    got = _outcome(_first_cover, members, dists, tie_rows, colors, t, rows)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
 
 
 class TestIsCut:

@@ -412,3 +412,21 @@ def test_unknown_subcommand_exits_two():
 
 def test_missing_config_file_exits_two(tmp_path):
     assert main(["carve", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("exc,message", [
+    (pl.CarveError("a point is covered by no ball"), "carve error: a point is covered by no ball"),
+    (MemoryError("Unable to allocate 400. GiB"), "out of memory: Unable to allocate 400. GiB"),
+], ids=["carve_error", "memory_error"])
+def test_runtime_errors_exit_two_without_traceback(tmp_path, capsys, monkeypatch, exc, message):
+    """A CarveError or MemoryError raised inside a command exits 2 with one
+    line on stderr."""
+    import padlab.cli as cli_mod
+
+    def boom(args):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "cmd_carve", boom)
+    assert main(["carve", "--config", str(tmp_path / "any.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == message + "\n"

@@ -299,6 +299,33 @@ class TestSerialization:
         json.dumps(doc)  # must be JSON-clean
 
 
+class TestIndexArrays:
+    @pytest.mark.parametrize("points", [
+        np.array([0, 3, 4, 9], dtype=np.intp), np.array([9, 0, 3, 3], dtype=np.intp),
+        np.array([2, 5], dtype=np.uint8), np.array([], dtype=np.intp),
+        np.array([1.0, 4.0, 2.0]), [7, 1, 7], np.array([[4, 1], [1, 0]], dtype=np.intp),
+    ], ids=["sorted_intp", "unsorted_intp", "sorted_uint8", "empty", "floats", "list",
+            "two_dim"])
+    def test_matches_unique_in_a_new_array(self, points):
+        ids = decomposition._as_index_array(points, 10)
+        assert ids.dtype == np.intp
+        assert np.array_equal(ids, np.unique(np.asarray(points, dtype=np.intp)))
+        if isinstance(points, np.ndarray):
+            assert not np.shares_memory(ids, points)
+
+    @pytest.mark.parametrize("points,bad", [
+        ([-1, 2, 3], "-1"), ([0, 5, 10], "10"), ([0, 5, 12], "12"), ([-3, -2], "-3"),
+        ([4, 3, -1], "-1"), ([11, 2], "11"),
+    ])
+    def test_out_of_range_intp_ids_raise(self, points, bad):
+        """Sorted and unsorted intp arrays with negative or out-of-range ids
+        raise the same error as the float path."""
+        with pytest.raises(ValueError, match=f"integers in 0..9, got {bad}$"):
+            decomposition._as_index_array(np.array(points, dtype=np.intp), 10)
+        with pytest.raises(ValueError, match=f"integers in 0..9, got {bad}$"):
+            decomposition._as_index_array([float(p) for p in points], 10)
+
+
 class TestBlockBudget:
     def test_every_distance_block_fits_the_budget(self, monkeypatch):
         """With a tiny block budget, no distance block any verifier, conversion,

@@ -36,6 +36,29 @@ class TestDoublingEstimate:
         assert worst_optimal == 3
         assert greedy >= worst_optimal  # greedy is a lower estimate of N via max
 
+    def test_repeated_cover_problem_is_solved_once(self, monkeypatch):
+        """When every ball is the whole space, each center poses the same
+        cover problem: one greedy cover per radius, and the answer is 1."""
+        space = pl.euclidean_cloud(40, 2, seed=3, scale=1.0)
+        assert space.diameter() < 2.0
+        calls = []
+        monkeypatch.setattr(growth, "_greedy_cover_size",
+                            lambda covers: calls.append(covers.shape)
+                            or reference_greedy_cover_size(covers))
+        assert pl.doubling_constant_estimate(space, [2.0, 3.0]) == 1
+        assert calls == [(40, 40), (40, 40)]
+
+    @pytest.mark.parametrize("fixture,radii", [("segment:60", [1.0, 3.0, 50.0]),
+                                               ("cloud:50:2", [0.2, 0.5, 2.0]),
+                                               ("grid:6x6:linf", [1.0, 2.0])])
+    def test_matches_a_solve_per_center(self, fixture, radii):
+        space = pl.parse_fixture(fixture)
+        mat = space.distance_matrix()
+        expected = max(reference_greedy_cover_size(
+            mat[np.ix_(np.nonzero(mat[c] < 3 * r)[0], np.nonzero(mat[c] < 2 * r)[0])] < r)
+            for r in radii for c in range(space.n))
+        assert pl.doubling_constant_estimate(space, radii) == expected
+
     def test_rejects_empty_or_negative_radii(self):
         with pytest.raises(ValueError):
             pl.doubling_constant_estimate(pl.integer_segment(5), [])
