@@ -23,7 +23,11 @@ A probe ball is *cut* by a layer when it meets two distinct clusters; the
 Monte Carlo harness estimates cut frequencies over i.i.d. radius draws
 without materializing whole partitions, using the equivalent first-touching
 ball rule (the lowest-color ball meeting the probe either swallows it, and
-the probe is intact, or it does not, and the probe is cut).
+the probe is intact, or it does not, and the probe is cut).  Each probe's
+candidate members are sorted by color once, and each trial scans them in
+the same widening column chunks as the owner rule until the first touching
+ball; the probe is intact iff a ball of that color run, from there to the
+run's end, swallows it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spaces
-from .nets import Net, NetGraph, net_graph
+from .nets import Net, NetGraph, _band_pass, net_graph
 from .sampler import _law_bounds, _sample_radii
 from .spaces import FiniteMetricSpace, _dist_blocks
 
@@ -71,28 +75,19 @@ class Coloring:
 def greedy_color(graph: NetGraph, order=None) -> Coloring:
     """Color vertices in ``order`` with the least color unused on earlier
     neighbors.  Proper by construction and uses at most max_degree + 1 colors.
+
+    In index order (``order=None``) these are the colors the graph's own
+    triangular pass computed; another order reruns that pass in it.
     """
     T = graph.num_vertices()
     if order is None:
-        order = np.arange(T)
+        colors = graph._colors
     else:
         order = np.asarray(order, dtype=np.intp)
         if len(order) != T or not np.array_equal(np.sort(order), np.arange(T)):
             raise ValueError("order must be a permutation of the member positions")
-    members = graph.net.members
-    colors = np.full(T, -1, dtype=np.int64)
-    scratch = np.empty(graph.max_degree + 2, dtype=bool)
-    # Distances come in blocks (one vectorized call per chunk of vertices);
-    # the color choice itself is inherently sequential.
-    for start, sub in _dist_blocks(graph.net.space, members[order], members):
-        for i, v in enumerate(order[start:start + len(sub)]):
-            row = sub[i]
-            nb = (row >= graph.band_low) & (row <= graph.band_high)
-            used = colors[nb]
-            used = used[used >= 0]  # colored means earlier in the order
-            scratch[:] = False
-            scratch[used] = True
-            colors[int(v)] = int(np.argmin(scratch))
+        _, colors = _band_pass(graph.net.space, graph.net.members, graph.band_low,
+                               graph.band_high, order)
     return Coloring(graph, colors, int(colors.max()) + 1 if T else 0)
 
 
@@ -178,7 +173,7 @@ def _owner_table(dist, colors, M):
     return members, dists, tie_rows
 
 
-_FIRST_CHUNK = 16  # columns in the first chunk of the owner scan
+_FIRST_CHUNK = 16  # columns in the first chunk of the owner and probe scans
 
 
 def _first_cover(members, dists, tie_rows, colors, t, rows=None):
@@ -276,17 +271,52 @@ class CutProbeResult:
     cut_matrix: np.ndarray = field(repr=False)  # trials x centers booleans
 
 
+def _probe_cuts(cand, dmin, dmax, ends, radii):
+    """Whether one probe is cut under each row of ``radii`` (trials x members).
+
+    ``cand`` holds the probe's candidate members sorted by (color, position),
+    ``dmin``/``dmax`` their nearest/farthest distance to the probe ball and
+    ``ends[k]`` the end of column k's color run.  Each row is scanned in
+    column chunks that double in width up to its first touching ball
+    (``t > dmin``); the probe is intact iff a ball from there to the end of
+    that color run swallows it (``t > dmax``; the balls before it in the run
+    touch nothing).  A row touched by no ball raises :class:`CarveError`.
+    """
+    width = len(cand)
+    first = np.empty(len(radii), dtype=np.intp)
+    pending = np.arange(len(radii))
+    lo, hi = 0, min(_FIRST_CHUNK, width)
+    while len(pending) and lo < width:
+        touch = radii[pending[:, None], cand[lo:hi]] > dmin[lo:hi]
+        hit = touch.any(axis=1)
+        first[pending[hit]] = lo + touch[hit].argmax(axis=1)
+        pending = pending[~hit]
+        lo, hi = hi, min(hi + 2 * (hi - lo), width)
+    if len(pending):
+        raise CarveError("probe ball touched by no ball despite coverage")
+    intact = np.zeros(len(radii), dtype=bool)
+    rows, cols = np.arange(len(radii)), first
+    while len(rows):
+        intact[rows] = radii[rows, cand[cols]] > dmax[cols]
+        more = ~intact[rows] & (cols + 1 < ends[cols])
+        rows, cols = rows[more], cols[more] + 1
+    return ~intact
+
+
 def cut_probability_mc(space: FiniteMetricSpace, net: Net, M: float, l: float, law,
                        probe_radius: float, centers, trials: int, seed: int,
-                       threads: int = 1) -> CutProbeResult:
+                       threads: int = 1, coloring: Coloring | None = None) -> CutProbeResult:
     """Monte Carlo cut frequencies of probe balls under i.i.d. carving radii.
 
     Each trial draws one radius per net member (see :func:`draw_radii`),
     carves, and tests whether each probe ball meets two clusters.  The carve
     is evaluated lazily through the first-touching-ball rule, which agrees
     with carving the full layer (the test suite checks this against a literal
-    inductive implementation).  Deterministic given ``seed``; ``threads > 1``
-    fans trials out over a thread pool without changing any result.
+    inductive implementation).  ``coloring`` defaults to the greedy coloring
+    of the band graph up to ``2 * M``; a given one must belong to ``net`` and
+    reach that band, as :func:`carve` requires.  Deterministic given
+    ``seed``; ``threads > 1`` fans trials out over a thread pool without
+    changing any result.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -300,12 +330,18 @@ def cut_probability_mc(space: FiniteMetricSpace, net: Net, M: float, l: float, l
     centers = np.asarray(centers, dtype=np.intp)
     if len(centers) == 0:
         raise ValueError("need at least one probe center")
-
-    coloring = greedy_color(net_graph(net, 2 * M))
+    if coloring is None:
+        coloring = greedy_color(net_graph(net, 2 * M))
+    elif coloring.graph.net is not net:
+        raise ValueError("coloring was built for a different net")
+    elif coloring.graph.band_high < 2 * M:
+        raise ValueError(f"coloring band reaches {coloring.graph.band_high}, "
+                         f"carving needs at least {2 * M}")
     colors = coloring.colors
 
-    # Per probe: candidate members able to touch the ball at all, with their
-    # nearest/farthest distance to the ball and their colors.
+    # Per probe: candidate members able to touch the ball at all, in color
+    # order, with their nearest/farthest distance to the ball and the ends
+    # of their color runs.
     probes = []
     for c in centers:
         ball = space.ball(int(c), probe_radius)
@@ -313,20 +349,15 @@ def cut_probability_mc(space: FiniteMetricSpace, net: Net, M: float, l: float, l
         dmin = sub.min(axis=0)
         dmax = sub.max(axis=0)
         cand = np.nonzero(dmin < M)[0]
-        probes.append((cand, dmin[cand], dmax[cand], colors[cand].astype(np.int64)))
+        cand = cand[np.argsort(colors[cand], kind="stable")]
+        run_colors = colors[cand]
+        ends = np.searchsorted(run_colors, run_colors, side="right")
+        probes.append((cand, dmin[cand], dmax[cand], ends))
 
     cut = np.zeros((trials, len(centers)), dtype=bool)
-    big = np.iinfo(np.int64).max
 
     def eval_probe(j, radii_chunk, rows):
-        cand, dmin, dmax, cols = probes[j]
-        tc = radii_chunk[:, cand]
-        touch = tc > dmin[None, :]
-        if not touch.any(axis=1).all():
-            raise CarveError("probe ball touched by no ball despite coverage")
-        cmin = np.where(touch, cols[None, :], big).min(axis=1)
-        contains = touch & (cols[None, :] == cmin[:, None]) & (tc > dmax[None, :])
-        cut[rows, j] = ~contains.any(axis=1)
+        cut[rows, j] = _probe_cuts(*probes[j], radii_chunk)
 
     # Radii are drawn per trial (stream [seed, trial]), evaluated for all
     # trials of a chunk at once; threads split the probe loop over one pool,

@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .carving import CarveError, cut_probability_mc
+from .carving import CarveError, cut_probability_mc, greedy_color
 from .decomposition import (VerificationFailure, cover_from_json, cover_from_padded,
                             cover_to_json, decomposition_from_json, decomposition_to_json,
                             dump_json, padded_from_cover)
@@ -37,7 +37,7 @@ from .growth import doubling_constant_estimate, growth_table, loglog_slope
 from .lll import (MoserTardosFailure, TexpSchedule, TgeoRun, certify_decomposition,
                   schedule_from_json, schedule_to_json, texp_csp_bounds,
                   tgeo_csp_bounds)
-from .nets import build_net
+from .nets import build_net, net_graph
 from .sampler import _law_bounds
 from .spaces import CoordSpace, parse_fixture
 
@@ -65,6 +65,16 @@ def _load_config(path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return doc
+
+
+def _int_field(cfg: dict, key: str, default: int) -> int:
+    """``cfg[key]`` (or ``default``) as an int; only integral, non-boolean
+    JSON numbers are accepted, so nothing is truncated silently.  ``int``
+    itself refuses infinities and NaN."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
+        raise ConfigError(f'"{key}" must be an integer, got {json.dumps(value)}')
+    return int(value)
 
 
 def _threads(args) -> int:
@@ -122,7 +132,7 @@ def cmd_gen(args) -> int:
 def cmd_carve(args) -> int:
     cfg = _load_config(args.config)
     fixture = args.fixture or cfg.get("fixture")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = args.seed if args.seed is not None else _int_field(cfg, "seed", 0)
     out = args.out or cfg.get("out")
     if not fixture or out is None or "schedule" not in cfg:
         raise ConfigError("carve needs fixture, out and schedule")
@@ -130,14 +140,14 @@ def cmd_carve(args) -> int:
     space = parse_fixture(fixture)
     net = build_net(space, schedule.r, schedule.r)
     try:
-        run = certify_decomposition(space, net, schedule, int(seed),
+        run = certify_decomposition(space, net, schedule, seed,
                                     max_rounds=cfg.get("max_rounds"))
     except MoserTardosFailure as exc:
         dump_json({
             "outcome": "resampling_failure",
             "fixture": fixture,
             "schedule": schedule_to_json(schedule),
-            "seed": int(seed),
+            "seed": seed,
             "rounds": exc.result.rounds,
             "residual_violations": exc.result.residual_violations,
             "violated_history": exc.result.violated_history,
@@ -158,7 +168,9 @@ def cmd_carve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cutprob_row(space, net, entry, trials, n_centers, seed, threads):
+def _cutprob_row(space, net, entry, trials, n_centers, seed, threads, colorings):
+    """One grid row; ``colorings`` maps each radius cap M to the coloring of
+    its band graph, built on the first row that needs it."""
     schedule = schedule_from_json(entry)  # a TgeoRun or a TexpSchedule
     law = schedule.law()
     l, M = _law_bounds(law)
@@ -176,8 +188,10 @@ def _cutprob_row(space, net, entry, trials, n_centers, seed, threads):
     rng = np.random.default_rng([seed, 0xC3])
     centers = rng.choice(net.members, size=min(n_centers, len(net.members)), replace=False)
     centers = np.sort(centers)
+    if M not in colorings:
+        colorings[M] = greedy_color(net_graph(net, 2 * M))
     res = cut_probability_mc(space, net, M, l, law, probe, centers, trials, seed,
-                             threads=threads)
+                             threads=threads, coloring=colorings[M])
     params = ";".join(f"{k}={_fmt(entry[k])}" for k in sorted(entry))
     ok = "" if not regime else str(res.aggregate_freq <= bound + 3 * res.aggregate_se).lower()
     return {
@@ -194,7 +208,7 @@ def _cutprob_row(space, net, entry, trials, n_centers, seed, threads):
 def cmd_cutprob(args) -> int:
     cfg = _load_config(args.config)
     fixture = args.fixture or cfg.get("fixture")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = args.seed if args.seed is not None else _int_field(cfg, "seed", 0)
     out = args.out or cfg.get("out")
     grid = cfg.get("grid")
     if not fixture or out is None or not grid:
@@ -202,13 +216,14 @@ def cmd_cutprob(args) -> int:
     net_cfg = cfg.get("net", {})
     if not isinstance(net_cfg, dict):
         raise ConfigError('cutprob "net" must hold a JSON object')
-    trials = int(cfg.get("trials", 100))
-    n_centers = int(cfg.get("centers", 50))
+    trials = _int_field(cfg, "trials", 100)
+    n_centers = _int_field(cfg, "centers", 50)
     space = parse_fixture(fixture)
     net = build_net(space, float(net_cfg.get("eps", 1.0)), float(net_cfg.get("delta", 1.0)))
-    rows = []
+    rows, colorings = [], {}
     for k, entry in enumerate(grid):
-        row = _cutprob_row(space, net, entry, trials, n_centers, int(seed), _threads(args))
+        row = _cutprob_row(space, net, entry, trials, n_centers, seed, _threads(args),
+                           colorings)
         row["experiment"] = f"cutprob-{k}"
         rows.append(row)
     cols = ["experiment", "fixture", "params", "probe_radius", "trials", "centers",

@@ -5,6 +5,14 @@ within the covering radius of some member) and separated (members keep a
 minimum pairwise distance).  The net graph joins members whose distance lies
 in a band ``[separation, M]``; its maximum degree is what bounds the number
 of colors the carving stage needs.
+
+One triangular pass over the member distances builds a net graph: each
+member is read against the members before it in a visiting order, once, so
+every edge is seen once.  The pass yields the full degrees (an edge counts
+for both ends) and the greedy coloring in that order (each member takes the
+least color no earlier neighbour holds).  :class:`NetGraph` runs it in index
+order and keeps both; :func:`padlab.carving.greedy_color` returns those
+colors or reruns the pass in another order.
 """
 
 from __future__ import annotations
@@ -91,13 +99,54 @@ def build_net(space: FiniteMetricSpace, eps: float, delta: float, order=None) ->
     return Net(space, members, float(eps), float(delta))
 
 
+def _band_pass(space: FiniteMetricSpace, members, band_low, band_high, order):
+    """Degrees and greedy colors of the band graph on ``members``, both indexed
+    by member position, from one pass over the members in ``order``.
+
+    Row blocks ``[s, e)`` of the visiting order are read against the columns
+    ``[0, e)``, so a block holds at most ``_BLOCK_ENTRIES`` entries (or one
+    row).  Columns before ``s`` are all earlier vertices; only the square
+    ``[s, e)`` part needs the strict lower triangle.  Each in-band entry is
+    an edge to an earlier vertex: it adds to the degrees of both ends, and
+    the row vertex takes the least color missing among its earlier
+    neighbours.  The mex of k colors is at most k, so only the first k + 1
+    scratch entries are read.
+    """
+    T = len(members)
+    points = members[order]
+    degrees = np.zeros(T, dtype=np.int64)
+    colors = np.zeros(T, dtype=np.int64)
+    seen = np.zeros(T + 1, dtype=bool)  # marks the colors of one vertex's earlier neighbours
+    step = max(1, spaces._BLOCK_ENTRIES // max(1, T))
+    for s in range(0, T, step):
+        e = min(s + step, T)
+        sub = space.dist_block(points[s:e], points[:e])
+        inband = (sub >= band_low) & (sub <= band_high)
+        # Blocks widen as e grows: freeing each one before the next is read
+        # lets the allocator reuse its memory instead of growing the heap.
+        del sub
+        inband[:, s:] &= np.tri(e - s, k=-1, dtype=bool)
+        degrees[s:e] += inband.sum(axis=1)
+        degrees[:e] += inband.sum(axis=0)
+        for i in range(e - s):
+            used = colors[:e][inband[i]]
+            seen[used] = True
+            colors[s + i] = seen[:len(used) + 1].argmin()
+            seen[used] = False
+    by_position = np.empty_like(order)
+    by_position[order] = np.arange(T)
+    return degrees[by_position], colors[by_position]
+
+
 @dataclass
 class NetGraph:
     """Graph on net members with edges exactly in a distance band.
 
     ``(x, y)`` is an edge iff ``band_low <= dist(x, y) <= band_high`` and
     ``x != y``.  Adjacency is computed on demand from the space's distance
-    oracle; only the degree sequence is materialized.
+    oracle.  One triangular pass at construction materializes the degree
+    sequence and the greedy coloring in index order, which
+    :func:`padlab.carving.greedy_color` returns.
     """
 
     net: Net
@@ -105,18 +154,13 @@ class NetGraph:
     band_high: float
     max_degree: int = field(init=False)
     _degrees: np.ndarray = field(init=False, repr=False)
+    _colors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         members = self.net.members
-        T = len(members)
-        degs = np.empty(T, dtype=np.int64)
-        for start, sub in _dist_blocks(self.net.space, members, members):
-            rows = np.arange(start, start + len(sub))
-            inband = (sub >= self.band_low) & (sub <= self.band_high)
-            inband[np.arange(len(rows)), rows] = False
-            degs[rows] = inband.sum(axis=1)
-        self._degrees = degs
-        self.max_degree = int(degs.max()) if T else 0
+        self._degrees, self._colors = _band_pass(self.net.space, members, self.band_low,
+                                                 self.band_high, np.arange(len(members)))
+        self.max_degree = int(self._degrees.max()) if len(members) else 0
 
     def _neighbor_mask(self, k: int) -> np.ndarray:
         d = self.net.space.dist_row(int(self.net.members[k]))[self.net.members]

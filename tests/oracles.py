@@ -306,3 +306,73 @@ def reference_first_cover(members, dists, tie_rows, colors, t):
         raise CarveError("two same-color centers cover one point; the coloring "
                          "is not proper for the doubled radius band")
     return members[rows, first]
+
+
+def reference_degrees(graph):
+    """Band-graph degrees from one full row per member: every in-band entry
+    of the row except the diagonal."""
+    from padlab.spaces import _dist_blocks
+
+    members = graph.net.members
+    T = len(members)
+    degs = np.empty(T, dtype=np.int64)
+    for start, sub in _dist_blocks(graph.net.space, members, members):
+        rows = np.arange(start, start + len(sub))
+        inband = (sub >= graph.band_low) & (sub <= graph.band_high)
+        inband[np.arange(len(rows)), rows] = False
+        degs[rows] = inband.sum(axis=1)
+    return degs
+
+
+def reference_greedy_color(graph, order=None):
+    """Greedy colors in ``order`` from one full row per member: the least
+    color unused on the already colored in-band members."""
+    from padlab.spaces import _dist_blocks
+
+    T = graph.num_vertices()
+    if order is None:
+        order = np.arange(T)
+    members = graph.net.members
+    colors = np.full(T, -1, dtype=np.int64)
+    max_degree = int(reference_degrees(graph).max()) if T else 0
+    scratch = np.empty(max_degree + 2, dtype=bool)
+    for start, sub in _dist_blocks(graph.net.space, members[order], members):
+        for i, v in enumerate(order[start:start + len(sub)]):
+            row = sub[i]
+            nb = (row >= graph.band_low) & (row <= graph.band_high)
+            used = colors[nb]
+            used = used[used >= 0]  # colored means earlier in the order
+            scratch[:] = False
+            scratch[used] = True
+            colors[int(v)] = int(np.argmin(scratch))
+    return colors
+
+
+def reference_probe_cuts(space, net, colors, M, probe_radius, centers, radii):
+    """Cut matrix (trials x centers) of the first-touching-ball rule, read
+    densely: every candidate member of every probe under every row of
+    ``radii`` (trials x members)."""
+    from padlab.carving import CarveError
+
+    probes = []
+    for c in centers:
+        ball = space.ball(int(c), probe_radius)
+        sub = space.dist_block(ball, net.members)
+        dmin = sub.min(axis=0)
+        dmax = sub.max(axis=0)
+        cand = np.nonzero(dmin < M)[0]
+        probes.append((cand, dmin[cand], dmax[cand], colors[cand].astype(np.int64)))
+
+    cut = np.zeros((len(radii), len(centers)), dtype=bool)
+    big = np.iinfo(np.int64).max
+    rows = np.arange(len(radii))
+    for j in range(len(probes)):
+        cand, dmin, dmax, cols = probes[j]
+        tc = radii[:, cand]
+        touch = tc > dmin[None, :]
+        if not touch.any(axis=1).all():
+            raise CarveError("probe ball touched by no ball despite coverage")
+        cmin = np.where(touch, cols[None, :], big).min(axis=1)
+        contains = touch & (cols[None, :] == cmin[:, None]) & (tc > dmax[None, :])
+        cut[rows, j] = ~contains.any(axis=1)
+    return cut

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import padlab as pl
-from padlab.carving import _first_cover
-from oracles import literal_carve, literal_is_cut, reference_first_cover
+from padlab.carving import _first_cover, _probe_cuts
+from oracles import (literal_carve, literal_is_cut, reference_first_cover,
+                     reference_probe_cuts)
 
 
 def path_graph_netgraph(n):
@@ -296,6 +297,38 @@ class TestCutProbabilityMc:
                                   threads=4)
         assert np.array_equal(a.cut_matrix, b.cut_matrix)
 
+    @pytest.mark.parametrize("coords,members,law,center", [
+        ([0.0, 20.0], [0], pl.TgeoParams(0.5, 4), 1),            # no candidate
+        ([0.0, 3.5], [0], pl.TexpParams(50.0, 1.0, 4.0), 1),     # none reaches
+    ], ids=["no_candidate", "none_reaches"])
+    def test_untouched_probe_raises(self, coords, members, law, center):
+        """A hand-built net that does not cover the probe ball (its eps claims
+        coverage it lacks) leaves the probe touched by no ball."""
+        space = pl.CoordSpace(coords)
+        net = pl.Net(space, np.array(members), 1.0, 1.0)
+        l, M = (1.0, float(law.M))
+        with pytest.raises(pl.CarveError, match="touched by no ball"):
+            pl.cut_probability_mc(space, net, M, l, law, 0.5, [center], 5, 0)
+
+    def test_given_coloring_is_used_and_checked(self):
+        space = pl.integer_segment(200)
+        net = pl.build_net(space, 1, 1)
+        law = pl.TgeoParams(0.1, 15)
+        centers = np.arange(10, 190, 17)
+        coloring = pl.greedy_color(pl.net_graph(net, 30.0))
+        a = pl.cut_probability_mc(space, net, 15.0, 1.0, law, 4.0, centers, 30, 5)
+        b = pl.cut_probability_mc(space, net, 15.0, 1.0, law, 4.0, centers, 30, 5,
+                                  coloring=coloring)
+        assert np.array_equal(a.cut_matrix, b.cut_matrix)
+        short = pl.greedy_color(pl.net_graph(net, 29.0))
+        with pytest.raises(ValueError, match="band"):
+            pl.cut_probability_mc(space, net, 15.0, 1.0, law, 4.0, centers, 30, 5,
+                                  coloring=short)
+        other = pl.build_net(space, 1, 1)
+        with pytest.raises(ValueError, match="different net"):
+            pl.cut_probability_mc(space, other, 15.0, 1.0, law, 4.0, centers, 30, 5,
+                                  coloring=coloring)
+
     def test_rejects_mismatched_truncation(self):
         space = pl.integer_segment(20)
         net = pl.build_net(space, 1, 1)
@@ -311,3 +344,69 @@ class TestCutProbabilityMc:
                                     np.arange(20, 180, 16), 40, 2)
         f = res.per_center_freq
         assert np.allclose(res.per_center_se, np.sqrt(f * (1 - f) / 40))
+
+
+def test_probe_scan_worked_example():
+    """20 candidates past the first 16-column chunk, each its own color run
+    but the last two, which share one; every ball touches at t > 1 and
+    swallows at t > 3."""
+    cand = np.arange(20)
+    dmin, dmax = np.full(20, 1.0), np.full(20, 3.0)
+    ends = np.r_[np.arange(1, 19), 20, 20]
+    radii = np.ones((4, 20))
+    radii[0, 18:] = [2.0, 4.0]   # first touch at 18; 19 ends its run and swallows
+    radii[1, 18:] = [2.0, 2.0]   # first touch at 18; nothing in its run swallows
+    radii[2, 19] = 4.0           # first touch in the last column, swallowing
+    radii[3, [0, 19]] = [2.0, 4.0]  # first touch at 0; 19 is another color
+    assert _probe_cuts(cand, dmin, dmax, ends, radii).tolist() == [False, True, False, True]
+    with pytest.raises(pl.CarveError, match="touched by no ball"):
+        _probe_cuts(cand, dmin, dmax, ends, np.ones((1, 20)))
+
+
+@st.composite
+def probe_cases(draw):
+    """A unit net on an integer segment, a law on [1, M], a probe radius and
+    a coloring: the greedy one (``None``) or a random one with 1-3 colors,
+    whose color runs span many candidates.  Candidate counts and first
+    touching columns fall on both sides of the scan's chunk edges (16, 48,
+    112)."""
+    n = draw(st.integers(20, 300))
+    M = draw(st.sampled_from([8, 9, 24, 25, 56, 57, 113, 114]) | st.integers(2, 130))
+    if draw(st.booleans()):
+        law = pl.TgeoParams(draw(st.sampled_from([0.02, 0.3, 0.7])), M)
+    else:
+        law = pl.TexpParams(draw(st.sampled_from([0.05, 1.0, 5.0])), 1.0, float(M))
+    probe = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.5, 8.0, 30.0]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    # with one color and unit radii the first touching column is the center's
+    # own position, so centers near the chunk edges put first touches there
+    near_edge = draw(st.sampled_from([14, 15, 16, 17, 46, 47, 48, 49, 110, 111, 112, 113]))
+    centers = np.union1d(rng.choice(n, size=draw(st.integers(0, 5)), replace=False),
+                         [near_edge % n])
+    trials = draw(st.integers(1, 40))
+    k = draw(st.none() | st.integers(1, 3))
+    return n, M, law, probe, centers, trials, seed, k
+
+
+@given(probe_cases())
+@settings(max_examples=200, deadline=None)
+def test_probe_scan_matches_dense_evaluation(case):
+    """The chunked first-touch scan gives the cut matrix of the dense
+    evaluation over every candidate of every probe, for greedy colorings and
+    for few-color ones with long same-color runs."""
+    n, M, law, probe, centers, trials, seed, k = case
+    space = pl.integer_segment(n - 1)
+    net = pl.build_net(space, 1, 1)
+    graph = pl.net_graph(net, 2 * M)
+    if k is None:
+        coloring = pl.greedy_color(graph)
+    else:
+        k = min(k, graph.max_degree + 1)
+        colors = np.random.default_rng(seed).integers(0, k, len(net.members))
+        coloring = pl.Coloring(graph, colors, k)
+    res = pl.cut_probability_mc(space, net, float(M), 1.0, law, probe, centers, trials,
+                                seed, coloring=coloring)
+    radii = np.stack([pl.draw_radii(law, net, seed, t).t for t in range(trials)])
+    expected = reference_probe_cuts(space, net, coloring.colors, M, probe, centers, radii)
+    assert np.array_equal(res.cut_matrix, expected)

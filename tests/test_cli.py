@@ -206,6 +206,31 @@ class TestCutprob:
             outs.append(out)
         assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
 
+    def test_grid_shares_one_coloring_per_M(self, tmp_path, monkeypatch):
+        """Two grid rows with the same M build one band graph and one
+        coloring between them, and each row reads as it does run alone."""
+        import padlab.carving as carving_mod
+        import padlab.cli as cli_mod
+
+        calls = []
+        for mod in (cli_mod, carving_mod):
+            for name in ("net_graph", "greedy_color"):
+                fn = getattr(mod, name)
+                monkeypatch.setattr(mod, name, lambda *a, _fn=fn, _n=name, **k:
+                                    calls.append(_n) or _fn(*a, **k))
+        out = str(tmp_path / "both.csv")
+        assert main(["cutprob", "--config", tgeo_grid_config(tmp_path, out, True)]) == 0
+        assert sorted(calls) == ["greedy_color", "net_graph"]
+        header, *rows = open(out).read().splitlines()
+        cfg = json.loads(open(tgeo_grid_config(tmp_path, out, True)).read())
+        for k, entry in enumerate(cfg["grid"]):
+            alone = str(tmp_path / f"row{k}.csv")
+            assert main(["cutprob", "--config", write_config(
+                tmp_path, f"row{k}.json", {**cfg, "grid": [entry], "out": alone})]) == 0
+            alone_header, alone_row = open(alone).read().splitlines()
+            assert alone_header == header
+            assert alone_row.replace("cutprob-0", f"cutprob-{k}", 1) == rows[k]
+
     def test_thread_count_is_clamped_to_cpus(self, monkeypatch):
         cpus = os.cpu_count() or 1
         monkeypatch.setenv("LAB_THREADS", str(10**9))
@@ -402,6 +427,48 @@ def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, argv, text, me
     assert main([swap.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+CUTPROB_CFG = {"fixture": "segment:300", "net": {"eps": 1, "delta": 1}, "trials": 4,
+               "centers": 3, "seed": 3,
+               "grid": [{"kind": "tgeo", "b": 1.0, "p": 0.02, "M": 40, "m": 2, "r": 9.0}]}
+CARVE_CFG = {"fixture": "segment:300", "seed": 1,
+             "schedule": {"kind": "texp", "N": 3, "r": 3.0, "eps": 0.05, "D": 100.0}}
+
+
+@pytest.mark.parametrize("command,base,key,value", [
+    ("cutprob", CUTPROB_CFG, "trials", 2.7),
+    ("cutprob", CUTPROB_CFG, "trials", True),
+    ("cutprob", CUTPROB_CFG, "trials", "20"),
+    ("cutprob", CUTPROB_CFG, "centers", 2.5),
+    ("cutprob", CUTPROB_CFG, "centers", False),
+    ("cutprob", CUTPROB_CFG, "centers", None),
+    ("cutprob", CUTPROB_CFG, "seed", 1.5),
+    ("cutprob", CUTPROB_CFG, "seed", True),
+    ("carve", CARVE_CFG, "seed", 1.5),
+    ("carve", CARVE_CFG, "seed", True),
+    ("carve", CARVE_CFG, "seed", [1]),
+])
+def test_integer_config_fields_must_be_integers(tmp_path, capsys, command, base, key, value):
+    """trials, centers and seed take integral, non-boolean JSON numbers only;
+    anything else exits 2 with one line instead of being truncated."""
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, "cfg.json", {**base, key: value, "out": out})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == f'config error: "{key}" must be an integer, got {json.dumps(value)}\n'
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
+def test_integral_float_config_fields_are_accepted(tmp_path):
+    outs = []
+    for tag, trials in (("int", 4), ("float", 4.0)):
+        out = str(tmp_path / f"{tag}.csv")
+        cfg = write_config(tmp_path, f"{tag}.json", {**CUTPROB_CFG, "trials": trials,
+                                                     "out": out})
+        assert main(["cutprob", "--config", cfg]) == 0
+        outs.append(open(out).read())
+    assert outs[0] == outs[1]
 
 
 def test_unknown_subcommand_exits_two():

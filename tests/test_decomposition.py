@@ -371,7 +371,8 @@ class TestBlockBudget:
             "shrink_set_2d": lambda: pl.shrink_set(cloud, np.arange(0, 50, 2), 0.2),
             "diameter": lambda: pl.integer_segment(60).diameter(),
             "net_graph": lambda: pl.net_graph(net, 6.0),
-            "greedy_color": lambda: pl.greedy_color(graph),
+            # index-order colors come from the net_graph pass above
+            "greedy_color": lambda: pl.greedy_color(graph, order=np.arange(len(net))[::-1]),
             "carve": lambda: pl.carve(space, net, coloring, radii),
             "growth_table": lambda: pl.growth_table(space, [2.0, 5.0], trials=2),
             "validate_metric": lambda: pl.validate_metric(space, exhaustive_limit=10,
