@@ -176,6 +176,29 @@ def _owner_table(dist, colors, M):
 _FIRST_CHUNK = 16  # columns in the first chunk of the owner and probe scans
 
 
+def _first_hit(n_rows, width, test, message):
+    """Column of the first true entry of each row of a ``n_rows`` x ``width``
+    predicate, read in column chunks that double in width.
+
+    ``test(pending, lo, hi)`` gives the predicate of the rows ``pending`` on
+    the columns ``[lo, hi)``; a row leaves the scan at the first chunk holding
+    a true entry.  Rows with no true entry raise :class:`CarveError` with
+    ``message``.
+    """
+    first = np.empty(n_rows, dtype=np.intp)
+    pending = np.arange(n_rows)
+    lo, hi = 0, min(_FIRST_CHUNK, width)
+    while len(pending) and lo < width:
+        hits = test(pending, lo, hi)
+        hit = hits.any(axis=1)
+        first[pending[hit]] = lo + hits[hit].argmax(axis=1)
+        pending = pending[~hit]
+        lo, hi = hi, min(hi + 2 * (hi - lo), width)
+    if len(pending):
+        raise CarveError(message)
+    return first
+
+
 def _first_cover(members, dists, tie_rows, colors, t, rows=None):
     """Owner of the point behind each selected owner-table row under radii
     ``t``: the member position of the row's first covering entry.
@@ -188,20 +211,14 @@ def _first_cover(members, dists, tie_rows, colors, t, rows=None):
     same-color check reads full rows, but only those ``tie_rows`` flags.
     """
     rows = np.arange(len(members)) if rows is None else np.asarray(rows, dtype=np.intp)
-    width = members.shape[1]
-    first = np.empty(len(rows), dtype=np.intp)
-    pending = np.arange(len(rows))
-    lo, hi = 0, min(_FIRST_CHUNK, width)
-    while len(pending) and lo < width:
+
+    def covered(pending, lo, hi):
         r = rows[pending]
-        covered = dists[r, lo:hi] < t[members[r, lo:hi]]
-        hit = covered.any(axis=1)
-        first[pending[hit]] = lo + covered[hit].argmax(axis=1)
-        pending = pending[~hit]
-        lo, hi = hi, min(hi + 2 * (hi - lo), width)
-    if len(pending):
-        raise CarveError("a point is covered by no ball; radii violate the "
-                         "coverage precondition l >= covering radius")
+        return dists[r, lo:hi] < t[members[r, lo:hi]]
+
+    first = _first_hit(len(rows), members.shape[1], covered,
+                       "a point is covered by no ball; radii violate the "
+                       "coverage precondition l >= covering radius")
     tied = np.nonzero(tie_rows[rows])[0]
     tied_rows = rows[tied]
     best = colors[members[tied_rows, first[tied]]]
@@ -282,18 +299,9 @@ def _probe_cuts(cand, dmin, dmax, ends, radii):
     that color run swallows it (``t > dmax``; the balls before it in the run
     touch nothing).  A row touched by no ball raises :class:`CarveError`.
     """
-    width = len(cand)
-    first = np.empty(len(radii), dtype=np.intp)
-    pending = np.arange(len(radii))
-    lo, hi = 0, min(_FIRST_CHUNK, width)
-    while len(pending) and lo < width:
-        touch = radii[pending[:, None], cand[lo:hi]] > dmin[lo:hi]
-        hit = touch.any(axis=1)
-        first[pending[hit]] = lo + touch[hit].argmax(axis=1)
-        pending = pending[~hit]
-        lo, hi = hi, min(hi + 2 * (hi - lo), width)
-    if len(pending):
-        raise CarveError("probe ball touched by no ball despite coverage")
+    first = _first_hit(len(radii), len(cand),
+                       lambda pending, lo, hi: radii[pending[:, None], cand[lo:hi]] > dmin[lo:hi],
+                       "probe ball touched by no ball despite coverage")
     intact = np.zeros(len(radii), dtype=bool)
     rows, cols = np.arange(len(radii)), first
     while len(rows):
@@ -305,18 +313,15 @@ def _probe_cuts(cand, dmin, dmax, ends, radii):
 
 def cut_probability_mc(space: FiniteMetricSpace, net: Net, M: float, l: float, law,
                        probe_radius: float, centers, trials: int, seed: int,
-                       threads: int = 1, coloring: Coloring | None = None) -> CutProbeResult:
+                       threads: int = 1) -> CutProbeResult:
     """Monte Carlo cut frequencies of probe balls under i.i.d. carving radii.
 
     Each trial draws one radius per net member (see :func:`draw_radii`),
     carves, and tests whether each probe ball meets two clusters.  The carve
     is evaluated lazily through the first-touching-ball rule, which agrees
     with carving the full layer (the test suite checks this against a literal
-    inductive implementation).  ``coloring`` defaults to the greedy coloring
-    of the band graph up to ``2 * M``; a given one must belong to ``net`` and
-    reach that band, as :func:`carve` requires.  Deterministic given
-    ``seed``; ``threads > 1`` fans trials out over a thread pool without
-    changing any result.
+    inductive implementation).  Deterministic given ``seed``; ``threads > 1``
+    fans trials out over a thread pool without changing any result.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -330,14 +335,7 @@ def cut_probability_mc(space: FiniteMetricSpace, net: Net, M: float, l: float, l
     centers = np.asarray(centers, dtype=np.intp)
     if len(centers) == 0:
         raise ValueError("need at least one probe center")
-    if coloring is None:
-        coloring = greedy_color(net_graph(net, 2 * M))
-    elif coloring.graph.net is not net:
-        raise ValueError("coloring was built for a different net")
-    elif coloring.graph.band_high < 2 * M:
-        raise ValueError(f"coloring band reaches {coloring.graph.band_high}, "
-                         f"carving needs at least {2 * M}")
-    colors = coloring.colors
+    colors = greedy_color(net_graph(net, 2 * M)).colors
 
     # Per probe: candidate members able to touch the ball at all, in color
     # order, with their nearest/farthest distance to the ball and the ends

@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .carving import CarveError, cut_probability_mc, greedy_color
+from .carving import CarveError, cut_probability_mc
 from .decomposition import (VerificationFailure, cover_from_json, cover_from_padded,
                             cover_to_json, decomposition_from_json, decomposition_to_json,
                             dump_json, padded_from_cover)
@@ -37,7 +37,7 @@ from .growth import doubling_constant_estimate, growth_table, loglog_slope
 from .lll import (MoserTardosFailure, TexpSchedule, TgeoRun, certify_decomposition,
                   schedule_from_json, schedule_to_json, texp_csp_bounds,
                   tgeo_csp_bounds)
-from .nets import build_net, net_graph
+from .nets import build_net
 from .sampler import _law_bounds
 from .spaces import CoordSpace, parse_fixture
 
@@ -168,9 +168,7 @@ def cmd_carve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cutprob_row(space, net, entry, trials, n_centers, seed, threads, colorings):
-    """One grid row; ``colorings`` maps each radius cap M to the coloring of
-    its band graph, built on the first row that needs it."""
+def _cutprob_row(space, net, entry, trials, n_centers, seed, threads):
     schedule = schedule_from_json(entry)  # a TgeoRun or a TexpSchedule
     law = schedule.law()
     l, M = _law_bounds(law)
@@ -188,10 +186,8 @@ def _cutprob_row(space, net, entry, trials, n_centers, seed, threads, colorings)
     rng = np.random.default_rng([seed, 0xC3])
     centers = rng.choice(net.members, size=min(n_centers, len(net.members)), replace=False)
     centers = np.sort(centers)
-    if M not in colorings:
-        colorings[M] = greedy_color(net_graph(net, 2 * M))
     res = cut_probability_mc(space, net, M, l, law, probe, centers, trials, seed,
-                             threads=threads, coloring=colorings[M])
+                             threads=threads)
     params = ";".join(f"{k}={_fmt(entry[k])}" for k in sorted(entry))
     ok = "" if not regime else str(res.aggregate_freq <= bound + 3 * res.aggregate_se).lower()
     return {
@@ -220,10 +216,9 @@ def cmd_cutprob(args) -> int:
     n_centers = _int_field(cfg, "centers", 50)
     space = parse_fixture(fixture)
     net = build_net(space, float(net_cfg.get("eps", 1.0)), float(net_cfg.get("delta", 1.0)))
-    rows, colorings = [], {}
+    rows = []
     for k, entry in enumerate(grid):
-        row = _cutprob_row(space, net, entry, trials, n_centers, seed, _threads(args),
-                           colorings)
+        row = _cutprob_row(space, net, entry, trials, n_centers, seed, _threads(args))
         row["experiment"] = f"cutprob-{k}"
         rows.append(row)
     cols = ["experiment", "fixture", "params", "probe_radius", "trials", "centers",

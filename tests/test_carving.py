@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import padlab as pl
+from padlab import carving
 from padlab.carving import _first_cover, _probe_cuts
 from oracles import (literal_carve, literal_is_cut, reference_first_cover,
                      reference_probe_cuts)
@@ -310,25 +313,6 @@ class TestCutProbabilityMc:
         with pytest.raises(pl.CarveError, match="touched by no ball"):
             pl.cut_probability_mc(space, net, M, l, law, 0.5, [center], 5, 0)
 
-    def test_given_coloring_is_used_and_checked(self):
-        space = pl.integer_segment(200)
-        net = pl.build_net(space, 1, 1)
-        law = pl.TgeoParams(0.1, 15)
-        centers = np.arange(10, 190, 17)
-        coloring = pl.greedy_color(pl.net_graph(net, 30.0))
-        a = pl.cut_probability_mc(space, net, 15.0, 1.0, law, 4.0, centers, 30, 5)
-        b = pl.cut_probability_mc(space, net, 15.0, 1.0, law, 4.0, centers, 30, 5,
-                                  coloring=coloring)
-        assert np.array_equal(a.cut_matrix, b.cut_matrix)
-        short = pl.greedy_color(pl.net_graph(net, 29.0))
-        with pytest.raises(ValueError, match="band"):
-            pl.cut_probability_mc(space, net, 15.0, 1.0, law, 4.0, centers, 30, 5,
-                                  coloring=short)
-        other = pl.build_net(space, 1, 1)
-        with pytest.raises(ValueError, match="different net"):
-            pl.cut_probability_mc(space, other, 15.0, 1.0, law, 4.0, centers, 30, 5,
-                                  coloring=coloring)
-
     def test_rejects_mismatched_truncation(self):
         space = pl.integer_segment(20)
         net = pl.build_net(space, 1, 1)
@@ -405,8 +389,11 @@ def test_probe_scan_matches_dense_evaluation(case):
         k = min(k, graph.max_degree + 1)
         colors = np.random.default_rng(seed).integers(0, k, len(net.members))
         coloring = pl.Coloring(graph, colors, k)
-    res = pl.cut_probability_mc(space, net, float(M), 1.0, law, probe, centers, trials,
-                                seed, coloring=coloring)
+    # the greedy coloring is swapped for the drawn one where cut_probability_mc
+    # builds it
+    with mock.patch.object(carving, "greedy_color", lambda graph: coloring):
+        res = pl.cut_probability_mc(space, net, float(M), 1.0, law, probe, centers,
+                                    trials, seed)
     radii = np.stack([pl.draw_radii(law, net, seed, t).t for t in range(trials)])
     expected = reference_probe_cuts(space, net, coloring.colors, M, probe, centers, radii)
     assert np.array_equal(res.cut_matrix, expected)

@@ -206,31 +206,6 @@ class TestCutprob:
             outs.append(out)
         assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
 
-    def test_grid_shares_one_coloring_per_M(self, tmp_path, monkeypatch):
-        """Two grid rows with the same M build one band graph and one
-        coloring between them, and each row reads as it does run alone."""
-        import padlab.carving as carving_mod
-        import padlab.cli as cli_mod
-
-        calls = []
-        for mod in (cli_mod, carving_mod):
-            for name in ("net_graph", "greedy_color"):
-                fn = getattr(mod, name)
-                monkeypatch.setattr(mod, name, lambda *a, _fn=fn, _n=name, **k:
-                                    calls.append(_n) or _fn(*a, **k))
-        out = str(tmp_path / "both.csv")
-        assert main(["cutprob", "--config", tgeo_grid_config(tmp_path, out, True)]) == 0
-        assert sorted(calls) == ["greedy_color", "net_graph"]
-        header, *rows = open(out).read().splitlines()
-        cfg = json.loads(open(tgeo_grid_config(tmp_path, out, True)).read())
-        for k, entry in enumerate(cfg["grid"]):
-            alone = str(tmp_path / f"row{k}.csv")
-            assert main(["cutprob", "--config", write_config(
-                tmp_path, f"row{k}.json", {**cfg, "grid": [entry], "out": alone})]) == 0
-            alone_header, alone_row = open(alone).read().splitlines()
-            assert alone_header == header
-            assert alone_row.replace("cutprob-0", f"cutprob-{k}", 1) == rows[k]
-
     def test_thread_count_is_clamped_to_cpus(self, monkeypatch):
         cpus = os.cpu_count() or 1
         monkeypatch.setenv("LAB_THREADS", str(10**9))
@@ -458,6 +433,28 @@ def test_integer_config_fields_must_be_integers(tmp_path, capsys, command, base,
     err = capsys.readouterr().err
     assert err == f'config error: "{key}" must be an integer, got {json.dumps(value)}\n'
     assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("trials", 0, "need at least one trial"),
+    ("trials", -3, "need at least one trial"),
+    ("centers", 0, "need at least one probe center"),
+])
+def test_empty_cutprob_run_exits_two_before_band_graph(tmp_path, capsys, monkeypatch,
+                                                       key, value, message):
+    """A run with no trial or no probe center is refused before the band
+    graph of the net is built."""
+    import padlab.carving as carving_mod
+
+    def no_band_graph(*args, **kwargs):
+        raise AssertionError("band graph built for an empty run")
+
+    monkeypatch.setattr(carving_mod, "net_graph", no_band_graph)
+    out = str(tmp_path / "out.csv")
+    cfg = write_config(tmp_path, "cfg.json", {**CUTPROB_CFG, key: value, "out": out})
+    assert main(["cutprob", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_integral_float_config_fields_are_accepted(tmp_path):
