@@ -39,7 +39,7 @@ from .lll import (MoserTardosFailure, TexpSchedule, TgeoRun, certify_decompositi
                   tgeo_csp_bounds)
 from .nets import build_net
 from .sampler import _law_bounds
-from .spaces import CoordSpace, parse_fixture
+from .spaces import CoordSpace, _dist_blocks, parse_fixture
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -77,6 +77,16 @@ def _int_field(cfg: dict, key: str, default: int) -> int:
     return int(value)
 
 
+def _float_field(cfg: dict, key: str, default: float) -> float:
+    """``cfg[key]`` (or ``default``) as a float; only finite, non-boolean
+    JSON numbers are accepted."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(f'"{key}" must be a finite number, got {json.dumps(value)}')
+    return float(value)
+
+
 def _threads(args) -> int:
     env = os.environ.get("LAB_THREADS")
     try:
@@ -106,14 +116,14 @@ def cmd_gen(args) -> int:
         sidecar["format"] = "edges"
         sidecar["metric"] = "graph"
         with open(out, "w") as fh:
-            for i in range(space.n):
-                row = space.dist_row(i)
-                for j in np.nonzero(row == 1.0)[0]:
-                    if j > i:
-                        fh.write(f"{i} {int(j)}\n")
+            for start, sub in _dist_blocks(space, np.arange(space.n)):
+                # the strict upper triangle of the block, in row-major order
+                rows, cols = np.nonzero(np.triu(sub == 1.0, k=start + 1))
+                fh.writelines(f"{start + i} {j}\n" for i, j in zip(rows.tolist(), cols.tolist()))
     if space.n <= _SIDE_CAR_LIMIT:
-        sidecar["diameter"] = float(space.diameter())
-        span = max(1.0, space.diameter())
+        diameter = float(space.diameter())
+        sidecar["diameter"] = diameter
+        span = max(1.0, diameter)
         radii = [r for r in (2.0, 4.0, 8.0, 16.0) if 2 * r <= span] or [max(span / 4, 1.0)]
         sidecar["doubling_estimate_lower"] = int(doubling_constant_estimate(space, radii))
         gradii = [r for r in (2.0, 4.0, 8.0) if r <= span] or [1.0]
@@ -137,11 +147,14 @@ def cmd_carve(args) -> int:
     if not fixture or out is None or "schedule" not in cfg:
         raise ConfigError("carve needs fixture, out and schedule")
     schedule = schedule_from_json(cfg["schedule"])
+    # absent or null keeps the resampler's default budget
+    max_rounds = None if cfg.get("max_rounds") is None else _int_field(cfg, "max_rounds", 0)
+    if max_rounds is not None and max_rounds < 0:
+        raise ConfigError(f'"max_rounds" must be nonnegative, got {max_rounds}')
     space = parse_fixture(fixture)
     net = build_net(space, schedule.r, schedule.r)
     try:
-        run = certify_decomposition(space, net, schedule, seed,
-                                    max_rounds=cfg.get("max_rounds"))
+        run = certify_decomposition(space, net, schedule, seed, max_rounds=max_rounds)
     except MoserTardosFailure as exc:
         dump_json({
             "outcome": "resampling_failure",
@@ -215,7 +228,8 @@ def cmd_cutprob(args) -> int:
     trials = _int_field(cfg, "trials", 100)
     n_centers = _int_field(cfg, "centers", 50)
     space = parse_fixture(fixture)
-    net = build_net(space, float(net_cfg.get("eps", 1.0)), float(net_cfg.get("delta", 1.0)))
+    net = build_net(space, _float_field(net_cfg, "eps", 1.0),
+                    _float_field(net_cfg, "delta", 1.0))
     rows = []
     for k, entry in enumerate(grid):
         row = _cutprob_row(space, net, entry, trials, n_centers, seed, _threads(args))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import padlab as pl
+from padlab import spaces
 from padlab.cli import _threads, main
 
 
@@ -65,6 +66,28 @@ class TestGen:
         again = str(tmp_path / "again.txt")
         assert main(["gen", "--fixture", f"points:{out}:linf", "--out", again]) == 0
         assert json.load(open(again + ".json"))["diameter"] == 4.0
+
+    @pytest.mark.parametrize("fixture", ["heis:3", "grid:5x5"])
+    @pytest.mark.parametrize("budget", [40, spaces._BLOCK_ENTRIES])
+    def test_edge_file_matches_a_row_loop(self, tmp_path, monkeypatch, fixture, budget):
+        """The edge list written from row blocks is the ``dist_row`` loop's:
+        each unit-distance pair i < j once, in row-major order.  A grid
+        fixture is a coordinate space, so its 4-neighbour graph is passed
+        as an edge file, listed in shuffled order."""
+        if fixture.startswith("grid"):
+            pairs = [(5 * x + y, 5 * x + y + d) for x in range(5) for y in range(5)
+                     for d in (1, 5) if (d == 1 and y < 4) or (d == 5 and x < 4)]
+            path = tmp_path / "grid.edges"
+            order = np.random.default_rng(0).permutation(len(pairs))
+            path.write_text("".join(f"{pairs[k][1]} {pairs[k][0]}\n" for k in order))
+            fixture = f"edges:{path}"
+        monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", budget)
+        out = str(tmp_path / "g.txt")
+        assert main(["gen", "--fixture", fixture, "--out", out]) == 0
+        space = pl.parse_fixture(fixture)
+        expected = "".join(f"{i} {j}\n" for i in range(space.n)
+                           for j in np.nonzero(space.dist_row(i) == 1.0)[0] if j > i)
+        assert expected and open(out).read() == expected
 
     @pytest.mark.parametrize("kind,text,message", [
         ("edges", "0 1\n1 -1\n", "negative vertex id"),
@@ -361,6 +384,8 @@ COVER = ('{"kind": "cover", "fixture": "segment:9", "n_points": 10, "r_disjoint"
 PADDED = ('{"kind": "padded_decomposition", "fixture": "segment:9", "n_points": 10, '
           '"R": %s, "D": %s, "m": 1, "net": {"members": [0, 3, 6, 9], "eps": 3, "delta": 3}, '
           '"layers": [[[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]]]}')
+CUTPROB_NET = ('{"fixture": "segment:10", "out": "x", "net": %s, '
+               '"grid": [{"kind": "tgeo", "b": 1.0, "p": 0.01, "M": 4, "m": 2, "r": 1.0}]}')
 TO_PADDED = ["convert", "--input", "IN", "--direction", "to-padded", "--r", "1", "--out", "OUT"]
 TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT"]
 
@@ -382,6 +407,10 @@ TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT
     (["cutprob", "--config", "IN"], '{"fixture": "segment:10", "out": "x", "net": [], '
      '"grid": [{"kind": "tgeo", "b": 1.0, "p": 0.01, "M": 4, "m": 2, "r": 1.0}]}',
      "JSON object"),
+    (["cutprob", "--config", "IN"], CUTPROB_NET % '{"eps": true}',
+     '"eps" must be a finite number, got true'),
+    (["cutprob", "--config", "IN"], CUTPROB_NET % '{"delta": "2"}',
+     '"delta" must be a finite number, got "2"'),
     (TO_COVER, PADDED % (9, "NaN"), "D must be a finite number"),
     (TO_COVER, PADDED % ("NaN", 9), "R must be a finite number"),
     (TO_COVER, PADDED % (-1, 9), "R must be a finite number"),
@@ -391,7 +420,8 @@ TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT
     (TO_PADDED + ["--R", "-1"], COVER % (9, 9), "R must be a finite number"),
 ], ids=["carve_config_list", "cutprob_config_list", "carve_schedule_list",
         "lll_schedule_list", "convert_input_list", "texp_huge_N", "tgeo_huge_M",
-        "carve_huge_seed", "texp_nan_D", "cutprob_net_list", "padded_nan_D",
+        "carve_huge_seed", "texp_nan_D", "cutprob_net_list", "cutprob_bool_eps",
+        "cutprob_string_delta", "padded_nan_D",
         "padded_nan_R", "padded_negative_R", "cover_nan_r_disjoint",
         "cover_negative_D_bound", "convert_nan_R", "convert_negative_R"])
 def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, argv, text, message):
@@ -423,6 +453,9 @@ CARVE_CFG = {"fixture": "segment:300", "seed": 1,
     ("carve", CARVE_CFG, "seed", 1.5),
     ("carve", CARVE_CFG, "seed", True),
     ("carve", CARVE_CFG, "seed", [1]),
+    ("carve", CARVE_CFG, "max_rounds", 2.5),
+    ("carve", CARVE_CFG, "max_rounds", True),
+    ("carve", CARVE_CFG, "max_rounds", "3"),
 ])
 def test_integer_config_fields_must_be_integers(tmp_path, capsys, command, base, key, value):
     """trials, centers and seed take integral, non-boolean JSON numbers only;
@@ -433,6 +466,24 @@ def test_integer_config_fields_must_be_integers(tmp_path, capsys, command, base,
     err = capsys.readouterr().err
     assert err == f'config error: "{key}" must be an integer, got {json.dumps(value)}\n'
     assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
+def test_negative_max_rounds_is_a_config_error(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, "cfg.json", {**CARVE_CFG, "max_rounds": -1, "out": out})
+    assert main(["carve", "--config", cfg]) == 2
+    assert capsys.readouterr().err == 'config error: "max_rounds" must be nonnegative, got -1\n'
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
+def test_null_max_rounds_keeps_the_default_budget(tmp_path):
+    outs = []
+    for tag, extra in (("absent", {}), ("null", {"max_rounds": None})):
+        out = str(tmp_path / tag)
+        cfg = write_config(tmp_path, f"{tag}.json", {**CARVE_CFG, **extra, "out": out})
+        assert main(["carve", "--config", cfg]) == 0
+        outs.append(open(out + ".meta.json").read())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("key,value,message", [

@@ -50,7 +50,8 @@ class TestDoublingEstimate:
 
     @pytest.mark.parametrize("fixture,radii", [("segment:60", [1.0, 3.0, 50.0]),
                                                ("cloud:50:2", [0.2, 0.5, 2.0]),
-                                               ("grid:6x6:linf", [1.0, 2.0])])
+                                               ("grid:6x6:linf", [1.0, 2.0]),
+                                               ("heis:4", [1.0, 2.0, 3.0])])
     def test_matches_a_solve_per_center(self, fixture, radii):
         space = pl.parse_fixture(fixture)
         mat = space.distance_matrix()
@@ -78,6 +79,45 @@ def test_greedy_cover_matches_the_boolean_loop(rows, cols, density, seed):
             return str(exc)
 
     assert outcome(growth._greedy_cover_size) == outcome(reference_greedy_cover_size)
+
+
+@st.composite
+def cover_spaces(draw):
+    """A small coordinate cloud under l1, l2 or linf (integer coordinates, so
+    many distances tie), or the shortest-path metric of random integer edge
+    weights as a MatrixSpace."""
+    n = draw(st.integers(1, 18))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        values = st.integers(-4, 4).map(float) | st.floats(-10.0, 10.0)
+        coords = draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                               min_size=n, max_size=n))
+        return pl.CoordSpace(np.array(coords), draw(st.sampled_from(["l1", "l2", "linf"])))
+    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n * n, max_size=n * n)),
+                       dtype=float).reshape(n, n)
+    mat = np.minimum(weights, weights.T)
+    np.fill_diagonal(mat, 0.0)
+    for k in range(n):
+        mat = np.minimum(mat, mat[:, k, None] + mat[None, k, :])
+    return pl.MatrixSpace(mat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cover_spaces(), st.data())
+def test_estimate_is_the_largest_per_center_cover(space, data):
+    """The estimate is the largest greedy cover of B_2r(c) by open r-balls
+    centered within 3r of c, over every center and radius; some radii equal
+    a pairwise distance, so a closed r-ball would change the answer."""
+    mat = space.distance_matrix()
+    gaps = np.unique(mat[mat > 0]).tolist()
+    radius = st.floats(0.05, 12.0)
+    if gaps:
+        radius = radius | st.sampled_from(gaps)
+    radii = data.draw(st.lists(radius, min_size=1, max_size=3))
+    expected = max(reference_greedy_cover_size(
+        mat[np.ix_(np.nonzero(mat[c] < 3 * r)[0], np.nonzero(mat[c] < 2 * r)[0])] < r)
+        for r in radii for c in range(space.n))
+    assert pl.doubling_constant_estimate(space, radii) == expected
 
 
 @pytest.mark.parametrize("radii", [[2.0, float("nan")], [float("inf")], [float("-inf")]])
