@@ -147,10 +147,11 @@ def cmd_carve(args) -> int:
     if not fixture or out is None or "schedule" not in cfg:
         raise ConfigError("carve needs fixture, out and schedule")
     schedule = schedule_from_json(cfg["schedule"])
-    # absent or null keeps the resampler's default budget
-    max_rounds = None if cfg.get("max_rounds") is None else _int_field(cfg, "max_rounds", 0)
-    if max_rounds is not None and max_rounds < 0:
-        raise ConfigError(f'"max_rounds" must be nonnegative, got {max_rounds}')
+    max_rounds = cfg.get("max_rounds")  # absent or null keeps the resampler's default
+    if max_rounds is not None:
+        max_rounds = _int_field(cfg, "max_rounds", None)
+        if max_rounds < 0:
+            raise ConfigError(f'"max_rounds" must be nonnegative, got {max_rounds}')
     space = parse_fixture(fixture)
     net = build_net(space, schedule.r, schedule.r)
     try:

@@ -82,7 +82,6 @@ def doubling_constant_estimate(space: FiniteMetricSpace, radii, centers=None) ->
     mat = space.distance_matrix()
     best = 0
     for r in radii:
-        within = None  # free the previous radius's ball matrix first
         within = mat < r
         prev_cand = prev_target = None
         for c in centers:
@@ -95,6 +94,7 @@ def doubling_constant_estimate(space: FiniteMetricSpace, radii, centers=None) ->
                 continue
             prev_cand, prev_target = cand, target
             best = max(best, _greedy_cover_size(within[cand][:, target]))
+        del within  # freed before the next radius's matrix is built
     return best
 
 
