@@ -131,16 +131,10 @@ class PartitionLayer:
     def num_clusters(self) -> int:
         return len(self.centers)
 
-    def points_of(self, cluster_id: int) -> np.ndarray:
-        return np.nonzero(self.cluster_of == cluster_id)[0]
-
     def cluster_sets(self) -> list:
         order = np.argsort(self.cluster_of, kind="stable")
         bounds = np.searchsorted(self.cluster_of[order], np.arange(self.num_clusters + 1))
         return [order[bounds[k]:bounds[k + 1]] for k in range(self.num_clusters)]
-
-    def center_of_point(self, p: int) -> int:
-        return int(self.centers[self.cluster_of[p]])
 
     def write_csv(self, path) -> None:
         """Rows of ``point_id,cluster_id,center_id``."""

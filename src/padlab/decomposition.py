@@ -14,13 +14,18 @@ degrade.  Every failed condition yields a concrete witness that can be
 re-checked in isolation.
 
 The two conversion directions grow cover sets into clusters (plus singleton
-balls for net members left over) and shrink clusters away from their
-complement, with the radius bookkeeping
+balls for net members left over) and shrink each cluster to the points whose
+ball stays inside it, with the radius bookkeeping
 
     (2R + r, D)-cover        ->  (R, 2R + 2r + D)-padded decomposition
     (R + 2r, D)-padded dec.  ->  (R, D)-cover
 
 for nets with equal covering and separation radius r.
+
+Padding and shrinking both ask whether an open ball lies inside a set, and
+each asks it for all its (center, set) pairs at once: one blocked ball pass,
+whose blocks key every ball point as ``set * n + point`` and look the keys
+up among the sets' sorted keys in one ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nets import Net
-from .spaces import FiniteMetricSpace, _dist_blocks, parse_fixture
+from .spaces import FiniteMetricSpace, _ball_blocks, _balls, _dist_blocks, parse_fixture
 
 __all__ = [
     "Cover",
@@ -251,9 +256,31 @@ def _spans(keys, points):
     return np.searchsorted(keys, points, "left"), np.searchsorted(keys, points, "right")
 
 
-def _contains(s, points):
-    """Mask of the ``points`` that lie in the nonempty sorted set ``s``."""
-    return s[np.minimum(np.searchsorted(s, points), len(s) - 1)] == points
+def _ranges(starts, lengths) -> np.ndarray:
+    """The concatenation of ``arange(s, s + k)`` over ``zip(starts, lengths)``."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _balls_inside(space, centers, r: float, sets, pair_center, pair_sets) -> np.ndarray:
+    """Whether the open ``r``-ball of ``centers[pair_center[j]]`` lies inside
+    the sorted set ``sets[pair_sets[j]]``, for each pair ``j`` (``pair_center``
+    nondecreasing).  Each ball block keys its (pair, ball point) entries as
+    ``set * n + point`` and finds them in the sets' keys in one ``searchsorted``.
+    """
+    keys = (np.repeat(np.arange(len(sets)) * space.n, [len(s) for s in sets])
+            + np.concatenate([np.empty(0, np.intp)] + sets))
+    pair_starts = np.searchsorted(pair_center, np.arange(len(centers) + 1))
+    inside = np.empty(len(pair_sets), dtype=bool)
+    for positions, ids, starts in _ball_blocks(space, centers, r):
+        counts = pair_starts[positions + 1] - pair_starts[positions]
+        pairs = _ranges(pair_starts[positions], counts)
+        row = np.repeat(np.arange(len(positions)), counts)
+        sizes = starts[row + 1] - starts[row]
+        q = np.repeat(pair_sets[pairs] * space.n, sizes) + ids[_ranges(starts[row], sizes)]
+        found = keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] == q
+        misses = np.repeat(np.arange(len(pairs)), sizes)[~found]
+        inside[pairs] = np.bincount(misses, minlength=len(pairs)) == 0
+    return inside
 
 
 def verify_padded(layers, net: Net, R: float, D: float,
@@ -291,7 +318,7 @@ def verify_padded(layers, net: Net, R: float, D: float,
     for i, layer in enumerate(layers):
         keys, holder = _holder_index(layer)
         lo, hi = _spans(keys, net.members)
-        index.append((holder, lo.tolist(), hi.tolist()))
+        index.append((holder, lo, hi))
         for pos in np.nonzero(hi == lo)[0]:
             report.conditions["net_partition"] = False
             report.witnesses.append({
@@ -322,14 +349,25 @@ def verify_padded(layers, net: Net, R: float, D: float,
                     "condition": "diameter", "layer": int(i), "set": int(s_id),
                     "diameter": diam, "bound": D,
                 })
-    for pos, x in enumerate(net.members):
+    # Pair every member with each set holding it, sets numbered across layers;
+    # a member is padded iff its R-ball lies inside one of them.
+    T = len(net.members)
+    base = np.cumsum([0] + [len(layer) for layer in layers])
+    member_of = np.concatenate([np.repeat(np.arange(T), hi - lo) for _, lo, hi in index])
+    set_of = np.concatenate([b + holder[_ranges(lo, hi - lo)]
+                             for b, (holder, lo, hi) in zip(base, index)])
+    by_member = np.argsort(member_of, kind="stable")
+    member_of, set_of = member_of[by_member], set_of[by_member]
+    sets = [s for layer in layers for s in layer]
+    padded = np.zeros(T, dtype=bool)
+    padded[member_of[_balls_inside(space, net.members, R, sets, member_of, set_of)]] = True
+    for pos in np.nonzero(~padded)[0]:
+        x = net.members[pos]
         ball = space.ball(int(x), R)
         held = [(i, s_id) for i, (holder, lo, hi) in enumerate(index)
                 for s_id in holder[lo[pos]:hi[pos]]]
-        if any(_contains(layers[i][s_id], ball).all() for i, s_id in held):
-            continue
         escaping = [{"layer": int(i), "set": int(s_id), "outside_points":
-                     [int(p) for p in ball[~_contains(layers[i][s_id], ball)][:5]]}
+                     [int(p) for p in ball[~np.isin(ball, layers[i][s_id])][:5]]}
                     for i, s_id in held]
         report.conditions["padding"] = False
         report.witnesses.append({
@@ -372,8 +410,7 @@ def padded_from_cover(cover: Cover, net: Net, R: float) -> PaddedDecomposition:
         hit = np.zeros(space.n, dtype=bool)
         for g in grown:
             hit[g] = True
-        extras = [space.ball(int(x), r) for x in net.members if not hit[x]]
-        out_layers.append(grown + extras)
+        out_layers.append(grown + _balls(space, net.members[~hit[net.members]], r))
     pd = PaddedDecomposition(net, out_layers, R=float(R),
                              D=2 * R + 2 * r + cover.D_bound)
     out_report = verify_padded(pd, net, pd.R, pd.D)
@@ -382,23 +419,25 @@ def padded_from_cover(cover: Cover, net: Net, R: float) -> PaddedDecomposition:
     return pd
 
 
-def shrink_set(space: FiniteMetricSpace, points, margin: float) -> np.ndarray:
-    """Points of the set at distance >= margin from its complement.
-
-    The whole set survives when the complement is empty (distance to the
-    empty set is +inf by convention).  Only the complement points within
-    ``margin`` of the set can drop one, so only ``space.candidates`` are read."""
+def _shrink_layer(space: FiniteMetricSpace, layer, margin: float) -> list:
+    """Each sorted set of a layer cut down to the points whose open
+    ``margin``-ball lies inside it, from one blocked ball pass over the layer."""
     if math.isnan(margin):
         raise ValueError("shrink margin is NaN")
-    s = _as_index_array(points, space.n)
-    if len(s) == 0:
-        return s
-    reach = space.candidates(s, margin)
-    comp = reach[~_contains(s, reach)]
-    if len(comp) == 0:
-        return s
-    near = np.concatenate([sub.min(axis=1) for _, sub in _dist_blocks(space, s, comp)])
-    return s[near >= margin]
+    sizes = [len(s) for s in layer]
+    centers = np.concatenate([np.empty(0, np.intp)] + layer)
+    keep = _balls_inside(space, centers, margin, layer, np.arange(len(centers)),
+                         np.repeat(np.arange(len(layer)), sizes))
+    return [s[k] for s, k in zip(layer, np.split(keep, np.cumsum(sizes)[:-1]))]
+
+
+def shrink_set(space: FiniteMetricSpace, points, margin: float) -> np.ndarray:
+    """Points of the set at distance >= margin from its complement, i.e. whose
+    open ``margin``-ball lies inside the set.
+
+    The whole set survives when the complement is empty (distance to the
+    empty set is +inf by convention)."""
+    return _shrink_layer(space, [_as_index_array(points, space.n)], margin)[0]
 
 
 def cover_from_padded(pd: PaddedDecomposition, net: Net) -> Cover:
@@ -416,14 +455,8 @@ def cover_from_padded(pd: PaddedDecomposition, net: Net) -> Cover:
         raise VerificationFailure("input decomposition fails verification", in_report)
     R_out = pd.R - 2 * r
     keep_from = R_out + r
-    out_layers = []
-    for layer in pd.layers:
-        shrunk = []
-        for s in layer:
-            kept = shrink_set(space, s, keep_from)
-            if len(kept):
-                shrunk.append(kept)
-        out_layers.append(shrunk)
+    out_layers = [[s for s in _shrink_layer(space, layer, keep_from) if len(s)]
+                  for layer in pd.layers]
     cover = Cover(space, out_layers, r_disjoint=R_out, D_bound=pd.D)
     out_report = verify_cover(cover)
     if not out_report.passed:

@@ -19,6 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .decomposition import _point_ids
 from .nets import build_net
 from .spaces import FiniteMetricSpace, MeasuredSpace, _dist_blocks
 
@@ -72,9 +73,7 @@ def doubling_constant_estimate(space: FiniteMetricSpace, radii, centers=None) ->
     radii = _finite_radii(radii)
     if not radii or min(radii) <= 0:
         raise ValueError("radii must be a nonempty list of positive reals")
-    if centers is None:
-        centers = np.arange(space.n)
-    centers = np.asarray(centers, dtype=np.intp)
+    centers = np.arange(space.n) if centers is None else _point_ids(centers, space.n)
     if space.n > _COVER_MATRIX_GUARD:
         raise ValueError(
             f"n={space.n} exceeds the {_COVER_MATRIX_GUARD}-point matrix guard; "
@@ -115,17 +114,11 @@ def optimal_cover_size(space: FiniteMetricSpace, target, radius: float,
     covers = space.dist_block(candidates, target) < radius
     covers = np.unique(covers, axis=0)
     covers = covers[covers.any(axis=1)]
-    # drop rows dominated by another row
-    keep = []
-    for i in range(len(covers)):
-        dominated = False
-        for j in range(len(covers)):
-            if i != j and (covers[j] >= covers[i]).all() and (covers[j] != covers[i]).any():
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    covers = covers[keep]
+    # drop rows dominated by another row: the rows are distinct, so row i is
+    # dominated iff some other row j leaves none of i's targets out
+    outside = covers.astype(np.int64) @ (~covers).T.astype(np.int64)  # |i minus j|
+    np.fill_diagonal(outside, 1)
+    covers = covers[(outside > 0).all(axis=1)]
     if not covers.any(axis=0).all():
         raise ValueError("target not coverable at this radius")
     upper = _greedy_cover_size(covers)
@@ -142,10 +135,9 @@ def volume_doubling_estimate(ms: MeasuredSpace, radii, centers=None) -> float:
     radii = _finite_radii(radii)
     if not radii or min(radii) <= 0:
         raise ValueError("radii must be a nonempty list of positive reals")
-    if centers is None:
-        centers = np.arange(ms.base.n)
+    centers = np.arange(ms.base.n) if centers is None else _point_ids(centers, ms.base.n)
     best = 0.0
-    for c in np.asarray(centers, dtype=np.intp):
+    for c in centers:
         row = ms.base.dist_row(int(c))
         for r in radii:
             inner = float(ms.mass[row < r].sum())

@@ -30,7 +30,7 @@ from .carving import (PartitionLayer, RadiusAssignment, _first_cover, _owner_tab
 from .decomposition import PaddedDecomposition, VerificationReport, verify_padded
 from .nets import Net, net_graph
 from .sampler import TexpParams, TgeoParams, _law_bounds, _sample_radii
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, _balls
 
 __all__ = [
     "LllBudget",
@@ -125,10 +125,11 @@ class TexpSchedule:
     c: float = field(init=False)
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("doubling constant must be >= 2")
-        if not (self.r > 0 and self.eps > 0 and self.D > 0):
-            raise ValueError("r, eps and D must be positive")
+        if not 2 <= self.N < math.inf:
+            raise ValueError(f"doubling constant must be finite and >= 2, got {self.N}")
+        if not all(0 < v < math.inf for v in (self.r, self.eps, self.D)):
+            raise ValueError(f"r, eps and D must be positive and finite, got "
+                             f"r={self.r}, eps={self.eps}, D={self.D}")
         object.__setattr__(self, "lam", self.eps / (3 * self.r))
         object.__setattr__(self, "M", (2 * self.D + 3) * self.r)
         object.__setattr__(self, "l", 3 * self.r)
@@ -168,12 +169,12 @@ class TgeoRun:
     r: float
 
     def __post_init__(self):
-        if not self.b >= 0:
-            raise ValueError("growth exponent must be >= 0")
+        if not 0 <= self.b < math.inf:
+            raise ValueError(f"growth exponent must be finite and >= 0, got {self.b}")
         if not (0 < self.p < 1):
             raise ValueError("need 0 < p < 1")
-        if self.M < 2 or self.m < 1 or not self.r > 0:
-            raise ValueError("need M >= 2, m >= 1, r > 0")
+        if not (2 <= self.M < math.inf and 1 <= self.m < math.inf and 0 < self.r < math.inf):
+            raise ValueError("need finite M >= 2, m >= 1 and r > 0")
 
     @property
     def probe_radius(self) -> float:
@@ -414,7 +415,7 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     dist_pm = space.dist_block(np.arange(space.n), members)
     dist_mm = dist_pm[members]
 
-    balls = [np.nonzero(dist_pm[:, k] < csp.probe_radius)[0] for k in range(T)]
+    balls = _balls(space, members, csp.probe_radius)
     sizes = np.array([len(b) for b in balls])
     flat = np.concatenate(balls)
     offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]

@@ -43,9 +43,6 @@ class Net:
     def __len__(self):
         return len(self.members)
 
-    def member_dist_matrix(self) -> np.ndarray:
-        return self.space.dist_block(self.members, self.members)
-
 
 def build_net(space: FiniteMetricSpace, eps: float, delta: float, order=None) -> Net:
     """Greedy sweep net construction.
@@ -143,10 +140,10 @@ class NetGraph:
     """Graph on net members with edges exactly in a distance band.
 
     ``(x, y)`` is an edge iff ``band_low <= dist(x, y) <= band_high`` and
-    ``x != y``.  Adjacency is computed on demand from the space's distance
-    oracle.  One triangular pass at construction materializes the degree
+    ``x != y``.  One triangular pass at construction materializes the degree
     sequence and the greedy coloring in index order, which
-    :func:`padlab.carving.greedy_color` returns.
+    :func:`padlab.carving.greedy_color` returns; the edges themselves are not
+    kept.
     """
 
     net: Net
@@ -162,33 +159,11 @@ class NetGraph:
                                                  self.band_high, np.arange(len(members)))
         self.max_degree = int(self._degrees.max()) if len(members) else 0
 
-    def _neighbor_mask(self, k: int) -> np.ndarray:
-        d = self.net.space.dist_row(int(self.net.members[k]))[self.net.members]
-        mask = (d >= self.band_low) & (d <= self.band_high)
-        mask[k] = False
-        return mask
-
-    def neighbors(self, k: int) -> np.ndarray:
-        """Member positions adjacent to member position ``k``."""
-        return np.nonzero(self._neighbor_mask(k))[0]
-
     def degree(self, k: int) -> int:
         return int(self._degrees[k])
 
     def num_vertices(self) -> int:
         return len(self.net.members)
-
-    def edge_list(self):
-        """All edges as (position, position) pairs; small graphs only."""
-        T = self.num_vertices()
-        if T > 5000:
-            raise ValueError("refusing to materialize edges of a graph this large")
-        edges = []
-        for k in range(T):
-            for j in self.neighbors(k):
-                if j > k:
-                    edges.append((k, int(j)))
-        return edges
 
 
 def net_graph(net: Net, M: float) -> NetGraph:

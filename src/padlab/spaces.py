@@ -18,13 +18,12 @@ Three concrete backends cover all fixtures:
 Distances for random Euclidean clouds are rounded to 12 decimal digits at
 construction time so that runs reproduce bit-for-bit across platforms.
 
-Passes over many distances read them in row blocks of ``_BLOCK_ENTRIES``
-entries at most (or one wider row), so their memory stays bounded: a
-:class:`CoordSpace` block accumulates one coordinate at a time and costs
-about twice its output, a :class:`HeisenbergBall` block about its output.
-Reads that only need the points near a set ask
-:meth:`FiniteMetricSpace.candidates` for them first; coordinate spaces
-answer with a bounding box.
+Passes over many distances read them in row blocks of at most
+``_BLOCK_ENTRIES`` entries (or one wider row).  Reads that only need the
+points near a set ask :meth:`FiniteMetricSpace.candidates` for them first
+(a bounding box on coordinate spaces).  Many balls at once come from one
+blocked ball pass, which reads batches of nearby centers against their
+shared candidates and yields the balls in CSR form.
 """
 
 from __future__ import annotations
@@ -58,6 +57,7 @@ _APSP_MAX_POINTS = 5000
 # Distance entries per block of a blocked pass (32 MB of float64; a
 # CoordSpace block peaks near 64 MB with its one scratch array).
 _BLOCK_ENTRIES = 4_000_000
+_BALL_BATCH = 64  # centers per block of a blocked ball pass
 
 
 class MetricError(ValueError):
@@ -135,14 +135,10 @@ class CoordSpace(FiniteMetricSpace):
         self._by_first = None  # (ids sorted by coordinate 0, that coordinate), on first use
 
     def _distances(self, a, b):
-        """Distances between the coordinate rows ``a`` and ``b``, as a
-        ``len(a) x len(b)`` array.
-
-        Accumulates one coordinate at a time into the output, so a block
-        costs its output plus one same-size scratch array.  For fewer than 8
-        coordinates the sums run in the order numpy's ``sum`` over a last
-        axis uses, so distances are bit-identical to that reduction.
-        """
+        """``len(a) x len(b)`` distances between the coordinate rows ``a`` and
+        ``b``, accumulated one coordinate at a time (a block costs its output
+        plus one scratch array).  Below 8 coordinates the sums run in the
+        order of numpy's ``sum`` over a last axis, so they are bit-identical."""
         dim = a.shape[1]
         l2 = self.metric == "l2" and dim > 1  # all three norms coincide in 1-d
         d = np.subtract.outer(a[:, 0], b[:, 0])
@@ -177,12 +173,10 @@ class CoordSpace(FiniteMetricSpace):
         """Sorted ids of the points inside the bounding box of ``points``
         grown by ``radius`` plus a slack of ``1e-9 * max(1, radius)``.
 
-        Under l1, l2 and linf no coordinate gap exceeds the distance, so the
-        box holds every point within ``radius`` of ``points``; the slack
-        covers the 12-digit rounding of cloud distances and the one-ulp
-        error of ``sqrt``.  Coordinate 0 is bisected in an order sorted on
-        first use, the other coordinates are filtered.
-        """
+        No coordinate gap exceeds an l1, l2 or linf distance, so the box holds
+        every point within ``radius``; the slack covers the 12-digit rounding
+        of clouds and the one-ulp error of ``sqrt``.  Coordinate 0 is bisected
+        in an order sorted on first use, the others are filtered."""
         box = self.coords[np.asarray(points, dtype=np.intp)]
         if len(box) == 0:
             return np.empty(0, dtype=np.intp)
@@ -227,6 +221,36 @@ def _dist_blocks(space: FiniteMetricSpace, rows, cols=None):
         yield start, space.dist_block(rows[start:start + step], cols)
 
 
+def _ball_blocks(space: FiniteMetricSpace, centers, r: float):
+    """Yield the open ``r``-balls of ``centers`` block by block, as CSR
+    ``(positions, ids, starts)``: ``ids[starts[k]:starts[k + 1]]`` is the
+    sorted ball of ``centers[positions[k]]``.  A block holds at most
+    ``_BALL_BATCH`` centers, read against their ``candidates`` within
+    ``_BLOCK_ENTRIES`` entries.  A :class:`CoordSpace` takes the centers in
+    first-coordinate order, so a block's candidates form one narrow slab."""
+    centers = np.asarray(centers, dtype=np.intp)
+    order = (np.argsort(space.coords[centers, 0], kind="stable")
+             if isinstance(space, CoordSpace) else np.arange(len(centers)))
+    for b in range(0, len(centers), _BALL_BATCH):
+        batch = order[b:b + _BALL_BATCH]
+        near = space.candidates(centers[batch], r)
+        cols = None if len(near) == space.n else near  # all points: read whole rows
+        for start, sub in _dist_blocks(space, centers[batch], cols):
+            within = sub < r
+            starts = np.zeros(len(sub) + 1, dtype=np.intp)
+            np.cumsum(within.sum(axis=1), out=starts[1:])
+            yield batch[start:start + len(sub)], near[np.nonzero(within)[1]], starts
+
+
+def _balls(space: FiniteMetricSpace, centers, r: float) -> list:
+    """The sorted open ``r``-balls of ``centers``, in center order."""
+    out = [None] * len(centers)
+    for positions, ids, starts in _ball_blocks(space, centers, r):
+        for k, p in enumerate(positions):
+            out[p] = ids[starts[k]:starts[k + 1]]
+    return out
+
+
 class MeasuredSpace:
     """A finite metric space together with a strictly positive point mass."""
 
@@ -242,9 +266,6 @@ class MeasuredSpace:
     @classmethod
     def uniform(cls, base: FiniteMetricSpace) -> "MeasuredSpace":
         return cls(base, np.ones(base.n))
-
-    def ball_mass(self, center: int, r: float) -> float:
-        return float(self.mass[self.base.ball(center, r)].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -396,36 +417,18 @@ def balanced_tree(branching: int, depth: int) -> MatrixSpace:
     """Complete rooted tree with the graph (hop-count) metric."""
     if branching < 1 or depth < 0:
         raise ValueError("need branching >= 1 and depth >= 0")
-    parents = [-1]
-    level = [0]
-    for _ in range(depth):
-        nxt = []
-        for v in level:
-            for _ in range(branching):
-                parents.append(v)
-                nxt.append(len(parents) - 1)
-        level = nxt
-    n = len(parents)
+    n = depth + 1 if branching == 1 else (branching ** (depth + 1) - 1) // (branching - 1)
     if n > _APSP_MAX_POINTS:
         raise ValueError(f"tree with {n} nodes exceeds the {_APSP_MAX_POINTS}-point guard")
-    parents = np.asarray(parents)
-    depth_of = np.zeros(n, dtype=int)
-    for v in range(1, n):
-        depth_of[v] = depth_of[parents[v]] + 1
-    # anc[k][v] = ancestor of v at depth k (or -1 when k > depth(v));
-    # LCA depth falls out as the number of levels on which ancestors agree.
-    anc = np.full((depth + 1, n), -1, dtype=np.int64)
-    for v in range(n):
-        u, d = v, depth_of[v]
-        while u != -1:
-            anc[d, v] = u
-            u = parents[u] if u > 0 else -1
-            d -= 1
+    # level-order ids: the children of v are branching * v + 1, ..., branching * (v + 1)
+    depth_of = np.repeat(np.arange(depth + 1), [branching ** k for k in range(depth + 1)])
     lca_depth = np.full((n, n), -1, dtype=np.int64)
-    for k in range(depth + 1):
-        row = anc[k]
-        eq = (row[:, None] == row[None, :]) & (row[:, None] >= 0)
-        lca_depth += eq
+    up = np.arange(n)  # each node's ancestor at depth min(k, its depth)
+    for k in range(depth, -1, -1):
+        # the LCA depth is the number of levels on which ancestors agree, less one
+        row = np.where(depth_of >= k, up, -1)
+        lca_depth += (row[:, None] == row[None, :]) & (row[:, None] >= 0)
+        up = np.where(depth_of >= k, np.maximum(up - 1, 0) // branching, up)
     mat = (depth_of[:, None] + depth_of[None, :] - 2 * lca_depth).astype(float)
     return MatrixSpace(mat, f"tree:{branching}:{depth}")
 

@@ -22,6 +22,20 @@ def literal_carve(space, members, colors, t):
     return owner
 
 
+def literal_edges(graph):
+    """Band-graph edges as (position, position) pairs, first < second, from a
+    double loop over single distances."""
+    members = [int(x) for x in graph.net.members]
+    space = graph.net.space
+    return [(a, b) for a in range(len(members)) for b in range(a + 1, len(members))
+            if graph.band_low <= space.dist(members[a], members[b]) <= graph.band_high]
+
+
+def literal_ball(space, center, r):
+    """Open ball around ``center`` from single distances, as a sorted list."""
+    return [p for p in range(space.n) if space.dist(int(center), p) < r]
+
+
 def literal_is_cut(space, owner, center, r):
     ids = owner[space.dist_row(int(center)) < r]
     return len(set(ids.tolist())) >= 2
@@ -74,6 +88,59 @@ def naive_verify_padded(space, layers, members, R, D):
         if not padded:
             return False
     return True
+
+
+def literal_verify_padded(space, layers, members, R, D, strict_disjoint=False):
+    """``verify_padded(...).to_jsonable()`` from literal loops: holders found
+    by membership tests, diameters by double loops, and padding decided by
+    one open ball per member, the member-by-member padding loop that
+    ``verify_padded`` ran before its balls were batched."""
+    from padlab.decomposition import VerificationReport
+
+    sets = [[sorted({int(p) for p in s}) for s in layer] for layer in layers]
+    members = [int(x) for x in members]
+    report = VerificationReport(
+        kind="padded_decomposition",
+        parameters={"R": R, "D": D, "m": len(layers), "n_points": space.n,
+                    "net_size": len(members)},
+        conditions={"net_partition": True, "diameter": True, "padding": True},
+    )
+    for i, layer in enumerate(sets):
+        for x in members:
+            holders = [k for k, s in enumerate(layer) if x in s]
+            if len(holders) != 1:
+                report.conditions["net_partition"] = False
+                witness = {"condition": "net_partition", "layer": i, "member": x}
+                witness.update({"problem": "uncovered"} if not holders
+                               else {"problem": "overlap", "sets": holders})
+                report.witnesses.append(witness)
+        if strict_disjoint:
+            report.conditions.setdefault("strict_disjointness", True)
+            for p in range(space.n):
+                holders = [k for k, s in enumerate(layer) if p in s]
+                if len(holders) > 1:
+                    report.conditions["strict_disjointness"] = False
+                    report.witnesses.append({"condition": "strict_disjointness", "layer": i,
+                                             "point": p, "sets": holders})
+        for k, s in enumerate(layer):
+            diam = max([space.dist(p, q) for p in s for q in s], default=0.0)
+            if diam > D:
+                report.conditions["diameter"] = False
+                report.witnesses.append({"condition": "diameter", "layer": i, "set": k,
+                                         "diameter": diam, "bound": D})
+    for x in members:
+        ball = literal_ball(space, x, R)
+        held = [(i, k) for i, layer in enumerate(sets) for k, s in enumerate(layer) if x in s]
+        if any(all(p in sets[i][k] for p in ball) for i, k in held):
+            continue
+        escaping = [{"layer": i, "set": k,
+                     "outside_points": [p for p in ball if p not in sets[i][k]][:5]}
+                    for i, k in held]
+        report.conditions["padding"] = False
+        report.witnesses.append({"condition": "padding", "member": x, "R": R,
+                                 "closest_misses": escaping[:4]})
+    report.sort_witnesses()
+    return report.to_jsonable()
 
 
 def heisenberg_words(radius):
@@ -206,6 +273,19 @@ def reference_greedy_cover_size(covers) -> int:
         remaining &= ~covers[best]
         picks += 1
     return picks
+
+
+def literal_optimal_cover_size(space, target, radius):
+    """Fewest open ``radius``-balls around space points covering ``target``,
+    by trying every set of centers in order of size."""
+    from itertools import combinations
+
+    target = [int(p) for p in target]
+    for k in range(len(target) + 1):
+        for centers in combinations(range(space.n), k):
+            if all(any(space.dist(c, p) < radius for c in centers) for p in target):
+                return k
+    raise ValueError("target not coverable at this radius")
 
 
 def reference_growth_table(space, radii, trials=3, seed=0) -> dict:

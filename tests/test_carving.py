@@ -45,7 +45,7 @@ class TestGreedyColor:
             g = pl.net_graph(net, float(rng.uniform(1.5, 4.0)))
             col = pl.greedy_color(g, order=rng.permutation(g.num_vertices()))
             assert col.num_colors <= g.max_degree + 1
-            mm = net.member_dist_matrix()
+            mm = space.dist_block(net.members, net.members)
             for a in range(g.num_vertices()):
                 for b in range(a + 1, g.num_vertices()):
                     if g.band_low <= mm[a, b] <= g.band_high:
@@ -71,7 +71,7 @@ class TestCarve:
         radii = pl.RadiusAssignment(np.array([25.0]), 21.0, 25.0)
         layer = pl.carve(space, net, coloring, radii)
         assert layer.num_clusters == 1
-        assert layer.points_of(0).tolist() == list(range(21))
+        assert layer.cluster_sets()[0].tolist() == list(range(21))
 
     def test_isolated_carving_every_point_own_cluster(self):
         space = pl.CoordSpace(np.arange(0, 50, 10.0))  # pairwise distance >= 10

@@ -404,6 +404,10 @@ TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT
     (["carve", "--config", "IN"], '{"fixture": "segment:10", "out": "x", "seed": 1e400, '
      '"schedule": %s}' % (TEXP % (3, 100)), "infinity"),
     (["lll-check", "--schedule", TEXP % (3, "NaN")], "", "must be positive"),
+    (["lll-check", "--schedule", TEXP % (3, "1e400")], "", "D must be positive and finite"),
+    (["lll-check", "--schedule",
+      '{"kind": "tgeo", "b": 1e400, "p": 0.0025, "M": 9585, "m": 2, "r": 9}'], "",
+     "growth exponent must be finite"),
     (["cutprob", "--config", "IN"], '{"fixture": "segment:10", "out": "x", "net": [], '
      '"grid": [{"kind": "tgeo", "b": 1.0, "p": 0.01, "M": 4, "m": 2, "r": 1.0}]}',
      "JSON object"),
@@ -420,7 +424,8 @@ TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT
     (TO_PADDED + ["--R", "-1"], COVER % (9, 9), "R must be a finite number"),
 ], ids=["carve_config_list", "cutprob_config_list", "carve_schedule_list",
         "lll_schedule_list", "convert_input_list", "texp_huge_N", "tgeo_huge_M",
-        "carve_huge_seed", "texp_nan_D", "cutprob_net_list", "cutprob_bool_eps",
+        "carve_huge_seed", "texp_nan_D", "texp_infinite_D", "tgeo_infinite_b",
+        "cutprob_net_list", "cutprob_bool_eps",
         "cutprob_string_delta", "padded_nan_D",
         "padded_nan_R", "padded_negative_R", "cover_nan_r_disjoint",
         "cover_negative_D_bound", "convert_nan_R", "convert_negative_R"])

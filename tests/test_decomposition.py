@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import padlab as pl
 from padlab import decomposition, growth, spaces
-from oracles import (make_cover, naive_verify_cover, naive_verify_padded,
-                     reference_ball_of_set, reference_shrink_set)
+from oracles import (literal_verify_padded, make_cover, naive_verify_cover,
+                     naive_verify_padded, reference_ball_of_set, reference_shrink_set)
 
 
 def carve_layer(space, net, t_value, M):
@@ -203,6 +204,84 @@ def test_candidate_reads_match_whole_space_reads(system):
     s = np.unique(np.asarray(points, dtype=np.intp))
     assert np.array_equal(decomposition._ball_of_set(space, s, radius),
                           reference_ball_of_set(space, s, radius))
+
+
+def small_space(draw):
+    """A segment, an l1/l2/linf grid, a rounded cloud, a tree or a Heisenberg ball."""
+    kind = draw(st.sampled_from(["segment", "grid", "cloud", "tree", "heis"]))
+    if kind == "segment":
+        return pl.integer_segment(draw(st.integers(0, 30)))
+    if kind == "grid":
+        return pl.grid_2d(draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+                          draw(st.sampled_from(["l1", "l2", "linf"])))
+    if kind == "cloud":
+        return pl.euclidean_cloud(draw(st.integers(1, 30)), draw(st.integers(1, 3)),
+                                  seed=draw(st.integers(0, 1000)))
+    if kind == "tree":
+        return pl.balanced_tree(draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+    return pl.heisenberg_ball(draw(st.integers(1, 2)))
+
+
+def radius_of(draw, space):
+    """0, a distance of the space (within 1e-13), or beyond every distance."""
+    gaps = np.unique(space.distance_matrix()).tolist() + [space.diameter() + 1.0]
+    return draw(st.sampled_from(gaps)) + draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+
+
+@st.composite
+def shrink_layers(draw):
+    """A space, a layer of possibly empty, overlapping or whole-space sets, a
+    margin and a ball batch size."""
+    space = small_space(draw)
+    ids = st.lists(st.integers(0, space.n - 1), max_size=space.n)
+    layer = draw(st.lists(ids | st.just(list(range(space.n))), max_size=5))
+    return space, layer, radius_of(draw, space), draw(st.sampled_from([1, 3, 64]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shrink_layers())
+def test_layer_shrink_matches_the_set_by_set_reference(system):
+    """One ball pass over a layer shrinks each set, and shrink_set shrinks one,
+    exactly as reading each set's whole complement did."""
+    space, layer, margin, batch = system
+    layer = [decomposition._as_index_array(s, space.n) for s in layer]
+    want = [reference_shrink_set(space, s, margin).tolist() for s in layer]
+    with mock.patch.object(spaces, "_BALL_BATCH", batch):
+        assert [s.tolist() for s in decomposition._shrink_layer(space, layer, margin)] == want
+        assert [pl.shrink_set(space, s, margin).tolist() for s in layer] == want
+
+
+@st.composite
+def padded_systems(draw):
+    """A space, a net on it and 1-3 layers: each point joins one set, several
+    or none (unless the layers partition the space), so members go uncovered
+    or held twice and sets overlap off the net; layers may be empty.  R may
+    be 0."""
+    space = small_space(draw)
+    scale = draw(st.sampled_from([0.5, 1.0, 2.0])) * max(space.diameter(), 1.0) / 4
+    net = pl.build_net(space, scale, scale)
+    partition = draw(st.booleans())
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1 if partition else 0, 4))
+        holders = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=int(partition),
+                                         max_size=1 if partition else 2) if k else
+                                st.just([]), min_size=space.n, max_size=space.n))
+        layers.append([[p for p in range(space.n) if j in holders[p]] for j in range(k)])
+    D = draw(st.sampled_from([0.0, 1.0, space.diameter()]))
+    return (space, net, layers, radius_of(draw, space), D, draw(st.booleans()),
+            draw(st.sampled_from([1, 3, 64])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(padded_systems())
+def test_padded_report_matches_the_per_member_oracle(system):
+    """verify_padded's report, witnesses included, is the one a member-by-member
+    loop over single open balls writes."""
+    space, net, layers, R, D, strict, batch = system
+    with mock.patch.object(spaces, "_BALL_BATCH", batch):
+        got = pl.verify_padded(layers, net, R, D, strict_disjoint=strict).to_jsonable()
+    assert got == literal_verify_padded(space, layers, net.members, R, D, strict)
 
 
 class TestConversions:

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import padlab as pl
 from padlab import growth, spaces
-from oracles import reference_greedy_cover_size, reference_growth_table
+from oracles import (literal_optimal_cover_size, reference_greedy_cover_size,
+                     reference_growth_table)
 
 
 class TestDoublingEstimate:
@@ -131,6 +132,25 @@ def test_non_finite_radii_are_rejected(radii):
         pl.volume_doubling_estimate(pl.MeasuredSpace.uniform(space), radii)
 
 
+@pytest.mark.parametrize("centers,shown", [([-1], "-1"), ([9.7], "9.7"), ([11], "11"),
+                                           ([0, 3, 10.5], "10.5")])
+def test_centers_outside_the_point_ids_are_rejected(centers, shown):
+    space = pl.integer_segment(10)
+    message = f"point ids must be integers in 0..10, got {shown}"
+    with pytest.raises(ValueError, match=message):
+        pl.doubling_constant_estimate(space, [2.0], centers=centers)
+    with pytest.raises(ValueError, match=message):
+        pl.volume_doubling_estimate(pl.MeasuredSpace.uniform(space), [2.0], centers=centers)
+
+
+def test_given_centers_match_their_integer_ids():
+    space = pl.integer_segment(10)
+    # B_4(0) = {0, 1, 2, 3} takes two open 2-balls
+    assert pl.doubling_constant_estimate(space, [2.0], centers=[0.0, 10]) == 2
+    ms = pl.MeasuredSpace.uniform(space)
+    assert pl.volume_doubling_estimate(ms, [2.0], centers=[5.0]) == 7 / 3
+
+
 def test_optimal_cover_size_brute_force_cases():
     space = pl.integer_segment(20)
     # covering {0..8} (open B_4.5 around 4) with radius-2 balls: each ball has
@@ -139,6 +159,18 @@ def test_optimal_cover_size_brute_force_cases():
     assert len(target) == 9
     assert pl.optimal_cover_size(space, target, 2.0) == 3
     assert pl.optimal_cover_size(space, np.array([], dtype=int), 2.0) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(cover_spaces().filter(lambda space: space.n <= 8), st.data())
+def test_optimal_cover_size_matches_every_center_set(space, data):
+    """Deduplicating and dropping dominated candidate balls keeps the exact
+    minimum that trying every set of centers finds."""
+    target = data.draw(st.lists(st.integers(0, space.n - 1), unique=True, max_size=space.n))
+    gaps = np.unique(space.distance_matrix()).tolist()
+    radius = data.draw(st.sampled_from(gaps[1:] or [1.0]) | st.floats(0.05, 12.0))
+    assert pl.optimal_cover_size(space, target, radius) == \
+        literal_optimal_cover_size(space, target, radius)
 
 
 class TestVolumeDoubling:

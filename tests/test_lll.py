@@ -267,7 +267,7 @@ class TestMoserTardos:
         rng = np.random.default_rng(8)
         t0 = pl.sample_texp(law, rng, len(net.members))
         u = len(net.members) // 2
-        member_dist = net.member_dist_matrix()[u]
+        member_dist = space.dist_block(net.members[u:u + 1], net.members)[0]
         dom = np.nonzero(member_dist < sched.domain_radius)[0]
         t1 = t0.copy()
         t1[dom] = pl.sample_texp(law, rng, len(dom))

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import padlab as pl
 from padlab import spaces
-from oracles import (heisenberg_distances, heisenberg_words, reference_dist_block,
-                     reference_dist_row, reference_sampled_validate)
+from oracles import (heisenberg_distances, heisenberg_words, literal_ball,
+                     reference_dist_block, reference_dist_row, reference_sampled_validate)
 
 
 FIXTURES = [
@@ -81,6 +81,15 @@ def test_balanced_tree_distances():
     assert t.dist(7, 8) == 2.0       # leaf siblings via node 3
     assert t.dist(7, 14) == 6.0      # leftmost to rightmost leaf
     assert t.diameter() == 6.0
+    path = pl.balanced_tree(1, 4)    # branching 1 is a path
+    assert path.matrix.tolist() == np.abs(np.subtract.outer(range(5), range(5))).tolist()
+
+
+@pytest.mark.parametrize("branching,depth,nodes", [(10, 9, 1111111111), (2, 12, 8191),
+                                                   (3, 40, 3 ** 41 // 2)])
+def test_oversized_tree_is_refused_before_it_is_built(branching, depth, nodes):
+    with pytest.raises(ValueError, match=f"tree with {nodes} nodes exceeds"):
+        pl.balanced_tree(branching, depth)
 
 
 @st.composite
@@ -126,6 +135,75 @@ def test_candidates_hold_every_point_within_the_radius(space, data):
     got = space.candidates(points, radius)
     assert np.array_equal(got, np.unique(got))
     assert np.isin(np.nonzero((dist <= radius).any(axis=0))[0], got).all()
+
+
+@st.composite
+def ball_spaces(draw):
+    """A coordinate space under l1, l2 or linf in 1-3 dims (integer
+    coordinates, or real ones with or without 12-digit rounding), the
+    shortest-path metric of random integer edge weights, or a Heisenberg ball."""
+    kind = draw(st.sampled_from(["coord", "matrix", "heis"]))
+    if kind == "heis":
+        return pl.heisenberg_ball(draw(st.integers(1, 3)))
+    n = draw(st.integers(1, 40))
+    if kind == "matrix":
+        weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n * n, max_size=n * n)),
+                           dtype=float).reshape(n, n)
+        mat = np.minimum(weights, weights.T)
+        np.fill_diagonal(mat, 0.0)
+        for k in range(n):
+            mat = np.minimum(mat, mat[:, k, None] + mat[None, k, :])
+        return pl.MatrixSpace(mat)
+    dim = draw(st.integers(1, 3))
+    values = st.integers(-5, 5).map(float) | st.floats(-10.0, 10.0)
+    coords = draw(st.lists(st.lists(values, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    return pl.CoordSpace(np.array(coords), draw(st.sampled_from(["l1", "l2", "linf"])),
+                         round_digits=draw(st.sampled_from([None, 12])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ball_spaces(), st.data())
+def test_blocked_balls_match_one_ball_per_center(space, data):
+    """The blocked ball pass yields each center's sorted open ball once, in
+    blocks of at most _BALL_BATCH centers, under any block budget: centers
+    unsorted and repeated, r = 0, r equal to a distance, r above the diameter."""
+    centers = data.draw(st.lists(st.integers(0, space.n - 1), max_size=2 * space.n))
+    diameter = space.diameter()
+    radius = data.draw(st.sampled_from([0.0, diameter + 1.0]
+                                       + np.unique(space.distance_matrix()).tolist())
+                       | st.floats(0.0, 2 * diameter + 1.0))
+    batch = data.draw(st.sampled_from([1, 3, 64]))
+    with mock.patch.object(spaces, "_BALL_BATCH", batch), \
+            mock.patch.object(spaces, "_BLOCK_ENTRIES", data.draw(st.sampled_from([7, 4000]))):
+        blocks = list(spaces._ball_blocks(space, centers, radius))
+        balls = spaces._balls(space, centers, radius)
+    positions = [int(p) for block, _, _ in blocks for p in block]
+    assert sorted(positions) == list(range(len(centers)))
+    for block, ids, starts in blocks:
+        assert len(block) <= batch and starts[0] == 0 and starts[-1] == len(ids)
+        for k, p in enumerate(block):
+            assert ids[starts[k]:starts[k + 1]].tolist() == literal_ball(space, centers[p], radius)
+    assert [b.tolist() for b in balls] == [space.ball(c, radius).tolist() for c in centers]
+
+
+def test_coordinate_ball_blocks_follow_the_first_coordinate():
+    """On a coordinate space each block's centers are consecutive in
+    first-coordinate order, so it reads only the slab of points near them."""
+    space = pl.euclidean_cloud(500, 2, seed=4)
+    centers = np.arange(0, 500, 2)
+    first = space.coords[centers, 0]
+    widths, original = [], pl.CoordSpace.dist_block
+
+    def recording(self, rows, cols=None):
+        widths.append(self.n if cols is None else len(cols))
+        return original(self, rows, cols)
+
+    with mock.patch.object(pl.CoordSpace, "dist_block", recording):
+        blocks = list(spaces._ball_blocks(space, centers, 0.05))
+    assert [len(p) for p, _, _ in blocks] == [64, 64, 64, 58]
+    assert len(widths) == 4 and max(widths) < 250
+    order = np.concatenate([p for p, _, _ in blocks])
+    assert np.array_equal(order, np.argsort(first, kind="stable"))
 
 
 def test_candidates_are_the_grown_bounding_box():
@@ -290,7 +368,7 @@ def test_measured_space_requires_positive_mass():
     with pytest.raises(ValueError):
         pl.MeasuredSpace(seg, np.zeros(6))
     ms = pl.MeasuredSpace.uniform(seg)
-    assert ms.ball_mass(3, 1.5) == 3.0
+    assert ms.mass[seg.ball(3, 1.5)].sum() == 3.0
 
 
 def test_validate_metric_catches_violations():
