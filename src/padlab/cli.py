@@ -23,20 +23,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from .carving import CarveError, cut_probability_mc
-from .decomposition import (VerificationFailure, cover_from_json, cover_from_padded,
-                            cover_to_json, decomposition_from_json, decomposition_to_json,
-                            dump_json, padded_from_cover)
+from .decomposition import (ConfigError, VerificationFailure, _number, _text,
+                            cover_from_json, cover_from_padded, cover_to_json,
+                            decomposition_from_json, decomposition_to_json, dump_json,
+                            padded_from_cover)
 from .growth import doubling_constant_estimate, growth_table, loglog_slope
-from .lll import (MoserTardosFailure, TexpSchedule, TgeoRun, certify_decomposition,
-                  schedule_from_json, schedule_to_json, texp_csp_bounds,
-                  tgeo_csp_bounds)
+from .lll import (MoserTardosFailure, TexpSchedule, TgeoRun, _exp, certify_decomposition,
+                  schedule_from_json, schedule_to_json, texp_csp_bounds, tgeo_csp_bounds)
 from .nets import build_net
 from .sampler import _law_bounds
 from .spaces import CoordSpace, _dist_blocks, parse_fixture
@@ -44,10 +43,6 @@ from .spaces import CoordSpace, _dist_blocks, parse_fixture
 PASS, FAIL, USAGE = 0, 1, 2
 
 _SIDE_CAR_LIMIT = 4000
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _fmt(x) -> str:
@@ -67,24 +62,13 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _int_field(cfg: dict, key: str, default: int) -> int:
-    """``cfg[key]`` (or ``default``) as an int; only integral, non-boolean
-    JSON numbers are accepted, so nothing is truncated silently.  ``int``
-    itself refuses infinities and NaN."""
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
-        raise ConfigError(f'"{key}" must be an integer, got {json.dumps(value)}')
-    return int(value)
-
-
-def _float_field(cfg: dict, key: str, default: float) -> float:
-    """``cfg[key]`` (or ``default``) as a float; only finite, non-boolean
-    JSON numbers are accepted."""
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise ConfigError(f'"{key}" must be a finite number, got {json.dumps(value)}')
-    return float(value)
+def _run_fields(args, cfg: dict) -> tuple:
+    """The fixture, seed and output path of a carve or cutprob run; a flag
+    wins over its config key."""
+    return (_text(args.fixture or cfg.get("fixture"), '"fixture"'),
+            _number(cfg.get("seed", 0) if args.seed is None else args.seed, '"seed"',
+                    integer=True),
+            _text(args.out or cfg.get("out"), '"out"'))
 
 
 def _threads(args) -> int:
@@ -141,17 +125,11 @@ def cmd_gen(args) -> int:
 
 def cmd_carve(args) -> int:
     cfg = _load_config(args.config)
-    fixture = args.fixture or cfg.get("fixture")
-    seed = args.seed if args.seed is not None else _int_field(cfg, "seed", 0)
-    out = args.out or cfg.get("out")
-    if not fixture or out is None or "schedule" not in cfg:
-        raise ConfigError("carve needs fixture, out and schedule")
-    schedule = schedule_from_json(cfg["schedule"])
+    fixture, seed, out = _run_fields(args, cfg)
+    schedule = schedule_from_json(cfg.get("schedule"))
     max_rounds = cfg.get("max_rounds")  # absent or null keeps the resampler's default
     if max_rounds is not None:
-        max_rounds = _int_field(cfg, "max_rounds", None)
-        if max_rounds < 0:
-            raise ConfigError(f'"max_rounds" must be nonnegative, got {max_rounds}')
+        max_rounds = _number(max_rounds, '"max_rounds"', "nonnegative", integer=True, low=0)
     space = parse_fixture(fixture)
     net = build_net(space, schedule.r, schedule.r)
     try:
@@ -191,10 +169,8 @@ def _cutprob_row(space, net, entry, trials, n_centers, seed, threads):
         bound = 20.0 * schedule.r * schedule.p
         regime = schedule.p <= 1 / (4 * schedule.b + 5) and schedule.r >= 9
     else:
-        try:  # one layer's cut bound: the m-th root of a constraint's, in log space
-            bound = math.exp(texp_csp_bounds(schedule).log_p_bound / schedule.m)
-        except OverflowError:
-            bound = math.inf
+        # one layer's cut bound: the m-th root of a constraint's, in log space
+        bound = _exp(texp_csp_bounds(schedule).log_p_bound / schedule.m)
         regime = law.in_estimate_regime and 0 < schedule.eps < 1 \
             and schedule.D > 1 / schedule.eps + 0.5
     rng = np.random.default_rng([seed, 0xC3])
@@ -217,20 +193,18 @@ def _cutprob_row(space, net, entry, trials, n_centers, seed, threads):
 
 def cmd_cutprob(args) -> int:
     cfg = _load_config(args.config)
-    fixture = args.fixture or cfg.get("fixture")
-    seed = args.seed if args.seed is not None else _int_field(cfg, "seed", 0)
-    out = args.out or cfg.get("out")
+    fixture, seed, out = _run_fields(args, cfg)
     grid = cfg.get("grid")
-    if not fixture or out is None or not grid:
-        raise ConfigError("cutprob needs fixture, out and a nonempty grid")
+    if not isinstance(grid, list) or not grid:
+        raise ConfigError("cutprob needs a nonempty grid list")
     net_cfg = cfg.get("net", {})
     if not isinstance(net_cfg, dict):
         raise ConfigError('cutprob "net" must hold a JSON object')
-    trials = _int_field(cfg, "trials", 100)
-    n_centers = _int_field(cfg, "centers", 50)
+    trials = _number(cfg.get("trials", 100), '"trials"', integer=True)
+    n_centers = _number(cfg.get("centers", 50), '"centers"', integer=True)
     space = parse_fixture(fixture)
-    net = build_net(space, _float_field(net_cfg, "eps", 1.0),
-                    _float_field(net_cfg, "delta", 1.0))
+    net = build_net(space, _number(net_cfg.get("eps", 1.0), '"eps"'),
+                    _number(net_cfg.get("delta", 1.0), '"delta"'))
     rows = []
     for k, entry in enumerate(grid):
         row = _cutprob_row(space, net, entry, trials, n_centers, seed, _threads(args))
@@ -255,14 +229,11 @@ def cmd_cutprob(args) -> int:
 
 def cmd_growth(args) -> int:
     fixture = args.fixture
-    if not fixture:
-        raise ConfigError("growth needs --fixture")
     radii = [float(tok) for tok in args.radii.split(",") if tok]
     if not radii:
         raise ConfigError("growth needs a nonempty --radii list")
     space = parse_fixture(fixture)
-    seed = args.seed if args.seed is not None else 0
-    table = growth_table(space, radii, trials=args.trials, seed=int(seed))
+    table = growth_table(space, radii, trials=args.trials, seed=args.seed or 0)
     out = args.out or "growth.csv"
     with open(out, "w") as fh:
         fh.write("fixture,r,trials,gamma_lower\n")
@@ -270,7 +241,7 @@ def cmd_growth(args) -> int:
             fh.write(f"{fixture},{_fmt(r)},{args.trials},{table[r]}\n")
     slope = loglog_slope(sorted(table), [table[r] for r in sorted(table)])
     dump_json({"fixture": fixture, "radii": sorted(table),
-               "slope": slope if slope is not None else None,
+               "slope": slope,
                "slope_defined": slope is not None}, out + ".slope.json")
     print(f"wrote {out}; slope={'undefined' if slope is None else _fmt(slope)}")
     return PASS
@@ -296,13 +267,11 @@ def cmd_convert(args) -> int:
         dump_json(decomposition_to_json(pd, doc["fixture"]), out)
         print(f"wrote {out}: ({_fmt(pd.R)}, {_fmt(pd.D)})-padded, {pd.m} layers")
         return PASS
-    if args.direction == "to-cover":
-        pd = decomposition_from_json(doc)
-        cover = cover_from_padded(pd, pd.net)
-        dump_json(cover_to_json(cover, doc["fixture"]), out)
-        print(f"wrote {out}: ({_fmt(cover.r_disjoint)}, {_fmt(cover.D_bound)})-cover")
-        return PASS
-    raise ConfigError(f"unknown direction {args.direction!r}")
+    pd = decomposition_from_json(doc)  # --direction to-cover, the only other choice
+    cover = cover_from_padded(pd, pd.net)
+    dump_json(cover_to_json(cover, doc["fixture"]), out)
+    print(f"wrote {out}: ({_fmt(cover.r_disjoint)}, {_fmt(cover.D_bound)})-cover")
+    return PASS
 
 
 # ---------------------------------------------------------------------------

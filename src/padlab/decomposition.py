@@ -60,15 +60,6 @@ __all__ = [
 _VERIFY_MAX_POINTS = 20000
 
 
-def _point_ids(points, n: int) -> np.ndarray:
-    """Point ids as an index array, checked to be integers in 0..n-1."""
-    raw = np.asarray(points, dtype=float)
-    bad = raw[(raw < 0) | (raw >= n) | (raw != np.round(raw))]
-    if len(bad):
-        raise ValueError(f"point ids must be integers in 0..{n - 1}, got {bad[0]:g}")
-    return raw.astype(np.intp)
-
-
 def _as_index_array(points, n: int) -> np.ndarray:
     """Sorted unique point ids of a set in a space of ``n`` points, in a new
     array.  An integer array already strictly increasing within 0..n-1 (as
@@ -81,10 +72,7 @@ def _as_index_array(points, n: int) -> np.ndarray:
     return np.unique(_point_ids(points, n))
 
 
-def _check_bound(name: str, value) -> None:
-    """Reject a radius or diameter bound that is NaN, infinite or negative."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+_BOUND = "a finite number >= 0"  # the rule of every radius and diameter bound
 
 
 @dataclass
@@ -97,8 +85,8 @@ class Cover:
     D_bound: float
 
     def __post_init__(self):
-        _check_bound("r_disjoint", self.r_disjoint)
-        _check_bound("D_bound", self.D_bound)
+        self.r_disjoint = _number(self.r_disjoint, "r_disjoint", _BOUND, low=0)
+        self.D_bound = _number(self.D_bound, "D_bound", _BOUND, low=0)
         self.layers = [[_as_index_array(s, self.space.n) for s in layer]
                        for layer in self.layers]
 
@@ -117,8 +105,8 @@ class PaddedDecomposition:
     D: float
 
     def __post_init__(self):
-        _check_bound("R", self.R)
-        _check_bound("D", self.D)
+        self.R = _number(self.R, "R", _BOUND, low=0)
+        self.D = _number(self.D, "D", _BOUND, low=0)
         self.layers = [[_as_index_array(s, self.space.n) for s in layer]
                        for layer in self.layers]
 
@@ -151,6 +139,11 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return not self.witnesses
+
+    def fail(self, condition: str, **witness):
+        """Record a witness against ``condition``."""
+        self.conditions[condition] = False
+        self.witnesses.append({"condition": condition, **witness})
 
     def sort_witnesses(self):
         self.witnesses.sort(key=lambda w: json.dumps(w, sort_keys=True))
@@ -217,27 +210,19 @@ def verify_cover(cover: Cover) -> VerificationReport:
         bad = np.argwhere(pmin <= cover.r_disjoint)
         for a, b in bad:
             if a < b:
-                report.conditions["disjointness"] = False
-                report.witnesses.append({
-                    "condition": "disjointness", "layer": int(i),
-                    "sets": [int(a), int(b)], "distance": float(pmin[a, b]),
-                    "required_exceeding": cover.r_disjoint,
-                })
+                report.fail("disjointness", layer=int(i), sets=[int(a), int(b)],
+                            distance=float(pmin[a, b]), required_exceeding=cover.r_disjoint)
         for s_id, s in enumerate(layer):
             diam = set_diameter(space, s)
             if diam > cover.D_bound:
-                report.conditions["diameter"] = False
-                report.witnesses.append({
-                    "condition": "diameter", "layer": int(i), "set": int(s_id),
-                    "diameter": diam, "bound": cover.D_bound,
-                })
+                report.fail("diameter", layer=int(i), set=int(s_id), diameter=diam,
+                            bound=cover.D_bound)
     covered = np.zeros(space.n, dtype=bool)
     for layer in cover.layers:
         for s in layer:
             covered[s] = True
     for p in np.nonzero(~covered)[0]:
-        report.conditions["coverage"] = False
-        report.witnesses.append({"condition": "coverage", "point": int(p)})
+        report.fail("coverage", point=int(p))
     report.sort_witnesses()
     return report
 
@@ -299,6 +284,7 @@ def verify_padded(layers, net: Net, R: float, D: float,
     whole space).
     """
     space = net.space
+    R, D = _number(R, "R"), _number(D, "D")  # finite; a negative R pads vacuously
     if isinstance(layers, PaddedDecomposition):
         if layers.space.n != space.n:
             raise ValueError("decomposition and net live on spaces of different sizes")
@@ -320,35 +306,21 @@ def verify_padded(layers, net: Net, R: float, D: float,
         lo, hi = _spans(keys, net.members)
         index.append((holder, lo, hi))
         for pos in np.nonzero(hi == lo)[0]:
-            report.conditions["net_partition"] = False
-            report.witnesses.append({
-                "condition": "net_partition", "layer": int(i),
-                "member": int(net.members[pos]), "problem": "uncovered",
-            })
+            report.fail("net_partition", layer=int(i), member=int(net.members[pos]),
+                        problem="uncovered")
         for pos in np.nonzero(hi - lo > 1)[0]:
-            report.conditions["net_partition"] = False
-            report.witnesses.append({
-                "condition": "net_partition", "layer": int(i),
-                "member": int(net.members[pos]), "problem": "overlap",
-                "sets": [int(o) for o in holder[lo[pos]:hi[pos]]],
-            })
+            report.fail("net_partition", layer=int(i), member=int(net.members[pos]),
+                        problem="overlap", sets=[int(o) for o in holder[lo[pos]:hi[pos]]])
         if strict_disjoint:
             report.conditions.setdefault("strict_disjointness", True)
             shared = np.unique(keys[1:][keys[1:] == keys[:-1]])
             for p, a, b in zip(shared, *_spans(keys, shared)):
-                report.conditions["strict_disjointness"] = False
-                report.witnesses.append({
-                    "condition": "strict_disjointness", "layer": int(i),
-                    "point": int(p), "sets": [int(o) for o in holder[a:b]],
-                })
+                report.fail("strict_disjointness", layer=int(i), point=int(p),
+                            sets=[int(o) for o in holder[a:b]])
         for s_id, s in enumerate(layer):
             diam = set_diameter(space, s)
             if diam > D:
-                report.conditions["diameter"] = False
-                report.witnesses.append({
-                    "condition": "diameter", "layer": int(i), "set": int(s_id),
-                    "diameter": diam, "bound": D,
-                })
+                report.fail("diameter", layer=int(i), set=int(s_id), diameter=diam, bound=D)
     # Pair every member with each set holding it, sets numbered across layers;
     # a member is padded iff its R-ball lies inside one of them.
     T = len(net.members)
@@ -369,11 +341,7 @@ def verify_padded(layers, net: Net, R: float, D: float,
         escaping = [{"layer": int(i), "set": int(s_id), "outside_points":
                      [int(p) for p in ball[~np.isin(ball, layers[i][s_id])][:5]]}
                     for i, s_id in held]
-        report.conditions["padding"] = False
-        report.witnesses.append({
-            "condition": "padding", "member": int(x), "R": R,
-            "closest_misses": escaping[:4],
-        })
+        report.fail("padding", member=int(x), R=R, closest_misses=escaping[:4])
     report.sort_witnesses()
     return report
 
@@ -397,7 +365,7 @@ def padded_from_cover(cover: Cover, net: Net, R: float) -> PaddedDecomposition:
     space = cover.space
     if space is not net.space:
         raise ValueError("cover and net live on different spaces")
-    _check_bound("R", R)
+    R = _number(R, "R", _BOUND, low=0)
     in_report = verify_cover(cover)
     if not in_report.passed:
         raise VerificationFailure("input cover fails verification", in_report)
@@ -411,7 +379,7 @@ def padded_from_cover(cover: Cover, net: Net, R: float) -> PaddedDecomposition:
         for g in grown:
             hit[g] = True
         out_layers.append(grown + _balls(space, net.members[~hit[net.members]], r))
-    pd = PaddedDecomposition(net, out_layers, R=float(R),
+    pd = PaddedDecomposition(net, out_layers, R=R,
                              D=2 * R + 2 * r + cover.D_bound)
     out_report = verify_padded(pd, net, pd.R, pd.D)
     if not out_report.passed:
@@ -465,32 +433,114 @@ def cover_from_padded(pd: PaddedDecomposition, net: Net) -> Cover:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# JSON documents, and the readers of every value that comes in from one
 # ---------------------------------------------------------------------------
+
+
+class ConfigError(ValueError):
+    """A value from a config, a document or an argument that breaks its rule."""
+
+
+def _shown(value) -> str:
+    """``value`` as JSON spells it, but a non-finite float as a word."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value).replace("inf", "infinity")  # nan, infinity, -infinity
+    return json.dumps(value, default=repr)
+
+
+def _number(value, name: str, rule: str | None = None, *, integer: bool = False,
+            low: float | None = None, above: float | None = None):
+    """``value`` read as a finite float, or as an int when ``integer``.
+
+    Only an int or a float passes (numpy scalars too), never a bool or a
+    string; an integer must be integral (``4.0`` reads as 4).  ``low`` and
+    ``above`` are inclusive and exclusive lower bounds.  A refusal raises
+    ``ConfigError("<name> must be <rule>, got <value>")``, where a wrong
+    type names "an integer" or "a finite number" whatever ``rule`` says."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    kind = "an integer" if integer else "a finite number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (integer and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be {kind}, got {_shown(value)}")
+    if not ((isinstance(value, int) or math.isfinite(value))
+            and (low is None or value >= low) and (above is None or value > above)):
+        raise ConfigError(f"{name} must be {rule or kind}, got {_shown(value)}")
+    return int(value) if integer else float(value)
+
+
+def _text(value, name: str) -> str:
+    """``value`` read as a nonempty string, such as a fixture or an output path."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a nonempty string, got {_shown(value)}")
+    return value
+
+
+def _point_ids(points, n: int) -> np.ndarray:
+    """Point ids as an index array, checked to be integers in 0..n-1.  A list
+    entry must be a number: a bool, a string, null or a nested list is
+    refused whatever it holds."""
+    if isinstance(points, (list, tuple)):
+        for p in points:
+            if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
+                raise ConfigError(f"point ids must be integers in 0..{n - 1}, got {_shown(p)}")
+        raw = np.asarray(points, dtype=float)
+    else:
+        raw = np.asarray(points)
+        if raw.ndim == 0 or raw.dtype.kind not in "iuf":
+            raise ConfigError(f"point ids must be a list of integers in 0..{n - 1}, "
+                              f"got {_shown(points)}")
+    bad = raw[(raw < 0) | (raw >= n) | (raw != np.round(raw))]
+    if len(bad):
+        raise ConfigError(f"point ids must be integers in 0..{n - 1}, got {bad[0]:g}")
+    return raw.astype(np.intp)
+
+
+def _read_layers(layers, n: int) -> list:
+    """A document's layers as lists of index arrays, every id of every set
+    read by one :func:`_point_ids` call."""
+    if not (isinstance(layers, list) and all(
+            isinstance(layer, list) and all(isinstance(s, list) for s in layer)
+            for layer in layers)):
+        raise ConfigError("layers must be a list of layers, each a list of point-id lists")
+    ids = _point_ids([p for layer in layers for s in layer for p in s], n)
+    sets = iter(np.split(ids, np.cumsum([len(s) for layer in layers for s in layer])[:-1]))
+    return [[next(sets) for _ in layer] for layer in layers]
 
 
 def _round_floats(obj):
     """Recursively cap floats at 12 significant digits for stable output."""
-    if isinstance(obj, float):
-        return float(format(obj, ".12g"))
+    if isinstance(obj, (float, np.floating)):
+        return float(format(float(obj), ".12g"))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(format(float(obj), ".12g"))
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
     return obj
 
 
 def dump_json(obj, path=None) -> str:
-    """Serialize with sorted keys and 12-significant-digit floats."""
-    text = json.dumps(_round_floats(obj), sort_keys=True, indent=1) + "\n"
+    """Serialize with sorted keys and 12-significant-digit floats.  NaN and
+    infinity have no JSON spelling (RFC 8259) and raise ``ValueError``."""
+    text = json.dumps(_round_floats(obj), sort_keys=True, indent=1, allow_nan=False) + "\n"
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
     return text
+
+
+def _document_space(doc, kind: str, space: FiniteMetricSpace | None) -> FiniteMetricSpace:
+    """The space of a cover or decomposition document, after its kind, its
+    fixture and its point count are read."""
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise ValueError(f"not a {kind.replace('_', ' ')} document")
+    if space is None:
+        space = parse_fixture(_text(doc.get("fixture"), "fixture"))
+    if space.n != _number(doc.get("n_points"), "n_points", integer=True):
+        raise ValueError("fixture size mismatch")
+    return space
 
 
 def cover_to_json(cover: Cover, fixture: str) -> dict:
@@ -506,13 +556,9 @@ def cover_to_json(cover: Cover, fixture: str) -> dict:
 
 
 def cover_from_json(doc: dict, space: FiniteMetricSpace | None = None) -> Cover:
-    if not isinstance(doc, dict) or doc.get("kind") != "cover":
-        raise ValueError("not a cover document")
-    if space is None:
-        space = parse_fixture(doc["fixture"])
-    if space.n != doc["n_points"]:
-        raise ValueError("fixture size mismatch")
-    return Cover(space, doc["layers"], float(doc["r_disjoint"]), float(doc["D_bound"]))
+    space = _document_space(doc, "cover", space)
+    return Cover(space, _read_layers(doc.get("layers"), space.n),
+                 doc.get("r_disjoint"), doc.get("D_bound"))
 
 
 def decomposition_to_json(pd: PaddedDecomposition, fixture: str) -> dict:
@@ -533,12 +579,12 @@ def decomposition_to_json(pd: PaddedDecomposition, fixture: str) -> dict:
 
 
 def decomposition_from_json(doc: dict, space: FiniteMetricSpace | None = None) -> PaddedDecomposition:
-    if not isinstance(doc, dict) or doc.get("kind") != "padded_decomposition":
-        raise ValueError("not a padded decomposition document")
-    if space is None:
-        space = parse_fixture(doc["fixture"])
-    if space.n != doc["n_points"]:
-        raise ValueError("fixture size mismatch")
-    net = Net(space, _point_ids(doc["net"]["members"], space.n),
-              float(doc["net"]["eps"]), float(doc["net"]["delta"]))
-    return PaddedDecomposition(net, doc["layers"], float(doc["R"]), float(doc["D"]))
+    space = _document_space(doc, "padded_decomposition", space)
+    net_doc = doc.get("net")
+    if not isinstance(net_doc, dict):
+        raise ConfigError(f"net must be a JSON object, got {_shown(net_doc)}")
+    scale = [_number(net_doc.get(key), f"net {key}", "positive and finite", above=0)
+             for key in ("eps", "delta")]
+    net = Net(space, _point_ids(net_doc.get("members"), space.n), *scale)
+    return PaddedDecomposition(net, _read_layers(doc.get("layers"), space.n),
+                               doc.get("R"), doc.get("D"))

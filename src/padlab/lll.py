@@ -27,7 +27,8 @@ import numpy as np
 
 from .carving import (PartitionLayer, RadiusAssignment, _first_cover, _owner_table,
                       greedy_color)
-from .decomposition import PaddedDecomposition, VerificationReport, verify_padded
+from .decomposition import (ConfigError, PaddedDecomposition, VerificationReport, _number,
+                            _shown, verify_padded)
 from .nets import Net, net_graph
 from .sampler import TexpParams, TgeoParams, _law_bounds, _sample_radii
 from .spaces import FiniteMetricSpace, _balls
@@ -56,6 +57,14 @@ _BOUNDARY_SLACK = 1e-12
 _MT_MATRIX_GUARD = 50_000_000
 
 
+def _exp(x: float) -> float:
+    """exp(x), or infinity where that overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _feasible_from_logs(log_p: float, log_d_plus_one: float) -> bool:
     """Strict e*p*(d+1) < 1 in log space, conservative near the boundary."""
     if log_p == -math.inf:
@@ -73,17 +82,11 @@ class LllBudget:
 
     @property
     def p_bound(self) -> float:
-        try:
-            return math.exp(self.log_p_bound)
-        except OverflowError:
-            return math.inf
+        return _exp(self.log_p_bound)
 
     @property
     def d_bound(self) -> float:
-        try:
-            return math.exp(self.log_d_plus_one) - 1.0
-        except OverflowError:
-            return math.inf
+        return _exp(self.log_d_plus_one) - 1.0
 
     @property
     def margin_log(self) -> float:
@@ -125,11 +128,11 @@ class TexpSchedule:
     c: float = field(init=False)
 
     def __post_init__(self):
-        if not 2 <= self.N < math.inf:
-            raise ValueError(f"doubling constant must be finite and >= 2, got {self.N}")
-        if not all(0 < v < math.inf for v in (self.r, self.eps, self.D)):
-            raise ValueError(f"r, eps and D must be positive and finite, got "
-                             f"r={self.r}, eps={self.eps}, D={self.D}")
+        object.__setattr__(self, "N", _number(self.N, "doubling constant", "an integer >= 2",
+                                              integer=True, low=2))
+        for name in ("r", "eps", "D"):
+            object.__setattr__(self, name, _number(getattr(self, name), name,
+                                                   "positive and finite", above=0))
         object.__setattr__(self, "lam", self.eps / (3 * self.r))
         object.__setattr__(self, "M", (2 * self.D + 3) * self.r)
         object.__setattr__(self, "l", 3 * self.r)
@@ -169,12 +172,15 @@ class TgeoRun:
     r: float
 
     def __post_init__(self):
-        if not 0 <= self.b < math.inf:
-            raise ValueError(f"growth exponent must be finite and >= 0, got {self.b}")
-        if not (0 < self.p < 1):
+        fields = {"b": _number(self.b, "growth exponent", "finite and >= 0", low=0),
+                  "p": _number(self.p, "p"),
+                  "M": _number(self.M, "M", "an integer >= 2", integer=True, low=2),
+                  "m": _number(self.m, "m", "an integer >= 1", integer=True, low=1),
+                  "r": _number(self.r, "r", "positive and finite", above=0)}
+        if not 0 < fields["p"] < 1:
             raise ValueError("need 0 < p < 1")
-        if not (2 <= self.M < math.inf and 1 <= self.m < math.inf and 0 < self.r < math.inf):
-            raise ValueError("need finite M >= 2, m >= 1 and r > 0")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def probe_radius(self) -> float:
@@ -226,10 +232,7 @@ class TgeoSchedule:
 
     @property
     def r_min(self) -> float:
-        try:
-            return math.exp(self.log_r_min)
-        except OverflowError:
-            return math.inf
+        return _exp(self.log_r_min)
 
     def p_at(self, r: float) -> float:
         if r <= 1:
@@ -256,7 +259,7 @@ def texp_csp_bounds(schedule: TexpSchedule) -> LllBudget:
     N, D, eps, m = schedule.N, schedule.D, schedule.eps, schedule.m
     b = math.log2(N)
     log_far = math.log(4.0) + 3 * math.log(N) + b * math.log(D + 3) - (D - 1.5) * eps
-    log_near = math.log(12.0 * eps)
+    log_near = math.log(12.0) + math.log(eps)
     log_p_single = np.logaddexp(log_far, log_near)
     log_p = m * float(log_p_single)
     log_d_plus_one = 4 * math.log(N) + b * math.log(D + 3)
@@ -509,13 +512,12 @@ def schedule_to_json(schedule) -> dict:
 
 
 def schedule_from_json(doc: dict):
+    """A schedule from its JSON object; the schedule classes read each field."""
     if not isinstance(doc, dict):
-        raise ValueError(f"a schedule must be a JSON object, got {doc!r}")
+        raise ConfigError(f"a schedule must be a JSON object, got {_shown(doc)}")
     kind = doc.get("kind")
     if kind == "texp":
-        return TexpSchedule(N=int(doc["N"]), r=float(doc["r"]),
-                            eps=float(doc["eps"]), D=float(doc["D"]))
+        return TexpSchedule(N=doc["N"], r=doc["r"], eps=doc["eps"], D=doc["D"])
     if kind == "tgeo":
-        return TgeoRun(b=float(doc["b"]), p=float(doc["p"]), M=int(doc["M"]),
-                       m=int(doc["m"]), r=float(doc["r"]))
-    raise ValueError(f"unknown schedule kind {kind!r}")
+        return TgeoRun(b=doc["b"], p=doc["p"], M=doc["M"], m=doc["m"], r=doc["r"])
+    raise ValueError(f"unknown schedule kind {_shown(kind)}")

@@ -159,9 +159,6 @@ class NetGraph:
                                                  self.band_high, np.arange(len(members)))
         self.max_degree = int(self._degrees.max()) if len(members) else 0
 
-    def degree(self, k: int) -> int:
-        return int(self._degrees[k])
-
     def num_vertices(self) -> int:
         return len(self.net.members)
 

@@ -75,10 +75,6 @@ class TgeoParams:
             raise ValueError("M must be an integer >= 2")
         object.__setattr__(self, "M", int(self.M))
 
-    @property
-    def support_min(self) -> int:
-        return 1
-
 
 def texp_tail(params: TexpParams, beta: float) -> float:
     """P[t >= beta] for the truncated exponential, beta in [l, M]."""

@@ -1,9 +1,15 @@
 import argparse
+import contextlib
+import copy
+import io
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import padlab as pl
 from padlab import spaces
@@ -374,6 +380,16 @@ class TestLllCheck:
         assert payload["feasible"] is False
         assert payload["p_bound"] == pytest.approx(0.2025)
 
+    def test_huge_eps_keeps_the_bounds_finite(self, capsys):
+        """log(12 eps) is taken as log 12 + log eps, so eps = 1e308 gives a
+        finite bound instead of writing Infinity into the artifact."""
+        sched = json.dumps({"kind": "texp", "N": 3, "r": 3.0, "eps": 1e308, "D": 100.0})
+        assert main(["lll-check", "--schedule", sched]) == 0
+        text = capsys.readouterr().out
+        payload = json.loads(text)
+        assert "Infinity" not in text and payload["feasible"] is False
+        assert payload["log_p_bound"] == pytest.approx(2 * (np.log(12.0) + np.log(1e308)))
+
     def test_bad_schedule_is_usage_error(self):
         assert main(["lll-check", "--schedule", '{"kind": "nope"}']) == 2
 
@@ -386,6 +402,8 @@ PADDED = ('{"kind": "padded_decomposition", "fixture": "segment:9", "n_points": 
           '"layers": [[[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]]]}')
 CUTPROB_NET = ('{"fixture": "segment:10", "out": "x", "net": %s, '
                '"grid": [{"kind": "tgeo", "b": 1.0, "p": 0.01, "M": 4, "m": 2, "r": 1.0}]}')
+CARVE_DOC = {"fixture": "segment:10", "seed": 0,
+             "schedule": {"kind": "texp", "N": 3, "r": 1.0, "eps": 0.05, "D": 100.0}}
 TO_PADDED = ["convert", "--input", "IN", "--direction", "to-padded", "--r", "1", "--out", "OUT"]
 TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT"]
 
@@ -422,21 +440,58 @@ TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT
     (TO_PADDED + ["--R", "1"], COVER % (9, -2), "D_bound must be a finite number"),
     (TO_PADDED + ["--R", "nan"], COVER % (9, 9), "R must be a finite number"),
     (TO_PADDED + ["--R", "-1"], COVER % (9, 9), "R must be a finite number"),
+    (["lll-check", "--schedule", TEXP % (3.9, 100)], "",
+     "doubling constant must be an integer, got 3.9"),
+    (["lll-check", "--schedule", TEXP.replace('"r": 3.0', '"r": "1"') % (3, 100)], "",
+     'r must be a finite number, got "1"'),
+    (["lll-check", "--schedule", TEXP.replace('"r": 3.0', '"r": true') % (3, 100)], "",
+     "r must be a finite number, got true"),
+    (["lll-check", "--schedule",
+      '{"kind": "tgeo", "b": 1, "p": 0.0025, "M": 9585.7, "m": 2.9, "r": 9}'], "",
+     "M must be an integer, got 9585.7"),
+    (["lll-check", "--schedule",
+      '{"kind": "tgeo", "b": 1, "p": 0.0025, "M": 9585, "m": 2.9, "r": 9}'], "",
+     "m must be an integer, got 2.9"),
+    (TO_PADDED + ["--R", "1"], COVER % ('"0.5"', 9), 'r_disjoint must be a finite number, got "0.5"'),
+    (TO_PADDED + ["--R", "1"], COVER % (10, "true"), "D_bound must be a finite number, got true"),
+    (TO_PADDED + ["--R", "1"], json.dumps(cover_doc([list(range(9)) + ["9"]])),
+     'point ids must be integers in 0..9, got "9"'),
+    (TO_PADDED + ["--R", "1"], json.dumps(cover_doc([list(range(10)) + [True]])),
+     "point ids must be integers in 0..9, got true"),
+    (TO_PADDED + ["--R", "1"], json.dumps(cover_doc([list(range(9)) + [[9]]])),
+     "point ids must be integers in 0..9, got [9]"),
+    (TO_PADDED + ["--R", "1"], json.dumps({**cover_doc([list(range(10))]), "fixture": 5}),
+     "fixture must be a nonempty string, got 5"),
+    (["carve", "--config", "IN"], json.dumps({**CARVE_DOC, "fixture": 5, "out": "OUT"}),
+     '"fixture" must be a nonempty string, got 5'),
+    (["carve", "--config", "IN"], json.dumps({**CARVE_DOC, "out": 1}),
+     '"out" must be a nonempty string, got 1'),
+    (["cutprob", "--config", "IN"], CUTPROB_NET.replace('"out": "x"', '"out": 1') % "{}",
+     '"out" must be a nonempty string, got 1'),
+    (["cutprob", "--config", "IN"], CUTPROB_NET.replace('"out": "x"', '"out": true') % "{}",
+     '"out" must be a nonempty string, got true'),
 ], ids=["carve_config_list", "cutprob_config_list", "carve_schedule_list",
         "lll_schedule_list", "convert_input_list", "texp_huge_N", "tgeo_huge_M",
         "carve_huge_seed", "texp_nan_D", "texp_infinite_D", "tgeo_infinite_b",
         "cutprob_net_list", "cutprob_bool_eps",
         "cutprob_string_delta", "padded_nan_D",
         "padded_nan_R", "padded_negative_R", "cover_nan_r_disjoint",
-        "cover_negative_D_bound", "convert_nan_R", "convert_negative_R"])
+        "cover_negative_D_bound", "convert_nan_R", "convert_negative_R",
+        "texp_fractional_N", "texp_string_r", "texp_bool_r", "tgeo_fractional_M",
+        "tgeo_fractional_m", "cover_string_r_disjoint", "cover_bool_D_bound",
+        "cover_string_id", "cover_bool_id", "cover_nested_id", "cover_int_fixture",
+        "carve_int_fixture", "carve_int_out", "cutprob_int_out", "cutprob_bool_out"])
 def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, argv, text, message):
-    """Non-object JSON documents and non-finite numbers exit 2 with a message."""
+    """Non-object JSON documents, values of the wrong type and non-finite
+    numbers exit 2 with one line on stderr, before any output is written."""
     path = tmp_path / "in.json"
-    path.write_text(text)
+    path.write_text(text.replace('"OUT"', json.dumps(str(tmp_path / "out"))))
     swap = {"IN": str(path), "OUT": str(tmp_path / "out")}
     assert main([swap.get(a, a) for a in argv]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert message in err and "Traceback" not in err
+    assert out == "" and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
 
 
 CUTPROB_CFG = {"fixture": "segment:300", "net": {"eps": 1, "delta": 1}, "trials": 4,
@@ -550,3 +605,108 @@ def test_runtime_errors_exit_two_without_traceback(tmp_path, capsys, monkeypatch
     assert main(["carve", "--config", str(tmp_path / "any.json")]) == 2
     err = capsys.readouterr().err
     assert err == message + "\n"
+
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _integer(v):
+    return _number(v) and float(v).is_integer()
+
+
+# each field's rule: which JSON values it accepts
+RULES = {
+    "int": _integer,
+    "int>=0 or null": lambda v: v is None or (_integer(v) and v >= 0),
+    "int>=1": lambda v: _integer(v) and v >= 1,
+    "int>=2": lambda v: _integer(v) and v >= 2,
+    "num": _number,
+    "num>=0": lambda v: _number(v) and v >= 0,
+    "num>0": lambda v: _number(v) and v > 0,
+    "text": lambda v: isinstance(v, str) and v != "",
+    "id": lambda v: _integer(v) and 0 <= v <= 9,
+    "ids": lambda v: isinstance(v, list) and all(RULES["id"](p) for p in v),
+}
+FUZZ_CARVE = {"fixture": "segment:10", "seed": 0, "out": "run", "max_rounds": 50,
+              "schedule": {"kind": "texp", "N": 3, "r": 1.0, "eps": 0.05, "D": 100.0}}
+FUZZ_CUTPROB = {"fixture": "segment:10", "seed": 0, "out": "cut.csv", "trials": 2,
+                "centers": 2, "net": {"eps": 1, "delta": 1},
+                "grid": [{"kind": "tgeo", "b": 1.0, "p": 0.01, "M": 4, "m": 2, "r": 1.0}]}
+FUZZ_TGEO = {"kind": "tgeo", "b": 1, "p": 0.0025, "M": 9585, "m": 2, "r": 9}
+FUZZ_COVER = cover_doc([list(range(10))])
+FUZZ_PADDED = json.loads(PADDED % (9, 9))
+LOADER_FIELDS = [
+    ("carve", FUZZ_CARVE, ("seed",), "int"),
+    ("carve", FUZZ_CARVE, ("max_rounds",), "int>=0 or null"),
+    ("carve", FUZZ_CARVE, ("fixture",), "text"),
+    ("carve", FUZZ_CARVE, ("out",), "text"),
+    ("carve", FUZZ_CARVE, ("schedule", "N"), "int>=2"),
+    ("carve", FUZZ_CARVE, ("schedule", "D"), "num>0"),
+    ("cutprob", FUZZ_CUTPROB, ("trials",), "int"),
+    ("cutprob", FUZZ_CUTPROB, ("centers",), "int"),
+    ("cutprob", FUZZ_CUTPROB, ("seed",), "int"),
+    ("cutprob", FUZZ_CUTPROB, ("net", "eps"), "num"),
+    ("cutprob", FUZZ_CUTPROB, ("net", "delta"), "num"),
+    ("cutprob", FUZZ_CUTPROB, ("out",), "text"),
+    ("cutprob", FUZZ_CUTPROB, ("grid", 0, "M"), "int>=2"),
+    ("lll-check", FUZZ_TGEO, ("b",), "num>=0"),
+    ("lll-check", FUZZ_TGEO, ("p",), "num"),
+    ("lll-check", FUZZ_TGEO, ("M",), "int>=2"),
+    ("lll-check", FUZZ_TGEO, ("m",), "int>=1"),
+    ("lll-check", FUZZ_TGEO, ("r",), "num>0"),
+    ("lll-check", json.loads(TEXP % (3, 100)), ("eps",), "num>0"),
+    ("to-padded", FUZZ_COVER, ("fixture",), "text"),
+    ("to-padded", FUZZ_COVER, ("n_points",), "int"),
+    ("to-padded", FUZZ_COVER, ("r_disjoint",), "num>=0"),
+    ("to-padded", FUZZ_COVER, ("D_bound",), "num>=0"),
+    ("to-padded", FUZZ_COVER, ("layers", 0, 0, 9), "id"),
+    ("to-padded", FUZZ_COVER, ("layers", 0, 0), "ids"),
+    ("to-cover", FUZZ_PADDED, ("R",), "num>=0"),
+    ("to-cover", FUZZ_PADDED, ("D",), "num>=0"),
+    ("to-cover", FUZZ_PADDED, ("net", "eps"), "num>0"),
+    ("to-cover", FUZZ_PADDED, ("net", "members", 1), "id"),
+    ("to-cover", FUZZ_PADDED, ("net", "members"), "ids"),
+    ("to-cover", FUZZ_PADDED, ("layers", 0, 0, 4), "id"),
+]
+JSON_VALUES = st.one_of(
+    st.booleans(), st.none(), st.text(alphabet="ab1", max_size=3),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.sampled_from("ab"),
+                                                            st.integers(0, 3), max_size=1),
+    st.floats(-50, 50).filter(lambda x: not x.is_integer()), st.integers(-50, -1),
+    st.sampled_from([1e400, -1e400, math.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LOADER_FIELDS), JSON_VALUES)
+def test_loader_fuzz(field, value):
+    """Every loader either runs or refuses: exit 0, 1 or 2 and never a
+    traceback; a value its field's rule refuses exits 2 with one stderr line,
+    nothing on stdout and no output file."""
+    command, base, path, rule = field
+    doc = copy.deepcopy(base)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    argv = {"carve": ["carve", "--config", "in.json"],
+            "cutprob": ["cutprob", "--config", "in.json"],
+            "lll-check": ["lll-check", "--schedule", json.dumps(doc)],
+            "to-padded": TO_PADDED + ["--R", "1"], "to-cover": TO_COVER}[command]
+    argv = [{"IN": "in.json", "OUT": "out.json"}.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("in.json", "w") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            written = sorted(set(os.listdir(".")) - {"in.json"})
+        finally:
+            os.chdir(home)
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if not RULES[rule](value):
+        assert code == 2 and err.getvalue().count("\n") == 1
+        assert out.getvalue() == "" and written == []

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -87,6 +89,19 @@ class TestVerifyPadded:
         net = pl.Net(big, np.array([0]), 40000.0, 40000.0)
         with pytest.raises(ValueError):
             pl.verify_padded([[np.arange(big.n)]], net, R=1.0, D=50000.0)
+
+    @pytest.mark.parametrize("R,D", [(math.nan, 20.0), (1.0, math.nan), (math.inf, 20.0),
+                                     (1.0, -math.inf), (True, 20.0), (1.0, "20")])
+    def test_refuses_bounds_that_are_not_finite_numbers(self, R, D):
+        """With NaN bounds every comparison was false, so R = NaN and D = NaN
+        passed where R = 5 and D = 1 fail."""
+        space = pl.integer_segment(20)
+        net = pl.build_net(space, 2, 2)
+        layers = [[np.arange(10), np.arange(10, 21)]]
+        assert not pl.verify_padded(layers, net, R=5.0, D=20.0).passed
+        assert not pl.verify_padded(layers, net, R=1.0, D=1.0).passed
+        with pytest.raises(ValueError, match="must be a finite number"):
+            pl.verify_padded(layers, net, R=R, D=D)
 
     def test_refuses_a_decomposition_of_another_size(self):
         pd = pl.PaddedDecomposition(self.net, [[np.arange(10)]], R=1.0, D=9.0)
@@ -495,3 +510,76 @@ def test_reports_do_not_depend_on_the_block_budget(system):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spaces, "_BLOCK_ENTRIES", 7)
         assert outputs() == default
+
+
+class TestReaders:
+    """The one set of readers that every value from a JSON document goes through."""
+
+    @pytest.mark.parametrize("value,kwargs,want", [
+        (4, {}, 4.0), (4.0, {"integer": True}, 4), (np.int64(3), {"integer": True}, 3),
+        (np.float64(2.5), {}, 2.5), (-0.5, {}, -0.5), (0, {"low": 0}, 0.0),
+        (10**400, {"integer": True, "low": 2}, 10**400), (1e-300, {"above": 0}, 1e-300),
+    ])
+    def test_number_reads_finite_numbers(self, value, kwargs, want):
+        got = decomposition._number(value, "x", **kwargs)
+        assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("value,kwargs,message", [
+        (True, {"integer": True}, "x must be an integer, got true"),
+        (False, {}, "x must be a finite number, got false"),
+        ("3", {}, 'x must be a finite number, got "3"'),
+        (None, {"integer": True}, "x must be an integer, got null"),
+        ([1], {}, "x must be a finite number, got [1]"),
+        ({"a": 1}, {}, 'x must be a finite number, got {"a": 1}'),
+        (2.5, {"integer": True}, "x must be an integer, got 2.5"),
+        (math.inf, {"integer": True}, "x must be an integer, got infinity"),
+        (math.nan, {"integer": True}, "x must be an integer, got nan"),
+        (math.nan, {}, "x must be a finite number, got nan"),
+        (-math.inf, {}, "x must be a finite number, got -infinity"),
+        (-1, {"integer": True, "low": 0, "rule": "nonnegative"}, "x must be nonnegative, got -1"),
+        (0.0, {"above": 0, "rule": "positive"}, "x must be positive, got 0.0"),
+        (math.nan, {"above": 0, "rule": "positive and finite"},
+         "x must be positive and finite, got nan"),
+        ("1", {"above": 0, "rule": "positive and finite"}, 'x must be a finite number, got "1"'),
+        (np.bool_(True), {}, "x must be a finite number, got true"),
+    ])
+    def test_number_refuses_with_one_message(self, value, kwargs, message):
+        with pytest.raises(decomposition.ConfigError) as exc:
+            decomposition._number(value, "x", **kwargs)
+        assert str(exc.value) == message
+        assert isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("value", ["", 5, None, True, ["a"]])
+    def test_text_refuses_all_but_nonempty_strings(self, value):
+        assert decomposition._text("segment:9", "fixture") == "segment:9"
+        with pytest.raises(decomposition.ConfigError, match="fixture must be a nonempty string"):
+            decomposition._text(value, "fixture")
+
+    @pytest.mark.parametrize("points,shown", [
+        ([0, True], "true"), ([0, "1"], '"1"'), ([None], "null"), ([0, [1]], "[1]"),
+        (5, "5"), ("0", '"0"'), ({"0": 1}, '{"0": 1}'),
+    ])
+    def test_point_ids_refuse_what_is_not_a_number(self, points, shown):
+        with pytest.raises(decomposition.ConfigError, match=f"got {re.escape(shown)}$"):
+            decomposition._point_ids(points, 10)
+        with pytest.raises(decomposition.ConfigError, match="a list of integers in 0..9"):
+            decomposition._point_ids(np.array([True, False]), 10)
+
+    def test_layers_are_read_in_one_pass(self, monkeypatch):
+        calls = []
+        original = decomposition._point_ids
+        monkeypatch.setattr(decomposition, "_point_ids",
+                            lambda points, n: calls.append(len(points)) or original(points, n))
+        layers = decomposition._read_layers([[[3, 1.0], []], [[9, 0, 2]]], 10)
+        assert calls == [5]
+        assert [[s.tolist() for s in layer] for layer in layers] == [[[3, 1], []], [[9, 0, 2]]]
+        for bad in ([[3]], [5], [[[1], 2]], {"a": 1}):
+            with pytest.raises(decomposition.ConfigError, match="layers must be"):
+                decomposition._read_layers(bad, 10)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_dump_json_refuses_non_finite_floats(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            decomposition.dump_json({"bound": [1.0, value]}, path)
+        assert not path.exists()

@@ -202,17 +202,17 @@ class TestVolumeDoubling:
 
 class TestGrowthFunction:
     def test_open_ball_count_on_segment(self):
-        assert pl.growth_function(pl.integer_segment(200), 5.0, trials=2, seed=0) == 9
+        assert pl.growth_table(pl.integer_segment(200), [5.0], trials=2, seed=0) == {5.0: 9}
 
     def test_radius_one_sees_only_the_center(self):
-        assert pl.growth_function(pl.integer_segment(50), 1.0, trials=2, seed=0) == 1
+        assert pl.growth_table(pl.integer_segment(50), [1.0], trials=2, seed=0) == {1.0: 1}
 
     def test_single_point(self):
-        assert pl.growth_function(pl.integer_segment(0), 7.0) == 1
+        assert pl.growth_table(pl.integer_segment(0), [7.0]) == {7.0: 1}
 
     def test_rejects_radius_below_one(self):
         with pytest.raises(ValueError):
-            pl.growth_function(pl.integer_segment(10), 0.5)
+            pl.growth_table(pl.integer_segment(10), [0.5])
 
     def test_segment_slope_is_roughly_linear(self):
         table = pl.growth_table(pl.integer_segment(10000), [8, 16, 32, 64],
@@ -220,11 +220,11 @@ class TestGrowthFunction:
         slope = pl.loglog_slope(sorted(table), [table[r] for r in sorted(table)])
         assert 0.9 <= slope <= 1.1
 
-    def test_growth_table_matches_growth_function(self):
+    def test_shared_nets_match_one_radius_at_a_time(self):
         space = pl.grid_2d(15, 15, "l1")
         table = pl.growth_table(space, [2.0, 4.0], trials=2, seed=3)
         for r in (2.0, 4.0):
-            assert table[r] == pl.growth_function(space, r, trials=2, seed=3)
+            assert table[r] == pl.growth_table(space, [r], trials=2, seed=3)[r]
 
 
 @pytest.mark.parametrize("space", [pl.euclidean_cloud(70, 2, seed=4, scale=6.0),
