@@ -10,13 +10,13 @@ to twice the radius cap rules out the second, so the rule reproduces the
 classical inductive peel-off (color class 0 claims its balls, class 1 claims
 what is left, and so on) without quadratic set differences.
 
-The rule reads an owner table: row p lists the members within the radius cap
-M of point p (no other ball can cover it) in color order, padded with
-infinite distance, so the owner of p is the first covering entry of its row.
-That entry usually sits in the first few columns, so the scan reads rows in
-place in column chunks that double in width and drops each row at its first
-covering chunk.  :func:`carve` builds the table block by block and scans
-every row; the resampler builds it once and passes the ids of the rows a
+The rule reads an owner table, which only :func:`_owner_table` builds: row
+p lists the members within the radius cap M of point p (no other ball can
+cover it) in color order, padded with infinite distance, so the owner of p
+is the first covering entry of its row.  That entry usually sits in the
+first few columns, so the scan reads rows in place in column chunks that
+double in width and drops each row at its first covering chunk.
+:func:`carve` scans every row; the resampler passes the ids of the rows a
 redraw can move.
 
 A probe ball is *cut* by a layer when it meets two distinct clusters; the
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spaces
-from .nets import Net, NetGraph, _band_pass, net_graph
+from .nets import Net, NetGraph, net_graph
 from .sampler import _law_bounds, _sample_radii
 from .spaces import FiniteMetricSpace, _dist_blocks
 
@@ -72,23 +72,14 @@ class Coloring:
             raise AssertionError("greedy coloring exceeded max degree + 1 colors")
 
 
-def greedy_color(graph: NetGraph, order=None) -> Coloring:
-    """Color vertices in ``order`` with the least color unused on earlier
+def greedy_color(graph: NetGraph) -> Coloring:
+    """Color vertices in index order with the least color unused on earlier
     neighbors.  Proper by construction and uses at most max_degree + 1 colors.
 
-    In index order (``order=None``) these are the colors the graph's own
-    triangular pass computed; another order reruns that pass in it.
+    These are the colors the graph's own triangular pass computed.
     """
-    T = graph.num_vertices()
-    if order is None:
-        colors = graph._colors
-    else:
-        order = np.asarray(order, dtype=np.intp)
-        if len(order) != T or not np.array_equal(np.sort(order), np.arange(T)):
-            raise ValueError("order must be a permutation of the member positions")
-        _, colors = _band_pass(graph.net.space, graph.net.members, graph.band_low,
-                               graph.band_high, order)
-    return Coloring(graph, colors, int(colors.max()) + 1 if T else 0)
+    colors = graph._colors
+    return Coloring(graph, colors, int(colors.max()) + 1 if len(colors) else 0)
 
 
 @dataclass(frozen=True)
@@ -145,26 +136,38 @@ class PartitionLayer:
                 fh.write(f"{p},{cid},{int(self.centers[cid])}\n")
 
 
-def _owner_table(dist, colors, M):
-    """Owner table of a block of points, from their distances to every member.
+_OWNER_TABLE_GUARD = 50_000_000  # largest n * |net|, which bounds the table's entries
 
-    Returns ``(members, dists, tie_rows)``: row p holds the positions of the
-    members within ``M`` of point p in color order (ties by position) and
-    their distances, padded with infinite distance to the widest row.
-    ``tie_rows`` flags the rows holding two members of one color, the only
-    points that two same-color balls can cover.
+
+def _owner_table(space: FiniteMetricSpace, members, colors, M):
+    """Owner table of every point under the radius cap ``M``, from row
+    blocks read against ``members`` in color order (ties by position).
+
+    Returns ``(table, dists, tie_rows)``: row p holds the positions of the
+    members within ``M`` of point p in that order and their distances,
+    padded with infinite distance to the widest row.  ``tie_rows`` flags the
+    rows holding two members of one color, the only points that two
+    same-color balls can cover.  ``_OWNER_TABLE_GUARD`` bounds n * |net|.
     """
-    within = dist < M
+    if space.n * len(members) > _OWNER_TABLE_GUARD:
+        raise ValueError("space times net size exceeds the owner table guard")
     by_color = np.argsort(colors, kind="stable")
-    near = within[:, by_color]
-    width = near.sum(axis=1)
-    slots = np.arange(max(1, width.max())) < width[:, None]
-    members = np.zeros(slots.shape, dtype=np.intp)
-    members[slots] = np.broadcast_to(by_color, near.shape)[near]
-    dists = np.where(slots, np.take_along_axis(dist, members, axis=1), np.inf)
-    row_colors = colors[members]
+    counts, positions, dists = [], [], []
+    for _, sub in _dist_blocks(space, np.arange(space.n), members[by_color]):
+        within = sub < M
+        counts.append(within.sum(axis=1))
+        positions.append(np.broadcast_to(by_color, within.shape)[within])
+        dists.append(sub[within])
+        del sub  # free each block before the next is read
+    counts = np.concatenate(counts)
+    slots = np.arange(max(1, counts.max())) < counts[:, None]
+    table = np.zeros(slots.shape, dtype=np.intp)
+    table[slots] = np.concatenate(positions)
+    table_dists = np.full(slots.shape, np.inf)
+    table_dists[slots] = np.concatenate(dists)
+    row_colors = colors[table]
     tie_rows = ((row_colors[:, 1:] == row_colors[:, :-1]) & slots[:, 1:]).any(axis=1)
-    return members, dists, tie_rows
+    return table, table_dists, tie_rows
 
 
 _FIRST_CHUNK = 16  # columns in the first chunk of the owner and probe scans
@@ -244,11 +247,9 @@ def carve(space: FiniteMetricSpace, net: Net, coloring: Coloring,
         raise ValueError("one radius per net member required")
     if not len(net.members):
         raise ValueError("an empty net covers no point")
-    assign = np.empty(space.n, dtype=np.int64)
-    for start, sub in _dist_blocks(space, np.arange(space.n), net.members):
-        table = _owner_table(sub, coloring.colors, radii.M)
-        assign[start:start + len(sub)] = _first_cover(*table, coloring.colors, radii.t)
-    return PartitionLayer(space, net, assign, radii, coloring)
+    table = _owner_table(space, net.members, coloring.colors, radii.M)
+    return PartitionLayer(space, net, _first_cover(*table, coloring.colors, radii.t),
+                          radii, coloring)
 
 
 def is_cut(layer: PartitionLayer, center: int, r: float) -> bool:

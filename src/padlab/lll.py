@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 _BOUNDARY_SLACK = 1e-12
-_MT_MATRIX_GUARD = 50_000_000
 
 
 def _exp(x: float) -> float:
@@ -133,8 +132,12 @@ class TexpSchedule:
         for name in ("r", "eps", "D"):
             object.__setattr__(self, name, _number(getattr(self, name), name,
                                                    "positive and finite", above=0))
-        object.__setattr__(self, "lam", self.eps / (3 * self.r))
-        object.__setattr__(self, "M", (2 * self.D + 3) * self.r)
+        lam, M = self.eps / (3 * self.r), (2 * self.D + 3) * self.r
+        if not (math.isfinite(M) and lam > 0):
+            raise ConfigError(f"texp needs a finite M = (2D + 3)r and a positive lam = "
+                              f"eps / (3r), got M={M:g} and lam={lam:g}")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "M", M)
         object.__setattr__(self, "l", 3 * self.r)
         object.__setattr__(self, "m", math.floor(math.log2(self.N)) + 1)
         object.__setattr__(self, "c", 4 * self.D + 6)
@@ -383,20 +386,20 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
 
     All m * |net| radii start i.i.d. from the law.  Each round picks the
     violated constraint with the lowest net index, redraws every radius in
-    its domain across all m layers, and recarves the points a redrawn ball
-    can cover (those within the radius cap M of a domain member).
-    Deterministic given ``seed``; reports failure (never retries) after
-    ``max_rounds`` (default: 100 per constraint).
+    its domain (read from that member's distance row) across all m layers,
+    and recarves the points a redrawn ball can cover.  Deterministic given
+    ``seed``; reports failure (never retries) after ``max_rounds`` (default:
+    100 per constraint).
 
     Every carving, the initial one and each recarve, applies the owner rule
-    of :mod:`padlab.carving` to one owner table built up front: a point joins
-    the lowest-color ball covering it, and a point with no covering ball or
-    two of that color raises :class:`CarveError`.  A recarve passes the ids
-    of the affected points to the chunked scan, which reads their rows in
-    place.  So the final layers equal :func:`carving.carve` of the final
-    radii and are returned as they stand.
-    The table and the member-to-point reach mask have at most n * |net|
-    entries each, so the matrix guard bounds them as well.
+    of :mod:`padlab.carving` to one owner table built up front, whose guard
+    bounds n * |net|: a point joins the lowest-color ball covering it, and a
+    point with no covering ball or two of that color raises
+    :class:`CarveError`.  There is no reach mask: a recarve passes
+    ``space.candidates`` of the domain at the radius cap, a superset of the
+    points a redrawn ball can cover, to the chunked scan.  A row whose radii
+    did not change keeps its owner, so the final layers equal
+    :func:`carving.carve` of the final radii and are returned as they stand.
     """
     if csp.net is not net:
         raise ValueError("csp was built for a different net")
@@ -405,8 +408,6 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     l, M = _law_bounds(csp.law)
     if T and l < net.eps:
         raise ValueError(f"law lower truncation {l} is below the covering radius {net.eps}")
-    if space.n * T > _MT_MATRIX_GUARD:
-        raise ValueError("space times net size exceeds the resampler's matrix guard")
     coloring = greedy_color(net_graph(net, 2 * M))
     if T == 0:
         return MoserTardosResult(True, 0, [RadiusAssignment(np.empty(0), l, M)
@@ -415,17 +416,12 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
         max_rounds = 100 * T
 
     colors = coloring.colors
-    dist_pm = space.dist_block(np.arange(space.n), members)
-    dist_mm = dist_pm[members]
+    nb, nb_d, tie_rows = _owner_table(space, members, colors, M)
 
     balls = _balls(space, members, csp.probe_radius)
     sizes = np.array([len(b) for b in balls])
     flat = np.concatenate(balls)
     offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
-
-    reach = np.ascontiguousarray((dist_pm < M).T)  # member -> points its ball can cover
-    nb, nb_d, tie_rows = _owner_table(dist_pm, colors, M)
-    del dist_pm
 
     rng = np.random.default_rng(seed)
     radii = [_sample_radii(csp.law, rng, T) for _ in range(csp.m)]
@@ -447,10 +443,11 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     rounds = 0
     while violated.any() and rounds < max_rounds:
         u = int(np.argmax(violated))
-        dom = np.nonzero(dist_mm[u] < csp.domain_radius)[0]
+        near = space.dist_block(members[u:u + 1], members)[0]
+        dom = np.nonzero(near < csp.domain_radius)[0]
         for li in range(csp.m):
             radii[li][dom] = _sample_radii(csp.law, rng, len(dom))
-        affected = np.nonzero(reach[dom].any(axis=0))[0]
+        affected = space.candidates(members[dom], M)
         for li in range(csp.m):
             assign[li][affected] = _first_cover(nb, nb_d, tie_rows, colors, radii[li],
                                                 affected)

@@ -7,12 +7,12 @@ in a band ``[separation, M]``; its maximum degree is what bounds the number
 of colors the carving stage needs.
 
 One triangular pass over the member distances builds a net graph: each
-member is read against the members before it in a visiting order, once, so
-every edge is seen once.  The pass yields the full degrees (an edge counts
-for both ends) and the greedy coloring in that order (each member takes the
-least color no earlier neighbour holds).  :class:`NetGraph` runs it in index
-order and keeps both; :func:`padlab.carving.greedy_color` returns those
-colors or reruns the pass in another order.
+member is read against the members before it in index order, once, so every
+edge is seen once.  The pass yields the full degrees (an edge counts for
+both ends) and the greedy coloring in that order (each member takes the
+least color no earlier neighbour holds).  :class:`NetGraph` keeps both, so
+there is one coloring per graph; :func:`padlab.carving.greedy_color`
+returns it.
 """
 
 from __future__ import annotations
@@ -96,11 +96,11 @@ def build_net(space: FiniteMetricSpace, eps: float, delta: float, order=None) ->
     return Net(space, members, float(eps), float(delta))
 
 
-def _band_pass(space: FiniteMetricSpace, members, band_low, band_high, order):
+def _band_pass(space: FiniteMetricSpace, members, band_low, band_high):
     """Degrees and greedy colors of the band graph on ``members``, both indexed
-    by member position, from one pass over the members in ``order``.
+    by member position, from one pass over the members in index order.
 
-    Row blocks ``[s, e)`` of the visiting order are read against the columns
+    Row blocks ``[s, e)`` of the members are read against the columns
     ``[0, e)``, so a block holds at most ``_BLOCK_ENTRIES`` entries (or one
     row).  Columns before ``s`` are all earlier vertices; only the square
     ``[s, e)`` part needs the strict lower triangle.  Each in-band entry is
@@ -110,14 +110,13 @@ def _band_pass(space: FiniteMetricSpace, members, band_low, band_high, order):
     scratch entries are read.
     """
     T = len(members)
-    points = members[order]
     degrees = np.zeros(T, dtype=np.int64)
     colors = np.zeros(T, dtype=np.int64)
     seen = np.zeros(T + 1, dtype=bool)  # marks the colors of one vertex's earlier neighbours
     step = max(1, spaces._BLOCK_ENTRIES // max(1, T))
     for s in range(0, T, step):
         e = min(s + step, T)
-        sub = space.dist_block(points[s:e], points[:e])
+        sub = space.dist_block(members[s:e], members[:e])
         inband = (sub >= band_low) & (sub <= band_high)
         # Blocks widen as e grows: freeing each one before the next is read
         # lets the allocator reuse its memory instead of growing the heap.
@@ -130,9 +129,7 @@ def _band_pass(space: FiniteMetricSpace, members, band_low, band_high, order):
             seen[used] = True
             colors[s + i] = seen[:len(used) + 1].argmin()
             seen[used] = False
-    by_position = np.empty_like(order)
-    by_position[order] = np.arange(T)
-    return degrees[by_position], colors[by_position]
+    return degrees, colors
 
 
 @dataclass
@@ -156,7 +153,7 @@ class NetGraph:
     def __post_init__(self):
         members = self.net.members
         self._degrees, self._colors = _band_pass(self.net.space, members, self.band_low,
-                                                 self.band_high, np.arange(len(members)))
+                                                 self.band_high)
         self.max_degree = int(self._degrees.max()) if len(members) else 0
 
     def num_vertices(self) -> int:

@@ -404,27 +404,24 @@ def reference_degrees(graph):
     return degs
 
 
-def reference_greedy_color(graph, order=None):
-    """Greedy colors in ``order`` from one full row per member: the least
+def reference_greedy_color(graph):
+    """Greedy colors in index order from one full row per member: the least
     color unused on the already colored in-band members."""
     from padlab.spaces import _dist_blocks
 
     T = graph.num_vertices()
-    if order is None:
-        order = np.arange(T)
     members = graph.net.members
     colors = np.full(T, -1, dtype=np.int64)
     max_degree = int(reference_degrees(graph).max()) if T else 0
     scratch = np.empty(max_degree + 2, dtype=bool)
-    for start, sub in _dist_blocks(graph.net.space, members[order], members):
-        for i, v in enumerate(order[start:start + len(sub)]):
-            row = sub[i]
+    for start, sub in _dist_blocks(graph.net.space, members, members):
+        for i, row in enumerate(sub):
             nb = (row >= graph.band_low) & (row <= graph.band_high)
             used = colors[nb]
-            used = used[used >= 0]  # colored means earlier in the order
+            used = used[used >= 0]  # colored means earlier in index order
             scratch[:] = False
             scratch[used] = True
-            colors[int(v)] = int(np.argmin(scratch))
+            colors[start + i] = int(np.argmin(scratch))
     return colors
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import padlab as pl
-from padlab import carving
+from padlab import carving, spaces
 from padlab.carving import _first_cover, _probe_cuts
 from oracles import (literal_carve, literal_is_cut, reference_first_cover,
                      reference_probe_cuts)
@@ -29,11 +29,6 @@ class TestGreedyColor:
         col = pl.greedy_color(pl.net_graph(net, 10.0))
         assert col.num_colors == 4
 
-    def test_order_is_respected(self):
-        g = path_graph_netgraph(3)
-        col = pl.greedy_color(g, order=np.array([1, 0, 2]))
-        assert col.colors[1] == 0 and col.colors[0] == 1 and col.colors[2] == 1
-
     def test_random_bounded_degree_graphs_proper_within_bound(self):
         """200 random geometric band graphs: proper everywhere, and never
         more than max degree + 1 colors, checked against raw adjacency."""
@@ -43,13 +38,20 @@ class TestGreedyColor:
             space = pl.euclidean_cloud(n, 2, seed=trial, scale=6.0)
             net = pl.build_net(space, 1.0, 1.0)
             g = pl.net_graph(net, float(rng.uniform(1.5, 4.0)))
-            col = pl.greedy_color(g, order=rng.permutation(g.num_vertices()))
+            col = pl.greedy_color(g)
             assert col.num_colors <= g.max_degree + 1
             mm = space.dist_block(net.members, net.members)
             for a in range(g.num_vertices()):
                 for b in range(a + 1, g.num_vertices()):
                     if g.band_low <= mm[a, b] <= g.band_high:
                         assert col.colors[a] != col.colors[b]
+
+
+PEEL_OFF_FIXTURES = [
+    pl.integer_segment(99),
+    pl.grid_2d(12, 12, "linf"),
+    pl.euclidean_cloud(200, 2, seed=1, scale=12.0),
+]
 
 
 class TestCarve:
@@ -128,15 +130,19 @@ class TestCarve:
                          pl.RadiusAssignment(t, 3.0, 5.0))
         assert {frozenset(s.tolist()) for s in again.cluster_sets()} == as_sets
 
-    @pytest.mark.parametrize("fixture", [
-        pl.integer_segment(99),
-        pl.grid_2d(12, 12, "linf"),
-        pl.euclidean_cloud(200, 2, seed=1, scale=12.0),
-    ], ids=lambda s: s.label)
-    def test_priority_rule_equals_inductive_peel_off(self, fixture):
+    @pytest.mark.parametrize("fixture,block_rows", [
+        (fixture, block_rows) for block_rows in (None, 7) for fixture in PEEL_OFF_FIXTURES
+    ], ids=[s.label for s in PEEL_OFF_FIXTURES]
+        + [f"{s.label}-7_rows_a_block" for s in PEEL_OFF_FIXTURES])
+    def test_priority_rule_equals_inductive_peel_off(self, fixture, block_rows, monkeypatch):
         """50 random radius draws per fixture: the per-point priority rule
-        and the literal color-by-color set difference agree everywhere."""
+        and the literal color-by-color set difference agree everywhere.  With
+        7 rows a block, the owner table is read in many blocks of different
+        widths: rows near a fixture's edges, such as the segment's ends, hold
+        fewer members than the rest."""
         net = pl.build_net(fixture, 1, 1)
+        if block_rows is not None:
+            monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", block_rows * len(net.members))
         M = 3.0
         coloring = pl.greedy_color(pl.net_graph(net, 2 * M))
         rng = np.random.default_rng(7)
@@ -147,6 +153,20 @@ class TestCarve:
             mine = layer.center_positions[layer.cluster_of]
             oracle = literal_carve(fixture, net.members, coloring.colors, t)
             assert np.array_equal(mine, oracle)
+
+    def test_guard_on_oversized_instances(self, monkeypatch):
+        """The owner table's guard refuses a space times net size above it,
+        in the resampler and in a plain carve."""
+        space = pl.integer_segment(20)
+        net = pl.build_net(space, 1, 1)
+        csp = pl.CspInstance(net, 1, pl.TexpParams(0.5, 1.0, 2.0), 1.0, 3.0)
+        coloring = pl.greedy_color(pl.net_graph(net, 4.0))
+        radii = pl.RadiusAssignment(np.full(len(net.members), 1.5), 1.0, 2.0)
+        monkeypatch.setattr(carving, "_OWNER_TABLE_GUARD", 10)
+        with pytest.raises(ValueError, match="owner table guard"):
+            pl.moser_tardos(space, net, csp, seed=0)
+        with pytest.raises(ValueError, match="owner table guard"):
+            pl.carve(space, net, coloring, radii)
 
     def test_csv_serialization(self, tmp_path):
         radii = pl.RadiusAssignment(np.full(4, 4.0), 3.0, 5.0)

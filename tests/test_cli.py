@@ -421,6 +421,10 @@ TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT
       '{"kind": "tgeo", "b": 1, "p": 0.0025, "M": 1e400, "m": 2, "r": 9}'], "", "infinity"),
     (["carve", "--config", "IN"], '{"fixture": "segment:10", "out": "x", "seed": 1e400, '
      '"schedule": %s}' % (TEXP % (3, 100)), "infinity"),
+    (["carve", "--config", "IN"], json.dumps({**CARVE_DOC, "fixture": "segment:5", "out": "OUT",
+                                               "schedule": {**CARVE_DOC["schedule"], "r": 1e150,
+                                                            "D": 1e200}}),
+     "texp needs a finite M = (2D + 3)r"),
     (["lll-check", "--schedule", TEXP % (3, "NaN")], "", "must be positive"),
     (["lll-check", "--schedule", TEXP % (3, "1e400")], "", "D must be positive and finite"),
     (["lll-check", "--schedule",
@@ -472,8 +476,8 @@ TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT
      '"out" must be a nonempty string, got true'),
 ], ids=["carve_config_list", "cutprob_config_list", "carve_schedule_list",
         "lll_schedule_list", "convert_input_list", "texp_huge_N", "tgeo_huge_M",
-        "carve_huge_seed", "texp_nan_D", "texp_infinite_D", "tgeo_infinite_b",
-        "cutprob_net_list", "cutprob_bool_eps",
+        "carve_huge_seed", "texp_overflowing_M", "texp_nan_D", "texp_infinite_D",
+        "tgeo_infinite_b", "cutprob_net_list", "cutprob_bool_eps",
         "cutprob_string_delta", "padded_nan_D",
         "padded_nan_R", "padded_negative_R", "cover_nan_r_disjoint",
         "cover_negative_D_bound", "convert_nan_R", "convert_negative_R",

@@ -424,7 +424,8 @@ class TestBlockBudget:
     def test_every_distance_block_fits_the_budget(self, monkeypatch):
         """With a tiny block budget, no distance block any verifier, conversion,
         set reduction, net, carving, growth or sampled metric pass asks for
-        exceeds the budget, or one row when a row is wider."""
+        exceeds the budget, or one row when a row is wider.  The resampler
+        runs rounds, so its per-round domain reads are checked too."""
         budget = 20
         monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", budget)
         calls = []
@@ -451,9 +452,9 @@ class TestBlockBudget:
         cover = pl.Cover(space, [[np.array([p]) for p in range(c, 61, 8)] for c in range(8)],
                          r_disjoint=7.0, D_bound=0.0)
         pd = pl.padded_from_cover(cover, net, 3.0)
-        graph = pl.net_graph(net, 6.0)
-        coloring = pl.greedy_color(graph)
+        coloring = pl.greedy_color(pl.net_graph(net, 6.0))
         radii = pl.RadiusAssignment(np.full(len(net.members), 2.0), 1.0, 3.0)
+        csp = pl.CspInstance(net, 1, pl.TexpParams(0.5, 1.0, 3.0), 1.5, 4.0)
         ops = {
             "verify_cover": lambda: pl.verify_cover(cover),
             "verify_padded": lambda: pl.verify_padded(pd, net, pd.R, pd.D, strict_disjoint=True),
@@ -465,9 +466,8 @@ class TestBlockBudget:
             "shrink_set_2d": lambda: pl.shrink_set(cloud, np.arange(0, 50, 2), 0.2),
             "diameter": lambda: pl.integer_segment(60).diameter(),
             "net_graph": lambda: pl.net_graph(net, 6.0),
-            # index-order colors come from the net_graph pass above
-            "greedy_color": lambda: pl.greedy_color(graph, order=np.arange(len(net))[::-1]),
             "carve": lambda: pl.carve(space, net, coloring, radii),
+            "moser_tardos": lambda: pl.moser_tardos(space, net, csp, seed=0, max_rounds=5),
             "growth_table": lambda: pl.growth_table(space, [2.0, 5.0], trials=2),
             "validate_metric": lambda: pl.validate_metric(space, exhaustive_limit=10,
                                                           samples=50),

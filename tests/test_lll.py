@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import mpmath as mp
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import padlab as pl
+from padlab.decomposition import ConfigError
 
 mp.mp.dps = 60
 
@@ -177,6 +179,16 @@ class TestSchedules:
             doc = pl.schedule_to_json(sched)
             assert pl.schedule_from_json(doc) == sched
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"r": 1e150, "D": 1e200}, "got M=inf and lam=1.66667e-152"),
+        ({"r": 1e10, "eps": 5e-324}, "got M=2.03e+12 and lam=0"),
+    ], ids=["overflowing_M", "underflowing_lam"])
+    def test_texp_derived_quantities_are_checked(self, fields, message):
+        """Finite, positive fields can still derive an infinite M or a zero
+        rate; the schedule refuses them where they are computed."""
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            pl.TexpSchedule(**{"N": 3, "r": 3.0, "eps": 0.05, "D": 100.0, **fields})
+
     def test_tgeo_run_validation(self):
         with pytest.raises(ValueError):
             pl.TgeoRun(b=1.0, p=1.5, M=10, m=2, r=9.0)
@@ -280,37 +292,29 @@ class TestMoserTardos:
         reach = 2 * sched.M + sched.domain_radius
         assert all(space.dist(center, int(p)) <= reach for p in changed)
 
-    def test_guard_on_oversized_instances(self):
-        space = pl.integer_segment(20)
-        net = pl.build_net(space, 1, 1)
-        csp = pl.CspInstance(net, 1, pl.TexpParams(0.5, 1.0, 2.0), 1.0, 3.0)
-        import padlab.lll as lll_mod
-        old = lll_mod._MT_MATRIX_GUARD
-        lll_mod._MT_MATRIX_GUARD = 10
-        try:
-            with pytest.raises(ValueError):
-                pl.moser_tardos(space, net, csp, seed=0)
-        finally:
-            lll_mod._MT_MATRIX_GUARD = old
 
-
-INSTANCES = [("segment", 40.0), ("cloud", 6.0), ("cloud", 12.0)]
+INSTANCES = [("segment", 40.0), ("cloud", 6.0), ("cloud", 12.0), ("tree", 4.0)]
 
 
 @pytest.fixture(scope="module")
 def small_instances():
     """(space, net, csp) by (fixture, D): the segment at D=40 converges for
     some seeds within 40 rounds; the three-layer cloud stalls at D=6 and
-    converges within a few rounds at D=12."""
+    converges within a few rounds at D=12; the binary tree of depth 7 (a
+    ``MatrixSpace``, whose candidates are every point) resamples at seeds 1
+    and 2."""
     segment = pl.integer_segment(600)
     cloud = pl.euclidean_cloud(200, 2, seed=3, scale=30.0)
+    tree = pl.balanced_tree(2, 7)
     nets = {"segment": (segment, pl.build_net(segment, 3, 3)),
-            "cloud": (cloud, pl.build_net(cloud, 1, 1))}
+            "cloud": (cloud, pl.build_net(cloud, 1, 1)),
+            "tree": (tree, pl.build_net(tree, 1, 1))}
+    scheds = {"segment": dict(N=3, r=3.0, eps=0.05), "cloud": dict(N=4, r=1.0, eps=0.05),
+              "tree": dict(N=4, r=1.0, eps=0.3)}
     out = {}
     for kind, D in INSTANCES:
         space, net = nets[kind]
-        sched = (pl.TexpSchedule(N=3, r=3.0, eps=0.05, D=D) if kind == "segment"
-                 else pl.TexpSchedule(N=4, r=1.0, eps=0.05, D=D))
+        sched = pl.TexpSchedule(**scheds[kind], D=D)
         out[kind, D] = (space, net, pl.csp_from_schedule(net, sched))
     return out
 
@@ -330,6 +334,7 @@ class TestIncrementalState:
     @given(st.sampled_from(INSTANCES), st.integers(0, 10_000), st.integers(0, 40))
     @example(("segment", 40.0), 1, 40)  # stalls
     @example(("cloud", 12.0), 0, 40)    # converges
+    @example(("tree", 4.0), 1, 40)      # resamples every point each round
     @settings(max_examples=25, deadline=None)
     def test_residual_matches_fresh_recount(self, small_instances, config, seed, max_rounds):
         """After resampling, the incrementally kept violation count equals a

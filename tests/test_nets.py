@@ -140,8 +140,8 @@ class TestBallNetCount:
 def band_graphs(draw):
     """A small net over a coordinate space (l1/l2/linf, 1-3 dims, half-integer
     coordinates so distances land on band ends) or over a random symmetric
-    integer matrix, a band, a visiting order (``None`` or a permutation) and
-    a distance-block budget down to one row per block."""
+    integer matrix, a band and a distance-block budget down to one row per
+    block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 30))
     if draw(st.booleans()):
@@ -154,27 +154,25 @@ def band_graphs(draw):
     members = rng.permutation(n)[:draw(st.integers(0, n))]
     low = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 6.0))
     high = low + draw(st.sampled_from([0.0, 1.0, 2.0, 4.0]) | st.floats(0.0, 8.0))
-    order = draw(st.none() | st.just(rng.permutation(len(members))))
     T = len(members)
     budget = draw(st.sampled_from([1, 2, 3, 5, T, T + 1, 2 * T, 3 * T - 1, 10**6]))
-    return pl.Net(space, members, 1.0, 1.0), low, high, order, max(1, budget)
+    return pl.Net(space, members, 1.0, 1.0), low, high, max(1, budget)
 
 
 @given(band_graphs())
 @settings(max_examples=300, deadline=None)
 def test_triangular_pass_matches_full_row_passes(case):
     """Degrees, max degree and greedy colors of the one triangular pass equal
-    those of a full row per member, in index order and in a given order,
-    for blocks of one row up to the whole graph."""
-    net, low, high, order, budget = case
+    those of a full row per member, in index order, for blocks of one row up
+    to the whole graph."""
+    net, low, high, budget = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spaces, "_BLOCK_ENTRIES", budget)
         g = pl.NetGraph(net, low, high)
-        coloring = pl.greedy_color(g, order)
+        coloring = pl.greedy_color(g)
         expected_degrees = reference_degrees(g)
-        expected_colors = reference_greedy_color(g, order)
-        visit = np.arange(len(net)) if order is None else order
-        degrees, colors = _band_pass(net.space, net.members, low, high, visit)
+        expected_colors = reference_greedy_color(g)
+        degrees, colors = _band_pass(net.space, net.members, low, high)
     assert np.array_equal(g._degrees, expected_degrees)
     assert g.max_degree == (int(expected_degrees.max()) if len(net) else 0)
     assert np.array_equal(coloring.colors, expected_colors)
