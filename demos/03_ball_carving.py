@@ -35,8 +35,7 @@ net = pl.build_net(space, 1, 1)
 p, Mg, probe = 1 / 150, 3000, 9.0
 law = pl.TgeoParams(p, Mg)
 centers = np.arange(200, 4800, 450)
-res = pl.cut_probability_mc(space, net, float(Mg), 1.0, law, probe, centers,
-                            trials=120, seed=3)
+res = pl.cut_probability_mc(space, net, law, probe, centers, trials=120, seed=3)
 print(f"aggregate frequency {res.aggregate_freq:.4f} +- {res.aggregate_se:.4f}")
 print(f"closed-form bound 20*r*p = {20 * probe * p:.4f}")
 print("per-center:", np.array2string(res.per_center_freq, precision=3))

@@ -40,7 +40,7 @@ import numpy as np
 from . import spaces
 from .nets import Net, NetGraph, net_graph
 from .sampler import _law_bounds, _sample_radii
-from .spaces import FiniteMetricSpace, _dist_blocks
+from .spaces import FiniteMetricSpace, _balls, _dist_blocks
 
 __all__ = [
     "Coloring",
@@ -254,7 +254,7 @@ def carve(space: FiniteMetricSpace, net: Net, coloring: Coloring,
 
 def is_cut(layer: PartitionLayer, center: int, r: float) -> bool:
     """True iff the open ball B_r(center) meets two distinct clusters."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     ids = layer.cluster_of[layer.space.ball(int(center), r)]
     return bool(len(np.unique(ids)) >= 2)
@@ -306,25 +306,23 @@ def _probe_cuts(cand, dmin, dmax, ends, radii):
     return ~intact
 
 
-def cut_probability_mc(space: FiniteMetricSpace, net: Net, M: float, l: float, law,
-                       probe_radius: float, centers, trials: int, seed: int,
-                       threads: int = 1) -> CutProbeResult:
+def cut_probability_mc(space: FiniteMetricSpace, net: Net, law, probe_radius: float,
+                       centers, trials: int, seed: int, threads: int = 1) -> CutProbeResult:
     """Monte Carlo cut frequencies of probe balls under i.i.d. carving radii.
 
-    Each trial draws one radius per net member (see :func:`draw_radii`),
-    carves, and tests whether each probe ball meets two clusters.  The carve
-    is evaluated lazily through the first-touching-ball rule, which agrees
-    with carving the full layer (the test suite checks this against a literal
-    inductive implementation).  Deterministic given ``seed``; ``threads > 1``
-    fans trials out over a thread pool without changing any result.
+    Each trial draws one radius per net member in the law's window [l, M]
+    (see :func:`draw_radii`), carves, and tests whether each probe ball meets
+    two clusters.  The carve is evaluated lazily through the first-touching-ball
+    rule, which agrees with carving the full layer (the test suite checks this
+    against a literal inductive implementation).  Deterministic given
+    ``seed``; ``threads > 1`` spreads the probe centers of each chunk of
+    trials over a thread pool without changing any result.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if probe_radius <= 0:
+    if not probe_radius > 0:
         raise ValueError("probe_radius must be positive")
-    law_l, law_M = _law_bounds(law)
-    if (law_l, law_M) != (float(l), float(M)):
-        raise ValueError(f"law truncation ({law_l}, {law_M}) does not match (l, M)=({l}, {M})")
+    l, M = _law_bounds(law)
     if l < net.eps:
         raise ValueError(f"need l >= net.eps for coverage, got l={l} < eps={net.eps}")
     centers = np.asarray(centers, dtype=np.intp)
@@ -333,14 +331,15 @@ def cut_probability_mc(space: FiniteMetricSpace, net: Net, M: float, l: float, l
     colors = greedy_color(net_graph(net, 2 * M)).colors
 
     # Per probe: candidate members able to touch the ball at all, in color
-    # order, with their nearest/farthest distance to the ball and the ends
-    # of their color runs.
+    # order, with their nearest/farthest distance to the ball (a running
+    # min/max over its row blocks) and the ends of their color runs.
     probes = []
-    for c in centers:
-        ball = space.ball(int(c), probe_radius)
-        sub = space.dist_block(ball, net.members)
-        dmin = sub.min(axis=0)
-        dmax = sub.max(axis=0)
+    for ball in _balls(space, centers, probe_radius):
+        dmin = np.full(len(net.members), np.inf)
+        dmax = np.full(len(net.members), -np.inf)
+        for _, sub in _dist_blocks(space, ball, net.members):
+            np.minimum(dmin, sub.min(axis=0), out=dmin)
+            np.maximum(dmax, sub.max(axis=0), out=dmax)
         cand = np.nonzero(dmin < M)[0]
         cand = cand[np.argsort(colors[cand], kind="stable")]
         run_colors = colors[cand]

@@ -15,8 +15,8 @@ byte-identical output files: floats are capped at 12 significant digits,
 JSON keys are sorted, and nothing timestamps itself.
 
 ``--threads`` (or the LAB_THREADS environment variable, which wins) sets the
-worker count for Monte Carlo trials, at most the number of CPUs; it never
-changes results.
+number of threads that evaluate cutprob's probe centers within each chunk of
+trials, at most the number of CPUs; it never changes results.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .growth import doubling_constant_estimate, growth_table, loglog_slope
 from .lll import (MoserTardosFailure, TexpSchedule, TgeoRun, _exp, certify_decomposition,
                   schedule_from_json, schedule_to_json, texp_csp_bounds, tgeo_csp_bounds)
 from .nets import build_net
-from .sampler import _law_bounds
 from .spaces import CoordSpace, _dist_blocks, parse_fixture
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -163,7 +162,6 @@ def cmd_carve(args) -> int:
 def _cutprob_row(space, net, entry, trials, n_centers, seed, threads):
     schedule = schedule_from_json(entry)  # a TgeoRun or a TexpSchedule
     law = schedule.law()
-    l, M = _law_bounds(law)
     probe = schedule.probe_radius
     if isinstance(schedule, TgeoRun):
         bound = 20.0 * schedule.r * schedule.p
@@ -176,8 +174,7 @@ def _cutprob_row(space, net, entry, trials, n_centers, seed, threads):
     rng = np.random.default_rng([seed, 0xC3])
     centers = rng.choice(net.members, size=min(n_centers, len(net.members)), replace=False)
     centers = np.sort(centers)
-    res = cut_probability_mc(space, net, M, l, law, probe, centers, trials, seed,
-                             threads=threads)
+    res = cut_probability_mc(space, net, law, probe, centers, trials, seed, threads=threads)
     params = ";".join(f"{k}={_fmt(entry[k])}" for k in sorted(entry))
     ok = "" if not regime else str(res.aggregate_freq <= bound + 3 * res.aggregate_se).lower()
     return {
@@ -315,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="padlab", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads for Monte Carlo trials (LAB_THREADS overrides)")
+                    help="threads over cutprob's probe centers (LAB_THREADS overrides)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a fixture file plus a constants sidecar")

@@ -25,13 +25,15 @@ for nets with equal covering and separation radius r.
 Padding and shrinking both ask whether an open ball lies inside a set, and
 each asks it for all its (center, set) pairs at once: one blocked ball pass,
 whose blocks key every ball point as ``set * n + point`` and look the keys
-up among the sets' sorted keys in one ``searchsorted``.
+up among the sets' sorted keys in one ``searchsorted``.  Growing takes the
+union of the same keys from one pass over every set's points.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -346,13 +348,22 @@ def verify_padded(layers, net: Net, R: float, D: float,
     return report
 
 
-def _ball_of_set(space: FiniteMetricSpace, points, R: float) -> np.ndarray:
-    """Open R-neighborhood of a point set."""
-    near = space.candidates(points, R)
-    mask = np.zeros(len(near), dtype=bool)
-    for _, sub in _dist_blocks(space, points, near):
-        mask |= (sub < R).any(axis=0)
-    return near[mask]
+def _grown(space: FiniteMetricSpace, sets, R: float) -> list:
+    """The open ``R``-neighborhood of each set: the union of its points'
+    balls, from one blocked ball pass that keys each ball point as
+    ``set * n + point``.  Pending keys are merged whenever they outgrow the
+    merged ones by ``n``, so at most about twice the union is held."""
+    points = np.concatenate([np.empty(0, np.intp)] + sets)
+    offsets = np.repeat(np.arange(len(sets)) * space.n, [len(s) for s in sets])
+    keys, pending = [np.empty(0, np.intp)], 0
+    for positions, ids, starts in _ball_blocks(space, points, R):
+        keys.append(np.unique(np.repeat(offsets[positions], np.diff(starts)) + ids))
+        pending += len(keys[-1])
+        if pending > len(keys[0]) + space.n:
+            keys, pending = [np.unique(np.concatenate(keys))], 0
+    keys = np.unique(np.concatenate(keys))
+    bounds = np.searchsorted(keys, np.arange(len(sets) + 1) * space.n)
+    return [keys[a:b] - k * space.n for k, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
 def padded_from_cover(cover: Cover, net: Net, R: float) -> PaddedDecomposition:
@@ -372,13 +383,14 @@ def padded_from_cover(cover: Cover, net: Net, R: float) -> PaddedDecomposition:
     if cover.r_disjoint < 2 * R + r:
         raise ValueError(f"cover separation {cover.r_disjoint} is below the "
                          f"required 2R + r = {2 * R + r}")
+    grown = iter(_grown(space, [s for layer in cover.layers for s in layer], R))
     out_layers = []
     for layer in cover.layers:
-        grown = [_ball_of_set(space, s, R) for s in layer]
+        sets = [next(grown) for _ in layer]
         hit = np.zeros(space.n, dtype=bool)
-        for g in grown:
+        for g in sets:
             hit[g] = True
-        out_layers.append(grown + _balls(space, net.members[~hit[net.members]], r))
+        out_layers.append(sets + _balls(space, net.members[~hit[net.members]], r))
     pd = PaddedDecomposition(net, out_layers, R=R,
                              D=2 * R + 2 * r + cover.D_bound)
     out_report = verify_padded(pd, net, pd.R, pd.D)
@@ -442,9 +454,12 @@ class ConfigError(ValueError):
 
 
 def _shown(value) -> str:
-    """``value`` as JSON spells it, but a non-finite float as a word."""
+    """``value`` as JSON spells it, but a non-finite float or an int beyond
+    float range in words."""
     if isinstance(value, float) and not math.isfinite(value):
         return str(value).replace("inf", "infinity")  # nan, infinity, -infinity
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return "an integer beyond float range"
     return json.dumps(value, default=repr)
 
 
@@ -453,17 +468,18 @@ def _number(value, name: str, rule: str | None = None, *, integer: bool = False,
     """``value`` read as a finite float, or as an int when ``integer``.
 
     Only an int or a float passes (numpy scalars too), never a bool or a
-    string; an integer must be integral (``4.0`` reads as 4).  ``low`` and
-    ``above`` are inclusive and exclusive lower bounds.  A refusal raises
-    ``ConfigError("<name> must be <rule>, got <value>")``, where a wrong
-    type names "an integer" or "a finite number" whatever ``rule`` says."""
+    string; an integer must be integral (``4.0`` reads as 4) and within
+    float range.  ``low`` and ``above`` are inclusive and exclusive lower
+    bounds.  A refusal raises ``ConfigError("<name> must be <rule>, got
+    <value>")``, where a wrong type names "an integer" or "a finite number"
+    whatever ``rule`` says."""
     if isinstance(value, np.generic):
         value = value.item()
     kind = "an integer" if integer else "a finite number"
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or (integer and isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name} must be {kind}, got {_shown(value)}")
-    if not ((isinstance(value, int) or math.isfinite(value))
+    if not (abs(value) <= sys.float_info.max  # finite, and an int with a float value
             and (low is None or value >= low) and (above is None or value > above)):
         raise ConfigError(f"{name} must be {rule or kind}, got {_shown(value)}")
     return int(value) if integer else float(value)

@@ -92,8 +92,7 @@ def doubling_constant_estimate(space: FiniteMetricSpace, radii, centers=None) ->
     return best
 
 
-def optimal_cover_size(space: FiniteMetricSpace, target, radius: float,
-                       candidates=None) -> int:
+def optimal_cover_size(space: FiniteMetricSpace, target, radius: float) -> int:
     """Exact minimum number of ``radius``-balls covering ``target``.
 
     Exhaustive search after deduplicating candidates by coverage signature
@@ -104,9 +103,7 @@ def optimal_cover_size(space: FiniteMetricSpace, target, radius: float,
         return 0
     if space.n > 400:
         raise ValueError("exhaustive cover search is limited to n <= 400")
-    if candidates is None:
-        candidates = np.arange(space.n)
-    covers = space.dist_block(candidates, target) < radius
+    covers = space.dist_block(np.arange(space.n), target) < radius
     covers = np.unique(covers, axis=0)
     covers = covers[covers.any(axis=1)]
     # drop rows dominated by another row: the rows are distinct, so row i is
@@ -132,14 +129,14 @@ def volume_doubling_estimate(ms: MeasuredSpace, radii, centers=None) -> float:
         raise ValueError("radii must be a nonempty list of positive reals")
     centers = np.arange(ms.base.n) if centers is None else _point_ids(centers, ms.base.n)
     best = 0.0
-    for c in centers:
-        row = ms.base.dist_row(int(c))
-        for r in radii:
-            inner = float(ms.mass[row < r].sum())
-            if inner <= 0:
-                raise ValueError(f"ball B_{r}({c}) has zero mass")
-            outer = float(ms.mass[row < 2 * r].sum())
-            best = max(best, outer / inner)
+    for start, sub in _dist_blocks(ms.base, centers):
+        for c, row in zip(centers[start:], sub):
+            for r in radii:
+                inner = float(ms.mass[row < r].sum())
+                if inner <= 0:
+                    raise ValueError(f"ball B_{r}({c}) has zero mass")
+                outer = float(ms.mass[row < 2 * r].sum())
+                best = max(best, outer / inner)
     return best
 
 

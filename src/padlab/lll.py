@@ -95,8 +95,8 @@ class LllBudget:
 
 def lll_feasible(p_bound: float, d_bound: float) -> bool:
     """Whether e * p * (d + 1) < 1, conservatively (boundary counts as no)."""
-    if p_bound < 0 or d_bound < 0:
-        raise ValueError("bounds must be nonnegative")
+    if not (p_bound >= 0 and d_bound >= 0):
+        raise ValueError(f"bounds must be nonnegative, got p={p_bound} and d={d_bound}")
     if p_bound == 0:
         return True
     return _feasible_from_logs(math.log(p_bound), math.log1p(d_bound))
@@ -133,9 +133,9 @@ class TexpSchedule:
             object.__setattr__(self, name, _number(getattr(self, name), name,
                                                    "positive and finite", above=0))
         lam, M = self.eps / (3 * self.r), (2 * self.D + 3) * self.r
-        if not (math.isfinite(M) and lam > 0):
-            raise ConfigError(f"texp needs a finite M = (2D + 3)r and a positive lam = "
-                              f"eps / (3r), got M={M:g} and lam={lam:g}")
+        if not (math.isfinite(2 * M) and lam > 0):  # 2M bounds the cluster diameter
+            raise ConfigError(f"texp needs a finite M = (2D + 3)r and twice it, and a positive "
+                              f"lam = eps / (3r), got M={M:g} and lam={lam:g}")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "l", 3 * self.r)
@@ -182,6 +182,9 @@ class TgeoRun:
                   "r": _number(self.r, "r", "positive and finite", above=0)}
         if not 0 < fields["p"] < 1:
             raise ValueError("need 0 < p < 1")
+        if not math.isfinite(2 * (fields["M"] + fields["r"])):  # the domain's diameter
+            raise ConfigError(f"tgeo needs a finite domain radius M + r and twice it, "
+                              f"got M={fields['M']:g} and r={fields['r']:g}")
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 

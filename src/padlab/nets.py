@@ -169,7 +169,6 @@ def net_graph(net: Net, M: float) -> NetGraph:
 
 def ball_net_count(space: FiniteMetricSpace, net: Net, center: int, R: float) -> int:
     """Number of net members in the open ball of radius R around ``center``."""
-    if R <= 0:
+    if not R > 0:
         raise ValueError("R must be positive")
-    d = space.dist_row(int(center))[net.members]
-    return int((d < R).sum())
+    return int((space.dist_block([int(center)], net.members) < R).sum())

@@ -18,11 +18,12 @@ Three concrete backends cover all fixtures:
 Distances for random Euclidean clouds are rounded to 12 decimal digits at
 construction time so that runs reproduce bit-for-bit across platforms.
 
-Passes over many distances read them in row blocks of at most
-``_BLOCK_ENTRIES`` entries (or one wider row).  Reads that only need the
-points near a set ask :meth:`FiniteMetricSpace.candidates` for them first
-(a bounding box on coordinate spaces).  Many balls at once come from one
-blocked ball pass, which reads batches of nearby centers against their
+Each backend implements one distance kernel, ``dist_block``, and every
+distance is read through it.  Passes over many distances read row blocks of
+at most ``_BLOCK_ENTRIES`` entries (or one wider row).  Reads that only need
+the points near a set ask :meth:`FiniteMetricSpace.candidates` for them
+first (a bounding box on coordinate spaces).  Balls, one or many, come from
+one blocked ball pass, which reads batches of nearby centers against their
 shared candidates and yields the balls in CSR form.
 """
 
@@ -67,9 +68,9 @@ class MetricError(ValueError):
 class FiniteMetricSpace:
     """A finite point set with a total distance oracle.
 
-    Subclasses implement :meth:`dist_row`; everything else has generic
-    fallbacks.  Instances are immutable after construction and safe to share
-    across concurrent readers.
+    Subclasses implement :meth:`dist_block`; rows, single distances and
+    balls are read through it.  Instances are immutable after construction
+    and safe to share across concurrent readers.
     """
 
     def __init__(self, n: int, label: str):
@@ -77,25 +78,20 @@ class FiniteMetricSpace:
         self.label = label
         self._diameter = None
 
-    def dist_row(self, i: int) -> np.ndarray:
-        """Distances from point ``i`` to every point, as a float array."""
+    def dist_block(self, rows, cols=None) -> np.ndarray:
+        """Distance submatrix ``rows x cols`` (``cols=None`` means all points),
+        as a float array computed entry by entry: the one kernel."""
         raise NotImplementedError
 
-    def dist(self, i: int, j: int) -> float:
-        return float(self.dist_row(i)[j])
+    def dist_row(self, i: int) -> np.ndarray:
+        return self.dist_block([i])[0]
 
-    def dist_block(self, rows, cols=None) -> np.ndarray:
-        """Distance submatrix ``rows x cols`` (``cols=None`` means all points)."""
-        rows = np.asarray(rows, dtype=np.intp)
-        out = np.empty((len(rows), self.n if cols is None else len(cols)))
-        for k, i in enumerate(rows):
-            r = self.dist_row(int(i))
-            out[k] = r if cols is None else r[cols]
-        return out
+    def dist(self, i: int, j: int) -> float:
+        return float(self.dist_block([i], [j])[0, 0])
 
     def ball(self, center: int, r: float) -> np.ndarray:
-        """Indices of the open ball of radius ``r`` around ``center``."""
-        return np.nonzero(self.dist_row(center) < r)[0]
+        """Sorted ids of the open ball of radius ``r`` around ``center``."""
+        return _balls(self, [center], r)[0]
 
     def candidates(self, points, radius: float) -> np.ndarray:
         """Sorted ids of a superset of the points at distance less than
@@ -161,9 +157,6 @@ class CoordSpace(FiniteMetricSpace):
             np.round(d, self.round_digits, out=d)
         return d
 
-    def dist_row(self, i):
-        return self._distances(self.coords[i, None], self.coords)[0]
-
     def dist_block(self, rows, cols=None):
         a = self.coords[np.asarray(rows, dtype=np.intp)]
         b = self.coords if cols is None else self.coords[np.asarray(cols, dtype=np.intp)]
@@ -200,9 +193,6 @@ class MatrixSpace(FiniteMetricSpace):
             raise ValueError("distance matrix must be square")
         super().__init__(matrix.shape[0], label)
         self.matrix = matrix
-
-    def dist_row(self, i):
-        return self.matrix[i]
 
     def dist_block(self, rows, cols=None):
         rows = np.asarray(rows, dtype=np.intp)
@@ -356,9 +346,6 @@ class HeisenbergBall(FiniteMetricSpace):
         b = triples[..., 1] + s
         c = triples[..., 2] + s * s
         return (c * base_ab + b) * base_ab + a
-
-    def dist_row(self, i):
-        return self.dist_block([i])[0]
 
     def dist_block(self, rows, cols=None):
         rows = np.asarray(rows, dtype=np.intp)

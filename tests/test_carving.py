@@ -269,14 +269,17 @@ class TestIsCut:
         with pytest.raises(ValueError):
             pl.is_cut(self.layer, 3, 0.0)
 
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ValueError, match="r must be positive"):
+            pl.is_cut(self.layer, 3, float("nan"))
+
 
 class TestCutProbabilityMc:
     def test_single_huge_ball_never_cuts(self):
         space = pl.integer_segment(20)
         net = pl.Net(space, np.array([10]), 21.0, 21.0)
         law = pl.TexpParams(0.5, 21.0, 22.0)
-        res = pl.cut_probability_mc(space, net, 22.0, 21.0, law, 3.0,
-                                    centers=[10], trials=1, seed=0)
+        res = pl.cut_probability_mc(space, net, law, 3.0, centers=[10], trials=1, seed=0)
         assert res.aggregate_freq == 0.0
 
     def test_matches_literal_carve_per_trial(self):
@@ -287,8 +290,7 @@ class TestCutProbabilityMc:
         law = pl.TgeoParams(0.05, 20)
         centers = np.arange(5, 95, 7)
         trials = 50
-        res = pl.cut_probability_mc(space, net, 20.0, 1.0, law, 3.0,
-                                    centers, trials, seed=13)
+        res = pl.cut_probability_mc(space, net, law, 3.0, centers, trials, seed=13)
         coloring = pl.greedy_color(pl.net_graph(net, 40.0))
         for k in range(trials):
             t = pl.draw_radii(law, net, 13, k).t
@@ -301,8 +303,7 @@ class TestCutProbabilityMc:
         net = pl.build_net(space, 3, 3)
         law = pl.TexpParams(0.1, 9.0, 30.0)
         centers = net.members[2:-2:4]
-        res = pl.cut_probability_mc(space, net, 30.0, 9.0, law, 9.0,
-                                    centers, trials=25, seed=3)
+        res = pl.cut_probability_mc(space, net, law, 9.0, centers, trials=25, seed=3)
         coloring = pl.greedy_color(pl.net_graph(net, 60.0))
         for k in range(25):
             radii = pl.draw_radii(law, net, 3, k)
@@ -315,9 +316,8 @@ class TestCutProbabilityMc:
         net = pl.build_net(space, 1, 1)
         law = pl.TgeoParams(0.1, 15)
         centers = np.arange(10, 190, 17)
-        a = pl.cut_probability_mc(space, net, 15.0, 1.0, law, 4.0, centers, 30, 5)
-        b = pl.cut_probability_mc(space, net, 15.0, 1.0, law, 4.0, centers, 30, 5,
-                                  threads=4)
+        a = pl.cut_probability_mc(space, net, law, 4.0, centers, 30, 5)
+        b = pl.cut_probability_mc(space, net, law, 4.0, centers, 30, 5, threads=4)
         assert np.array_equal(a.cut_matrix, b.cut_matrix)
 
     @pytest.mark.parametrize("coords,members,law,center", [
@@ -329,23 +329,14 @@ class TestCutProbabilityMc:
         coverage it lacks) leaves the probe touched by no ball."""
         space = pl.CoordSpace(coords)
         net = pl.Net(space, np.array(members), 1.0, 1.0)
-        l, M = (1.0, float(law.M))
         with pytest.raises(pl.CarveError, match="touched by no ball"):
-            pl.cut_probability_mc(space, net, M, l, law, 0.5, [center], 5, 0)
-
-    def test_rejects_mismatched_truncation(self):
-        space = pl.integer_segment(20)
-        net = pl.build_net(space, 1, 1)
-        with pytest.raises(ValueError):
-            pl.cut_probability_mc(space, net, 15.0, 1.0, pl.TgeoParams(0.1, 10),
-                                  2.0, [5], 3, 0)
+            pl.cut_probability_mc(space, net, law, 0.5, [center], 5, 0)
 
     def test_standard_errors_are_binomial(self):
         space = pl.integer_segment(200)
         net = pl.build_net(space, 1, 1)
         law = pl.TgeoParams(0.1, 15)
-        res = pl.cut_probability_mc(space, net, 15.0, 1.0, law, 4.0,
-                                    np.arange(20, 180, 16), 40, 2)
+        res = pl.cut_probability_mc(space, net, law, 4.0, np.arange(20, 180, 16), 40, 2)
         f = res.per_center_freq
         assert np.allclose(res.per_center_se, np.sqrt(f * (1 - f) / 40))
 
@@ -412,8 +403,7 @@ def test_probe_scan_matches_dense_evaluation(case):
     # the greedy coloring is swapped for the drawn one where cut_probability_mc
     # builds it
     with mock.patch.object(carving, "greedy_color", lambda graph: coloring):
-        res = pl.cut_probability_mc(space, net, float(M), 1.0, law, probe, centers,
-                                    trials, seed)
+        res = pl.cut_probability_mc(space, net, law, probe, centers, trials, seed)
     radii = np.stack([pl.draw_radii(law, net, seed, t).t for t in range(trials)])
     expected = reference_probe_cuts(space, net, coloring.colors, M, probe, centers, radii)
     assert np.array_equal(res.cut_matrix, expected)

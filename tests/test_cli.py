@@ -404,6 +404,7 @@ CUTPROB_NET = ('{"fixture": "segment:10", "out": "x", "net": %s, '
                '"grid": [{"kind": "tgeo", "b": 1.0, "p": 0.01, "M": 4, "m": 2, "r": 1.0}]}')
 CARVE_DOC = {"fixture": "segment:10", "seed": 0,
              "schedule": {"kind": "texp", "N": 3, "r": 1.0, "eps": 0.05, "D": 100.0}}
+TGEO = {"kind": "tgeo", "b": 1, "p": 0.0025, "M": 9585, "m": 2, "r": 9}
 TO_PADDED = ["convert", "--input", "IN", "--direction", "to-padded", "--r", "1", "--out", "OUT"]
 TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT"]
 
@@ -425,6 +426,10 @@ TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT
                                                "schedule": {**CARVE_DOC["schedule"], "r": 1e150,
                                                             "D": 1e200}}),
      "texp needs a finite M = (2D + 3)r"),
+    (["carve", "--config", "IN"], json.dumps({**CARVE_DOC, "out": "OUT",
+                                               "schedule": {**CARVE_DOC["schedule"], "r": 3.0,
+                                                            "D": 1.6e307}}),
+     "texp needs a finite M = (2D + 3)r and twice it"),
     (["lll-check", "--schedule", TEXP % (3, "NaN")], "", "must be positive"),
     (["lll-check", "--schedule", TEXP % (3, "1e400")], "", "D must be positive and finite"),
     (["lll-check", "--schedule",
@@ -474,9 +479,19 @@ TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT
      '"out" must be a nonempty string, got 1'),
     (["cutprob", "--config", "IN"], CUTPROB_NET.replace('"out": "x"', '"out": true') % "{}",
      '"out" must be a nonempty string, got true'),
+    (["lll-check", "--schedule", json.dumps({**TGEO, "M": 10**400})], "",
+     "M must be an integer >= 2, got an integer beyond float range"),
+    (["carve", "--config", "IN"], json.dumps({**CARVE_DOC, "out": "OUT",
+                                               "schedule": {**TGEO, "M": 10**400}}),
+     "M must be an integer >= 2, got an integer beyond float range"),
+    (["lll-check", "--schedule", json.dumps({**TGEO, "r": 1e308})], "",
+     "tgeo needs a finite domain radius M + r"),
+    (["carve", "--config", "IN"], json.dumps({**CARVE_DOC, "out": "OUT",
+                                               "schedule": {**TGEO, "M": 15 * 10**307}}),
+     "tgeo needs a finite domain radius M + r"),
 ], ids=["carve_config_list", "cutprob_config_list", "carve_schedule_list",
         "lll_schedule_list", "convert_input_list", "texp_huge_N", "tgeo_huge_M",
-        "carve_huge_seed", "texp_overflowing_M", "texp_nan_D", "texp_infinite_D",
+        "carve_huge_seed", "texp_overflowing_M", "texp_overflowing_2M", "texp_nan_D", "texp_infinite_D",
         "tgeo_infinite_b", "cutprob_net_list", "cutprob_bool_eps",
         "cutprob_string_delta", "padded_nan_D",
         "padded_nan_R", "padded_negative_R", "cover_nan_r_disjoint",
@@ -484,7 +499,9 @@ TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT
         "texp_fractional_N", "texp_string_r", "texp_bool_r", "tgeo_fractional_M",
         "tgeo_fractional_m", "cover_string_r_disjoint", "cover_bool_D_bound",
         "cover_string_id", "cover_bool_id", "cover_nested_id", "cover_int_fixture",
-        "carve_int_fixture", "carve_int_out", "cutprob_int_out", "cutprob_bool_out"])
+        "carve_int_fixture", "carve_int_out", "cutprob_int_out", "cutprob_bool_out",
+        "tgeo_oversized_int_M", "carve_oversized_int_M", "tgeo_infinite_domain",
+        "carve_infinite_domain"])
 def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, argv, text, message):
     """Non-object JSON documents, values of the wrong type and non-finite
     numbers exit 2 with one line on stderr, before any output is written."""

@@ -217,8 +217,9 @@ def test_candidate_reads_match_whole_space_reads(system):
     assert np.array_equal(pl.shrink_set(space, points, radius),
                           reference_shrink_set(space, points, radius))
     s = np.unique(np.asarray(points, dtype=np.intp))
-    assert np.array_equal(decomposition._ball_of_set(space, s, radius),
-                          reference_ball_of_set(space, s, radius))
+    sets = [s, s[1::2], s[:1]]  # one pass grows overlapping sets apart
+    for got, want in zip(decomposition._grown(space, sets, radius), sets):
+        assert np.array_equal(got, reference_ball_of_set(space, want, radius))
 
 
 def small_space(draw):
@@ -423,9 +424,10 @@ class TestIndexArrays:
 class TestBlockBudget:
     def test_every_distance_block_fits_the_budget(self, monkeypatch):
         """With a tiny block budget, no distance block any verifier, conversion,
-        set reduction, net, carving, growth or sampled metric pass asks for
-        exceeds the budget, or one row when a row is wider.  The resampler
-        runs rounds, so its per-round domain reads are checked too."""
+        set reduction, net, carving, cut probe, growth, ball or sampled metric
+        pass asks for exceeds the budget, or one row when a row is wider, and
+        each of them reads through ``dist_block``.  The resampler runs rounds,
+        so its per-round domain reads are checked too."""
         budget = 20
         monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", budget)
         calls = []
@@ -455,6 +457,7 @@ class TestBlockBudget:
         coloring = pl.greedy_color(pl.net_graph(net, 6.0))
         radii = pl.RadiusAssignment(np.full(len(net.members), 2.0), 1.0, 3.0)
         csp = pl.CspInstance(net, 1, pl.TexpParams(0.5, 1.0, 3.0), 1.5, 4.0)
+        layer = pl.carve(space, net, coloring, radii)
         ops = {
             "verify_cover": lambda: pl.verify_cover(cover),
             "verify_padded": lambda: pl.verify_padded(pd, net, pd.R, pd.D, strict_disjoint=True),
@@ -471,6 +474,13 @@ class TestBlockBudget:
             "growth_table": lambda: pl.growth_table(space, [2.0, 5.0], trials=2),
             "validate_metric": lambda: pl.validate_metric(space, exhaustive_limit=10,
                                                           samples=50),
+            "cut_probability_mc": lambda: pl.cut_probability_mc(
+                space, net, pl.TgeoParams(0.2, 3), 4.0, [5, 30, 55], trials=3, seed=0),
+            "is_cut": lambda: pl.is_cut(layer, 30, 4.0),
+            "ball_net_count": lambda: pl.ball_net_count(space, net, 30, 5.0),
+            "volume_doubling_estimate": lambda: pl.volume_doubling_estimate(
+                pl.MeasuredSpace.uniform(space), [2.0, 3.0]),
+            "ball": lambda: space.ball(30, 5.0),
         }
         for name, op in ops.items():
             calls.clear()
@@ -518,7 +528,7 @@ class TestReaders:
     @pytest.mark.parametrize("value,kwargs,want", [
         (4, {}, 4.0), (4.0, {"integer": True}, 4), (np.int64(3), {"integer": True}, 3),
         (np.float64(2.5), {}, 2.5), (-0.5, {}, -0.5), (0, {"low": 0}, 0.0),
-        (10**400, {"integer": True, "low": 2}, 10**400), (1e-300, {"above": 0}, 1e-300),
+        (10**300, {"integer": True, "low": 2}, 10**300), (1e-300, {"above": 0}, 1e-300),
     ])
     def test_number_reads_finite_numbers(self, value, kwargs, want):
         got = decomposition._number(value, "x", **kwargs)
@@ -542,6 +552,9 @@ class TestReaders:
          "x must be positive and finite, got nan"),
         ("1", {"above": 0, "rule": "positive and finite"}, 'x must be a finite number, got "1"'),
         (np.bool_(True), {}, "x must be a finite number, got true"),
+        (10**400, {"integer": True, "low": 2, "rule": "an integer >= 2"},
+         "x must be an integer >= 2, got an integer beyond float range"),
+        (-10**400, {}, "x must be a finite number, got an integer beyond float range"),
     ])
     def test_number_refuses_with_one_message(self, value, kwargs, message):
         with pytest.raises(decomposition.ConfigError) as exc:

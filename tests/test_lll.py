@@ -31,6 +31,14 @@ class TestFeasibility:
         assert pl.lll_feasible(0.5, 1) is False    # e * 0.5 * 2 = 2.718
         assert pl.lll_feasible(0.0, 10**9) is True
 
+    def test_nan_bound_is_refused_not_infeasible(self):
+        """A NaN bound raises instead of reading as "infeasible"; an infinite
+        p bound, which LllBudget produces, is still a verdict."""
+        for p, d in [(math.nan, 1.0), (0.1, math.nan), (math.nan, math.nan)]:
+            with pytest.raises(ValueError, match="bounds must be nonnegative"):
+                pl.lll_feasible(p, d)
+        assert pl.lll_feasible(math.inf, 1.0) is False
+
     def test_boundary_is_conservative(self):
         d = 10.0
         p_star = 1 / (math.e * (d + 1))
@@ -258,9 +266,8 @@ class TestMoserTardos:
         space = pl.integer_segment(3000)
         net = pl.build_net(space, 3, 3)
         sched = pl.TexpSchedule(N=3, r=3.0, eps=0.05, D=20.0)
-        res = pl.cut_probability_mc(space, net, sched.M, sched.l, sched.law(),
-                                    sched.probe_radius, net.members[5::10],
-                                    trials=50, seed=0)
+        res = pl.cut_probability_mc(space, net, sched.law(), sched.probe_radius,
+                                    net.members[5::10], trials=50, seed=0)
         assert 0.25 <= res.aggregate_freq <= 0.42
         # the per-constraint violation rate this implies, times the number of
         # constraints whose dependencies a resample re-randomizes, is >> 1

@@ -135,6 +135,12 @@ class TestBallNetCount:
         with pytest.raises(ValueError):
             pl.ball_net_count(space, net, 0, 0.0)
 
+    def test_rejects_nan_radius(self):
+        space = pl.integer_segment(4)
+        net = pl.build_net(space, 1, 1)
+        with pytest.raises(ValueError, match="R must be positive"):
+            pl.ball_net_count(space, net, 3, float("nan"))
+
 
 @st.composite
 def band_graphs(draw):

@@ -33,11 +33,21 @@ def test_metric_axioms_sampled_on_large_fixture():
 
 
 def test_dist_block_matches_dist_row():
+    """Blocks, rows and single distances of every fixture equal an oracle
+    outside the kernel: the difference reduction of coordinate spaces, the
+    tree's stored matrix, the BFS word lengths of a Heisenberg ball."""
     for space in FIXTURES:
         rows = np.array([0, space.n // 2, space.n - 1])
-        block = space.dist_block(rows, np.arange(space.n))
+        if isinstance(space, pl.CoordSpace):
+            want = np.stack([reference_dist_row(space, i) for i in rows])
+        elif isinstance(space, pl.HeisenbergBall):
+            want = heisenberg_distances(space.radius, rows, np.arange(space.n))
+        else:
+            want = space.matrix[rows]
+        assert np.array_equal(space.dist_block(rows, np.arange(space.n)), want)
         for k, i in enumerate(rows):
-            assert np.array_equal(block[k], space.dist_row(int(i)))
+            assert np.array_equal(space.dist_row(int(i)), want[k])
+            assert space.dist(int(i), space.n - 1 - k) == want[k, space.n - 1 - k]
 
 
 def test_open_ball_is_strict():
@@ -183,7 +193,9 @@ def test_blocked_balls_match_one_ball_per_center(space, data):
         assert len(block) <= batch and starts[0] == 0 and starts[-1] == len(ids)
         for k, p in enumerate(block):
             assert ids[starts[k]:starts[k + 1]].tolist() == literal_ball(space, centers[p], radius)
-    assert [b.tolist() for b in balls] == [space.ball(c, radius).tolist() for c in centers]
+    assert [b.tolist() for b in balls] == [literal_ball(space, c, radius) for c in centers]
+    for c in set(centers):
+        assert space.ball(c, radius).tolist() == literal_ball(space, c, radius)
 
 
 def test_coordinate_ball_blocks_follow_the_first_coordinate():
@@ -262,8 +274,9 @@ class TestHeisenberg:
         assert np.array_equal(h.dist_block(rows, cols), heisenberg_distances(3, rows, cols))
         assert h.dist_block(rows, []).shape == (9, 0)
         assert h.dist_block([], cols).shape == (0, 23)
+        words = heisenberg_distances(3, everything, everything)
         for i in range(h.n):
-            assert np.array_equal(h.dist_row(i), h.dist_block([i])[0])
+            assert np.array_equal(h.dist_row(i), words[i])
 
     def test_out_of_table_query_is_an_index_error(self):
         h = pl.heisenberg_ball(2)
@@ -381,8 +394,7 @@ def test_validate_metric_catches_violations():
 
 
 class _Perturbed(pl.CoordSpace):
-    """A coordinate space plus a fixed perturbation matrix, read the same
-    way by ``dist_row`` and ``dist_block``."""
+    """A coordinate space plus a fixed perturbation matrix in its kernel."""
 
     def __init__(self, coords, metric, extra):
         super().__init__(coords, metric)
@@ -392,9 +404,6 @@ class _Perturbed(pl.CoordSpace):
         cols = np.arange(self.n) if cols is None else np.asarray(cols, dtype=np.intp)
         rows = np.asarray(rows, dtype=np.intp)
         return super().dist_block(rows, cols) + self.extra[np.ix_(rows, cols)]
-
-    def dist_row(self, i):
-        return self.dist_block([i])[0]
 
 
 @st.composite
