@@ -39,7 +39,6 @@ import numpy as np
 
 from . import spaces
 from .nets import Net, NetGraph, net_graph
-from .sampler import _law_bounds, _sample_radii
 from .spaces import FiniteMetricSpace, _balls, _dist_blocks
 
 __all__ = [
@@ -261,12 +260,11 @@ def is_cut(layer: PartitionLayer, center: int, r: float) -> bool:
 
 
 def draw_radii(law, net: Net, seed: int, trial: int) -> RadiusAssignment:
-    """Radii for one Monte Carlo trial: one vectorized draw from
-    ``default_rng([seed, trial])``.  This is the single source of randomness
-    for every harness in the package, so runs reproduce exactly."""
-    l, M = _law_bounds(law)
+    """Radii for one Monte Carlo trial: one vectorized ``law.sample`` draw (the
+    one drawing path, also the resampler's) from the per-trial stream
+    ``default_rng([seed, trial])``, so runs reproduce exactly."""
     rng = np.random.default_rng([seed, trial])
-    return RadiusAssignment(_sample_radii(law, rng, len(net.members)), l, M)
+    return RadiusAssignment(law.sample(rng, len(net.members)), *law.window)
 
 
 @dataclass
@@ -322,7 +320,7 @@ def cut_probability_mc(space: FiniteMetricSpace, net: Net, law, probe_radius: fl
         raise ValueError("need at least one trial")
     if not probe_radius > 0:
         raise ValueError("probe_radius must be positive")
-    l, M = _law_bounds(law)
+    l, M = law.window
     if l < net.eps:
         raise ValueError(f"need l >= net.eps for coverage, got l={l} < eps={net.eps}")
     centers = np.asarray(centers, dtype=np.intp)

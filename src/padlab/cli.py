@@ -34,8 +34,8 @@ from .decomposition import (ConfigError, VerificationFailure, _number, _text,
                             decomposition_from_json, decomposition_to_json, dump_json,
                             padded_from_cover)
 from .growth import doubling_constant_estimate, growth_table, loglog_slope
-from .lll import (MoserTardosFailure, TexpSchedule, TgeoRun, _exp, certify_decomposition,
-                  schedule_from_json, schedule_to_json, texp_csp_bounds, tgeo_csp_bounds)
+from .lll import (MoserTardosFailure, certify_decomposition, schedule_from_json,
+                  schedule_to_json)
 from .nets import build_net
 from .spaces import CoordSpace, _dist_blocks, parse_fixture
 
@@ -160,17 +160,9 @@ def cmd_carve(args) -> int:
 
 
 def _cutprob_row(space, net, entry, trials, n_centers, seed, threads):
-    schedule = schedule_from_json(entry)  # a TgeoRun or a TexpSchedule
-    law = schedule.law()
-    probe = schedule.probe_radius
-    if isinstance(schedule, TgeoRun):
-        bound = 20.0 * schedule.r * schedule.p
-        regime = schedule.p <= 1 / (4 * schedule.b + 5) and schedule.r >= 9
-    else:
-        # one layer's cut bound: the m-th root of a constraint's, in log space
-        bound = _exp(texp_csp_bounds(schedule).log_p_bound / schedule.m)
-        regime = law.in_estimate_regime and 0 < schedule.eps < 1 \
-            and schedule.D > 1 / schedule.eps + 0.5
+    schedule = schedule_from_json(entry)
+    law, probe = schedule.law(), schedule.probe_radius
+    bound, regime = schedule.cut_bound()
     rng = np.random.default_rng([seed, 0xC3])
     centers = rng.choice(net.members, size=min(n_centers, len(net.members)), replace=False)
     centers = np.sort(centers)
@@ -284,11 +276,7 @@ def cmd_lll_check(args) -> int:
     else:
         raise ConfigError("lll-check needs --schedule or --config")
     schedule = schedule_from_json(doc)
-    if isinstance(schedule, TexpSchedule):
-        budget = texp_csp_bounds(schedule)
-    else:
-        budget = tgeo_csp_bounds(schedule.b, schedule.r, schedule.m,
-                                 schedule.p, schedule.M)
+    budget = schedule.budget()
     payload = {
         "schedule": schedule_to_json(schedule),
         "log_p_bound": budget.log_p_bound,

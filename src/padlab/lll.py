@@ -10,6 +10,10 @@ guarantee actually needs) evaluate without overflow; comparisons within
 1e-12 relative of the boundary are resolved conservatively, toward
 infeasible.
 
+Each run schedule (:class:`TexpSchedule`, :class:`TgeoRun`) owns its JSON
+``kind``, its law, its ``budget()`` and its one-layer ``cut_bound()``, and
+JSON reads its fields through one kind-to-class table: no caller names a kind.
+
 The constructive side is Moser-Tardos resampling: start from i.i.d. radii,
 repeatedly pick the lowest-index violated constraint, redraw every radius in
 its domain across all layers, and recarve incrementally.  Success yields
@@ -21,7 +25,7 @@ silently retries with a fresh seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from .carving import (PartitionLayer, RadiusAssignment, _first_cover, _owner_tab
 from .decomposition import (ConfigError, PaddedDecomposition, VerificationReport, _number,
                             _shown, verify_padded)
 from .nets import Net, net_graph
-from .sampler import TexpParams, TgeoParams, _law_bounds, _sample_radii
+from .sampler import TexpParams, TgeoParams
 from .spaces import FiniteMetricSpace, _balls
 
 __all__ = [
@@ -116,6 +120,7 @@ class TexpSchedule:
     carved clusters have diameter at most 2M = c*r).
     """
 
+    kind = "texp"
     N: int
     r: float
     eps: float
@@ -158,6 +163,14 @@ class TexpSchedule:
     def law(self) -> TexpParams:
         return TexpParams(self.lam, self.l, self.M)
 
+    def budget(self) -> LllBudget:
+        return texp_csp_bounds(self)
+
+    def cut_bound(self) -> tuple:
+        """(bound, regime): one layer's cut bound, the m-th root of a constraint's."""
+        regime = self.law().in_estimate_regime and 0 < self.eps < 1 and self.D > 1 / self.eps + 0.5
+        return _exp(self.budget().log_p_bound / self.m), regime
+
 
 @dataclass(frozen=True)
 class TgeoRun:
@@ -168,6 +181,7 @@ class TgeoRun:
     directly, subject to p <= 1/(4b+5), and lean on the exhaustive verifier.
     """
 
+    kind = "tgeo"
     b: float
     p: float
     M: int
@@ -198,6 +212,13 @@ class TgeoRun:
 
     def law(self) -> TgeoParams:
         return TgeoParams(self.p, self.M)
+
+    def budget(self) -> LllBudget:
+        return tgeo_csp_bounds(self.b, self.r, self.m, self.p, self.M)
+
+    def cut_bound(self) -> tuple:
+        """(bound, regime): one layer's cut bound 20 r p."""
+        return 20.0 * self.r * self.p, self.p <= 1 / (4 * self.b + 5) and self.r >= 9
 
 
 @dataclass(frozen=True)
@@ -349,14 +370,15 @@ class CspInstance:
             raise ValueError("need at least one layer")
         if self.probe_radius <= 0 or self.domain_radius <= 0:
             raise ValueError("radii must be positive")
-        _law_bounds(self.law)  # raises TypeError unless TexpParams or TgeoParams
+        if not isinstance(self.law, (TexpParams, TgeoParams)):
+            raise TypeError(f"unsupported law {type(self.law).__name__}")
 
 
 def csp_from_schedule(net: Net, schedule) -> CspInstance:
-    if isinstance(schedule, (TexpSchedule, TgeoRun)):
-        return CspInstance(net, schedule.m, schedule.law(),
-                           schedule.probe_radius, schedule.domain_radius)
-    raise TypeError(f"cannot build a CSP from {type(schedule).__name__}")
+    if type(schedule) not in _SCHEDULES.values():
+        raise TypeError(f"cannot build a CSP from {type(schedule).__name__}")
+    return CspInstance(net, schedule.m, schedule.law(),
+                       schedule.probe_radius, schedule.domain_radius)
 
 
 @dataclass
@@ -387,20 +409,17 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
                  max_rounds: int | None = None) -> MoserTardosResult:
     """Resample until every probe ball is uncut in some layer.
 
-    All m * |net| radii start i.i.d. from the law.  Each round picks the
-    violated constraint with the lowest net index, redraws every radius in
-    its domain (read from that member's distance row) across all m layers,
-    and recarves the points a redrawn ball can cover.  Deterministic given
-    ``seed``; reports failure (never retries) after ``max_rounds`` (default:
-    100 per constraint).
+    All m * |net| radii start i.i.d. from ``csp.law.sample`` on one
+    ``default_rng(seed)`` stream.  Each round picks the violated constraint
+    with the lowest net index, redraws every radius in its domain (read from
+    that member's distance row) across all m layers from that stream, and
+    recarves the points a redrawn ball can cover.  Reports failure (never
+    retries) after ``max_rounds`` (default: 100 per constraint).
 
-    Every carving, the initial one and each recarve, applies the owner rule
-    of :mod:`padlab.carving` to one owner table built up front, whose guard
-    bounds n * |net|: a point joins the lowest-color ball covering it, and a
-    point with no covering ball or two of that color raises
-    :class:`CarveError`.  There is no reach mask: a recarve passes
+    Every carving applies the owner rule of :mod:`padlab.carving` to one
+    owner table built up front under its n * |net| guard.  A recarve passes
     ``space.candidates`` of the domain at the radius cap, a superset of the
-    points a redrawn ball can cover, to the chunked scan.  A row whose radii
+    points a redrawn ball can cover, to the chunked scan; a row whose radii
     did not change keeps its owner, so the final layers equal
     :func:`carving.carve` of the final radii and are returned as they stand.
     """
@@ -408,7 +427,7 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
         raise ValueError("csp was built for a different net")
     members = net.members
     T = len(members)
-    l, M = _law_bounds(csp.law)
+    l, M = csp.law.window
     if T and l < net.eps:
         raise ValueError(f"law lower truncation {l} is below the covering radius {net.eps}")
     coloring = greedy_color(net_graph(net, 2 * M))
@@ -427,7 +446,7 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
 
     rng = np.random.default_rng(seed)
-    radii = [_sample_radii(csp.law, rng, T) for _ in range(csp.m)]
+    radii = [csp.law.sample(rng, T) for _ in range(csp.m)]
     assign = [_first_cover(nb, nb_d, tie_rows, colors, t) for t in radii]
 
     def cut_per_constraint(a):
@@ -449,7 +468,7 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
         near = space.dist_block(members[u:u + 1], members)[0]
         dom = np.nonzero(near < csp.domain_radius)[0]
         for li in range(csp.m):
-            radii[li][dom] = _sample_radii(csp.law, rng, len(dom))
+            radii[li][dom] = csp.law.sample(rng, len(dom))
         affected = space.candidates(members[dom], M)
         for li in range(csp.m):
             assign[li][affected] = _first_cover(nb, nb_d, tie_rows, colors, radii[li],
@@ -501,14 +520,14 @@ def certify_decomposition(space: FiniteMetricSpace, net: Net, schedule, seed: in
 # ---------------------------------------------------------------------------
 
 
+_SCHEDULES = {cls.kind: cls for cls in (TexpSchedule, TgeoRun)}
+
+
 def schedule_to_json(schedule) -> dict:
-    if isinstance(schedule, TexpSchedule):
-        return {"kind": "texp", "N": schedule.N, "r": schedule.r,
-                "eps": schedule.eps, "D": schedule.D}
-    if isinstance(schedule, TgeoRun):
-        return {"kind": "tgeo", "b": schedule.b, "p": schedule.p,
-                "M": schedule.M, "m": schedule.m, "r": schedule.r}
-    raise TypeError(f"cannot serialize {type(schedule).__name__}")
+    if type(schedule) not in _SCHEDULES.values():
+        raise TypeError(f"cannot serialize {type(schedule).__name__}")
+    return {"kind": schedule.kind,
+            **{f.name: getattr(schedule, f.name) for f in fields(schedule) if f.init}}
 
 
 def schedule_from_json(doc: dict):
@@ -516,8 +535,7 @@ def schedule_from_json(doc: dict):
     if not isinstance(doc, dict):
         raise ConfigError(f"a schedule must be a JSON object, got {_shown(doc)}")
     kind = doc.get("kind")
-    if kind == "texp":
-        return TexpSchedule(N=doc["N"], r=doc["r"], eps=doc["eps"], D=doc["D"])
-    if kind == "tgeo":
-        return TgeoRun(b=doc["b"], p=doc["p"], M=doc["M"], m=doc["m"], r=doc["r"])
-    raise ValueError(f"unknown schedule kind {_shown(kind)}")
+    cls = _SCHEDULES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown schedule kind {_shown(kind)}")
+    return cls(**{f.name: doc[f.name] for f in fields(cls) if f.init})

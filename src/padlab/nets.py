@@ -66,11 +66,14 @@ def build_net(space: FiniteMetricSpace, eps: float, delta: float, order=None) ->
     count = 0
     # Blocked sweep: each block gets its distances to the members admitted so
     # far in one vectorized call, then runs the sequential admission rule on
-    # the block's internal distances.  Identical result to the naive sweep.
+    # the block's internal distances; any block size gives the naive sweep.
+    # Blocks fit the budget in at most sqrt(budget) / 16 rows: admissions rescan the
+    # block, and a 125-row square (125 KB) stays below malloc's 128 KB mmap threshold.
     nearest_seen = np.full(n, np.inf)
     pos = 0
     while pos < n:
-        size = int(max(16, min(n - pos, 2048, spaces._BLOCK_ENTRIES // max(1, count))))
+        size = max(1, min(n - pos, int(spaces._BLOCK_ENTRIES ** 0.5) // 16,
+                          spaces._BLOCK_ENTRIES // max(1, count)))
         block = order[pos:pos + size]
         pos += size
         if count:

@@ -12,6 +12,9 @@ Tail and conditional probabilities are evaluated with expm1/log1p forms so
 small rates do not lose precision to cancellation.  Sampling is inverse
 transform from a single uniform stream, which makes every draw a
 deterministic function of (params, seed, draw index).
+
+Each law owns its truncation ``window`` (l, M) and ``sample(rng, size)``,
+the one radius-drawing path of carving, the harness and the resampler.
 """
 
 from __future__ import annotations
@@ -59,6 +62,13 @@ class TexpParams:
         """
         return (self.M - self.l) * self.lam >= 2 and self.l * self.lam <= 1
 
+    @property
+    def window(self) -> tuple:
+        return self.l, self.M
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return sample_texp(self, rng, size)
+
 
 @dataclass(frozen=True)
 class TgeoParams:
@@ -74,6 +84,15 @@ class TgeoParams:
         if int(self.M) != self.M or self.M < 2:
             raise ValueError("M must be an integer >= 2")
         object.__setattr__(self, "M", int(self.M))
+
+    @property
+    def window(self) -> tuple:
+        """Truncation window (1, M) of the radii, as floats."""
+        return 1.0, float(self.M)
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` radii in {1..M}, as floats."""
+        return sample_tgeo(self, rng, size).astype(float)
 
 
 def texp_tail(params: TexpParams, beta: float) -> float:
@@ -152,19 +171,3 @@ def sample_tgeo(params: TgeoParams, rng: np.random.Generator, size=None):
     out = np.clip(raw, 1, M).astype(np.int64)
     return int(out) if size is None else out
 
-
-def _law_bounds(law):
-    """Truncation window (l, M) of either radius law."""
-    if isinstance(law, TexpParams):
-        return law.l, law.M
-    if isinstance(law, TgeoParams):
-        return 1.0, float(law.M)
-    raise TypeError(f"unsupported law {type(law).__name__}")
-
-
-def _sample_radii(law, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` float radii from either law: the single radius-drawing path
-    behind carving, the Monte Carlo harness and the resampler."""
-    if isinstance(law, TexpParams):
-        return sample_texp(law, rng, size)
-    return sample_tgeo(law, rng, size).astype(float)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import defaultdict, deque
 
 import numpy as np
 
@@ -276,7 +276,7 @@ def _heis_mul(g, h):
 
 
 def _heis_bfs(radius):
-    """Word lengths of all group elements within the given radius."""
+    """Group elements within the given word length (rows of triples) and their lengths."""
     wl = {(0, 0, 0): 0}
     frontier = deque([(0, 0, 0)])
     while frontier:
@@ -289,7 +289,7 @@ def _heis_bfs(radius):
             if h not in wl:
                 wl[h] = d + 1
                 frontier.append(h)
-    return wl
+    return np.array(list(wl), dtype=np.int64), np.array(list(wl.values()), dtype=np.int64)
 
 
 class HeisenbergBall(FiniteMetricSpace):
@@ -312,25 +312,22 @@ class HeisenbergBall(FiniteMetricSpace):
         if radius < 1:
             raise ValueError("radius must be >= 1")
         if radius > _HEIS_MAX_RADIUS:
-            raise ValueError(
-                f"radius {radius} exceeds the memory guard {_HEIS_MAX_RADIUS}"
-            )
-        wl_ball = _heis_bfs(radius)
-        elements = sorted(wl_ball, key=lambda g: (wl_ball[g], g))
-        super().__init__(len(elements), f"heis:{radius}")
+            raise ValueError(f"radius {radius} exceeds the memory guard {_HEIS_MAX_RADIUS}")
+        triples, lengths = _heis_bfs(2 * radius)  # one BFS: the distance table and the ball
+        # the ball is a prefix of the elements sorted by (word length, a, b, c)
+        ball = np.lexsort((*triples.T[::-1], lengths))[:np.count_nonzero(lengths <= radius)]
+        super().__init__(len(ball), f"heis:{radius}")
         self.radius = radius
-        self.elements = np.array(elements, dtype=np.int64)
-        self.word_lengths = np.array([wl_ball[g] for g in elements], dtype=np.int64)
+        self.elements = triples[ball]
+        self.word_lengths = lengths[ball]
         counts = np.bincount(self.word_lengths, minlength=radius + 1)
         #: ball_sizes[k] = number of elements of word length <= k
         self.ball_sizes = np.cumsum(counts).tolist()
 
-        table = _heis_bfs(2 * radius)
         self._span = s = 2 * radius
         base = 2 * s + 1
-        keys = self._pack(np.array(list(table.keys()), dtype=np.int64))
         self._table = np.full((2 * s * s + 1) * base * base, _HEIS_ABSENT, dtype=np.uint8)
-        self._table[keys] = np.fromiter(table.values(), dtype=np.uint8, count=len(table))
+        self._table[self._pack(triples)] = lengths
         # _pack(g_i^-1 g_j) = _row_key[i] + _col_key[j] - _row_cross[i] * b_j, with
         # g_i^-1 = (-a_i, -b_i, a_i*b_i - c_i) and the product expanded
         a, b, c = self.elements.T
@@ -457,9 +454,8 @@ def load_edge_list(path) -> MatrixSpace:
     to 1.  The graph must be connected, otherwise the shortest-path "metric"
     would take infinite values.
     """
-    edges = []
+    adj = defaultdict(list)
     nmax = -1
-    weighted = False
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -474,45 +470,28 @@ def load_edge_list(path) -> MatrixSpace:
             w = float(parts[2]) if len(parts) == 3 else 1.0
             if not 0 < w < np.inf:
                 raise ValueError("edge weights must be positive and finite")
-            if len(parts) == 3 and w != 1.0:
-                weighted = True
-            edges.append((u, v, w))
+            adj[u].append((v, w))
+            adj[v].append((u, w))
             nmax = max(nmax, u, v)
     n = nmax + 1
     if n < 1:
         raise ValueError(f"no edges in {path}")
     if n > _APSP_MAX_POINTS:
         raise ValueError(f"graph with {n} vertices exceeds the {_APSP_MAX_POINTS}-point guard")
-    adj = [[] for _ in range(n)]
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
     mat = np.full((n, n), np.inf)
-    for s in range(n):
-        if weighted:
-            dist = np.full(n, np.inf)
-            dist[s] = 0.0
-            heap = [(0.0, s)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                for v, w in adj[u]:
-                    nd = d + w
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        heapq.heappush(heap, (nd, v))
-        else:
-            dist = np.full(n, np.inf)
-            dist[s] = 0.0
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                for v, _ in adj[u]:
-                    if np.isinf(dist[v]):
-                        dist[v] = dist[u] + 1
-                        q.append(v)
-        mat[s] = dist
+    for s in range(n):  # Dijkstra; unit weights sum exactly, so a BFS would agree
+        dist = mat[s]
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for v, w in adj[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
     if np.isinf(mat).any():
         raise ValueError("graph is disconnected; shortest-path metric undefined")
     return MatrixSpace(mat, f"edges:{path}")

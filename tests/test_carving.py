@@ -407,3 +407,55 @@ def test_probe_scan_matches_dense_evaluation(case):
     radii = np.stack([pl.draw_radii(law, net, seed, t).t for t in range(trials)])
     expected = reference_probe_cuts(space, net, coloring.colors, M, probe, centers, radii)
     assert np.array_equal(res.cut_matrix, expected)
+
+
+@st.composite
+def carve_cases(draw):
+    """A segment, a cloud or a tree; an honest (eps, eps)-net on it; a law of
+    either kind whose window starts at or above eps; a trial seed and a probe
+    radius R: a distance of the space (within 1e-13), 0 or beyond every
+    distance."""
+    kind = draw(st.sampled_from(["segment", "cloud", "tree"]))
+    if kind == "segment":
+        space = pl.integer_segment(draw(st.integers(0, 40)))
+    elif kind == "cloud":
+        space = pl.euclidean_cloud(draw(st.integers(1, 40)), draw(st.integers(1, 3)),
+                                   seed=draw(st.integers(0, 1000)), scale=8.0)
+    else:
+        space = pl.balanced_tree(draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        eps = draw(st.sampled_from([0.5, 1.0]))
+        law = pl.TgeoParams(draw(st.sampled_from([0.05, 0.3, 0.7])), draw(st.integers(2, 12)))
+    else:
+        eps = draw(st.sampled_from([0.5, 1.0, 2.0, 3.5]))
+        l = eps * draw(st.sampled_from([1.0, 1.25, 2.0]))
+        law = pl.TexpParams(draw(st.sampled_from([0.05, 1.0, 5.0])), l,
+                            l + draw(st.sampled_from([0.5, 1.0, 3.0, 8.0])))
+    gaps = [0.0] + np.unique(space.distance_matrix()).tolist() + [space.diameter() + 1.0]
+    R = draw(st.sampled_from(gaps)) + draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+    return space, pl.build_net(space, eps, eps), law, draw(st.integers(0, 2**16)), R
+
+
+@given(carve_cases())
+@settings(max_examples=150, deadline=None)
+def test_carve_is_total_and_its_padding_verdict_matches_a_per_member_oracle(case):
+    """On honest nets with radii drawn in a window that starts at the
+    covering radius, ``carve`` raises no ``CarveError``: it returns a total
+    partition, each point in the ball of its peel-off owner.  The padding
+    verdict ``verify_padded`` gives that layer at R, and the members it
+    names, are those of a per-member loop over single open balls."""
+    space, net, law, seed, R = case
+    l, M = law.window
+    assert l >= net.eps
+    radii = pl.draw_radii(law, net, seed, 0)
+    coloring = pl.greedy_color(pl.net_graph(net, 2 * M))
+    layer = pl.carve(space, net, coloring, radii)
+    sets = layer.cluster_sets()
+    assert np.array_equal(np.sort(np.concatenate(sets)), np.arange(space.n))
+    owner = layer.center_positions[layer.cluster_of]
+    assert np.array_equal(owner, literal_carve(space, net.members, coloring.colors, radii.t))
+    report = pl.verify_padded([sets], net, R, 2 * M)
+    assert report.conditions["net_partition"] and report.conditions["diameter"]
+    cut = [int(x) for x in net.members if literal_is_cut(space, owner, x, R)]
+    assert report.conditions["padding"] == (not cut)
+    assert sorted(w["member"] for w in report.witnesses if w["condition"] == "padding") == cut

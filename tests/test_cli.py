@@ -66,6 +66,25 @@ class TestGen:
         assert reloaded.n == original.n
         assert np.array_equal(reloaded.distance_matrix(), original.distance_matrix())
 
+    def test_heisenberg_edge_file_reloads_to_its_graph_metric(self, tmp_path):
+        """``load_edge_list``'s one shortest-path routine reads the ``heis:4``
+        edge file to the hop metric of an independent BFS.  That metric is
+        the ball's word metric on edges and from the identity (geodesics from
+        the identity stay in the ball), and never below it elsewhere (other
+        geodesics may leave the ball)."""
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import shortest_path
+
+        out = str(tmp_path / "heis.txt")
+        assert main(["gen", "--fixture", "heis:4", "--out", out]) == 0
+        reloaded = pl.load_edge_list(out).distance_matrix()
+        ball = pl.HeisenbergBall(4).distance_matrix()
+        u, v = np.loadtxt(out, dtype=int).T
+        graph = coo_matrix((np.ones(len(u)), (u, v)), shape=ball.shape)
+        assert np.array_equal(reloaded, shortest_path(graph, directed=False, unweighted=True))
+        assert np.array_equal(reloaded[0], ball[0])
+        assert np.array_equal(reloaded == 1, ball == 1) and (reloaded >= ball).all()
+
     def test_point_file_fixture_keeps_its_metric(self, tmp_path):
         out = str(tmp_path / "grid.txt")
         assert main(["gen", "--fixture", "grid:5x5:linf", "--out", out]) == 0

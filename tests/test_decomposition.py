@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import padlab as pl
-from padlab import decomposition, growth, spaces
+from padlab import decomposition, spaces
 from oracles import (literal_verify_padded, make_cover, naive_verify_cover,
                      naive_verify_padded, reference_ball_of_set, reference_shrink_set)
 
@@ -438,16 +438,6 @@ class TestBlockBudget:
             return original(self, rows, cols)
 
         monkeypatch.setattr(pl.CoordSpace, "dist_block", recording)
-
-        def unrecorded_build_net(*args, **kwargs):
-            # the net sweep sizes its own blocks (16 rows at least); growth_table's
-            # reads of the finished nets are what is checked here
-            seen = len(calls)
-            net = pl.build_net(*args, **kwargs)
-            del calls[seen:]
-            return net
-
-        monkeypatch.setattr(growth, "build_net", unrecorded_build_net)
         space = pl.integer_segment(60)
         cloud = pl.euclidean_cloud(50, 2, seed=1)
         net = pl.build_net(space, 1, 1)
@@ -468,6 +458,7 @@ class TestBlockBudget:
             "shrink_set": lambda: pl.shrink_set(space, np.arange(40), 3.0),
             "shrink_set_2d": lambda: pl.shrink_set(cloud, np.arange(0, 50, 2), 0.2),
             "diameter": lambda: pl.integer_segment(60).diameter(),
+            "build_net": lambda: pl.build_net(cloud, 0.3, 0.2),
             "net_graph": lambda: pl.net_graph(net, 6.0),
             "carve": lambda: pl.carve(space, net, coloring, radii),
             "moser_tardos": lambda: pl.moser_tardos(space, net, csp, seed=0, max_rounds=5),
