@@ -36,5 +36,5 @@ for M in (2.0, 4.0, 8.0):
 print("\n== net-point counts inside balls ==")
 net1 = pl.build_net(seg, 1.0, 1.0)
 for R in (2.0, 4.0, 8.0):
-    count = pl.ball_net_count(seg, net1, 250, R)
+    count = pl.ball_net_count(net1, 250, R)
     print(f"|B_{R:g}(250) ∩ net| = {count:3d}  (bound {3**2 * R**np.log2(3):6.1f})")

@@ -19,7 +19,7 @@ print(f"net: {len(net)} members; band-graph colors: {coloring.num_colors} "
 
 law = pl.TexpParams(0.02, 9.0, M)
 radii = pl.draw_radii(law, net, seed=0, trial=0)
-layer = pl.carve(space, net, coloring, radii)
+layer = pl.carve(coloring, radii)
 sizes = sorted((len(s) for s in layer.cluster_sets()), reverse=True)
 print(f"one carve: {layer.num_clusters} clusters, sizes {sizes[:8]} ...")
 diams = [pl.set_diameter(space, s) for s in layer.cluster_sets()]
@@ -35,7 +35,7 @@ net = pl.build_net(space, 1, 1)
 p, Mg, probe = 1 / 150, 3000, 9.0
 law = pl.TgeoParams(p, Mg)
 centers = np.arange(200, 4800, 450)
-res = pl.cut_probability_mc(space, net, law, probe, centers, trials=120, seed=3)
+res = pl.cut_probability_mc(net, law, probe, centers, trials=120, seed=3)
 print(f"aggregate frequency {res.aggregate_freq:.4f} +- {res.aggregate_se:.4f}")
 print(f"closed-form bound 20*r*p = {20 * probe * p:.4f}")
 print("per-center:", np.array2string(res.per_center_freq, precision=3))

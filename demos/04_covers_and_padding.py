@@ -47,7 +47,7 @@ pd = pl.padded_from_cover(cover, net, R_pad)
 print(f"grown: ({pd.R:g}, {pd.D:g})-padded decomposition, {pd.m} layers, "
       f"verified: {pl.verify_padded(pd, net, pd.R, pd.D).passed}")
 
-back = pl.cover_from_padded(pd, net)
+back = pl.cover_from_padded(pd)
 print(f"shrunk back: ({back.r_disjoint:g}, {back.D_bound:g})-cover, "
       f"verified: {pl.verify_cover(back).passed}")
 

@@ -37,7 +37,7 @@ for D in (20.0, 50.0, 100.0, 200.0):
 
 print("\n== certified end-to-end run at D = 100 ==")
 sched = pl.TexpSchedule(N=3, r=3.0, eps=0.05, D=100.0)
-run = pl.certify_decomposition(space, net, sched, seed=1)
+run = pl.certify_decomposition(net, sched, seed=1)
 pd = run.decomposition
 print(f"decomposition: {pd.m} layers, claim ({pd.R:g}, {pd.D:g}), "
       f"verifier says: {run.report.passed}")

@@ -106,16 +106,12 @@ class PartitionLayer:
     ids.  Instances are immutable once built.
     """
 
-    def __init__(self, space: FiniteMetricSpace, net: Net, member_of_point: np.ndarray,
-                 radii: RadiusAssignment | None = None, coloring: Coloring | None = None):
+    def __init__(self, net: Net, member_of_point: np.ndarray):
         used, inverse = np.unique(np.asarray(member_of_point), return_inverse=True)
-        self.space = space
-        self.net = net
+        self.net, self.space = net, net.space
         self.center_positions = used            # positions into net.members
         self.centers = net.members[used]        # space point ids of cluster centers
         self.cluster_of = inverse.astype(np.int64)
-        self.radii = radii
-        self.coloring = coloring
 
     @property
     def num_clusters(self) -> int:
@@ -226,19 +222,16 @@ def _first_cover(members, dists, tie_rows, colors, t, rows=None):
     return members[rows, first]
 
 
-def carve(space: FiniteMetricSpace, net: Net, coloring: Coloring,
-          radii: RadiusAssignment) -> PartitionLayer:
-    """Assign every point to the lowest-color ball covering it.
+def carve(coloring: Coloring, radii: RadiusAssignment) -> PartitionLayer:
+    """Assign every point to the lowest-color ball of ``coloring.graph.net`` covering it.
 
     Preconditions checked: a nonempty net and ``radii.l >= net.eps`` (so
-    every point is covered), the coloring belongs to this net, and its band
-    reaches ``2 * radii.M`` (so same-color centers sit more than two radius
-    caps apart).
+    every point is covered), and a coloring band reaching ``2 * radii.M`` (so
+    same-color centers sit more than two radius caps apart).
     """
+    net = coloring.graph.net
     if radii.l < net.eps:
         raise ValueError(f"need radii.l >= net.eps for coverage, got l={radii.l} < eps={net.eps}")
-    if coloring.graph.net is not net:
-        raise ValueError("coloring was built for a different net")
     if coloring.graph.band_high < 2 * radii.M:
         raise ValueError(f"coloring band reaches {coloring.graph.band_high}, "
                          f"carving needs at least {2 * radii.M}")
@@ -246,9 +239,8 @@ def carve(space: FiniteMetricSpace, net: Net, coloring: Coloring,
         raise ValueError("one radius per net member required")
     if not len(net.members):
         raise ValueError("an empty net covers no point")
-    table = _owner_table(space, net.members, coloring.colors, radii.M)
-    return PartitionLayer(space, net, _first_cover(*table, coloring.colors, radii.t),
-                          radii, coloring)
+    table = _owner_table(net.space, net.members, coloring.colors, radii.M)
+    return PartitionLayer(net, _first_cover(*table, coloring.colors, radii.t))
 
 
 def is_cut(layer: PartitionLayer, center: int, r: float) -> bool:
@@ -304,8 +296,8 @@ def _probe_cuts(cand, dmin, dmax, ends, radii):
     return ~intact
 
 
-def cut_probability_mc(space: FiniteMetricSpace, net: Net, law, probe_radius: float,
-                       centers, trials: int, seed: int, threads: int = 1) -> CutProbeResult:
+def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int, seed: int,
+                       threads: int = 1) -> CutProbeResult:
     """Monte Carlo cut frequencies of probe balls under i.i.d. carving radii.
 
     Each trial draws one radius per net member in the law's window [l, M]
@@ -326,7 +318,7 @@ def cut_probability_mc(space: FiniteMetricSpace, net: Net, law, probe_radius: fl
     centers = np.asarray(centers, dtype=np.intp)
     if len(centers) == 0:
         raise ValueError("need at least one probe center")
-    colors = greedy_color(net_graph(net, 2 * M)).colors
+    space, colors = net.space, greedy_color(net_graph(net, 2 * M)).colors
 
     # Per probe: candidate members able to touch the ball at all, in color
     # order, with their nearest/farthest distance to the ball (a running

@@ -14,9 +14,9 @@ Exit codes: 0 = pass, 1 = a verified failure (a bound or verifier said no),
 byte-identical output files: floats are capped at 12 significant digits,
 JSON keys are sorted, and nothing timestamps itself.
 
-``--threads`` (or the LAB_THREADS environment variable, which wins) sets the
-number of threads that evaluate cutprob's probe centers within each chunk of
-trials, at most the number of CPUs; it never changes results.
+``--threads`` spreads cutprob's probe centers within each chunk of trials
+over at most one thread per CPU; it never changes results.  A config, a
+cutprob ``net`` and a schedule refuse keys they do not read.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from .carving import CarveError, cut_probability_mc
-from .decomposition import (ConfigError, VerificationFailure, _number, _text,
+from .decomposition import (ConfigError, VerificationFailure, _known_keys, _number, _text,
                             cover_from_json, cover_from_padded, cover_to_json,
                             decomposition_from_json, decomposition_to_json, dump_json,
                             padded_from_cover)
@@ -61,9 +61,10 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _run_fields(args, cfg: dict) -> tuple:
-    """The fixture, seed and output path of a carve or cutprob run; a flag
-    wins over its config key."""
+def _run_fields(args, cfg: dict, *keys) -> tuple:
+    """The fixture, seed and output path of a carve or cutprob run, whose config
+    holds no key but these and ``keys``; a flag wins over its config key."""
+    _known_keys(cfg, f"{args.command} config", ("fixture", "seed", "out", *keys))
     return (_text(args.fixture or cfg.get("fixture"), '"fixture"'),
             _number(cfg.get("seed", 0) if args.seed is None else args.seed, '"seed"',
                     integer=True),
@@ -71,12 +72,7 @@ def _run_fields(args, cfg: dict) -> tuple:
 
 
 def _threads(args) -> int:
-    env = os.environ.get("LAB_THREADS")
-    try:
-        wanted = args.threads if env is None else int(env)
-    except ValueError as exc:
-        raise ConfigError(f"LAB_THREADS must be an integer, got {env!r}") from exc
-    return max(1, min(wanted, os.cpu_count() or 1))
+    return max(1, min(args.threads, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +81,10 @@ def _threads(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    """Write a fixture file and its sidecar.  Points go out at 12 significant digits,
+    so a reloaded cloud's distances move by up to 1.6e-12.  Other spaces go out as
+    their unit-distance pairs: that reloads a tree or an unweighted ``edges:`` input,
+    but not a Heisenberg ball (geodesics leave it) nor a weighted ``edges:`` input."""
     space = parse_fixture(args.fixture)
     out = args.out
     sidecar = {"fixture": args.fixture, "n": space.n}
@@ -124,15 +124,14 @@ def cmd_gen(args) -> int:
 
 def cmd_carve(args) -> int:
     cfg = _load_config(args.config)
-    fixture, seed, out = _run_fields(args, cfg)
+    fixture, seed, out = _run_fields(args, cfg, "schedule", "max_rounds")
     schedule = schedule_from_json(cfg.get("schedule"))
     max_rounds = cfg.get("max_rounds")  # absent or null keeps the resampler's default
     if max_rounds is not None:
         max_rounds = _number(max_rounds, '"max_rounds"', "nonnegative", integer=True, low=0)
-    space = parse_fixture(fixture)
-    net = build_net(space, schedule.r, schedule.r)
+    net = build_net(parse_fixture(fixture), schedule.r, schedule.r)
     try:
-        run = certify_decomposition(space, net, schedule, seed, max_rounds=max_rounds)
+        run = certify_decomposition(net, schedule, seed, max_rounds=max_rounds)
     except MoserTardosFailure as exc:
         dump_json({
             "outcome": "resampling_failure",
@@ -159,14 +158,13 @@ def cmd_carve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cutprob_row(space, net, entry, trials, n_centers, seed, threads):
+def _cutprob_row(net, entry, trials, n_centers, seed, threads):
     schedule = schedule_from_json(entry)
     law, probe = schedule.law(), schedule.probe_radius
     bound, regime = schedule.cut_bound()
     rng = np.random.default_rng([seed, 0xC3])
-    centers = rng.choice(net.members, size=min(n_centers, len(net.members)), replace=False)
-    centers = np.sort(centers)
-    res = cut_probability_mc(space, net, law, probe, centers, trials, seed, threads=threads)
+    centers = np.sort(rng.choice(net.members, min(n_centers, len(net.members)), replace=False))
+    res = cut_probability_mc(net, law, probe, centers, trials, seed, threads=threads)
     params = ";".join(f"{k}={_fmt(entry[k])}" for k in sorted(entry))
     ok = "" if not regime else str(res.aggregate_freq <= bound + 3 * res.aggregate_se).lower()
     return {
@@ -182,23 +180,20 @@ def _cutprob_row(space, net, entry, trials, n_centers, seed, threads):
 
 def cmd_cutprob(args) -> int:
     cfg = _load_config(args.config)
-    fixture, seed, out = _run_fields(args, cfg)
+    fixture, seed, out = _run_fields(args, cfg, "net", "trials", "centers", "grid")
     grid = cfg.get("grid")
     if not isinstance(grid, list) or not grid:
         raise ConfigError("cutprob needs a nonempty grid list")
     net_cfg = cfg.get("net", {})
     if not isinstance(net_cfg, dict):
         raise ConfigError('cutprob "net" must hold a JSON object')
+    _known_keys(net_cfg, 'cutprob "net"', ("eps", "delta"))
     trials = _number(cfg.get("trials", 100), '"trials"', integer=True)
     n_centers = _number(cfg.get("centers", 50), '"centers"', integer=True)
-    space = parse_fixture(fixture)
-    net = build_net(space, _number(net_cfg.get("eps", 1.0), '"eps"'),
+    net = build_net(parse_fixture(fixture), _number(net_cfg.get("eps", 1.0), '"eps"'),
                     _number(net_cfg.get("delta", 1.0), '"delta"'))
-    rows = []
-    for k, entry in enumerate(grid):
-        row = _cutprob_row(space, net, entry, trials, n_centers, seed, _threads(args))
-        row["experiment"] = f"cutprob-{k}"
-        rows.append(row)
+    rows = [{**_cutprob_row(net, entry, trials, n_centers, seed, _threads(args)),
+             "experiment": f"cutprob-{k}"} for k, entry in enumerate(grid)]
     cols = ["experiment", "fixture", "params", "probe_radius", "trials", "centers",
             "measured", "stderr", "bound", "regime", "pass"]
     with open(out, "w") as fh:
@@ -251,13 +246,12 @@ def cmd_convert(args) -> int:
         if args.R is None or args.r is None:
             raise ConfigError("to-padded needs --R and the net scale --r")
         cover = cover_from_json(doc)
-        net = build_net(cover.space, args.r, args.r)
-        pd = padded_from_cover(cover, net, args.R)
+        pd = padded_from_cover(cover, build_net(cover.space, args.r, args.r), args.R)
         dump_json(decomposition_to_json(pd, doc["fixture"]), out)
         print(f"wrote {out}: ({_fmt(pd.R)}, {_fmt(pd.D)})-padded, {pd.m} layers")
         return PASS
     pd = decomposition_from_json(doc)  # --direction to-cover, the only other choice
-    cover = cover_from_padded(pd, pd.net)
+    cover = cover_from_padded(pd)
     dump_json(cover_to_json(cover, doc["fixture"]), out)
     print(f"wrote {out}: ({_fmt(cover.r_disjoint)}, {_fmt(cover.D_bound)})-cover")
     return PASS
@@ -300,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="padlab", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--threads", type=int, default=1,
-                    help="threads over cutprob's probe centers (LAB_THREADS overrides)")
+                    help="threads over cutprob's probe centers, at most one per CPU")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a fixture file plus a constants sidecar")

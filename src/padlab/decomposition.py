@@ -283,13 +283,13 @@ def verify_padded(layers, net: Net, R: float, D: float,
     ``strict_disjoint=True`` additionally witnesses overlaps at non-net
     points; that is stronger than the definition requires, but useful when a
     decomposition is meant to come from a carving (whose layers partition the
-    whole space).
+    whole space).  ``layers`` may also be a :class:`PaddedDecomposition` on ``net``.
     """
     space = net.space
     R, D = _number(R, "R"), _number(D, "D")  # finite; a negative R pads vacuously
     if isinstance(layers, PaddedDecomposition):
-        if layers.space.n != space.n:
-            raise ValueError("decomposition and net live on spaces of different sizes")
+        if layers.net is not net:
+            raise ValueError("decomposition was built on a different net")
         layers = layers.layers  # sorted unique ids since construction
     else:
         layers = [[_as_index_array(s, space.n) for s in layer] for layer in layers]
@@ -420,10 +420,11 @@ def shrink_set(space: FiniteMetricSpace, points, margin: float) -> np.ndarray:
     return _shrink_layer(space, [_as_index_array(points, space.n)], margin)[0]
 
 
-def cover_from_padded(pd: PaddedDecomposition, net: Net) -> Cover:
-    """Shrink a verified (R + 2r, D)-padded decomposition into an (R, D)-cover:
-    each cluster keeps the points at distance >= R + r from its complement
-    (all of them, when the complement is empty)."""
+def cover_from_padded(pd: PaddedDecomposition) -> Cover:
+    """Shrink a verified (R + 2r, D)-padded decomposition over its net into an
+    (R, D)-cover: each cluster keeps the points at distance >= R + r from its
+    complement (all of them, when the complement is empty)."""
+    net = pd.net
     if net.eps != net.delta:
         raise ValueError("conversion requires a net with eps == delta")
     r = net.eps
@@ -490,6 +491,14 @@ def _text(value, name: str) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{name} must be a nonempty string, got {_shown(value)}")
     return value
+
+
+def _known_keys(doc: dict, name: str, keys):
+    """Refuse a JSON object ``doc`` holding a key beyond ``keys``, those its reader reads."""
+    unknown = [_shown(key) for key in doc if key not in keys]
+    if unknown:
+        raise ConfigError(f"{name} has unknown keys {', '.join(unknown)}; "
+                          f"it reads {', '.join(map(_shown, keys))}")
 
 
 def _point_ids(points, n: int) -> np.ndarray:

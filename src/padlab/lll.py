@@ -31,8 +31,8 @@ import numpy as np
 
 from .carving import (PartitionLayer, RadiusAssignment, _first_cover, _owner_table,
                       greedy_color)
-from .decomposition import (ConfigError, PaddedDecomposition, VerificationReport, _number,
-                            _shown, verify_padded)
+from .decomposition import (ConfigError, PaddedDecomposition, VerificationReport,
+                            _known_keys, _number, _shown, verify_padded)
 from .nets import Net, net_graph
 from .sampler import TexpParams, TgeoParams
 from .spaces import FiniteMetricSpace, _balls
@@ -388,11 +388,7 @@ class MoserTardosResult:
     assignments: list  # m RadiusAssignments (final state, even on failure)
     violated_history: list  # violated-constraint count after init and each round
     residual_violations: int
-    seed: int
     layers: list  # m PartitionLayers carved from the final radii (none for an empty net)
-
-    def __bool__(self):
-        return self.success
 
 
 class MoserTardosFailure(RuntimeError):
@@ -416,8 +412,10 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     recarves the points a redrawn ball can cover.  Reports failure (never
     retries) after ``max_rounds`` (default: 100 per constraint).
 
-    Every carving applies the owner rule of :mod:`padlab.carving` to one
-    owner table built up front under its n * |net| guard.  A recarve passes
+    ``space`` must be ``net.space`` and ``csp`` built on ``net`` (the three stay
+    arguments: ``perfbench/tracer.py`` reads ``net`` and ``csp`` by position).
+    Every carving applies the owner rule of :mod:`padlab.carving` to one owner
+    table built up front under its n * |net| guard.  A recarve passes
     ``space.candidates`` of the domain at the radius cap, a superset of the
     points a redrawn ball can cover, to the chunked scan; a row whose radii
     did not change keeps its owner, so the final layers equal
@@ -425,19 +423,20 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     """
     if csp.net is not net:
         raise ValueError("csp was built for a different net")
+    if space is not net.space:
+        raise ValueError("net was built on a different space")
     members = net.members
     T = len(members)
     l, M = csp.law.window
     if T and l < net.eps:
         raise ValueError(f"law lower truncation {l} is below the covering radius {net.eps}")
-    coloring = greedy_color(net_graph(net, 2 * M))
+    colors = greedy_color(net_graph(net, 2 * M)).colors
     if T == 0:
         return MoserTardosResult(True, 0, [RadiusAssignment(np.empty(0), l, M)
-                                           for _ in range(csp.m)], [0], 0, seed, [])
+                                           for _ in range(csp.m)], [0], 0, [])
     if max_rounds is None:
         max_rounds = 100 * T
 
-    colors = coloring.colors
     nb, nb_d, tie_rows = _owner_table(space, members, colors, M)
 
     balls = _balls(space, members, csp.probe_radius)
@@ -478,9 +477,8 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
         history.append(int(violated.sum()))
     residual = int(violated.sum())
     assignments = [RadiusAssignment(t, l, M) for t in radii]
-    layers = [PartitionLayer(space, net, a, r, coloring) for a, r in zip(assign, assignments)]
-    return MoserTardosResult(residual == 0, rounds, assignments, history, residual, seed,
-                             layers)
+    layers = [PartitionLayer(net, a) for a in assign]
+    return MoserTardosResult(residual == 0, rounds, assignments, history, residual, layers)
 
 
 @dataclass
@@ -491,13 +489,13 @@ class CertifiedRun:
     partition_layers: list  # the m carved PartitionLayers backing the claim
 
 
-def certify_decomposition(space: FiniteMetricSpace, net: Net, schedule, seed: int,
+def certify_decomposition(net: Net, schedule, seed: int,
                           max_rounds: int | None = None) -> CertifiedRun:
-    """Run the resampler and exhaustively verify the claimed padding of the
-    layers it carved: (R, D) = (probe radius, 2M).  Raises
+    """Run the resampler on the net's space and verify the claimed padding of
+    the layers it carved: (R, D) = (probe radius, 2M).  Raises
     :class:`MoserTardosFailure` when the resampler gives up."""
     csp = csp_from_schedule(net, schedule)
-    result = moser_tardos(space, net, csp, seed, max_rounds=max_rounds)
+    result = moser_tardos(net.space, net, csp, seed, max_rounds=max_rounds)
     if not result.success:
         raise MoserTardosFailure(result)
     layers = [layer.cluster_sets() for layer in result.layers]
@@ -531,11 +529,13 @@ def schedule_to_json(schedule) -> dict:
 
 
 def schedule_from_json(doc: dict):
-    """A schedule from its JSON object; the schedule classes read each field."""
+    """A schedule from its JSON object: its kind and its class's fields, which the class reads."""
     if not isinstance(doc, dict):
         raise ConfigError(f"a schedule must be a JSON object, got {_shown(doc)}")
     kind = doc.get("kind")
     cls = _SCHEDULES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown schedule kind {_shown(kind)}")
-    return cls(**{f.name: doc[f.name] for f in fields(cls) if f.init})
+    names = [f.name for f in fields(cls) if f.init]
+    _known_keys(doc, f"a {kind} schedule", ["kind", *names])
+    return cls(**{name: doc[name] for name in names})

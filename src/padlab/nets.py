@@ -170,8 +170,8 @@ def net_graph(net: Net, M: float) -> NetGraph:
     return NetGraph(net, net.delta, float(M))
 
 
-def ball_net_count(space: FiniteMetricSpace, net: Net, center: int, R: float) -> int:
+def ball_net_count(net: Net, center: int, R: float) -> int:
     """Number of net members in the open ball of radius R around ``center``."""
     if not R > 0:
         raise ValueError("R must be positive")
-    return int((space.dist_block([int(center)], net.members) < R).sum())
+    return int((net.space.dist_block([int(center)], net.members) < R).sum())

@@ -191,7 +191,7 @@ def test_c5_round_trips():
         pd = pl.padded_from_cover(cover, net, R_pad)
         assert (pd.R, pd.D) == (R_pad, 2 * R_pad + 2 * r + cover.D_bound)
         assert pl.verify_padded(pd, net, pd.R, pd.D).passed
-        back = pl.cover_from_padded(pd, net)
+        back = pl.cover_from_padded(pd)
         assert (back.r_disjoint, back.D_bound) == (R, pd.D)
         assert pl.verify_cover(back).passed
     report(5, "conversion round trips", time.time() - t0, 30)
@@ -222,7 +222,7 @@ def test_c6_net_cardinality_bounds():
             R = ratio * r
             bound = N**2 * ratio**logN
             for c in range(space.n):
-                assert pl.ball_net_count(space, net, c, R) <= bound
+                assert pl.ball_net_count(net, c, R) <= bound
 
     # volume version: exhaustive volume doubling constant, then the mass bound
     ms_small = pl.MeasuredSpace.uniform(pl.integer_segment(200))
@@ -234,7 +234,7 @@ def test_c6_net_cardinality_bounds():
     for ratio in (2, 4, 8):
         bound = CD**5 * ratio**logCD
         for c in range(space.n):
-            assert pl.ball_net_count(space, net, c, float(ratio)) <= bound
+            assert pl.ball_net_count(net, c, float(ratio)) <= bound
     report(6, "net cardinality bounds", time.time() - t0, 10)
 
 

@@ -62,7 +62,7 @@ class TestCarve:
 
     def test_hand_simulation(self):
         radii = pl.RadiusAssignment(np.full(4, 4.0), 3.0, 5.0)
-        layer = pl.carve(self.space, self.net, self.coloring, radii)
+        layer = pl.carve(self.coloring, radii)
         assert [s.tolist() for s in layer.cluster_sets()] == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
         assert layer.centers.tolist() == [0, 3, 6]  # empty cluster of 9 dropped
 
@@ -71,7 +71,7 @@ class TestCarve:
         net = pl.Net(space, np.array([10]), 21.0, 21.0)
         coloring = pl.greedy_color(pl.NetGraph(net, 21.0, 2 * 25.0))
         radii = pl.RadiusAssignment(np.array([25.0]), 21.0, 25.0)
-        layer = pl.carve(space, net, coloring, radii)
+        layer = pl.carve(coloring, radii)
         assert layer.num_clusters == 1
         assert layer.cluster_sets()[0].tolist() == list(range(21))
 
@@ -80,13 +80,13 @@ class TestCarve:
         net = pl.build_net(space, 1, 1)
         radii = pl.RadiusAssignment(np.full(5, 1.0), 1.0, 2.0)
         coloring = pl.greedy_color(pl.net_graph(net, 2 * 2.0))
-        layer = pl.carve(space, net, coloring, radii)
+        layer = pl.carve(coloring, radii)
         assert layer.num_clusters == 5
 
     def test_total_partition(self):
         rng = np.random.default_rng(0)
         radii = pl.RadiusAssignment(rng.uniform(3, 5, 4), 3.0, 5.0)
-        layer = pl.carve(self.space, self.net, self.coloring, radii)
+        layer = pl.carve(self.coloring, radii)
         sets = layer.cluster_sets()
         combined = np.sort(np.concatenate(sets))
         assert combined.tolist() == list(range(10))
@@ -94,19 +94,19 @@ class TestCarve:
     def test_rejects_low_truncation_below_covering_radius(self):
         radii = pl.RadiusAssignment(np.full(4, 2.5), 2.0, 5.0)
         with pytest.raises(ValueError):
-            pl.carve(self.space, self.net, self.coloring, radii)
+            pl.carve(self.coloring, radii)
 
     def test_rejects_coloring_with_short_band(self):
         radii = pl.RadiusAssignment(np.full(4, 4.0), 3.0, 8.0)  # needs band 16
         with pytest.raises(ValueError):
-            pl.carve(self.space, self.net, self.coloring, radii)
+            pl.carve(self.coloring, radii)
 
     def test_detects_invalid_coloring(self):
         # force two same-color centers whose balls overlap
         bad = pl.Coloring(self.coloring.graph, np.zeros(4, dtype=np.int64), 1)
         radii = pl.RadiusAssignment(np.full(4, 4.0), 3.0, 5.0)
         with pytest.raises(pl.CarveError):
-            pl.carve(self.space, self.net, bad, radii)
+            pl.carve(bad, radii)
 
     def test_cluster_diameter_at_most_twice_cap(self):
         rng = np.random.default_rng(3)
@@ -116,18 +116,16 @@ class TestCarve:
             M = 2.0
             coloring = pl.greedy_color(pl.net_graph(net, 2 * M))
             t = rng.uniform(1.0, M, len(net.members))
-            layer = pl.carve(space, net, coloring, pl.RadiusAssignment(t, 1.0, M))
+            layer = pl.carve(coloring, pl.RadiusAssignment(t, 1.0, M))
             for s in layer.cluster_sets():
                 assert pl.set_diameter(space, s) <= 2 * M
 
     def test_partition_invariant_to_cluster_labels(self):
         rng = np.random.default_rng(9)
         t = rng.uniform(3, 5, 4)
-        layer = pl.carve(self.space, self.net, self.coloring,
-                         pl.RadiusAssignment(t, 3.0, 5.0))
+        layer = pl.carve(self.coloring, pl.RadiusAssignment(t, 3.0, 5.0))
         as_sets = {frozenset(s.tolist()) for s in layer.cluster_sets()}
-        again = pl.carve(self.space, self.net, self.coloring,
-                         pl.RadiusAssignment(t, 3.0, 5.0))
+        again = pl.carve(self.coloring, pl.RadiusAssignment(t, 3.0, 5.0))
         assert {frozenset(s.tolist()) for s in again.cluster_sets()} == as_sets
 
     @pytest.mark.parametrize("fixture,block_rows", [
@@ -149,7 +147,7 @@ class TestCarve:
         for _ in range(50):
             t = rng.uniform(1.0, M, len(net.members))
             radii = pl.RadiusAssignment(t, 1.0, M)
-            layer = pl.carve(fixture, net, coloring, radii)
+            layer = pl.carve(coloring, radii)
             mine = layer.center_positions[layer.cluster_of]
             oracle = literal_carve(fixture, net.members, coloring.colors, t)
             assert np.array_equal(mine, oracle)
@@ -166,11 +164,11 @@ class TestCarve:
         with pytest.raises(ValueError, match="owner table guard"):
             pl.moser_tardos(space, net, csp, seed=0)
         with pytest.raises(ValueError, match="owner table guard"):
-            pl.carve(space, net, coloring, radii)
+            pl.carve(coloring, radii)
 
     def test_csv_serialization(self, tmp_path):
         radii = pl.RadiusAssignment(np.full(4, 4.0), 3.0, 5.0)
-        layer = pl.carve(self.space, self.net, self.coloring, radii)
+        layer = pl.carve(self.coloring, radii)
         path = tmp_path / "layer.csv"
         layer.write_csv(path)
         lines = path.read_text().splitlines()
@@ -249,7 +247,7 @@ class TestIsCut:
         net = pl.build_net(space, 3, 3)
         coloring = pl.greedy_color(pl.net_graph(net, 10.0))
         radii = pl.RadiusAssignment(np.full(4, 4.0), 3.0, 5.0)
-        self.layer = pl.carve(space, net, coloring, radii)
+        self.layer = pl.carve(coloring, radii)
 
     def test_hand_examples(self):
         assert pl.is_cut(self.layer, 6, 2.0) is True    # {5,6,7} spans two clusters
@@ -279,7 +277,7 @@ class TestCutProbabilityMc:
         space = pl.integer_segment(20)
         net = pl.Net(space, np.array([10]), 21.0, 21.0)
         law = pl.TexpParams(0.5, 21.0, 22.0)
-        res = pl.cut_probability_mc(space, net, law, 3.0, centers=[10], trials=1, seed=0)
+        res = pl.cut_probability_mc(net, law, 3.0, centers=[10], trials=1, seed=0)
         assert res.aggregate_freq == 0.0
 
     def test_matches_literal_carve_per_trial(self):
@@ -290,7 +288,7 @@ class TestCutProbabilityMc:
         law = pl.TgeoParams(0.05, 20)
         centers = np.arange(5, 95, 7)
         trials = 50
-        res = pl.cut_probability_mc(space, net, law, 3.0, centers, trials, seed=13)
+        res = pl.cut_probability_mc(net, law, 3.0, centers, trials, seed=13)
         coloring = pl.greedy_color(pl.net_graph(net, 40.0))
         for k in range(trials):
             t = pl.draw_radii(law, net, 13, k).t
@@ -303,11 +301,11 @@ class TestCutProbabilityMc:
         net = pl.build_net(space, 3, 3)
         law = pl.TexpParams(0.1, 9.0, 30.0)
         centers = net.members[2:-2:4]
-        res = pl.cut_probability_mc(space, net, law, 9.0, centers, trials=25, seed=3)
+        res = pl.cut_probability_mc(net, law, 9.0, centers, trials=25, seed=3)
         coloring = pl.greedy_color(pl.net_graph(net, 60.0))
         for k in range(25):
             radii = pl.draw_radii(law, net, 3, k)
-            layer = pl.carve(space, net, coloring, radii)
+            layer = pl.carve(coloring, radii)
             for j, c in enumerate(centers):
                 assert res.cut_matrix[k, j] == pl.is_cut(layer, int(c), 9.0)
 
@@ -316,8 +314,8 @@ class TestCutProbabilityMc:
         net = pl.build_net(space, 1, 1)
         law = pl.TgeoParams(0.1, 15)
         centers = np.arange(10, 190, 17)
-        a = pl.cut_probability_mc(space, net, law, 4.0, centers, 30, 5)
-        b = pl.cut_probability_mc(space, net, law, 4.0, centers, 30, 5, threads=4)
+        a = pl.cut_probability_mc(net, law, 4.0, centers, 30, 5)
+        b = pl.cut_probability_mc(net, law, 4.0, centers, 30, 5, threads=4)
         assert np.array_equal(a.cut_matrix, b.cut_matrix)
 
     @pytest.mark.parametrize("coords,members,law,center", [
@@ -330,13 +328,13 @@ class TestCutProbabilityMc:
         space = pl.CoordSpace(coords)
         net = pl.Net(space, np.array(members), 1.0, 1.0)
         with pytest.raises(pl.CarveError, match="touched by no ball"):
-            pl.cut_probability_mc(space, net, law, 0.5, [center], 5, 0)
+            pl.cut_probability_mc(net, law, 0.5, [center], 5, 0)
 
     def test_standard_errors_are_binomial(self):
         space = pl.integer_segment(200)
         net = pl.build_net(space, 1, 1)
         law = pl.TgeoParams(0.1, 15)
-        res = pl.cut_probability_mc(space, net, law, 4.0, np.arange(20, 180, 16), 40, 2)
+        res = pl.cut_probability_mc(net, law, 4.0, np.arange(20, 180, 16), 40, 2)
         f = res.per_center_freq
         assert np.allclose(res.per_center_se, np.sqrt(f * (1 - f) / 40))
 
@@ -403,7 +401,7 @@ def test_probe_scan_matches_dense_evaluation(case):
     # the greedy coloring is swapped for the drawn one where cut_probability_mc
     # builds it
     with mock.patch.object(carving, "greedy_color", lambda graph: coloring):
-        res = pl.cut_probability_mc(space, net, law, probe, centers, trials, seed)
+        res = pl.cut_probability_mc(net, law, probe, centers, trials, seed)
     radii = np.stack([pl.draw_radii(law, net, seed, t).t for t in range(trials)])
     expected = reference_probe_cuts(space, net, coloring.colors, M, probe, centers, radii)
     assert np.array_equal(res.cut_matrix, expected)
@@ -449,7 +447,7 @@ def test_carve_is_total_and_its_padding_verdict_matches_a_per_member_oracle(case
     assert l >= net.eps
     radii = pl.draw_radii(law, net, seed, 0)
     coloring = pl.greedy_color(pl.net_graph(net, 2 * M))
-    layer = pl.carve(space, net, coloring, radii)
+    layer = pl.carve(coloring, radii)
     sets = layer.cluster_sets()
     assert np.array_equal(np.sort(np.concatenate(sets)), np.arange(space.n))
     owner = layer.center_positions[layer.cluster_of]

@@ -254,11 +254,8 @@ class TestCutprob:
             outs.append(out)
         assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
 
-    def test_thread_count_is_clamped_to_cpus(self, monkeypatch):
+    def test_thread_count_is_clamped_to_cpus(self):
         cpus = os.cpu_count() or 1
-        monkeypatch.setenv("LAB_THREADS", str(10**9))
-        assert _threads(argparse.Namespace(threads=1)) == cpus
-        monkeypatch.delenv("LAB_THREADS")
         assert _threads(argparse.Namespace(threads=10**9)) == cpus
 
     def test_threads_flag_keeps_bytes(self, tmp_path):
@@ -269,18 +266,6 @@ class TestCutprob:
                      tgeo_grid_config(tmp_path, out2)])
         assert code == 0
         assert open(out1).read().replace("t1", "") == open(out2).read().replace("t2", "")
-
-    def test_lab_threads_override_keeps_bytes(self, tmp_path, monkeypatch):
-        out1 = str(tmp_path / "c1.csv")
-        cfg1 = tgeo_grid_config(tmp_path, out1)
-        assert main(["cutprob", "--config", cfg1]) == 0
-        monkeypatch.setenv("LAB_THREADS", "4")
-        out2 = str(tmp_path / "c2.csv")
-        cfg2 = tgeo_grid_config(tmp_path, out2)
-        assert main(["cutprob", "--config", cfg2]) == 0
-        a = open(out1).read().replace("c1.csv", "")
-        b = open(out2).read().replace("c2.csv", "")
-        assert a == b
 
 
 class TestGrowth:
@@ -412,6 +397,17 @@ class TestLllCheck:
     def test_bad_schedule_is_usage_error(self):
         assert main(["lll-check", "--schedule", '{"kind": "nope"}']) == 2
 
+    def test_config_reads_only_the_schedule(self, tmp_path, capsys):
+        """``--config`` takes a carve config, whose other keys it does not read."""
+        sched = {"kind": "texp", "N": 3, "r": 3.0, "eps": 0.05, "D": 100.0}
+        cfg = write_config(tmp_path, "carve.json", {"fixture": "segment:3000", "seed": 7,
+                                                    "out": "run", "max_rounds": 5,
+                                                    "schedule": sched})
+        assert main(["lll-check", "--config", cfg]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["lll-check", "--schedule", json.dumps(sched)]) == 0
+        assert capsys.readouterr().out == from_config
+
 
 TEXP = '{"kind": "texp", "N": %s, "r": 3.0, "eps": 0.05, "D": %s}'
 COVER = ('{"kind": "cover", "fixture": "segment:9", "n_points": 10, "r_disjoint": %s, '
@@ -426,6 +422,7 @@ CARVE_DOC = {"fixture": "segment:10", "seed": 0,
 TGEO = {"kind": "tgeo", "b": 1, "p": 0.0025, "M": 9585, "m": 2, "r": 9}
 TO_PADDED = ["convert", "--input", "IN", "--direction", "to-padded", "--r", "1", "--out", "OUT"]
 TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT"]
+TEXP_READS = 'it reads "kind", "N", "r", "eps", "D"'
 
 
 @pytest.mark.parametrize("argv,text,message", [
@@ -508,6 +505,26 @@ TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT
     (["carve", "--config", "IN"], json.dumps({**CARVE_DOC, "out": "OUT",
                                                "schedule": {**TGEO, "M": 15 * 10**307}}),
      "tgeo needs a finite domain radius M + r"),
+    (["lll-check", "--schedule", TEXP.replace("}", ', "m": 5}') % (3, 20)], "",
+     'a texp schedule has unknown keys "m"; ' + TEXP_READS),
+    (["carve", "--config", "IN"], json.dumps({**CARVE_DOC, "out": "OUT",
+                                               "schedule": {**CARVE_DOC["schedule"], "m": 5}}),
+     'a texp schedule has unknown keys "m"; ' + TEXP_READS),
+    (["cutprob", "--config", "IN"],
+     CUTPROB_NET.replace('"out": "x"', '"out": "OUT"').replace('"r": 1.0}', '"r": 1.0, '
+                                                               '"note": "a,b"}') % "{}",
+     'a tgeo schedule has unknown keys "note"; it reads "kind", "b", "p", "M", "m", "r"'),
+    (["cutprob", "--config", "IN"],
+     CUTPROB_NET.replace('"out": "x"', '"out": "OUT"') % '{"esp": 2}',
+     'cutprob "net" has unknown keys "esp"; it reads "eps", "delta"'),
+    (["cutprob", "--config", "IN"],
+     CUTPROB_NET.replace('"out": "x"', '"out": "OUT", "trails": 5') % "{}",
+     'cutprob config has unknown keys "trails"; it reads "fixture", "seed", "out", "net", '
+     '"trials", "centers", "grid"'),
+    (["carve", "--config", "IN"], json.dumps({**CARVE_DOC, "out": "OUT", "max_round": 5,
+                                               "sede": 1}),
+     'carve config has unknown keys "max_round", "sede"; it reads "fixture", "seed", "out", '
+     '"schedule", "max_rounds"'),
 ], ids=["carve_config_list", "cutprob_config_list", "carve_schedule_list",
         "lll_schedule_list", "convert_input_list", "texp_huge_N", "tgeo_huge_M",
         "carve_huge_seed", "texp_overflowing_M", "texp_overflowing_2M", "texp_nan_D", "texp_infinite_D",
@@ -520,7 +537,9 @@ TO_COVER = ["convert", "--input", "IN", "--direction", "to-cover", "--out", "OUT
         "cover_string_id", "cover_bool_id", "cover_nested_id", "cover_int_fixture",
         "carve_int_fixture", "carve_int_out", "cutprob_int_out", "cutprob_bool_out",
         "tgeo_oversized_int_M", "carve_oversized_int_M", "tgeo_infinite_domain",
-        "carve_infinite_domain"])
+        "carve_infinite_domain", "texp_unread_m", "carve_texp_unread_m",
+        "cutprob_tgeo_unread_note", "cutprob_net_typo", "cutprob_config_typo",
+        "carve_config_typos"])
 def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, argv, text, message):
     """Non-object JSON documents, values of the wrong type and non-finite
     numbers exit 2 with one line on stderr, before any output is written."""

@@ -13,17 +13,17 @@ from oracles import (literal_verify_padded, make_cover, naive_verify_cover,
                      naive_verify_padded, reference_ball_of_set, reference_shrink_set)
 
 
-def carve_layer(space, net, t_value, M):
+def carve_layer(net, t_value, M):
     coloring = pl.greedy_color(pl.net_graph(net, 2 * M))
     radii = pl.RadiusAssignment(np.full(len(net.members), t_value), net.eps, M)
-    return pl.carve(space, net, coloring, radii).cluster_sets()
+    return pl.carve(coloring, radii).cluster_sets()
 
 
 class TestVerifyPadded:
     def setup_method(self):
         self.space = pl.integer_segment(9)
         self.net = pl.build_net(self.space, 3, 3)
-        self.layer1 = carve_layer(self.space, self.net, 4.0, 5.0)
+        self.layer1 = carve_layer(self.net, 4.0, 5.0)
 
     def test_single_layer_fails_with_witness(self):
         report = pl.verify_padded([self.layer1], self.net, R=2.0, D=10.0)
@@ -34,7 +34,7 @@ class TestVerifyPadded:
 
     def test_shifted_second_layer_passes(self):
         net_b = pl.Net(self.space, np.array([1, 4, 7]), 3.0, 3.0)
-        layer2 = carve_layer(self.space, net_b, 4.0, 5.0)
+        layer2 = carve_layer(net_b, 4.0, 5.0)
         report = pl.verify_padded([self.layer1, layer2], self.net, R=2.0, D=10.0)
         assert report.passed
 
@@ -80,7 +80,7 @@ class TestVerifyPadded:
         assert not strict.conditions["strict_disjointness"]
         assert any(w["condition"] == "strict_disjointness" and w["point"] == 4
                    for w in strict.witnesses)
-        clean = carve_layer(self.space, self.net, 4.0, 5.0)
+        clean = carve_layer(self.net, 4.0, 5.0)
         assert pl.verify_padded([clean], self.net, R=0.5, D=10.0,
                                 strict_disjoint=True).conditions["strict_disjointness"]
 
@@ -104,10 +104,14 @@ class TestVerifyPadded:
             pl.verify_padded(layers, net, R=R, D=D)
 
     def test_refuses_a_decomposition_of_another_size(self):
+        """A decomposition is verified against its own net only: another net,
+        on another space or on the same one, is refused."""
         pd = pl.PaddedDecomposition(self.net, [[np.arange(10)]], R=1.0, D=9.0)
-        other = pl.build_net(pl.integer_segment(12), 1, 1)
-        with pytest.raises(ValueError, match="different sizes"):
-            pl.verify_padded(pd, other, R=1.0, D=9.0)
+        for other in (pl.build_net(pl.integer_segment(12), 1, 1),
+                      pl.build_net(self.space, 1, 1)):
+            with pytest.raises(ValueError, match="decomposition was built on a different net"):
+                pl.verify_padded(pd, other, R=1.0, D=9.0)
+        assert pl.verify_padded(pd, self.net, R=1.0, D=9.0).passed
 
 
 class TestVerifyCover:
@@ -321,7 +325,7 @@ class TestConversions:
         cover = pl.Cover(space, [[np.arange(31)]], r_disjoint=9.0, D_bound=30.0)
         pd = pl.padded_from_cover(cover, net, R=4.0)
         assert pd.layers[0][0].tolist() == list(range(31))
-        back = pl.cover_from_padded(pd, net)
+        back = pl.cover_from_padded(pd)
         assert back.layers[0][0].tolist() == list(range(31))
         assert back.r_disjoint == 2.0 and back.D_bound == pd.D
 
@@ -346,7 +350,7 @@ class TestConversions:
         pd = pl.PaddedDecomposition(net, [[np.arange(5), np.arange(5, 10)]],
                                     R=4.0, D=9.0)
         with pytest.raises(pl.VerificationFailure):
-            pl.cover_from_padded(pd, net)
+            pl.cover_from_padded(pd)
 
     def test_full_round_trip_on_cloud(self):
         space = pl.euclidean_cloud(300, 2, seed=0, scale=100.0)
@@ -357,9 +361,50 @@ class TestConversions:
         assert pl.verify_cover(cover).passed
         pd = pl.padded_from_cover(cover, net, R_pad)
         assert (pd.R, pd.D) == (R_pad, 2 * R_pad + 2 * r + cover.D_bound)
-        back = pl.cover_from_padded(pd, net)
+        back = pl.cover_from_padded(pd)
         assert (back.r_disjoint, back.D_bound) == (R, pd.D)
         assert pl.verify_cover(back).passed
+
+
+@st.composite
+def round_trip_cases(draw):
+    """A segment, a small cloud or a tree with a net scale r, a padding
+    radius R >= r and a cover seed.  The radii are multiples of a power of
+    two, so the (R, D) bookkeeping is exact in floating point."""
+    spec, unit = draw(st.one_of(
+        st.builds(lambda n: (f"segment:{n}", 0.5), st.integers(1, 60)),
+        st.builds(lambda n, s: (f"cloud:{n}:2:seed={s}", 1 / 16), st.integers(2, 40),
+                  st.integers(0, 99)),
+        st.sampled_from([("tree:2:3", 0.5), ("tree:2:4", 0.5), ("tree:3:3", 0.5)])))
+    r = unit * draw(st.integers(1, 4))
+    return spec, r, r + unit * draw(st.integers(0, 6)), draw(st.integers(0, 999))
+
+
+@settings(max_examples=60, deadline=None)
+@given(round_trip_cases())
+def test_cover_and_padded_round_trips(case):
+    """A verified (2(R + 2r) + r, 2r)-cover grows into an (R + 2r, D)-padded
+    decomposition and shrinks back into an (R, D)-cover: both conversions
+    succeed, both verifiers pass, the (R, D) bookkeeping holds, and each
+    object comes back unchanged through its JSON writer and reader."""
+    spec, r, R, seed = case
+    space = pl.parse_fixture(spec)
+    net = pl.build_net(space, r, r)
+    R_pad = R + 2 * r
+    cover = make_cover(space, r, separation=2 * R_pad + r, seed=seed)
+    pd = pl.padded_from_cover(cover, net, R_pad)
+    back = pl.cover_from_padded(pd)
+    assert pl.verify_cover(cover).passed and pl.verify_cover(back).passed
+    assert pl.verify_padded(pd, net, pd.R, pd.D).passed
+    assert (pd.R, pd.D) == (R_pad, 2 * R_pad + 2 * r + cover.D_bound)
+    assert (back.r_disjoint, back.D_bound) == (R, pd.D)
+    for obj, write, read in ((cover, pl.cover_to_json, pl.cover_from_json),
+                             (back, pl.cover_to_json, pl.cover_from_json),
+                             (pd, pl.decomposition_to_json, pl.decomposition_from_json)):
+        again = read(json.loads(decomposition.dump_json(write(obj, spec))))
+        assert write(again, spec) == write(obj, spec)
+    again = pl.decomposition_from_json(pl.decomposition_to_json(pd, spec))
+    assert pl.verify_padded(again, again.net, again.R, again.D).passed
 
 
 class TestSerialization:
@@ -376,7 +421,7 @@ class TestSerialization:
     def test_decomposition_round_trip(self):
         space = pl.integer_segment(9)
         net = pl.build_net(space, 3, 3)
-        layer = carve_layer(space, net, 4.0, 5.0)
+        layer = carve_layer(net, 4.0, 5.0)
         pd = pl.PaddedDecomposition(net, [layer], R=1.0, D=8.0)
         doc = pl.decomposition_to_json(pd, "segment:9")
         loaded = pl.decomposition_from_json(json.loads(json.dumps(doc)))
@@ -387,7 +432,7 @@ class TestSerialization:
     def test_report_serializes_with_witnesses(self):
         space = pl.integer_segment(9)
         net = pl.build_net(space, 3, 3)
-        layer = carve_layer(space, net, 4.0, 5.0)
+        layer = carve_layer(net, 4.0, 5.0)
         report = pl.verify_padded([layer], net, R=2.0, D=10.0)
         doc = report.to_jsonable()
         assert doc["passed"] is False
@@ -447,12 +492,12 @@ class TestBlockBudget:
         coloring = pl.greedy_color(pl.net_graph(net, 6.0))
         radii = pl.RadiusAssignment(np.full(len(net.members), 2.0), 1.0, 3.0)
         csp = pl.CspInstance(net, 1, pl.TexpParams(0.5, 1.0, 3.0), 1.5, 4.0)
-        layer = pl.carve(space, net, coloring, radii)
+        layer = pl.carve(coloring, radii)
         ops = {
             "verify_cover": lambda: pl.verify_cover(cover),
             "verify_padded": lambda: pl.verify_padded(pd, net, pd.R, pd.D, strict_disjoint=True),
             "padded_from_cover": lambda: pl.padded_from_cover(cover, net, 3.0),
-            "cover_from_padded": lambda: pl.cover_from_padded(pd, net),
+            "cover_from_padded": lambda: pl.cover_from_padded(pd),
             "set_diameter": lambda: pl.set_diameter(space, np.arange(61)),
             "set_distance": lambda: pl.set_distance(space, np.arange(30), np.arange(30, 61)),
             "shrink_set": lambda: pl.shrink_set(space, np.arange(40), 3.0),
@@ -460,15 +505,15 @@ class TestBlockBudget:
             "diameter": lambda: pl.integer_segment(60).diameter(),
             "build_net": lambda: pl.build_net(cloud, 0.3, 0.2),
             "net_graph": lambda: pl.net_graph(net, 6.0),
-            "carve": lambda: pl.carve(space, net, coloring, radii),
+            "carve": lambda: pl.carve(coloring, radii),
             "moser_tardos": lambda: pl.moser_tardos(space, net, csp, seed=0, max_rounds=5),
             "growth_table": lambda: pl.growth_table(space, [2.0, 5.0], trials=2),
             "validate_metric": lambda: pl.validate_metric(space, exhaustive_limit=10,
                                                           samples=50),
             "cut_probability_mc": lambda: pl.cut_probability_mc(
-                space, net, pl.TgeoParams(0.2, 3), 4.0, [5, 30, 55], trials=3, seed=0),
+                net, pl.TgeoParams(0.2, 3), 4.0, [5, 30, 55], trials=3, seed=0),
             "is_cut": lambda: pl.is_cut(layer, 30, 4.0),
-            "ball_net_count": lambda: pl.ball_net_count(space, net, 30, 5.0),
+            "ball_net_count": lambda: pl.ball_net_count(net, 30, 5.0),
             "volume_doubling_estimate": lambda: pl.volume_doubling_estimate(
                 pl.MeasuredSpace.uniform(space), [2.0, 3.0]),
             "ball": lambda: space.ball(30, 5.0),

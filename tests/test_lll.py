@@ -226,6 +226,21 @@ class TestMoserTardos:
         assert res.success and res.rounds == 0
         assert res.violated_history == [0]
 
+    def test_refuses_a_space_or_csp_the_net_was_not_built_for(self):
+        """On a copy of the segment stretched threefold, the net of the
+        original would carve a different space; an equal but distinct space
+        is refused too."""
+        space = pl.integer_segment(30)
+        net = pl.build_net(space, 2, 2)
+        csp = pl.CspInstance(net, 1, pl.TexpParams(0.5, 2.0, 4.0), 1.0, 5.0)
+        for other in (pl.CoordSpace(space.coords * 3), pl.integer_segment(30)):
+            with pytest.raises(ValueError, match="net was built on a different space"):
+                pl.moser_tardos(other, net, csp, seed=0)
+        foreign = pl.CspInstance(pl.build_net(space, 2, 2), 1, csp.law, 1.0, 5.0)
+        with pytest.raises(ValueError, match="csp was built for a different net"):
+            pl.moser_tardos(space, net, foreign, seed=0)
+        assert pl.moser_tardos(space, net, csp, seed=0, max_rounds=0).rounds == 0
+
     def test_deterministic_given_seed(self):
         space = pl.integer_segment(600)
         net = pl.build_net(space, 3, 3)
@@ -243,7 +258,7 @@ class TestMoserTardos:
         net = pl.build_net(space, 3, 3)
         sched = converging_schedule()
         for seed in range(3):
-            run = pl.certify_decomposition(space, net, sched, seed)
+            run = pl.certify_decomposition(net, sched, seed)
             assert run.report.passed
 
     def test_failure_report_fields(self):
@@ -266,8 +281,8 @@ class TestMoserTardos:
         space = pl.integer_segment(3000)
         net = pl.build_net(space, 3, 3)
         sched = pl.TexpSchedule(N=3, r=3.0, eps=0.05, D=20.0)
-        res = pl.cut_probability_mc(space, net, sched.law(), sched.probe_radius,
-                                    net.members[5::10], trials=50, seed=0)
+        res = pl.cut_probability_mc(net, sched.law(), sched.probe_radius, net.members[5::10],
+                                    trials=50, seed=0)
         assert 0.25 <= res.aggregate_freq <= 0.42
         # the per-constraint violation rate this implies, times the number of
         # constraints whose dependencies a resample re-randomizes, is >> 1
@@ -290,8 +305,8 @@ class TestMoserTardos:
         dom = np.nonzero(member_dist < sched.domain_radius)[0]
         t1 = t0.copy()
         t1[dom] = pl.sample_texp(law, rng, len(dom))
-        layer0 = pl.carve(space, net, coloring, pl.RadiusAssignment(t0, sched.l, sched.M))
-        layer1 = pl.carve(space, net, coloring, pl.RadiusAssignment(t1, sched.l, sched.M))
+        layer0 = pl.carve(coloring, pl.RadiusAssignment(t0, sched.l, sched.M))
+        layer1 = pl.carve(coloring, pl.RadiusAssignment(t1, sched.l, sched.M))
         own0 = layer0.center_positions[layer0.cluster_of]
         own1 = layer1.center_positions[layer1.cluster_of]
         changed = np.nonzero(own0 != own1)[0]
@@ -351,7 +366,7 @@ class TestIncrementalState:
         space, net, csp = small_instances[config]
         res = pl.moser_tardos(space, net, csp, seed, max_rounds=max_rounds)
         coloring = pl.greedy_color(pl.net_graph(net, 2 * csp.law.M))
-        layers = [pl.carve(space, net, coloring, a) for a in res.assignments]
+        layers = [pl.carve(coloring, a) for a in res.assignments]
         assert all(np.array_equal(kept.cluster_of, fresh.cluster_of)
                    and np.array_equal(kept.centers, fresh.centers)
                    for kept, fresh in zip(res.layers, layers, strict=True))
@@ -377,7 +392,7 @@ class TestCertify:
         space = pl.integer_segment(1200)
         net = pl.build_net(space, 3, 3)
         sched = converging_schedule()
-        run = pl.certify_decomposition(space, net, sched, seed=2)
+        run = pl.certify_decomposition(net, sched, seed=2)
         assert run.report.passed
         pd = run.decomposition
         assert pd.m == 2 and pd.R == 9.0 and pd.D == 2 * sched.M
@@ -390,10 +405,8 @@ class TestCertify:
         monkeypatch.setattr(lll_mod, "greedy_color",
                             lambda graph: calls.append(graph) or pl.greedy_color(graph))
         space = pl.integer_segment(600)
-        run = pl.certify_decomposition(space, pl.build_net(space, 3, 3),
-                                       converging_schedule(), seed=0)
+        run = pl.certify_decomposition(pl.build_net(space, 3, 3), converging_schedule(), seed=0)
         assert run.report.passed and len(calls) == 1
-        assert all(layer.coloring.graph is calls[0] for layer in run.partition_layers)
 
     def test_reuses_the_resampler_layers(self, monkeypatch):
         """Certification verifies the layers the resampler carved; it never
@@ -406,8 +419,7 @@ class TestCertify:
                     monkeypatch.setattr(module, attr,
                                         lambda *a, **k: calls.append(a) or original(*a, **k))
         space = pl.integer_segment(600)
-        run = pl.certify_decomposition(space, pl.build_net(space, 3, 3),
-                                       converging_schedule(), seed=0)
+        run = pl.certify_decomposition(pl.build_net(space, 3, 3), converging_schedule(), seed=0)
         assert run.report.passed and len(run.partition_layers) == 2
         assert calls == []
 
@@ -419,7 +431,7 @@ class TestCertify:
         sched = pl.TexpSchedule(N=4, r=1.0, eps=0.05, D=12.0)
         assert sched.m == 3
         for seed in range(3):
-            run = pl.certify_decomposition(space, net, sched, seed, max_rounds=400)
+            run = pl.certify_decomposition(net, sched, seed, max_rounds=400)
             assert run.report.passed
             assert run.decomposition.m == 3
             assert run.decomposition.D == 2 * sched.M
@@ -442,6 +454,6 @@ class TestCertify:
         res = pl.moser_tardos(space, net, csp, seed=0)
         assert res.success
         coloring = pl.greedy_color(pl.net_graph(net, 104.0))
-        layer = pl.carve(space, net, coloring, res.assignments[0])
+        layer = pl.carve(coloring, res.assignments[0])
         pd = pl.PaddedDecomposition(net, [layer.cluster_sets()], R=26.0, D=104.0)
         assert pl.verify_padded(pd, net, pd.R, pd.D).passed

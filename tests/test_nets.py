@@ -116,30 +116,30 @@ class TestBallNetCount:
     def test_counts_strictly_inside(self):
         space = pl.integer_segment(10)
         net = pl.build_net(space, 1, 1)
-        assert pl.ball_net_count(space, net, 5, 2.0) == 3  # 4, 5, 6
+        assert pl.ball_net_count(net, 5, 2.0) == 3  # 4, 5, 6
 
     def test_empty_when_radius_short(self):
         space = pl.CoordSpace([0.0, 0.5, 1.0])
         net = pl.Net(space, np.array([0, 2]), 1.0, 1.0)
-        assert pl.ball_net_count(space, net, 1, 0.4) == 0
+        assert pl.ball_net_count(net, 1, 0.4) == 0
 
     def test_member_center_counts_itself(self):
         space = pl.integer_segment(10)
         net = pl.build_net(space, 3, 3)
         for R in (0.5, 1.0, 2.0):
-            assert pl.ball_net_count(space, net, 3, R) >= 1
+            assert pl.ball_net_count(net, 3, R) >= 1
 
     def test_rejects_nonpositive_radius(self):
         space = pl.integer_segment(4)
         net = pl.build_net(space, 1, 1)
         with pytest.raises(ValueError):
-            pl.ball_net_count(space, net, 0, 0.0)
+            pl.ball_net_count(net, 0, 0.0)
 
     def test_rejects_nan_radius(self):
         space = pl.integer_segment(4)
         net = pl.build_net(space, 1, 1)
         with pytest.raises(ValueError, match="R must be positive"):
-            pl.ball_net_count(space, net, 3, float("nan"))
+            pl.ball_net_count(net, 3, float("nan"))
 
 
 @st.composite

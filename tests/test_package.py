@@ -1,3 +1,5 @@
+import inspect
+
 import padlab as pl
 from padlab import spaces
 
@@ -43,3 +45,24 @@ def test_schedules_and_laws_answer_for_their_own_kind():
     for module in (cli, carving):
         assert [name for name, value in vars(module).items()
                 if any(value is k for k in kinds)] == []
+
+
+def test_no_public_signature_passes_an_argument_twice():
+    """A net fixes its space, and a coloring or a padded decomposition fixes
+    its net, so no public signature takes ``space`` beside ``net`` or
+    ``coloring``, nor ``net`` beside ``pd`` or ``coloring``.  The one
+    exemption is ``moser_tardos``, whose ``(space, net, csp, ...)`` order
+    ``perfbench/tracer.py`` reads by position; it refuses a space other than
+    ``net.space``."""
+    redundant = {"space": {"net", "coloring"}, "net": {"pd", "coloring"}}
+    doubled = []
+    for name in pl.__all__:
+        obj = getattr(pl, name)
+        try:
+            params = set(inspect.signature(obj.__init__ if isinstance(obj, type) else obj)
+                         .parameters)
+        except (TypeError, ValueError):  # a builtin without a signature
+            continue
+        if any(key in params and params & owners for key, owners in redundant.items()):
+            doubled.append(name)
+    assert doubled == ["moser_tardos"]
