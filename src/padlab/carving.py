@@ -39,7 +39,7 @@ import numpy as np
 
 from . import spaces
 from .nets import Net, NetGraph, net_graph
-from .spaces import FiniteMetricSpace, _balls, _dist_blocks
+from .spaces import FiniteMetricSpace, _balls, _dist_blocks, _near_members
 
 __all__ = [
     "Coloring",
@@ -320,36 +320,43 @@ def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int,
         raise ValueError("need at least one probe center")
     space, colors = net.space, greedy_color(net_graph(net, 2 * M)).colors
 
-    # Per probe: candidate members able to touch the ball at all, in color
-    # order, with their nearest/farthest distance to the ball (a running
-    # min/max over its row blocks) and the ends of their color runs.
-    probes = []
+    # Per probe: the members able to touch the ball at all (those within M of
+    # it among ``space.candidates``, the only ones read), in color order,
+    # with their nearest/farthest distance to the ball (a running min/max
+    # over its row blocks) and the ends of their color runs.
+    position_of, probes = np.full(space.n, -1, dtype=np.intp), []
+    position_of[net.members] = np.arange(len(net.members))
     for ball in _balls(space, centers, probe_radius):
-        dmin = np.full(len(net.members), np.inf)
-        dmax = np.full(len(net.members), -np.inf)
-        for _, sub in _dist_blocks(space, ball, net.members):
+        near = _near_members(space, ball, M, position_of)
+        near = np.arange(len(net.members)) if near is None else near
+        dmin = np.full(len(near), np.inf)
+        dmax = np.full(len(near), -np.inf)
+        for _, sub in _dist_blocks(space, ball, net.members[near]):
             np.minimum(dmin, sub.min(axis=0), out=dmin)
             np.maximum(dmax, sub.max(axis=0), out=dmax)
-        cand = np.nonzero(dmin < M)[0]
-        cand = cand[np.argsort(colors[cand], kind="stable")]
-        run_colors = colors[cand]
-        ends = np.searchsorted(run_colors, run_colors, side="right")
-        probes.append((cand, dmin[cand], dmax[cand], ends))
+        keep = np.nonzero(dmin < M)[0]
+        keep = keep[np.argsort(colors[near[keep]], kind="stable")]
+        run_colors = colors[near[keep]]
+        probes.append((near[keep], dmin[keep], dmax[keep],
+                       np.searchsorted(run_colors, run_colors, side="right")))
 
     cut = np.zeros((trials, len(centers)), dtype=bool)
 
     def eval_probe(j, radii_chunk, rows):
         cut[rows, j] = _probe_cuts(*probes[j], radii_chunk)
 
-    # Radii are drawn per trial (stream [seed, trial]), evaluated for all
-    # trials of a chunk at once; threads split the probe loop over one pool,
-    # which starts no thread unless threads > 1.
-    chunk = max(1, spaces._BLOCK_ENTRIES // max(1, len(net.members)))
+    # Radii are drawn per trial (stream [seed, trial]) into the rows of one
+    # buffer and evaluated for all trials of a chunk at once; threads split
+    # the probe loop over one pool, which starts no thread unless threads > 1.
+    chunk = min(trials, max(1, spaces._BLOCK_ENTRIES // max(1, len(net.members))))
+    buffer = np.empty((chunk, len(net.members)))
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         run = pool.map if threads > 1 else map
         for start in range(0, trials, chunk):
             ks = range(start, min(start + chunk, trials))
-            radii_chunk = np.stack([draw_radii(law, net, seed, k).t for k in ks])
+            radii_chunk = buffer[:len(ks)]
+            for row, k in zip(radii_chunk, ks):
+                row[:] = draw_radii(law, net, seed, k).t
             rows = np.arange(ks.start, ks.stop)
             list(run(lambda j: eval_probe(j, radii_chunk, rows), range(len(probes))))
 

@@ -158,8 +158,7 @@ def cmd_carve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cutprob_row(net, entry, trials, n_centers, seed, threads):
-    schedule = schedule_from_json(entry)
+def _cutprob_row(net, entry, schedule, trials, n_centers, seed, threads):
     law, probe = schedule.law(), schedule.probe_radius
     bound, regime = schedule.cut_bound()
     rng = np.random.default_rng([seed, 0xC3])
@@ -190,10 +189,12 @@ def cmd_cutprob(args) -> int:
     _known_keys(net_cfg, 'cutprob "net"', ("eps", "delta"))
     trials = _number(cfg.get("trials", 100), '"trials"', integer=True)
     n_centers = _number(cfg.get("centers", 50), '"centers"', integer=True)
+    schedules = [schedule_from_json(entry) for entry in grid]  # refused before any work
     net = build_net(parse_fixture(fixture), _number(net_cfg.get("eps", 1.0), '"eps"'),
                     _number(net_cfg.get("delta", 1.0), '"delta"'))
-    rows = [{**_cutprob_row(net, entry, trials, n_centers, seed, _threads(args)),
-             "experiment": f"cutprob-{k}"} for k, entry in enumerate(grid)]
+    rows = [{**_cutprob_row(net, entry, schedule, trials, n_centers, seed, _threads(args)),
+             "experiment": f"cutprob-{k}"}
+            for k, (entry, schedule) in enumerate(zip(grid, schedules))]
     cols = ["experiment", "fixture", "params", "probe_radius", "trials", "centers",
             "measured", "stderr", "bound", "regime", "pass"]
     with open(out, "w") as fh:

@@ -7,8 +7,10 @@ in a band ``[separation, M]``; its maximum degree is what bounds the number
 of colors the carving stage needs.
 
 One triangular pass over the member distances builds a net graph: each
-member is read against the members before it in index order, once, so every
-edge is seen once.  The pass yields the full degrees (an edge counts for
+member is read against the members before it in index order that
+``space.candidates`` puts within the band's upper end, once, so every edge
+is seen once (the net sweep likewise reads only the members within the
+covering radius).  The pass yields the full degrees (an edge counts for
 both ends) and the greedy coloring in that order (each member takes the
 least color no earlier neighbour holds).  :class:`NetGraph` keeps both, so
 there is one coloring per graph; :func:`padlab.carving.greedy_color`
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spaces
-from .spaces import FiniteMetricSpace, _dist_blocks
+from .spaces import FiniteMetricSpace, _dist_blocks, _near_members
 
 __all__ = ["Net", "NetGraph", "build_net", "net_graph", "ball_net_count", "NetError"]
 
@@ -63,10 +65,13 @@ def build_net(space: FiniteMetricSpace, eps: float, delta: float, order=None) ->
         if len(order) != n or not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError("order must be a permutation of the point indices")
     member_buf = np.empty(n, dtype=np.intp)
+    position_of = np.full(n, -1, dtype=np.intp)
     count = 0
-    # Blocked sweep: each block gets its distances to the members admitted so
-    # far in one vectorized call, then runs the sequential admission rule on
-    # the block's internal distances; any block size gives the naive sweep.
+    # Blocked sweep: each block gets its distances to the admitted members
+    # within eps in one vectorized call, then runs the sequential admission
+    # rule on the block's internal distances; any block size gives the naive
+    # sweep.  A member farther than eps leaves both verdicts unchanged (near
+    # >= delta at admission, nearest_seen >= eps below), so it is not read.
     # Blocks fit the budget in at most sqrt(budget) / 16 rows: admissions rescan the
     # block, and a 125-row square (125 KB) stays below malloc's 128 KB mmap threshold.
     nearest_seen = np.full(n, np.inf)
@@ -76,14 +81,14 @@ def build_net(space: FiniteMetricSpace, eps: float, delta: float, order=None) ->
                           spaces._BLOCK_ENTRIES // max(1, count)))
         block = order[pos:pos + size]
         pos += size
-        if count:
-            near = space.dist_block(block, member_buf[:count]).min(axis=1)
-        else:
-            near = np.full(len(block), np.inf)
+        close = _near_members(space, block, eps, position_of)
+        cols = member_buf[:count] if close is None else member_buf[close]
+        near = space.dist_block(block, cols).min(axis=1, initial=np.inf)
         inner = space.dist_block(block, block)
         for i, p in enumerate(block):
             if near[i] >= delta:
                 member_buf[count] = p
+                position_of[p] = count
                 count += 1
                 np.minimum(near, inner[i], out=near)
         nearest_seen[block] = near
@@ -104,31 +109,39 @@ def _band_pass(space: FiniteMetricSpace, members, band_low, band_high):
     by member position, from one pass over the members in index order.
 
     Row blocks ``[s, e)`` of the members are read against the columns
-    ``[0, e)``, so a block holds at most ``_BLOCK_ENTRIES`` entries (or one
-    row).  Columns before ``s`` are all earlier vertices; only the square
-    ``[s, e)`` part needs the strict lower triangle.  Each in-band entry is
-    an edge to an earlier vertex: it adds to the degrees of both ends, and
-    the row vertex takes the least color missing among its earlier
-    neighbours.  The mex of k colors is at most k, so only the first k + 1
-    scratch entries are read.
+    ``cols``: the ascending positions below ``e`` of the members that
+    ``space.candidates`` puts within ``band_high`` of the block (every
+    position below ``e`` when the candidates are the whole space), so a
+    block holds at most ``_BLOCK_ENTRIES`` entries (or one row).  Entry
+    ``(i, j)`` counts only when ``cols[j]`` is before row ``s + i``.  Each
+    in-band entry is an edge to an earlier vertex: it adds to the degrees of
+    both ends, and the row vertex takes the least color missing among its
+    earlier neighbours.  The mex of k colors is at most k, so only the first
+    k + 1 scratch entries are read.
     """
     T = len(members)
     degrees = np.zeros(T, dtype=np.int64)
     colors = np.zeros(T, dtype=np.int64)
     seen = np.zeros(T + 1, dtype=bool)  # marks the colors of one vertex's earlier neighbours
+    position_of = np.full(space.n, -1, dtype=np.intp)
+    position_of[members] = np.arange(T)
+    reach = np.nextafter(band_high, np.inf)  # candidates hold distances below their radius
     step = max(1, spaces._BLOCK_ENTRIES // max(1, T))
     for s in range(0, T, step):
         e = min(s + step, T)
-        sub = space.dist_block(members[s:e], members[:e])
+        close = _near_members(space, members[s:e], reach, position_of)
+        cols = np.arange(e) if close is None else close[:np.searchsorted(close, e)]
+        sub = space.dist_block(members[s:e], members[cols])
         inband = (sub >= band_low) & (sub <= band_high)
         # Blocks widen as e grows: freeing each one before the next is read
         # lets the allocator reuse its memory instead of growing the heap.
         del sub
-        inband[:, s:] &= np.tri(e - s, k=-1, dtype=bool)
+        k = np.searchsorted(cols, s)  # columns from here on may be rows of the block
+        inband[:, k:] &= cols[k:] < np.arange(s, e)[:, None]
         degrees[s:e] += inband.sum(axis=1)
-        degrees[:e] += inband.sum(axis=0)
+        degrees[cols] += inband.sum(axis=0)
         for i in range(e - s):
-            used = colors[:e][inband[i]]
+            used = colors[cols[inband[i]]]
             seen[used] = True
             colors[s + i] = seen[:len(used) + 1].argmin()
             seen[used] = False

@@ -95,7 +95,9 @@ class FiniteMetricSpace:
 
     def candidates(self, points, radius: float) -> np.ndarray:
         """Sorted ids of a superset of the points at distance less than
-        ``radius`` from some point of ``points``: here every point."""
+        ``radius`` from some point of ``points``: here every point.  Read by
+        the ball pass, the resampler's recarve and, through :func:`_near_members`,
+        the net sweep, the band pass and the cut probes' set-up."""
         return np.arange(self.n)
 
     def diameter(self) -> float:
@@ -209,6 +211,20 @@ def _dist_blocks(space: FiniteMetricSpace, rows, cols=None):
     step = max(1, _BLOCK_ENTRIES // max(1, space.n if cols is None else len(cols)))
     for start in range(0, len(rows), step):
         yield start, space.dist_block(rows[start:start + step], cols)
+
+
+def _near_members(space: FiniteMetricSpace, points, radius: float, position_of):
+    """Ascending positions of the members among the ``candidates`` of
+    ``points`` at ``radius`` (a superset of the members within ``radius``),
+    where ``position_of`` maps a point to its member position or -1.  None
+    when the candidates are the whole space: read every member."""
+    if type(space).candidates is FiniteMetricSpace.candidates:
+        return None  # every point, without building the list
+    near = space.candidates(points, radius)
+    if len(near) == space.n:
+        return None
+    positions = position_of[near]
+    return np.sort(positions[positions >= 0])
 
 
 def _ball_blocks(space: FiniteMetricSpace, centers, r: float):

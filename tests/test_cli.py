@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import padlab as pl
-from padlab import spaces
+from padlab import cli, spaces
 from padlab.cli import _threads, main
 
 
@@ -244,6 +244,25 @@ class TestCutprob:
         rec = dict(zip(header.split(","), row.split(",")))
         assert float(rec["bound"]) == pytest.approx(12 * 0.05, rel=1e-12)
         assert rec["regime"] == "true" and rec["pass"] == "true"
+
+    def test_bad_grid_entry_is_refused_before_the_net_is_built(self, tmp_path, capsys,
+                                                               monkeypatch):
+        """A malformed later grid entry exits 2 with its one-line message
+        before any net is built: the whole grid is read first."""
+        def no_net(*args, **kwargs):
+            raise AssertionError("build_net called before the grid was read")
+
+        monkeypatch.setattr(cli, "build_net", no_net)
+        good = {"kind": "tgeo", "b": 1.0, "p": 0.02, "M": 40, "m": 2, "r": 9.0}
+        out = tmp_path / "cut.csv"
+        cfg = write_config(tmp_path, "cut.json", {
+            "fixture": "segment:300", "net": {"eps": 1, "delta": 1}, "trials": 4,
+            "centers": 3, "seed": 3, "out": str(out), "grid": [good, {**good, "note": "x"}]})
+        assert main(["cutprob", "--config", cfg]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        assert 'a tgeo schedule has unknown keys "note"' in err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []

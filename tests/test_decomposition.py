@@ -486,6 +486,7 @@ class TestBlockBudget:
         space = pl.integer_segment(60)
         cloud = pl.euclidean_cloud(50, 2, seed=1)
         net = pl.build_net(space, 1, 1)
+        cloud_net = pl.build_net(cloud, 0.3, 0.2)
         cover = pl.Cover(space, [[np.array([p]) for p in range(c, 61, 8)] for c in range(8)],
                          r_disjoint=7.0, D_bound=0.0)
         pd = pl.padded_from_cover(cover, net, 3.0)
@@ -505,6 +506,7 @@ class TestBlockBudget:
             "diameter": lambda: pl.integer_segment(60).diameter(),
             "build_net": lambda: pl.build_net(cloud, 0.3, 0.2),
             "net_graph": lambda: pl.net_graph(net, 6.0),
+            "net_graph_2d": lambda: pl.net_graph(cloud_net, 0.5),
             "carve": lambda: pl.carve(coloring, radii),
             "moser_tardos": lambda: pl.moser_tardos(space, net, csp, seed=0, max_rounds=5),
             "growth_table": lambda: pl.growth_table(space, [2.0, 5.0], trials=2),

@@ -184,3 +184,97 @@ def test_triangular_pass_matches_full_row_passes(case):
     assert np.array_equal(coloring.colors, expected_colors)
     assert coloring.num_colors == (int(expected_colors.max()) + 1 if len(net) else 0)
     assert np.array_equal(degrees, expected_degrees) and np.array_equal(colors, expected_colors)
+
+
+@st.composite
+def coordinate_runs(draw):
+    """A small coordinate fixture (segment, l1/l2/linf grid or rounded
+    cloud), a sweep order (index order or a drawn permutation), net radii,
+    a radius cap M and a cut-probe set-up."""
+    kind = draw(st.sampled_from(["segment", "grid", "cloud"]))
+    if kind == "segment":
+        space = pl.integer_segment(draw(st.integers(0, 60)))
+    elif kind == "grid":
+        space = pl.grid_2d(draw(st.integers(1, 8)), draw(st.integers(1, 8)),
+                           draw(st.sampled_from(["l1", "l2", "linf"])))
+    else:
+        space = pl.euclidean_cloud(draw(st.integers(1, 50)), draw(st.integers(1, 3)),
+                                   seed=draw(st.integers(0, 1000)),
+                                   scale=draw(st.sampled_from([3.0, 10.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(space.n) if draw(st.booleans()) else None
+    eps = draw(st.sampled_from([1.0, 1.5, 2.0]) | st.floats(0.3, 4.0))
+    delta = eps * draw(st.sampled_from([1.0, 0.5]) | st.floats(0.2, 1.0))
+    M = eps + draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]) | st.floats(0.1, 8.0))
+    centers = rng.choice(space.n, draw(st.integers(1, min(5, space.n))), replace=False)
+    probe = (draw(st.floats(0.3, 4.0)), centers, draw(st.integers(1, 5)), draw(st.integers(0, 99)))
+    return space, order, eps, delta, M, probe
+
+
+def _radius_bounded_outputs(space, order, eps, delta, M, probe):
+    """Net members, band graph degrees and colors at M, and the cut matrix of
+    a texp probe run with the window [eps, M]; a sweep that leaves points
+    uncovered gives its error message instead."""
+    try:
+        net = pl.build_net(space, eps, delta, order=order)
+    except pl.NetError as exc:
+        return str(exc)
+    graph = pl.net_graph(net, M)
+    radius, centers, trials, seed = probe
+    try:
+        cut = pl.cut_probability_mc(net, pl.TexpParams(0.5, eps, M), radius, centers,
+                                    trials, seed).cut_matrix.tolist()
+    except pl.CarveError as exc:
+        cut = str(exc)
+    return net.members.tolist(), graph._degrees.tolist(), graph._colors.tolist(), cut
+
+
+@settings(max_examples=150, deadline=None)
+@given(coordinate_runs())
+def test_radius_bounded_reads_match_reading_every_member(run):
+    """The net sweep, the band pass and the probe set-up read only the members
+    that ``candidates`` puts within their radius on a coordinate space.  Net
+    members, degrees, colors and cut matrices equal those over the same
+    distances as a ``MatrixSpace``, whose candidates are every point, under
+    the default block budget and a 7-entry one."""
+    space, order, eps, delta, M, probe = run
+    whole = pl.MatrixSpace(space.distance_matrix())
+    assert spaces._BLOCK_ENTRIES == 4_000_000
+    expected = _radius_bounded_outputs(whole, order, eps, delta, M, probe)
+    assert _radius_bounded_outputs(space, order, eps, delta, M, probe) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_BLOCK_ENTRIES", 7)
+        assert _radius_bounded_outputs(space, order, eps, delta, M, probe) == expected
+        assert _radius_bounded_outputs(whole, order, eps, delta, M, probe) == expected
+
+
+def test_radius_bounded_reads_are_linear_on_a_segment(monkeypatch):
+    """On ``segment:2000`` the net sweep at eps 1, the band pass up to 100 and
+    a cut probe run with radius cap 20 read O(n * radius) distance entries:
+    each block is read against the members its radius reaches, not against
+    every earlier member (about n**2 / 2 = 2e6 entries per pass).  The budget
+    is 40 000 entries, so the band pass takes 19-row blocks."""
+    monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", 40_000)
+    entries = []
+    original = pl.CoordSpace.dist_block
+
+    def recording(self, rows, cols=None):
+        entries.append(len(rows) * (self.n if cols is None else len(cols)))
+        return original(self, rows, cols)
+
+    monkeypatch.setattr(pl.CoordSpace, "dist_block", recording)
+    space = pl.integer_segment(2000)
+    n = space.n
+    net = pl.build_net(space, 1, 1)
+    sweep = sum(entries)
+    entries.clear()
+    pl.net_graph(net, 100)
+    band = sum(entries)
+    entries.clear()
+    pl.cut_probability_mc(net, pl.TgeoParams(0.1, 20), 5.0, np.arange(10, 2000, 100),
+                          trials=3, seed=0)
+    probes = sum(entries)
+    assert len(net) == n
+    assert sweep <= 16 * n  # 12-row blocks: a 144-entry square and one earlier member each
+    assert band <= 2 * n * (100 + 19)  # the rows, each against 100 earlier members at most
+    assert probes <= 2 * n * (40 + 19) + 20 * 9 * 50  # the band pass to 40, then the probes
