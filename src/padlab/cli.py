@@ -187,8 +187,9 @@ def cmd_cutprob(args) -> int:
     if not isinstance(net_cfg, dict):
         raise ConfigError('cutprob "net" must hold a JSON object')
     _known_keys(net_cfg, 'cutprob "net"', ("eps", "delta"))
-    trials = _number(cfg.get("trials", 100), '"trials"', integer=True)
-    n_centers = _number(cfg.get("centers", 50), '"centers"', integer=True)
+    trials = _number(cfg.get("trials", 100), '"trials"', "an integer >= 1", integer=True, low=1)
+    n_centers = _number(cfg.get("centers", 50), '"centers"', "an integer >= 1",
+                        integer=True, low=1)
     schedules = [schedule_from_json(entry) for entry in grid]  # refused before any work
     net = build_net(parse_fixture(fixture), _number(net_cfg.get("eps", 1.0), '"eps"'),
                     _number(net_cfg.get("delta", 1.0), '"delta"'))

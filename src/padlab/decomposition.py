@@ -182,19 +182,21 @@ def _guard(space: FiniteMetricSpace):
             f"exhaustive verification is limited to {_VERIFY_MAX_POINTS} points, got {space.n}")
 
 
-def _layer_pairwise_min(space, layer):
-    """min cross-distance of every pair of sets in a layer (+inf on the diagonal
-    and for empty sets), from each set's blocked column minimum over later sets."""
-    out = np.full((len(layer), len(layer)), np.inf)
+def _close_pairs(space, layer, r: float):
+    """Each pair of sets of a layer within ``r`` of each other, as ``(a, b,
+    distance)`` with ``a < b``, from each set's blocked column minima over the
+    later sets' points; an empty set is in no pair."""
     ids = [i for i, s in enumerate(layer) if len(s)]
     pts = np.concatenate([np.empty(0, np.intp)] + [layer[i] for i in ids])
     starts = np.cumsum([0] + [len(layer[i]) for i in ids])
-    for a, i in enumerate(ids[:-1]):
-        colmin = np.full(len(pts) - starts[a + 1], np.inf)
-        for _, sub in _dist_blocks(space, layer[i], pts[starts[a + 1]:]):
+    for k, a in enumerate(ids[:-1]):
+        later = starts[k + 1]
+        colmin = np.full(len(pts) - later, np.inf)
+        for _, sub in _dist_blocks(space, layer[a], pts[later:]):
             np.minimum(colmin, sub.min(axis=0), out=colmin)
-        out[i, ids[a + 1:]] = np.minimum.reduceat(colmin, starts[a + 1:-1] - starts[a + 1])
-    return np.minimum(out, out.T)
+        setmin = np.minimum.reduceat(colmin, starts[k + 1:-1] - later)
+        for j in np.nonzero(setmin <= r)[0]:
+            yield a, ids[k + 1 + j], float(setmin[j])
 
 
 def verify_cover(cover: Cover) -> VerificationReport:
@@ -208,17 +210,13 @@ def verify_cover(cover: Cover) -> VerificationReport:
         conditions={"disjointness": True, "diameter": True, "coverage": True},
     )
     for i, layer in enumerate(cover.layers):
-        pmin = _layer_pairwise_min(space, layer)
-        bad = np.argwhere(pmin <= cover.r_disjoint)
-        for a, b in bad:
-            if a < b:
-                report.fail("disjointness", layer=int(i), sets=[int(a), int(b)],
-                            distance=float(pmin[a, b]), required_exceeding=cover.r_disjoint)
+        for a, b, distance in _close_pairs(space, layer, cover.r_disjoint):
+            report.fail("disjointness", layer=i, sets=[a, b], distance=distance,
+                        required_exceeding=cover.r_disjoint)
         for s_id, s in enumerate(layer):
             diam = set_diameter(space, s)
             if diam > cover.D_bound:
-                report.fail("diameter", layer=int(i), set=int(s_id), diameter=diam,
-                            bound=cover.D_bound)
+                report.fail("diameter", layer=i, set=s_id, diameter=diam, bound=cover.D_bound)
     covered = np.zeros(space.n, dtype=bool)
     for layer in cover.layers:
         for s in layer:
@@ -236,11 +234,6 @@ def _holder_index(layer):
     holder = np.repeat(np.arange(len(layer)), [len(s) for s in layer])
     order = np.argsort(pts, kind="stable")
     return pts[order], holder[order]
-
-
-def _spans(keys, points):
-    """Where each of ``points`` sits in a layer's sorted holder keys: ``[lo, hi)``."""
-    return np.searchsorted(keys, points, "left"), np.searchsorted(keys, points, "right")
 
 
 def _ranges(starts, lengths) -> np.ndarray:
@@ -270,8 +263,7 @@ def _balls_inside(space, centers, r: float, sets, pair_center, pair_sets) -> np.
     return inside
 
 
-def verify_padded(layers, net: Net, R: float, D: float,
-                  strict_disjoint: bool = False) -> VerificationReport:
+def verify_padded(layers, net: Net, R: float, D: float) -> VerificationReport:
     """Exhaustively check the three padded-decomposition conditions.
 
     1. each layer's clusters cover the net and are pairwise disjoint *on net
@@ -280,10 +272,7 @@ def verify_padded(layers, net: Net, R: float, D: float,
     3. every net member has some layer with a cluster containing its whole
        open R-ball.
 
-    ``strict_disjoint=True`` additionally witnesses overlaps at non-net
-    points; that is stronger than the definition requires, but useful when a
-    decomposition is meant to come from a carving (whose layers partition the
-    whole space).  ``layers`` may also be a :class:`PaddedDecomposition` on ``net``.
+    ``layers`` may also be a :class:`PaddedDecomposition` on ``net``.
     """
     space = net.space
     R, D = _number(R, "R"), _number(D, "D")  # finite; a negative R pads vacuously
@@ -305,7 +294,7 @@ def verify_padded(layers, net: Net, R: float, D: float,
     index = []  # per layer: the holder of each key, and each member's [lo, hi) span
     for i, layer in enumerate(layers):
         keys, holder = _holder_index(layer)
-        lo, hi = _spans(keys, net.members)
+        lo, hi = (np.searchsorted(keys, net.members, side) for side in ("left", "right"))
         index.append((holder, lo, hi))
         for pos in np.nonzero(hi == lo)[0]:
             report.fail("net_partition", layer=int(i), member=int(net.members[pos]),
@@ -313,12 +302,6 @@ def verify_padded(layers, net: Net, R: float, D: float,
         for pos in np.nonzero(hi - lo > 1)[0]:
             report.fail("net_partition", layer=int(i), member=int(net.members[pos]),
                         problem="overlap", sets=[int(o) for o in holder[lo[pos]:hi[pos]]])
-        if strict_disjoint:
-            report.conditions.setdefault("strict_disjointness", True)
-            shared = np.unique(keys[1:][keys[1:] == keys[:-1]])
-            for p, a, b in zip(shared, *_spans(keys, shared)):
-                report.fail("strict_disjointness", layer=int(i), point=int(p),
-                            sets=[int(o) for o in holder[a:b]])
         for s_id, s in enumerate(layer):
             diam = set_diameter(space, s)
             if diam > D:
@@ -556,13 +539,12 @@ def dump_json(obj, path=None) -> str:
     return text
 
 
-def _document_space(doc, kind: str, space: FiniteMetricSpace | None) -> FiniteMetricSpace:
+def _document_space(doc, kind: str) -> FiniteMetricSpace:
     """The space of a cover or decomposition document, after its kind, its
     fixture and its point count are read."""
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise ValueError(f"not a {kind.replace('_', ' ')} document")
-    if space is None:
-        space = parse_fixture(_text(doc.get("fixture"), "fixture"))
+    space = parse_fixture(_text(doc.get("fixture"), "fixture"))
     if space.n != _number(doc.get("n_points"), "n_points", integer=True):
         raise ValueError("fixture size mismatch")
     return space
@@ -580,8 +562,8 @@ def cover_to_json(cover: Cover, fixture: str) -> dict:
     }
 
 
-def cover_from_json(doc: dict, space: FiniteMetricSpace | None = None) -> Cover:
-    space = _document_space(doc, "cover", space)
+def cover_from_json(doc: dict) -> Cover:
+    space = _document_space(doc, "cover")
     return Cover(space, _read_layers(doc.get("layers"), space.n),
                  doc.get("r_disjoint"), doc.get("D_bound"))
 
@@ -603,8 +585,8 @@ def decomposition_to_json(pd: PaddedDecomposition, fixture: str) -> dict:
     }
 
 
-def decomposition_from_json(doc: dict, space: FiniteMetricSpace | None = None) -> PaddedDecomposition:
-    space = _document_space(doc, "padded_decomposition", space)
+def decomposition_from_json(doc: dict) -> PaddedDecomposition:
+    space = _document_space(doc, "padded_decomposition")
     net_doc = doc.get("net")
     if not isinstance(net_doc, dict):
         raise ConfigError(f"net must be a JSON object, got {_shown(net_doc)}")

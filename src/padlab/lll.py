@@ -146,10 +146,6 @@ class TexpSchedule:
         object.__setattr__(self, "l", 3 * self.r)
         object.__setattr__(self, "m", math.floor(math.log2(self.N)) + 1)
         object.__setattr__(self, "c", 4 * self.D + 6)
-        # stored derivations must hold exactly, not approximately
-        assert self.lam == self.eps / (3 * self.r)
-        assert self.M == (2 * self.D + 3) * self.r and self.l == 3 * self.r
-        assert self.m == math.floor(math.log2(self.N)) + 1 and self.c == 4 * self.D + 6
 
     @property
     def probe_radius(self) -> float:

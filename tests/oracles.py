@@ -90,7 +90,40 @@ def naive_verify_padded(space, layers, members, R, D):
     return True
 
 
-def literal_verify_padded(space, layers, members, R, D, strict_disjoint=False):
+def literal_verify_cover(space, layers, r_disjoint, D_bound):
+    """``verify_cover(Cover(space, layers, r_disjoint, D_bound)).to_jsonable()``
+    from literal loops: each pair of sets of a layer compared point by point,
+    diameters by double loops, coverage by membership."""
+    from padlab.decomposition import VerificationReport
+
+    sets = [[sorted({int(p) for p in s}) for s in layer] for layer in layers]
+    report = VerificationReport(
+        kind="cover",
+        parameters={"r_disjoint": r_disjoint, "D_bound": D_bound, "m": len(layers),
+                    "n_points": space.n},
+        conditions={"disjointness": True, "diameter": True, "coverage": True},
+    )
+    for i, layer in enumerate(sets):
+        for a in range(len(layer)):
+            for b in range(a + 1, len(layer)):
+                gap = min([space.dist(p, q) for p in layer[a] for q in layer[b]],
+                          default=np.inf)
+                if gap <= r_disjoint:
+                    report.fail("disjointness", layer=i, sets=[a, b], distance=gap,
+                                required_exceeding=r_disjoint)
+        for k, s in enumerate(layer):
+            diam = max([space.dist(p, q) for p in s for q in s], default=0.0)
+            if diam > D_bound:
+                report.fail("diameter", layer=i, set=k, diameter=diam, bound=D_bound)
+    held = {p for layer in sets for s in layer for p in s}
+    for p in range(space.n):
+        if p not in held:
+            report.fail("coverage", point=p)
+    report.sort_witnesses()
+    return report.to_jsonable()
+
+
+def literal_verify_padded(space, layers, members, R, D):
     """``verify_padded(...).to_jsonable()`` from literal loops: holders found
     by membership tests, diameters by double loops, and padding decided by
     one open ball per member, the member-by-member padding loop that
@@ -114,14 +147,6 @@ def literal_verify_padded(space, layers, members, R, D, strict_disjoint=False):
                 witness.update({"problem": "uncovered"} if not holders
                                else {"problem": "overlap", "sets": holders})
                 report.witnesses.append(witness)
-        if strict_disjoint:
-            report.conditions.setdefault("strict_disjointness", True)
-            for p in range(space.n):
-                holders = [k for k, s in enumerate(layer) if p in s]
-                if len(holders) > 1:
-                    report.conditions["strict_disjointness"] = False
-                    report.witnesses.append({"condition": "strict_disjointness", "layer": i,
-                                             "point": p, "sets": holders})
         for k, s in enumerate(layer):
             diam = max([space.dist(p, q) for p in s for q in s], default=0.0)
             if diam > D:

@@ -309,6 +309,16 @@ class TestCutProbabilityMc:
             for j, c in enumerate(centers):
                 assert res.cut_matrix[k, j] == pl.is_cut(layer, int(c), 9.0)
 
+    @pytest.mark.parametrize("trials,centers,message", [
+        (0, [10], "need at least one trial"), (3, [], "need at least one probe center"),
+    ], ids=["no_trial", "no_center"])
+    def test_empty_run_is_refused(self, trials, centers, message):
+        """A call with no trial or no probe center is refused (the CLI
+        refuses both by name before it builds a net)."""
+        net = pl.build_net(pl.integer_segment(20), 1, 1)
+        with pytest.raises(ValueError, match=message):
+            pl.cut_probability_mc(net, pl.TgeoParams(0.5, 4), 3.0, centers, trials, seed=0)
+
     def test_threads_do_not_change_results(self):
         space = pl.integer_segment(200)
         net = pl.build_net(space, 1, 1)

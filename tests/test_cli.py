@@ -624,25 +624,21 @@ def test_null_max_rounds_keeps_the_default_budget(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("key,value,message", [
-    ("trials", 0, "need at least one trial"),
-    ("trials", -3, "need at least one trial"),
-    ("centers", 0, "need at least one probe center"),
-])
+@pytest.mark.parametrize("key,value", [("trials", 0), ("trials", -3), ("centers", 0),
+                                       ("centers", -3)])
 def test_empty_cutprob_run_exits_two_before_band_graph(tmp_path, capsys, monkeypatch,
-                                                       key, value, message):
-    """A run with no trial or no probe center is refused before the band
-    graph of the net is built."""
-    import padlab.carving as carving_mod
+                                                       key, value):
+    """A run with no trial or no probe center is refused by the field's name
+    before the net, and so its band graph, is built."""
+    def no_net(*args, **kwargs):
+        raise AssertionError("net built for an empty run")
 
-    def no_band_graph(*args, **kwargs):
-        raise AssertionError("band graph built for an empty run")
-
-    monkeypatch.setattr(carving_mod, "net_graph", no_band_graph)
+    monkeypatch.setattr(cli, "build_net", no_net)
     out = str(tmp_path / "out.csv")
     cfg = write_config(tmp_path, "cfg.json", {**CUTPROB_CFG, key: value, "out": out})
     assert main(["cutprob", "--config", cfg]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == \
+        f'config error: "{key}" must be an integer >= 1, got {value}\n'
     assert not (tmp_path / "out.csv").exists()
 
 

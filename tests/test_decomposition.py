@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import padlab as pl
 from padlab import decomposition, spaces
-from oracles import (literal_verify_padded, make_cover, naive_verify_cover,
-                     naive_verify_padded, reference_ball_of_set, reference_shrink_set)
+from oracles import (literal_verify_cover, literal_verify_padded, make_cover,
+                     naive_verify_cover, naive_verify_padded, reference_ball_of_set,
+                     reference_shrink_set)
 
 
 def carve_layer(net, t_value, M):
@@ -71,18 +73,14 @@ class TestVerifyPadded:
                     ss = set(s.tolist())
                     assert not (x in ss and ball <= ss)
 
-    def test_strict_disjointness_flag(self):
-        # overlap at a non-net point passes the definition but trips the flag
+    def test_overlap_off_the_net_passes(self):
+        """The definition asks one holder of each net member only, so an
+        overlap at a non-net point passes; a carved layer needs no stricter
+        check, since it holds every point exactly once."""
         layers = [[np.array([0, 1, 2, 3, 4]), np.array([4, 5, 6, 7, 8, 9])]]
-        lax = pl.verify_padded(layers, self.net, R=1.0, D=10.0)
-        assert lax.conditions["net_partition"]
-        strict = pl.verify_padded(layers, self.net, R=1.0, D=10.0, strict_disjoint=True)
-        assert not strict.conditions["strict_disjointness"]
-        assert any(w["condition"] == "strict_disjointness" and w["point"] == 4
-                   for w in strict.witnesses)
+        assert pl.verify_padded(layers, self.net, R=1.0, D=10.0).conditions["net_partition"]
         clean = carve_layer(self.net, 4.0, 5.0)
-        assert pl.verify_padded([clean], self.net, R=0.5, D=10.0,
-                                strict_disjoint=True).conditions["strict_disjointness"]
+        assert sorted(np.concatenate(clean).tolist()) == list(range(self.space.n))
 
     def test_refuses_oversized_spaces(self):
         big = pl.integer_segment(30000)
@@ -155,6 +153,22 @@ class TestVerifyCover:
             cover = pl.Cover(space, layers, r_disj, D)
             assert pl.verify_cover(cover).passed == \
                 naive_verify_cover(space, layers, r_disj, D)
+
+    def test_memory_grows_with_the_points_not_the_pairs_of_sets(self):
+        """3000 singleton sets in one layer: the check holds no sets-by-sets
+        matrix, so its traced peak stays below 16 MB (one 3000 x 3000 float
+        matrix is 72 MB)."""
+        space = pl.integer_segment(2999)
+        cover = pl.Cover(space, [[np.array([p]) for p in range(space.n)]],
+                         r_disjoint=0.5, D_bound=0.0)
+        tracemalloc.start()
+        try:
+            report = pl.verify_cover(cover)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 16 * 2**20
 
 
 class TestNaivePaddedAgreement:
@@ -289,8 +303,7 @@ def padded_systems(draw):
                                 st.just([]), min_size=space.n, max_size=space.n))
         layers.append([[p for p in range(space.n) if j in holders[p]] for j in range(k)])
     D = draw(st.sampled_from([0.0, 1.0, space.diameter()]))
-    return (space, net, layers, radius_of(draw, space), D, draw(st.booleans()),
-            draw(st.sampled_from([1, 3, 64])))
+    return space, net, layers, radius_of(draw, space), D, draw(st.sampled_from([1, 3, 64]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -298,10 +311,36 @@ def padded_systems(draw):
 def test_padded_report_matches_the_per_member_oracle(system):
     """verify_padded's report, witnesses included, is the one a member-by-member
     loop over single open balls writes."""
-    space, net, layers, R, D, strict, batch = system
+    space, net, layers, R, D, batch = system
     with mock.patch.object(spaces, "_BALL_BATCH", batch):
-        got = pl.verify_padded(layers, net, R, D, strict_disjoint=strict).to_jsonable()
-    assert got == literal_verify_padded(space, layers, net.members, R, D, strict)
+        got = pl.verify_padded(layers, net, R, D).to_jsonable()
+    assert got == literal_verify_padded(space, layers, net.members, R, D)
+
+
+@st.composite
+def cover_systems(draw):
+    """A space and 0-3 layers of possibly empty, overlapping or whole-space
+    sets, with a separation and a diameter bound each 0, a distance of the
+    space (so sets touch at the bound), within 1e-13 of one, or beyond every
+    distance."""
+    space = small_space(draw)
+    ids = st.lists(st.integers(0, space.n - 1), max_size=space.n)
+    layers = draw(st.lists(st.lists(ids | st.just(list(range(space.n))), max_size=4),
+                           max_size=3))
+    return space, layers, abs(radius_of(draw, space)), abs(radius_of(draw, space))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cover_systems())
+def test_cover_report_matches_the_pair_by_pair_oracle(system):
+    """verify_cover's report, witness distances included, is the one a loop
+    over each pair of sets writes, under the default block budget and a
+    7-entry one."""
+    space, layers, r, D = system
+    want = literal_verify_cover(space, layers, r, D)
+    for budget in (spaces._BLOCK_ENTRIES, 7):
+        with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
+            assert pl.verify_cover(pl.Cover(space, layers, r, D)).to_jsonable() == want
 
 
 class TestConversions:
@@ -496,7 +535,7 @@ class TestBlockBudget:
         layer = pl.carve(coloring, radii)
         ops = {
             "verify_cover": lambda: pl.verify_cover(cover),
-            "verify_padded": lambda: pl.verify_padded(pd, net, pd.R, pd.D, strict_disjoint=True),
+            "verify_padded": lambda: pl.verify_padded(pd, net, pd.R, pd.D),
             "padded_from_cover": lambda: pl.padded_from_cover(cover, net, 3.0),
             "cover_from_padded": lambda: pl.cover_from_padded(pd),
             "set_diameter": lambda: pl.set_diameter(space, np.arange(61)),
@@ -542,15 +581,14 @@ def set_systems(draw):
 @settings(max_examples=60, deadline=None)
 @given(set_systems())
 def test_reports_do_not_depend_on_the_block_budget(system):
-    """Verifier reports (strict and not) and shrunk sets are the same under
-    the default budget and under a 7-entry one (one or a few rows a block)."""
+    """Verifier reports and shrunk sets are the same under the default budget
+    and under a 7-entry one (one or a few rows a block)."""
     space, net, layers, R, D = system
 
     def outputs():
         cover = pl.Cover(space, layers, r_disjoint=R, D_bound=D)
         return (pl.verify_cover(cover).to_jsonable(),
-                [pl.verify_padded(layers, net, R, D, strict_disjoint=strict).to_jsonable()
-                 for strict in (False, True)],
+                pl.verify_padded(layers, net, R, D).to_jsonable(),
                 [pl.shrink_set(space, s, R).tolist() for layer in layers for s in layer])
 
     assert spaces._BLOCK_ENTRIES == 4_000_000

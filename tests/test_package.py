@@ -1,7 +1,35 @@
+import ast
+import importlib.util
 import inspect
+import os
+import pkgutil
+import sys
 
 import padlab as pl
 from padlab import spaces
+from padlab.cli import build_parser
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def _perfbench_module(name):
+    """A ``perfbench/`` script loaded as a module without putting the
+    directory on the import path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolves(dotted) -> bool:
+    """Whether a dotted name is a module or an attribute chain off one."""
+    try:
+        pkgutil.resolve_name(dotted)
+    except (ImportError, AttributeError):
+        return False
+    return True
 
 
 def test_public_names_resolve():
@@ -66,3 +94,65 @@ def test_no_public_signature_passes_an_argument_twice():
         if any(key in params and params & owners for key, owners in redundant.items()):
             doubled.append(name)
     assert doubled == ["moser_tardos"]
+
+
+def test_benchmark_wraps_existing_names():
+    """Every function and method the benchmark's tracer wraps is still
+    defined in its ``padlab.<layer>`` module, so deleting or renaming one
+    fails here rather than in every benchmark op."""
+    tracer = _perfbench_module("tracer")
+    names = [f"padlab.{layer}.{name}" for layer, names in tracer.FUNCTIONS.items()
+             for name in names]
+    names += [f"padlab.{layer}.{cls}.{method}" for layer, cls, method in tracer.METHODS]
+    assert [name for name in names if not _resolves(name)] == []
+
+
+def test_benchmark_command_lines_parse(tmp_path):
+    """Every CLI op of every benchmark workload, global ``--threads 1``
+    included, parses with the program's own parser."""
+    workloads = _perfbench_module("workloads")
+    parsed = 0
+    for name, plan_of in workloads.WORKLOADS.items():
+        plan = plan_of(0, str(tmp_path))
+        for op in plan.prep + plan.ops:
+            if op.spec["kind"] == "cli":
+                args = build_parser().parse_args(op.spec["argv"])
+                assert args.threads == 1 and callable(args.func), (name, op.key)
+                parsed += 1
+    assert parsed
+
+
+def _padlab_names(source):
+    """The dotted padlab names a script imports, or reads off a padlab module
+    it imported (``padlab.cli.main``, ``spaces.parse_fixture``)."""
+    nodes = list(ast.walk(ast.parse(source)))
+    modules, names = {}, []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names if a.name.startswith("padlab")]
+            modules.update({"padlab": "padlab" for a in node.names
+                            if a.name.startswith("padlab") and not a.asname})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("padlab"):
+            names += [f"{node.module}.{a.name}" for a in node.names]
+            modules.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+    for node in nodes:
+        if isinstance(node, ast.Attribute):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in modules:
+                names.append(".".join([modules[node.id]] + chain))
+    return names
+
+
+def test_benchmark_scripts_import_existing_names():
+    """The padlab names that ``perfbench/inputs.py`` and ``perfbench/child.py``
+    import or read off an imported module all exist."""
+    names = []
+    for script in ("inputs", "child"):
+        with open(os.path.join(PERFBENCH, f"{script}.py")) as fh:
+            names += _padlab_names(fh.read())
+    assert {"padlab.cli.main", "padlab.decomposition.verify_cover",
+            "padlab.spaces.parse_fixture"} <= set(names)
+    assert [name for name in names if not _resolves(name)] == []
