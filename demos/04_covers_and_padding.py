@@ -45,14 +45,14 @@ print(f"start: ({cover.r_disjoint:g}, {cover.D_bound:g})-cover, {cover.m} layers
 
 pd = pl.padded_from_cover(cover, net, R_pad)
 print(f"grown: ({pd.R:g}, {pd.D:g})-padded decomposition, {pd.m} layers, "
-      f"verified: {pl.verify_padded(pd, net, pd.R, pd.D).passed}")
+      f"verified: {pl.verify_padded(pd).passed}")
 
 back = pl.cover_from_padded(pd)
 print(f"shrunk back: ({back.r_disjoint:g}, {back.D_bound:g})-cover, "
       f"verified: {pl.verify_cover(back).passed}")
 
 print("\nwitness machinery on a deliberately bad claim:")
-bad = pl.verify_padded(pd, net, R=pd.R * 20, D=pd.D)
+bad = pl.verify_padded(pl.PaddedDecomposition(net, pd.layers, R=pd.R * 20, D=pd.D))
 print(f"claiming padding radius {pd.R * 20:g} instead: passed={bad.passed}, "
       f"witnesses={len(bad.witnesses)}; first: {bad.witnesses[0]['condition']} at "
       f"member {bad.witnesses[0].get('member')}")

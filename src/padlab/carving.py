@@ -328,7 +328,6 @@ def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int,
     position_of[net.members] = np.arange(len(net.members))
     for ball in _balls(space, centers, probe_radius):
         near = _near_members(space, ball, M, position_of)
-        near = np.arange(len(net.members)) if near is None else near
         dmin = np.full(len(near), np.inf)
         dmax = np.full(len(near), -np.inf)
         for _, sub in _dist_blocks(space, ball, net.members[near]):

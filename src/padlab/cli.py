@@ -67,7 +67,7 @@ def _run_fields(args, cfg: dict, *keys) -> tuple:
     _known_keys(cfg, f"{args.command} config", ("fixture", "seed", "out", *keys))
     return (_text(args.fixture or cfg.get("fixture"), '"fixture"'),
             _number(cfg.get("seed", 0) if args.seed is None else args.seed, '"seed"',
-                    integer=True),
+                    "an integer >= 0", integer=True, low=0),
             _text(args.out or cfg.get("out"), '"out"'))
 
 
@@ -215,11 +215,12 @@ def cmd_cutprob(args) -> int:
 
 def cmd_growth(args) -> int:
     fixture = args.fixture
+    seed = _number(args.seed or 0, '"seed"', "an integer >= 0", integer=True, low=0)
     radii = [float(tok) for tok in args.radii.split(",") if tok]
     if not radii:
         raise ConfigError("growth needs a nonempty --radii list")
     space = parse_fixture(fixture)
-    table = growth_table(space, radii, trials=args.trials, seed=args.seed or 0)
+    table = growth_table(space, radii, trials=args.trials, seed=seed)
     out = args.out or "growth.csv"
     with open(out, "w") as fh:
         fh.write("fixture,r,trials,gamma_lower\n")

@@ -263,25 +263,16 @@ def _balls_inside(space, centers, r: float, sets, pair_center, pair_sets) -> np.
     return inside
 
 
-def verify_padded(layers, net: Net, R: float, D: float) -> VerificationReport:
-    """Exhaustively check the three padded-decomposition conditions.
+def verify_padded(pd: PaddedDecomposition) -> VerificationReport:
+    """Exhaustively check the three padded-decomposition conditions of ``pd``.
 
     1. each layer's clusters cover the net and are pairwise disjoint *on net
        members* (overlap off the net is allowed);
     2. every cluster has diameter at most D;
     3. every net member has some layer with a cluster containing its whole
        open R-ball.
-
-    ``layers`` may also be a :class:`PaddedDecomposition` on ``net``.
     """
-    space = net.space
-    R, D = _number(R, "R"), _number(D, "D")  # finite; a negative R pads vacuously
-    if isinstance(layers, PaddedDecomposition):
-        if layers.net is not net:
-            raise ValueError("decomposition was built on a different net")
-        layers = layers.layers  # sorted unique ids since construction
-    else:
-        layers = [[_as_index_array(s, space.n) for s in layer] for layer in layers]
+    space, net, layers, R, D = pd.space, pd.net, pd.layers, pd.R, pd.D
     if not layers:
         raise ValueError("need at least one layer")
     _guard(space)
@@ -376,7 +367,7 @@ def padded_from_cover(cover: Cover, net: Net, R: float) -> PaddedDecomposition:
         out_layers.append(sets + _balls(space, net.members[~hit[net.members]], r))
     pd = PaddedDecomposition(net, out_layers, R=R,
                              D=2 * R + 2 * r + cover.D_bound)
-    out_report = verify_padded(pd, net, pd.R, pd.D)
+    out_report = verify_padded(pd)
     if not out_report.passed:
         raise VerificationFailure("constructed decomposition fails verification", out_report)
     return pd
@@ -414,7 +405,7 @@ def cover_from_padded(pd: PaddedDecomposition) -> Cover:
     space = pd.space
     if pd.R < 3 * r:
         raise ValueError(f"padding radius {pd.R} must be at least 3r = {3 * r}")
-    in_report = verify_padded(pd, net, pd.R, pd.D)
+    in_report = verify_padded(pd)
     if not in_report.passed:
         raise VerificationFailure("input decomposition fails verification", in_report)
     R_out = pd.R - 2 * r

@@ -496,7 +496,7 @@ def certify_decomposition(net: Net, schedule, seed: int,
         raise MoserTardosFailure(result)
     layers = [layer.cluster_sets() for layer in result.layers]
     pd = PaddedDecomposition(net, layers, R=csp.probe_radius, D=2 * result.assignments[0].M)
-    report = verify_padded(pd, net, pd.R, pd.D)
+    report = verify_padded(pd)
     meta = {
         "seed": seed,
         "rounds": result.rounds,

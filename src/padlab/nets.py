@@ -81,8 +81,7 @@ def build_net(space: FiniteMetricSpace, eps: float, delta: float, order=None) ->
                           spaces._BLOCK_ENTRIES // max(1, count)))
         block = order[pos:pos + size]
         pos += size
-        close = _near_members(space, block, eps, position_of)
-        cols = member_buf[:count] if close is None else member_buf[close]
+        cols = member_buf[_near_members(space, block, eps, position_of)]
         near = space.dist_block(block, cols).min(axis=1, initial=np.inf)
         inner = space.dist_block(block, block)
         for i, p in enumerate(block):
@@ -110,8 +109,7 @@ def _band_pass(space: FiniteMetricSpace, members, band_low, band_high):
 
     Row blocks ``[s, e)`` of the members are read against the columns
     ``cols``: the ascending positions below ``e`` of the members that
-    ``space.candidates`` puts within ``band_high`` of the block (every
-    position below ``e`` when the candidates are the whole space), so a
+    ``space.candidates`` puts within ``band_high`` of the block, so a
     block holds at most ``_BLOCK_ENTRIES`` entries (or one row).  Entry
     ``(i, j)`` counts only when ``cols[j]`` is before row ``s + i``.  Each
     in-band entry is an edge to an earlier vertex: it adds to the degrees of
@@ -130,7 +128,7 @@ def _band_pass(space: FiniteMetricSpace, members, band_low, band_high):
     for s in range(0, T, step):
         e = min(s + step, T)
         close = _near_members(space, members[s:e], reach, position_of)
-        cols = np.arange(e) if close is None else close[:np.searchsorted(close, e)]
+        cols = close[:np.searchsorted(close, e)]
         sub = space.dist_block(members[s:e], members[cols])
         inband = (sub >= band_low) & (sub <= band_high)
         # Blocks widen as e grows: freeing each one before the next is read

@@ -95,9 +95,8 @@ class FiniteMetricSpace:
 
     def candidates(self, points, radius: float) -> np.ndarray:
         """Sorted ids of a superset of the points at distance less than
-        ``radius`` from some point of ``points``: here every point.  Read by
-        the ball pass, the resampler's recarve and, through :func:`_near_members`,
-        the net sweep, the band pass and the cut probes' set-up."""
+        ``radius`` from some point of ``points``: here every point.  A space
+        that can bound its balls cheaply narrows this."""
         return np.arange(self.n)
 
     def diameter(self) -> float:
@@ -216,14 +215,8 @@ def _dist_blocks(space: FiniteMetricSpace, rows, cols=None):
 def _near_members(space: FiniteMetricSpace, points, radius: float, position_of):
     """Ascending positions of the members among the ``candidates`` of
     ``points`` at ``radius`` (a superset of the members within ``radius``),
-    where ``position_of`` maps a point to its member position or -1.  None
-    when the candidates are the whole space: read every member."""
-    if type(space).candidates is FiniteMetricSpace.candidates:
-        return None  # every point, without building the list
-    near = space.candidates(points, radius)
-    if len(near) == space.n:
-        return None
-    positions = position_of[near]
+    where ``position_of`` maps a point to its member position or -1."""
+    positions = position_of[space.candidates(points, radius)]
     return np.sort(positions[positions >= 0])
 
 
@@ -240,8 +233,7 @@ def _ball_blocks(space: FiniteMetricSpace, centers, r: float):
     for b in range(0, len(centers), _BALL_BATCH):
         batch = order[b:b + _BALL_BATCH]
         near = space.candidates(centers[batch], r)
-        cols = None if len(near) == space.n else near  # all points: read whole rows
-        for start, sub in _dist_blocks(space, centers[batch], cols):
+        for start, sub in _dist_blocks(space, centers[batch], near):
             within = sub < r
             starts = np.zeros(len(sub) + 1, dtype=np.intp)
             np.cumsum(within.sum(axis=1), out=starts[1:])

@@ -190,7 +190,8 @@ def test_c5_round_trips():
         assert pl.verify_cover(cover).passed
         pd = pl.padded_from_cover(cover, net, R_pad)
         assert (pd.R, pd.D) == (R_pad, 2 * R_pad + 2 * r + cover.D_bound)
-        assert pl.verify_padded(pd, net, pd.R, pd.D).passed
+        assert pd.net is net
+        assert pl.verify_padded(pd).passed
         back = pl.cover_from_padded(pd)
         assert (back.r_disjoint, back.D_bound) == (R, pd.D)
         assert pl.verify_cover(back).passed

@@ -451,7 +451,8 @@ def test_carve_is_total_and_its_padding_verdict_matches_a_per_member_oracle(case
     covering radius, ``carve`` raises no ``CarveError``: it returns a total
     partition, each point in the ball of its peel-off owner.  The padding
     verdict ``verify_padded`` gives that layer at R, and the members it
-    names, are those of a per-member loop over single open balls."""
+    names, are those of a per-member loop over single open balls; a
+    decomposition at a negative R is refused when it is built."""
     space, net, law, seed, R = case
     l, M = law.window
     assert l >= net.eps
@@ -462,7 +463,11 @@ def test_carve_is_total_and_its_padding_verdict_matches_a_per_member_oracle(case
     assert np.array_equal(np.sort(np.concatenate(sets)), np.arange(space.n))
     owner = layer.center_positions[layer.cluster_of]
     assert np.array_equal(owner, literal_carve(space, net.members, coloring.colors, radii.t))
-    report = pl.verify_padded([sets], net, R, 2 * M)
+    if R < 0:  # drawn as 0 - 1e-13
+        with pytest.raises(ValueError, match="R must be a finite number >= 0"):
+            pl.PaddedDecomposition(net, [sets], R, 2 * M)
+        return
+    report = pl.verify_padded(pl.PaddedDecomposition(net, [sets], R, 2 * M))
     assert report.conditions["net_partition"] and report.conditions["diameter"]
     cut = [int(x) for x in net.members if literal_is_cut(space, owner, x, R)]
     assert report.conditions["padding"] == (not cut)

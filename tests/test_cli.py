@@ -642,6 +642,30 @@ def test_empty_cutprob_run_exits_two_before_band_graph(tmp_path, capsys, monkeyp
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command,cfg_seed,flags", [
+    ("carve", -1, []), ("cutprob", -1, []),
+    ("carve", 1, ["--seed", "-1"]), ("cutprob", 1, ["--seed", "-1"]),
+    ("growth", None, ["--fixture", "segment:10", "--radii", "2", "--seed", "-1"]),
+])
+def test_negative_seed_is_refused_by_name_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          command, cfg_seed, flags):
+    """A negative seed, from a config or from ``--seed``, exits 2 naming the
+    field before the fixture is parsed or a net is built."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the seed was read")
+
+    monkeypatch.setattr(cli, "build_net", no_work)
+    monkeypatch.setattr(cli, "parse_fixture", no_work)
+    out = str(tmp_path / "out")
+    if cfg_seed is not None:
+        base = CARVE_CFG if command == "carve" else CUTPROB_CFG
+        flags = ["--config", write_config(tmp_path, "cfg.json",
+                                          {**base, "seed": cfg_seed, "out": out}), *flags]
+    assert main([command, *flags, "--out", out]) == 2
+    assert capsys.readouterr().err == 'config error: "seed" must be an integer >= 0, got -1\n'
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
 def test_integral_float_config_fields_are_accepted(tmp_path):
     outs = []
     for tag, trials in (("int", 4), ("float", 4.0)):

@@ -15,6 +15,11 @@ from oracles import (literal_verify_cover, literal_verify_padded, make_cover,
                      reference_shrink_set)
 
 
+def verify(layers, net, R, D):
+    """``verify_padded`` of the decomposition of ``layers`` on ``net`` at (R, D)."""
+    return pl.verify_padded(pl.PaddedDecomposition(net, layers, R, D))
+
+
 def carve_layer(net, t_value, M):
     coloring = pl.greedy_color(pl.net_graph(net, 2 * M))
     radii = pl.RadiusAssignment(np.full(len(net.members), t_value), net.eps, M)
@@ -28,7 +33,7 @@ class TestVerifyPadded:
         self.layer1 = carve_layer(self.net, 4.0, 5.0)
 
     def test_single_layer_fails_with_witness(self):
-        report = pl.verify_padded([self.layer1], self.net, R=2.0, D=10.0)
+        report = verify([self.layer1], self.net, R=2.0, D=10.0)
         assert not report.passed
         assert not report.conditions["padding"]
         members = {w["member"] for w in report.witnesses if w["condition"] == "padding"}
@@ -37,16 +42,16 @@ class TestVerifyPadded:
     def test_shifted_second_layer_passes(self):
         net_b = pl.Net(self.space, np.array([1, 4, 7]), 3.0, 3.0)
         layer2 = carve_layer(net_b, 4.0, 5.0)
-        report = pl.verify_padded([self.layer1, layer2], self.net, R=2.0, D=10.0)
+        report = verify([self.layer1, layer2], self.net, R=2.0, D=10.0)
         assert report.passed
 
     def test_whole_space_single_cluster(self):
         layer = [np.arange(10)]
-        report = pl.verify_padded([layer], self.net, R=9.0, D=9.0)
+        report = verify([layer], self.net, R=9.0, D=9.0)
         assert report.passed
 
     def test_diameter_violation_witnessed(self):
-        report = pl.verify_padded([self.layer1], self.net, R=1.0, D=2.0)
+        report = verify([self.layer1], self.net, R=1.0, D=2.0)
         assert not report.conditions["diameter"]
         assert any(w["condition"] == "diameter" and w["diameter"] > 2.0
                    for w in report.witnesses)
@@ -54,14 +59,14 @@ class TestVerifyPadded:
     def test_net_partition_checked_on_members_only(self):
         # overlapping off-net is fine; overlapping on a member is not
         ok = [np.array([0, 1, 2, 3, 4]), np.array([4, 5, 6, 7, 8, 9])]  # share point 4
-        report = pl.verify_padded([ok], self.net, R=1.0, D=10.0)
+        report = verify([ok], self.net, R=1.0, D=10.0)
         assert report.conditions["net_partition"]  # 4 is not a net member
         bad = [np.array([0, 1, 2, 3]), np.array([3, 4, 5, 6, 7, 8, 9])]  # share member 3
-        report = pl.verify_padded([bad], self.net, R=1.0, D=10.0)
+        report = verify([bad], self.net, R=1.0, D=10.0)
         assert not report.conditions["net_partition"]
 
     def test_witnesses_recheck_in_isolation(self):
-        report = pl.verify_padded([self.layer1], self.net, R=2.0, D=3.0)
+        report = verify([self.layer1], self.net, R=2.0, D=3.0)
         for w in report.witnesses:
             if w["condition"] == "diameter":
                 s = self.layer1[w["set"]]
@@ -78,7 +83,7 @@ class TestVerifyPadded:
         overlap at a non-net point passes; a carved layer needs no stricter
         check, since it holds every point exactly once."""
         layers = [[np.array([0, 1, 2, 3, 4]), np.array([4, 5, 6, 7, 8, 9])]]
-        assert pl.verify_padded(layers, self.net, R=1.0, D=10.0).conditions["net_partition"]
+        assert verify(layers, self.net, R=1.0, D=10.0).conditions["net_partition"]
         clean = carve_layer(self.net, 4.0, 5.0)
         assert sorted(np.concatenate(clean).tolist()) == list(range(self.space.n))
 
@@ -86,30 +91,21 @@ class TestVerifyPadded:
         big = pl.integer_segment(30000)
         net = pl.Net(big, np.array([0]), 40000.0, 40000.0)
         with pytest.raises(ValueError):
-            pl.verify_padded([[np.arange(big.n)]], net, R=1.0, D=50000.0)
+            verify([[np.arange(big.n)]], net, R=1.0, D=50000.0)
 
     @pytest.mark.parametrize("R,D", [(math.nan, 20.0), (1.0, math.nan), (math.inf, 20.0),
                                      (1.0, -math.inf), (True, 20.0), (1.0, "20")])
     def test_refuses_bounds_that_are_not_finite_numbers(self, R, D):
         """With NaN bounds every comparison was false, so R = NaN and D = NaN
-        passed where R = 5 and D = 1 fail."""
+        passed where R = 5 and D = 1 fail; such bounds are refused when the
+        decomposition is built."""
         space = pl.integer_segment(20)
         net = pl.build_net(space, 2, 2)
         layers = [[np.arange(10), np.arange(10, 21)]]
-        assert not pl.verify_padded(layers, net, R=5.0, D=20.0).passed
-        assert not pl.verify_padded(layers, net, R=1.0, D=1.0).passed
+        assert not verify(layers, net, R=5.0, D=20.0).passed
+        assert not verify(layers, net, R=1.0, D=1.0).passed
         with pytest.raises(ValueError, match="must be a finite number"):
-            pl.verify_padded(layers, net, R=R, D=D)
-
-    def test_refuses_a_decomposition_of_another_size(self):
-        """A decomposition is verified against its own net only: another net,
-        on another space or on the same one, is refused."""
-        pd = pl.PaddedDecomposition(self.net, [[np.arange(10)]], R=1.0, D=9.0)
-        for other in (pl.build_net(pl.integer_segment(12), 1, 1),
-                      pl.build_net(self.space, 1, 1)):
-            with pytest.raises(ValueError, match="decomposition was built on a different net"):
-                pl.verify_padded(pd, other, R=1.0, D=9.0)
-        assert pl.verify_padded(pd, self.net, R=1.0, D=9.0).passed
+            pl.PaddedDecomposition(net, layers, R=R, D=D)
 
 
 class TestVerifyCover:
@@ -184,7 +180,7 @@ class TestNaivePaddedAgreement:
             R = float(rng.integers(1, 4))
             D = float(rng.integers(8, 41))
             layers = [layer1, layer2]
-            mine = pl.verify_padded(layers, net, R, D).passed
+            mine = verify(layers, net, R, D).passed
             assert mine == naive_verify_padded(space, layers, net.members, R, D)
 
 
@@ -310,10 +306,15 @@ def padded_systems(draw):
 @given(padded_systems())
 def test_padded_report_matches_the_per_member_oracle(system):
     """verify_padded's report, witnesses included, is the one a member-by-member
-    loop over single open balls writes."""
+    loop over single open balls writes; a decomposition at a negative R is
+    refused when it is built."""
     space, net, layers, R, D, batch = system
+    if R < 0:  # drawn as 0 - 1e-13
+        with pytest.raises(ValueError, match="R must be a finite number >= 0"):
+            pl.PaddedDecomposition(net, layers, R, D)
+        return
     with mock.patch.object(spaces, "_BALL_BATCH", batch):
-        got = pl.verify_padded(layers, net, R, D).to_jsonable()
+        got = verify(layers, net, R, D).to_jsonable()
     assert got == literal_verify_padded(space, layers, net.members, R, D)
 
 
@@ -356,7 +357,7 @@ class TestConversions:
         assert pl.verify_cover(cover).passed
         pd = pl.padded_from_cover(cover, net, R)
         assert pd.R == 3.0 and pd.D == 2 * R + 2 * 1 + 0.0
-        assert pl.verify_padded(pd, net, pd.R, pd.D).passed
+        assert pl.verify_padded(pd).passed
 
     def test_whole_space_cover_round_trip(self):
         space = pl.integer_segment(30)
@@ -434,7 +435,7 @@ def test_cover_and_padded_round_trips(case):
     pd = pl.padded_from_cover(cover, net, R_pad)
     back = pl.cover_from_padded(pd)
     assert pl.verify_cover(cover).passed and pl.verify_cover(back).passed
-    assert pl.verify_padded(pd, net, pd.R, pd.D).passed
+    assert pl.verify_padded(pd).passed
     assert (pd.R, pd.D) == (R_pad, 2 * R_pad + 2 * r + cover.D_bound)
     assert (back.r_disjoint, back.D_bound) == (R, pd.D)
     for obj, write, read in ((cover, pl.cover_to_json, pl.cover_from_json),
@@ -443,7 +444,7 @@ def test_cover_and_padded_round_trips(case):
         again = read(json.loads(decomposition.dump_json(write(obj, spec))))
         assert write(again, spec) == write(obj, spec)
     again = pl.decomposition_from_json(pl.decomposition_to_json(pd, spec))
-    assert pl.verify_padded(again, again.net, again.R, again.D).passed
+    assert pl.verify_padded(again).passed
 
 
 class TestSerialization:
@@ -472,7 +473,7 @@ class TestSerialization:
         space = pl.integer_segment(9)
         net = pl.build_net(space, 3, 3)
         layer = carve_layer(net, 4.0, 5.0)
-        report = pl.verify_padded([layer], net, R=2.0, D=10.0)
+        report = verify([layer], net, R=2.0, D=10.0)
         doc = report.to_jsonable()
         assert doc["passed"] is False
         json.dumps(doc)  # must be JSON-clean
@@ -535,7 +536,7 @@ class TestBlockBudget:
         layer = pl.carve(coloring, radii)
         ops = {
             "verify_cover": lambda: pl.verify_cover(cover),
-            "verify_padded": lambda: pl.verify_padded(pd, net, pd.R, pd.D),
+            "verify_padded": lambda: pl.verify_padded(pd),
             "padded_from_cover": lambda: pl.padded_from_cover(cover, net, 3.0),
             "cover_from_padded": lambda: pl.cover_from_padded(pd),
             "set_diameter": lambda: pl.set_diameter(space, np.arange(61)),
@@ -588,7 +589,7 @@ def test_reports_do_not_depend_on_the_block_budget(system):
     def outputs():
         cover = pl.Cover(space, layers, r_disjoint=R, D_bound=D)
         return (pl.verify_cover(cover).to_jsonable(),
-                pl.verify_padded(layers, net, R, D).to_jsonable(),
+                verify(layers, net, R, D).to_jsonable(),
                 [pl.shrink_set(space, s, R).tolist() for layer in layers for s in layer])
 
     assert spaces._BLOCK_ENTRIES == 4_000_000

@@ -456,4 +456,4 @@ class TestCertify:
         coloring = pl.greedy_color(pl.net_graph(net, 104.0))
         layer = pl.carve(coloring, res.assignments[0])
         pd = pl.PaddedDecomposition(net, [layer.cluster_sets()], R=26.0, D=104.0)
-        assert pl.verify_padded(pd, net, pd.R, pd.D).passed
+        assert pl.verify_padded(pd).passed

@@ -78,20 +78,25 @@ def test_schedules_and_laws_answer_for_their_own_kind():
 def test_no_public_signature_passes_an_argument_twice():
     """A net fixes its space, and a coloring or a padded decomposition fixes
     its net, so no public signature takes ``space`` beside ``net`` or
-    ``coloring``, nor ``net`` beside ``pd`` or ``coloring``.  The one
-    exemption is ``moser_tardos``, whose ``(space, net, csp, ...)`` order
+    ``coloring``, nor ``net`` beside ``pd`` or ``coloring``.  A padded
+    decomposition also fixes its layers and its (R, D), so no public
+    function takes ``layers`` beside ``net``, nor ``R`` or ``D`` beside
+    ``pd``; a class takes them to build one.  The one exemption is
+    ``moser_tardos``, whose ``(space, net, csp, ...)`` order
     ``perfbench/tracer.py`` reads by position; it refuses a space other than
     ``net.space``."""
     redundant = {"space": {"net", "coloring"}, "net": {"pd", "coloring"}}
+    decomposed = {"layers": {"net"}, "R": {"pd"}, "D": {"pd"}}
     doubled = []
     for name in pl.__all__:
         obj = getattr(pl, name)
+        is_class = isinstance(obj, type)
         try:
-            params = set(inspect.signature(obj.__init__ if isinstance(obj, type) else obj)
-                         .parameters)
+            params = set(inspect.signature(obj.__init__ if is_class else obj).parameters)
         except (TypeError, ValueError):  # a builtin without a signature
             continue
-        if any(key in params and params & owners for key, owners in redundant.items()):
+        rules = redundant if is_class else {**redundant, **decomposed}
+        if any(key in params and params & owners for key, owners in rules.items()):
             doubled.append(name)
     assert doubled == ["moser_tardos"]
 
