@@ -17,7 +17,10 @@ is the first covering entry of its row.  That entry usually sits in the
 first few columns, so the scan reads rows in place in column chunks that
 double in width and drops each row at its first covering chunk.
 :func:`carve` scans every row; the resampler passes the ids of the rows a
-redraw can move.
+redraw can move.  The table is read in row blocks, each against the members
+that ``space.candidates`` puts within M of it, once to fix the widest row
+and once to fill the rows in place, so building it holds the n x width
+table and one block; its guard bounds n x width before the table exists.
 
 A probe ball is *cut* by a layer when it meets two distinct clusters; the
 Monte Carlo harness estimates cut frequencies over i.i.d. radius draws
@@ -131,38 +134,68 @@ class PartitionLayer:
                 fh.write(f"{p},{cid},{int(self.centers[cid])}\n")
 
 
-_OWNER_TABLE_GUARD = 50_000_000  # largest n * |net|, which bounds the table's entries
+_OWNER_TABLE_GUARD = 50_000_000  # largest n * width: the entries of the table
+
+
+def _owner_blocks(space: FiniteMetricSpace, members, colors, M):
+    """Yield ``(rows, cols, sub)`` over every point: a block ``rows`` of point
+    ids, the positions ``cols`` of the members that ``space.candidates`` puts
+    within ``M`` of it in (color, position) order, and their distances.
+
+    Rows come in the blocked passes' order (first coordinate on a
+    :class:`CoordSpace`), at most the net sweep's sqrt(budget) / 16 a block,
+    so a block's candidates form one narrow slab; a block holds at most
+    ``_BLOCK_ENTRIES`` entries (or one row)."""
+    position_of = np.full(space.n, -1, dtype=np.intp)
+    position_of[members] = np.arange(len(members))
+    order = spaces._sweep_order(space, np.arange(space.n))
+    budget = spaces._BLOCK_ENTRIES
+    pos = 0
+    while pos < space.n:
+        rows = order[pos:pos + max(1, int(budget ** 0.5) // 16)]
+        near = _near_members(space, rows, M, position_of)
+        if len(rows) * len(near) > budget:  # a subset's candidates are a subset
+            rows = rows[:max(1, budget // len(near))]
+            near = _near_members(space, rows, M, position_of)
+        pos += len(rows)
+        cols = near[np.argsort(colors[near], kind="stable")]
+        yield rows, cols, space.dist_block(rows, members[cols])
 
 
 def _owner_table(space: FiniteMetricSpace, members, colors, M):
-    """Owner table of every point under the radius cap ``M``, from row
-    blocks read against ``members`` in color order (ties by position).
+    """Owner table of every point under the radius cap ``M``, in two passes
+    over :func:`_owner_blocks`: one fixes the width, one fills the table.
 
     Returns ``(table, dists, tie_rows)``: row p holds the positions of the
-    members within ``M`` of point p in that order and their distances,
-    padded with infinite distance to the widest row.  ``tie_rows`` flags the
-    rows holding two members of one color, the only points that two
-    same-color balls can cover.  ``_OWNER_TABLE_GUARD`` bounds n * |net|.
+    members within ``M`` of point p in (color, position) order and their
+    distances, padded with infinite distance to the widest row.
+    ``tie_rows`` flags the rows holding two members of one color, the only
+    points that two same-color balls can cover.  ``_OWNER_TABLE_GUARD``
+    bounds n * width before the table is allocated; the passes hold one
+    block at a time, so the peak is the table and one block.
     """
-    if space.n * len(members) > _OWNER_TABLE_GUARD:
-        raise ValueError("space times net size exceeds the owner table guard")
-    by_color = np.argsort(colors, kind="stable")
-    counts, positions, dists = [], [], []
-    for _, sub in _dist_blocks(space, np.arange(space.n), members[by_color]):
+    width = 1
+    for _, _, sub in _owner_blocks(space, members, colors, M):
+        width = max(width, int((sub < M).sum(axis=1).max(initial=0)))
+    if space.n * width > _OWNER_TABLE_GUARD:
+        raise ValueError(f"an owner table of {space.n} x {width} entries exceeds "
+                         f"the owner table guard ({_OWNER_TABLE_GUARD})")
+    table = np.empty((space.n, width), dtype=np.intp)
+    dists = np.empty((space.n, width))
+    tie_rows = np.empty(space.n, dtype=bool)
+    for rows, cols, sub in _owner_blocks(space, members, colors, M):
         within = sub < M
-        counts.append(within.sum(axis=1))
-        positions.append(np.broadcast_to(by_color, within.shape)[within])
-        dists.append(sub[within])
-        del sub  # free each block before the next is read
-    counts = np.concatenate(counts)
-    slots = np.arange(max(1, counts.max())) < counts[:, None]
-    table = np.zeros(slots.shape, dtype=np.intp)
-    table[slots] = np.concatenate(positions)
-    table_dists = np.full(slots.shape, np.inf)
-    table_dists[slots] = np.concatenate(dists)
-    row_colors = colors[table]
-    tie_rows = ((row_colors[:, 1:] == row_colors[:, :-1]) & slots[:, 1:]).any(axis=1)
-    return table, table_dists, tie_rows
+        slots = np.arange(width) < within.sum(axis=1)[:, None]
+        block = np.zeros(slots.shape, dtype=np.intp)
+        block[slots] = np.broadcast_to(cols, within.shape)[within]
+        table[rows] = block
+        block_dists = np.full(slots.shape, np.inf)
+        block_dists[slots] = sub[within]
+        dists[rows] = block_dists
+        block_colors = colors[block]
+        tie_rows[rows] = ((block_colors[:, 1:] == block_colors[:, :-1])
+                          & slots[:, 1:]).any(axis=1)
+    return table, dists, tie_rows
 
 
 _FIRST_CHUNK = 16  # columns in the first chunk of the owner and probe scans

@@ -411,7 +411,7 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     ``space`` must be ``net.space`` and ``csp`` built on ``net`` (the three stay
     arguments: ``perfbench/tracer.py`` reads ``net`` and ``csp`` by position).
     Every carving applies the owner rule of :mod:`padlab.carving` to one owner
-    table built up front under its n * |net| guard.  A recarve passes
+    table built up front.  A recarve passes
     ``space.candidates`` of the domain at the radius cap, a superset of the
     points a redrawn ball can cover, to the chunked scan; a row whose radii
     did not change keeps its owner, so the final layers equal

@@ -220,6 +220,13 @@ def _near_members(space: FiniteMetricSpace, points, radius: float, position_of):
     return np.sort(positions[positions >= 0])
 
 
+def _sweep_order(space: FiniteMetricSpace, points) -> np.ndarray:
+    """Positions into ``points`` by first coordinate on a :class:`CoordSpace`
+    (stable), as given elsewhere: the order blocked passes read points in."""
+    return (np.argsort(space.coords[points, 0], kind="stable")
+            if isinstance(space, CoordSpace) else np.arange(len(points)))
+
+
 def _ball_blocks(space: FiniteMetricSpace, centers, r: float):
     """Yield the open ``r``-balls of ``centers`` block by block, as CSR
     ``(positions, ids, starts)``: ``ids[starts[k]:starts[k + 1]]`` is the
@@ -228,8 +235,7 @@ def _ball_blocks(space: FiniteMetricSpace, centers, r: float):
     ``_BLOCK_ENTRIES`` entries.  A :class:`CoordSpace` takes the centers in
     first-coordinate order, so a block's candidates form one narrow slab."""
     centers = np.asarray(centers, dtype=np.intp)
-    order = (np.argsort(space.coords[centers, 0], kind="stable")
-             if isinstance(space, CoordSpace) else np.arange(len(centers)))
+    order = _sweep_order(space, centers)
     for b in range(0, len(centers), _BALL_BATCH):
         batch = order[b:b + _BALL_BATCH]
         near = space.candidates(centers[batch], r)

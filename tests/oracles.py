@@ -393,6 +393,31 @@ def reference_shrink_set(space, points, margin):
     return s[near >= margin]
 
 
+def literal_owner_table(space, members, colors, M):
+    """Owner table from single distances: per point, the members within ``M``
+    in (color, position) order and their distances, padded with position 0
+    and infinite distance to the widest row (at least one column), and
+    whether two neighbouring entries of the row share a color."""
+    rows = []
+    for p in range(space.n):
+        entries = []
+        for k in range(len(members)):
+            d = space.dist(p, int(members[k]))
+            if d < M:
+                entries.append((int(colors[k]), k, d))
+        rows.append(sorted(entries))  # positions are distinct: d never decides
+    width = max([1] + [len(row) for row in rows])
+    table = np.zeros((space.n, width), dtype=np.intp)
+    dists = np.full((space.n, width), np.inf)
+    tie_rows = np.zeros(space.n, dtype=bool)
+    for p, row in enumerate(rows):
+        for j, (color, k, d) in enumerate(row):
+            table[p, j], dists[p, j] = k, d
+            if j and row[j - 1][0] == color:
+                tie_rows[p] = True
+    return table, dists, tie_rows
+
+
 def reference_first_cover(members, dists, tie_rows, colors, t):
     """Owner of the point behind each owner-table row under radii ``t``: the
     member position of the row's first covering entry, read at full width."""

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import padlab as pl
 from padlab import carving, spaces
 from padlab.carving import _first_cover, _probe_cuts
-from oracles import (literal_carve, literal_is_cut, reference_first_cover,
-                     reference_probe_cuts)
+from oracles import (literal_carve, literal_is_cut, literal_owner_table,
+                     reference_first_cover, reference_probe_cuts)
 
 
 def path_graph_netgraph(n):
@@ -166,6 +167,34 @@ class TestCarve:
         with pytest.raises(ValueError, match="owner table guard"):
             pl.carve(coloring, radii)
 
+    def test_guard_bounds_the_table_not_the_net(self, monkeypatch):
+        """A guard at n * width, far below n * |net|, lets carve and the
+        resampler run exactly as unguarded runs do; one entry less refuses
+        both."""
+        space = pl.integer_segment(60)
+        net = pl.build_net(space, 1, 1)
+        csp = pl.CspInstance(net, 1, pl.TexpParams(0.5, 1.0, 3.0), 1.5, 4.0)
+        coloring = pl.greedy_color(pl.net_graph(net, 6.0))
+        radii = pl.RadiusAssignment(np.linspace(1.0, 3.0, len(net.members)), 1.0, 3.0)
+        width = carving._owner_table(space, net.members, coloring.colors, 3.0)[0].shape[1]
+        assert space.n * width < space.n * len(net.members) // 10
+
+        def runs():
+            layer = pl.carve(coloring, radii)
+            result = pl.moser_tardos(space, net, csp, 0, max_rounds=40)
+            return (layer.cluster_of.tolist(), layer.centers.tolist(), result.rounds,
+                    result.violated_history, [a.t.tolist() for a in result.assignments],
+                    [x.cluster_of.tolist() for x in result.layers])
+
+        unguarded = runs()
+        monkeypatch.setattr(carving, "_OWNER_TABLE_GUARD", space.n * width)
+        assert runs() == unguarded
+        monkeypatch.setattr(carving, "_OWNER_TABLE_GUARD", space.n * width - 1)
+        with pytest.raises(ValueError, match="owner table guard"):
+            pl.moser_tardos(space, net, csp, 0, max_rounds=40)
+        with pytest.raises(ValueError, match="owner table guard"):
+            pl.carve(coloring, radii)
+
     def test_csv_serialization(self, tmp_path):
         radii = pl.RadiusAssignment(np.full(4, 4.0), 3.0, 5.0)
         layer = pl.carve(self.coloring, radii)
@@ -175,6 +204,96 @@ class TestCarve:
         assert lines[0] == "point_id,cluster_id,center_id"
         assert lines[1] == "0,0,0"
         assert lines[5] == "4,1,3"
+
+
+@st.composite
+def owner_table_cases(draw):
+    """A segment, an l1/l2/linf grid, a rounded cloud, a tree or a Heisenberg
+    ball; an honest net on it; a radius cap equal to one of its distances
+    (within 1e-13) or beyond every distance; and the greedy coloring of the
+    net or a random one with 1-3 colors, whose rows hold same-color ties."""
+    kind = draw(st.sampled_from(["segment", "grid", "cloud", "tree", "heis"]))
+    if kind == "segment":
+        space = pl.integer_segment(draw(st.integers(0, 40)))
+    elif kind == "grid":
+        space = pl.grid_2d(draw(st.integers(1, 7)), draw(st.integers(1, 7)),
+                           draw(st.sampled_from(["l1", "l2", "linf"])))
+    elif kind == "cloud":
+        space = pl.euclidean_cloud(draw(st.integers(1, 40)), draw(st.integers(1, 3)),
+                                   seed=draw(st.integers(0, 1000)), scale=8.0)
+    elif kind == "tree":
+        space = pl.balanced_tree(draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+    else:
+        space = pl.heisenberg_ball(draw(st.integers(1, 3)))
+    gaps = np.unique(space.distance_matrix()).tolist()
+    eps = max(draw(st.sampled_from(gaps)), 0.5)
+    net = pl.build_net(space, eps, eps)
+    M = (draw(st.sampled_from(gaps + [space.diameter() + 1.0]))
+         + draw(st.sampled_from([0.0, 1e-13, -1e-13])))
+    k = draw(st.none() | st.integers(1, 3))
+    if k is None:
+        colors = pl.greedy_color(pl.net_graph(net, 2 * max(M, eps))).colors
+    else:
+        colors = np.random.default_rng(draw(st.integers(0, 2**16))).integers(
+            0, k, len(net.members))
+    return space, net.members, colors, M
+
+
+@pytest.mark.parametrize("budget", [spaces._BLOCK_ENTRIES, 7])
+@given(owner_table_cases())
+@settings(max_examples=100, deadline=None)
+def test_owner_table_matches_the_literal_table(budget, case):
+    """Built from radius-bounded row blocks, under the default budget and
+    under 7 entries (one row a block), the owner table is entry for entry
+    the literal one: width, members, distances, padding and tie flags."""
+    space, members, colors, M = case
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
+        got = carving._owner_table(space, members, colors, M)
+    want = literal_owner_table(space, members, colors, M)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_owner_blocks_shrink_to_the_budget(monkeypatch):
+    """A tree's candidates are every member, so two rows (the row cap at a
+    budget of 1024 entries) against its 1023 members overrun the budget: the
+    blocks shrink to one row each, and the table is the one-block table."""
+    space = pl.balanced_tree(2, 9)
+    net = pl.build_net(space, 1, 1)
+    colors = pl.greedy_color(pl.net_graph(net, 6.0)).colors
+    whole = carving._owner_table(space, net.members, colors, 3.0)
+    monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", 1024)
+    calls = []
+    original = pl.MatrixSpace.dist_block
+
+    def recording(self, rows, cols=None):
+        calls.append((len(rows), self.n if cols is None else len(cols)))
+        return original(self, rows, cols)
+
+    monkeypatch.setattr(pl.MatrixSpace, "dist_block", recording)
+    blocked = carving._owner_table(space, net.members, colors, 3.0)
+    assert len(net.members) == 1023 and set(calls) == {(1, 1023)}
+    for g, w in zip(blocked, whole):
+        assert np.array_equal(g, w)
+
+
+def test_owner_table_peaks_near_its_own_bytes():
+    """On segment:3000 with a (3, 3)-net and the carve benchmark's cap
+    M = 609, building the owner table holds the table and one row block: its
+    traced peak stays below 1.25x the bytes it returns (reading every point
+    against the whole net at once peaked near 2.7x)."""
+    space = pl.integer_segment(3000)
+    net = pl.build_net(space, 3, 3)
+    colors = pl.greedy_color(pl.net_graph(net, 2 * 609.0)).colors
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = carving._owner_table(space, net.members, colors, 609.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out[0].shape == (space.n, 406)
+    assert peak < 1.25 * sum(a.nbytes for a in out)
 
 
 # columns on either side of the owner scan's chunk boundaries (16, 48, 112, 240)
