@@ -17,10 +17,11 @@ is the first covering entry of its row.  That entry usually sits in the
 first few columns, so the scan reads rows in place in column chunks that
 double in width and drops each row at its first covering chunk.
 :func:`carve` scans every row; the resampler passes the ids of the rows a
-redraw can move.  The table is read in row blocks, each against the members
-that ``space.candidates`` puts within M of it, once to fix the widest row
-and once to fill the rows in place, so building it holds the n x width
-table and one block; its guard bounds n x width before the table exists.
+redraw can move.  The table is read in the row blocks of
+``spaces._near_blocks``, each against the members near it within M, once to
+fix the widest row and once to fill the rows in place, so building it holds
+the n x width table and one block; its guard bounds n x width before the
+table exists.
 
 A probe ball is *cut* by a layer when it meets two distinct clusters; the
 Monte Carlo harness estimates cut frequencies over i.i.d. radius draws
@@ -139,27 +140,17 @@ _OWNER_TABLE_GUARD = 50_000_000  # largest n * width: the entries of the table
 
 def _owner_blocks(space: FiniteMetricSpace, members, colors, M):
     """Yield ``(rows, cols, sub)`` over every point: a block ``rows`` of point
-    ids, the positions ``cols`` of the members that ``space.candidates`` puts
-    within ``M`` of it in (color, position) order, and their distances.
-
-    Rows come in the blocked passes' order (first coordinate on a
-    :class:`CoordSpace`), at most the net sweep's sqrt(budget) / 16 a block,
-    so a block's candidates form one narrow slab; a block holds at most
-    ``_BLOCK_ENTRIES`` entries (or one row)."""
+    ids, the positions ``cols`` of the members near it within ``M`` in
+    (color, position) order, and their distances.  The blocks are those of
+    ``spaces._near_blocks`` over the points in the blocked passes' order
+    (first coordinate on a :class:`CoordSpace`), so a block's candidates
+    form one narrow slab."""
     position_of = np.full(space.n, -1, dtype=np.intp)
     position_of[members] = np.arange(len(members))
     order = spaces._sweep_order(space, np.arange(space.n))
-    budget = spaces._BLOCK_ENTRIES
-    pos = 0
-    while pos < space.n:
-        rows = order[pos:pos + max(1, int(budget ** 0.5) // 16)]
-        near = _near_members(space, rows, M, position_of)
-        if len(rows) * len(near) > budget:  # a subset's candidates are a subset
-            rows = rows[:max(1, budget // len(near))]
-            near = _near_members(space, rows, M, position_of)
-        pos += len(rows)
+    for lo, hi, near in spaces._near_blocks(space, order, M, position_of):
         cols = near[np.argsort(colors[near], kind="stable")]
-        yield rows, cols, space.dist_block(rows, members[cols])
+        yield order[lo:hi], cols, space.dist_block(order[lo:hi], members[cols])
 
 
 def _owner_table(space: FiniteMetricSpace, members, colors, M):

@@ -129,7 +129,7 @@ def cmd_carve(args) -> int:
     max_rounds = cfg.get("max_rounds")  # absent or null keeps the resampler's default
     if max_rounds is not None:
         max_rounds = _number(max_rounds, '"max_rounds"', "nonnegative", integer=True, low=0)
-    net = build_net(parse_fixture(fixture), schedule.r, schedule.r)
+    net = build_net(parse_fixture(fixture), schedule.net_scale, schedule.net_scale)
     try:
         run = certify_decomposition(net, schedule, seed, max_rounds=max_rounds)
     except MoserTardosFailure as exc:

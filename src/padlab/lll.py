@@ -156,6 +156,11 @@ class TexpSchedule:
     def domain_radius(self) -> float:
         return self.M + 3 * self.r
 
+    @property
+    def net_scale(self) -> float:
+        """Covering radius and separation of the net ``carve`` builds."""
+        return self.r
+
     def law(self) -> TexpParams:
         return TexpParams(self.lam, self.l, self.M)
 
@@ -205,6 +210,12 @@ class TgeoRun:
     @property
     def domain_radius(self) -> float:
         return self.M + self.r
+
+    @property
+    def net_scale(self) -> float:
+        """Covering radius and separation of the net ``carve`` builds: at most
+        the law's lower end, so every point is covered."""
+        return min(self.r, self.law().window[0])
 
     def law(self) -> TgeoParams:
         return TgeoParams(self.p, self.M)

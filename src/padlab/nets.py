@@ -9,11 +9,12 @@ of colors the carving stage needs.
 One triangular pass over the member distances builds a net graph: each
 member is read against the members before it in index order that
 ``space.candidates`` puts within the band's upper end, once, so every edge
-is seen once (the net sweep likewise reads only the members within the
-covering radius).  The pass yields the full degrees (an edge counts for
-both ends) and the greedy coloring in that order (each member takes the
-least color no earlier neighbour holds).  :class:`NetGraph` keeps both, so
-there is one coloring per graph; :func:`padlab.carving.greedy_color`
+is seen once.  It and the net sweep (at the covering radius) take their
+row blocks, and the members near each, from ``spaces._near_blocks``, so
+neither sizes its own blocks.  The pass yields the full degrees (an edge
+counts for both ends) and the greedy coloring in that order (each member
+takes the least color no earlier neighbour holds).  :class:`NetGraph` keeps
+both, so there is one coloring per graph; :func:`padlab.carving.greedy_color`
 returns it.
 """
 
@@ -23,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spaces
-from .spaces import FiniteMetricSpace, _dist_blocks, _near_members
+from .spaces import FiniteMetricSpace, _near_blocks
 
 __all__ = ["Net", "NetGraph", "build_net", "net_graph", "ball_net_count", "NetError"]
 
@@ -72,17 +72,10 @@ def build_net(space: FiniteMetricSpace, eps: float, delta: float, order=None) ->
     # rule on the block's internal distances; any block size gives the naive
     # sweep.  A member farther than eps leaves both verdicts unchanged (near
     # >= delta at admission, nearest_seen >= eps below), so it is not read.
-    # Blocks fit the budget in at most sqrt(budget) / 16 rows: admissions rescan the
-    # block, and a 125-row square (125 KB) stays below malloc's 128 KB mmap threshold.
     nearest_seen = np.full(n, np.inf)
-    pos = 0
-    while pos < n:
-        size = max(1, min(n - pos, int(spaces._BLOCK_ENTRIES ** 0.5) // 16,
-                          spaces._BLOCK_ENTRIES // max(1, count)))
-        block = order[pos:pos + size]
-        pos += size
-        cols = member_buf[_near_members(space, block, eps, position_of)]
-        near = space.dist_block(block, cols).min(axis=1, initial=np.inf)
+    for lo, hi, cols in _near_blocks(space, order, eps, position_of):
+        block = order[lo:hi]
+        near = space.dist_block(block, member_buf[cols]).min(axis=1, initial=np.inf)
         inner = space.dist_block(block, block)
         for i, p in enumerate(block):
             if near[i] >= delta:
@@ -94,12 +87,13 @@ def build_net(space: FiniteMetricSpace, eps: float, delta: float, order=None) ->
     members = member_buf[:count].copy()
     # Re-derive coverage for points seen before later members were admitted.
     uncovered = np.nonzero(nearest_seen >= eps)[0]
-    if len(uncovered):
-        far = np.concatenate([uncovered[start:start + len(sub)][sub.min(axis=1) >= eps]
-                              for start, sub in _dist_blocks(space, uncovered, members)])
-        if len(far):
-            raise NetError(f"sweep left {len(far)} points uncovered at eps={eps}: "
-                           f"first witnesses {far[:5].tolist()}")
+    for lo, hi, cols in _near_blocks(space, uncovered, eps, position_of):
+        nearest_seen[uncovered[lo:hi]] = space.dist_block(
+            uncovered[lo:hi], members[cols]).min(axis=1, initial=np.inf)
+    far = np.nonzero(nearest_seen >= eps)[0]
+    if len(far):
+        raise NetError(f"sweep left {len(far)} points uncovered at eps={eps}: "
+                       f"first witnesses {far[:5].tolist()}")
     return Net(space, members, float(eps), float(delta))
 
 
@@ -107,10 +101,9 @@ def _band_pass(space: FiniteMetricSpace, members, band_low, band_high):
     """Degrees and greedy colors of the band graph on ``members``, both indexed
     by member position, from one pass over the members in index order.
 
-    Row blocks ``[s, e)`` of the members are read against the columns
-    ``cols``: the ascending positions below ``e`` of the members that
-    ``space.candidates`` puts within ``band_high`` of the block, so a
-    block holds at most ``_BLOCK_ENTRIES`` entries (or one row).  Entry
+    Row blocks ``[s, e)`` of the members come from ``spaces._near_blocks``
+    at ``band_high``, and each is read against the columns ``cols``: the
+    ascending positions below ``e`` of the members near it.  Entry
     ``(i, j)`` counts only when ``cols[j]`` is before row ``s + i``.  Each
     in-band entry is an edge to an earlier vertex: it adds to the degrees of
     both ends, and the row vertex takes the least color missing among its
@@ -124,15 +117,12 @@ def _band_pass(space: FiniteMetricSpace, members, band_low, band_high):
     position_of = np.full(space.n, -1, dtype=np.intp)
     position_of[members] = np.arange(T)
     reach = np.nextafter(band_high, np.inf)  # candidates hold distances below their radius
-    step = max(1, spaces._BLOCK_ENTRIES // max(1, T))
-    for s in range(0, T, step):
-        e = min(s + step, T)
-        close = _near_members(space, members[s:e], reach, position_of)
-        cols = close[:np.searchsorted(close, e)]
+    for s, e, near in _near_blocks(space, members, reach, position_of):
+        cols = near[:np.searchsorted(near, e)]
         sub = space.dist_block(members[s:e], members[cols])
         inband = (sub >= band_low) & (sub <= band_high)
-        # Blocks widen as e grows: freeing each one before the next is read
-        # lets the allocator reuse its memory instead of growing the heap.
+        # Freed here rather than when the next block replaces it, so the pass
+        # never holds two float blocks at once.
         del sub
         k = np.searchsorted(cols, s)  # columns from here on may be rows of the block
         inband[:, k:] &= cols[k:] < np.arange(s, e)[:, None]

@@ -19,12 +19,13 @@ Distances for random Euclidean clouds are rounded to 12 decimal digits at
 construction time so that runs reproduce bit-for-bit across platforms.
 
 Each backend implements one distance kernel, ``dist_block``, and every
-distance is read through it.  Passes over many distances read row blocks of
-at most ``_BLOCK_ENTRIES`` entries (or one wider row).  Reads that only need
-the points near a set ask :meth:`FiniteMetricSpace.candidates` for them
-first (a bounding box on coordinate spaces).  Balls, one or many, come from
-one blocked ball pass, which reads batches of nearby centers against their
-shared candidates and yields the balls in CSR form.
+distance is read through it, in row blocks of at most ``_BLOCK_ENTRIES``
+entries (or one wider row) from one of two readers.  ``_dist_blocks`` reads
+rows against fixed columns.  ``_near_blocks`` reads rows against the members
+within a radius of each block, which :meth:`FiniteMetricSpace.candidates`
+bounds (a bounding box on coordinate spaces); the net sweep, the band pass,
+the owner table and the ball pass all read through it.  Balls, one or many,
+come from that ball pass in CSR form.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ _APSP_MAX_POINTS = 5000
 # Distance entries per block of a blocked pass (32 MB of float64; a
 # CoordSpace block peaks near 64 MB with its one scratch array).
 _BLOCK_ENTRIES = 4_000_000
-_BALL_BATCH = 64  # centers per block of a blocked ball pass
 
 
 class MetricError(ValueError):
@@ -227,23 +227,42 @@ def _sweep_order(space: FiniteMetricSpace, points) -> np.ndarray:
             if isinstance(space, CoordSpace) else np.arange(len(points)))
 
 
+def _near_blocks(space: FiniteMetricSpace, rows, radius: float, position_of):
+    """Yield ``(lo, hi, near)`` over ``rows`` in the order given: the block
+    ``rows[lo:hi]`` and the :func:`_near_members` of it at ``radius``.
+
+    A block holds at most max(1, isqrt(``_BLOCK_ENTRIES``) // 16) rows, cut to
+    ``_BLOCK_ENTRIES`` entries against ``near`` (or to one row).  The cap is
+    the net sweep's: each admission rescans its block, and a 125-row square
+    (125 KB) stays below malloc's 128 KB mmap threshold.  ``position_of`` is
+    read as each block is reached, so a caller may add members between blocks.
+    """
+    lo, cap = 0, max(1, math.isqrt(_BLOCK_ENTRIES) // 16)
+    while lo < len(rows):
+        hi = min(lo + cap, len(rows))
+        near = _near_members(space, rows[lo:hi], radius, position_of)
+        if (hi - lo) * len(near) > _BLOCK_ENTRIES:  # a subset's candidates are a subset
+            hi = lo + max(1, _BLOCK_ENTRIES // len(near))
+            near = _near_members(space, rows[lo:hi], radius, position_of)
+        yield lo, hi, near
+        lo = hi
+
+
 def _ball_blocks(space: FiniteMetricSpace, centers, r: float):
     """Yield the open ``r``-balls of ``centers`` block by block, as CSR
     ``(positions, ids, starts)``: ``ids[starts[k]:starts[k + 1]]`` is the
-    sorted ball of ``centers[positions[k]]``.  A block holds at most
-    ``_BALL_BATCH`` centers, read against their ``candidates`` within
-    ``_BLOCK_ENTRIES`` entries.  A :class:`CoordSpace` takes the centers in
-    first-coordinate order, so a block's candidates form one narrow slab."""
+    sorted ball of ``centers[positions[k]]``.  The blocks are those of
+    :func:`_near_blocks` over the centers in the blocked passes' order, with
+    every point a member, so on a :class:`CoordSpace` a block's candidates
+    form one narrow slab."""
     centers = np.asarray(centers, dtype=np.intp)
     order = _sweep_order(space, centers)
-    for b in range(0, len(centers), _BALL_BATCH):
-        batch = order[b:b + _BALL_BATCH]
-        near = space.candidates(centers[batch], r)
-        for start, sub in _dist_blocks(space, centers[batch], near):
-            within = sub < r
-            starts = np.zeros(len(sub) + 1, dtype=np.intp)
-            np.cumsum(within.sum(axis=1), out=starts[1:])
-            yield batch[start:start + len(sub)], near[np.nonzero(within)[1]], starts
+    rows = centers[order]
+    for lo, hi, near in _near_blocks(space, rows, r, np.arange(space.n)):
+        within = space.dist_block(rows[lo:hi], near) < r
+        starts = np.zeros(hi - lo + 1, dtype=np.intp)
+        np.cumsum(within.sum(axis=1), out=starts[1:])
+        yield order[lo:hi], near[np.nonzero(within)[1]], starts
 
 
 def _balls(space: FiniteMetricSpace, centers, r: float) -> list:

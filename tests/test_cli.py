@@ -186,6 +186,28 @@ class TestCarve:
             assert a == b
 
 
+    def test_tgeo_schedule_carves_on_a_net_at_the_law_lower_end(self, tmp_path):
+        """A truncated-geometric schedule with r = 9 > 1 builds its net at the
+        law's lower end 1 (``TgeoRun.net_scale``), so the resampler accepts
+        it: on ``segment:3000`` it converges, verifies at (R, D) = (9, 1200),
+        and reruns byte for byte."""
+        schedule = {"kind": "tgeo", "b": 1, "p": 0.01, "M": 600, "m": 2, "r": 9}
+        outs = []
+        for tag in ("a", "b"):
+            out = str(tmp_path / f"tgeo{tag}")
+            cfg = write_config(tmp_path, f"t{tag}.json", {
+                "fixture": "segment:3000", "schedule": schedule, "seed": 1, "out": out,
+            })
+            assert main(["carve", "--config", cfg]) == 0
+            outs.append(out)
+        dec = json.load(open(outs[0] + ".decomposition.json"))
+        assert json.load(open(outs[0] + ".verification.json"))["passed"] is True
+        assert (dec["R"], dec["D"]) == (9.0, 1200.0)
+        for suffix in (".decomposition.json", ".verification.json", ".meta.json",
+                       ".layer0.csv", ".layer1.csv"):
+            assert open(outs[0] + suffix, "rb").read() == open(outs[1] + suffix, "rb").read()
+
+
 def tgeo_grid_config(tmp_path, out, with_off_regime=False):
     grid = [{"kind": "tgeo", "b": 1.0, "p": 0.02, "M": 40, "m": 2, "r": 9.0}]
     if with_off_regime:

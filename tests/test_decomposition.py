@@ -258,14 +258,19 @@ def radius_of(draw, space):
     return draw(st.sampled_from(gaps)) + draw(st.sampled_from([0.0, 1e-13, -1e-13]))
 
 
+# Block budgets giving ball blocks of 1, 3 and 125 centers.
+BALL_BUDGETS = st.sampled_from([7, 2304, spaces._BLOCK_ENTRIES])
+
+
 @st.composite
 def shrink_layers(draw):
     """A space, a layer of possibly empty, overlapping or whole-space sets, a
-    margin and a ball batch size."""
+    margin and a block budget: 7, 2304 or the default number of entries,
+    which gives ball blocks of 1, 3 or 125 centers."""
     space = small_space(draw)
     ids = st.lists(st.integers(0, space.n - 1), max_size=space.n)
     layer = draw(st.lists(ids | st.just(list(range(space.n))), max_size=5))
-    return space, layer, radius_of(draw, space), draw(st.sampled_from([1, 3, 64]))
+    return space, layer, radius_of(draw, space), draw(BALL_BUDGETS)
 
 
 @settings(max_examples=200, deadline=None)
@@ -273,10 +278,10 @@ def shrink_layers(draw):
 def test_layer_shrink_matches_the_set_by_set_reference(system):
     """One ball pass over a layer shrinks each set, and shrink_set shrinks one,
     exactly as reading each set's whole complement did."""
-    space, layer, margin, batch = system
+    space, layer, margin, budget = system
     layer = [decomposition._as_index_array(s, space.n) for s in layer]
     want = [reference_shrink_set(space, s, margin).tolist() for s in layer]
-    with mock.patch.object(spaces, "_BALL_BATCH", batch):
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
         assert [s.tolist() for s in decomposition._shrink_layer(space, layer, margin)] == want
         assert [pl.shrink_set(space, s, margin).tolist() for s in layer] == want
 
@@ -286,7 +291,7 @@ def padded_systems(draw):
     """A space, a net on it and 1-3 layers: each point joins one set, several
     or none (unless the layers partition the space), so members go uncovered
     or held twice and sets overlap off the net; layers may be empty.  R may
-    be 0."""
+    be 0.  Ball blocks hold 1, 3 or 125 centers, as in ``shrink_layers``."""
     space = small_space(draw)
     scale = draw(st.sampled_from([0.5, 1.0, 2.0])) * max(space.diameter(), 1.0) / 4
     net = pl.build_net(space, scale, scale)
@@ -299,7 +304,7 @@ def padded_systems(draw):
                                 st.just([]), min_size=space.n, max_size=space.n))
         layers.append([[p for p in range(space.n) if j in holders[p]] for j in range(k)])
     D = draw(st.sampled_from([0.0, 1.0, space.diameter()]))
-    return space, net, layers, radius_of(draw, space), D, draw(st.sampled_from([1, 3, 64]))
+    return space, net, layers, radius_of(draw, space), D, draw(BALL_BUDGETS)
 
 
 @settings(max_examples=200, deadline=None)
@@ -308,12 +313,12 @@ def test_padded_report_matches_the_per_member_oracle(system):
     """verify_padded's report, witnesses included, is the one a member-by-member
     loop over single open balls writes; a decomposition at a negative R is
     refused when it is built."""
-    space, net, layers, R, D, batch = system
+    space, net, layers, R, D, budget = system
     if R < 0:  # drawn as 0 - 1e-13
         with pytest.raises(ValueError, match="R must be a finite number >= 0"):
             pl.PaddedDecomposition(net, layers, R, D)
         return
-    with mock.patch.object(spaces, "_BALL_BATCH", batch):
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
         got = verify(layers, net, R, D).to_jsonable()
     assert got == literal_verify_padded(space, layers, net.members, R, D)
 

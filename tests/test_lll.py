@@ -352,6 +352,22 @@ def dishonest_pair():
     return space, net, pl.CspInstance(net, 1, law, probe_radius=6.0, domain_radius=12.0)
 
 
+def test_resampler_refuses_a_net_coarser_than_the_law_lower_end():
+    """A library caller may still build a net at r = 9 for a schedule whose
+    law starts at 1: a point 8 away from every member could be left
+    uncovered, so the resampler, and ``certify_decomposition`` through it,
+    refuse it by name."""
+    space = pl.integer_segment(300)
+    run = pl.TgeoRun(b=1, p=0.02, M=40, m=2, r=9)
+    assert run.net_scale == 1.0 and pl.TexpSchedule(N=3, r=3.0, eps=0.05, D=100).net_scale == 3.0
+    net = pl.build_net(space, run.r, run.r)
+    message = "law lower truncation 1.0 is below the covering radius 9.0"
+    with pytest.raises(ValueError, match=message):
+        pl.moser_tardos(space, net, pl.csp_from_schedule(net, run), 0)
+    with pytest.raises(ValueError, match=message):
+        pl.certify_decomposition(net, run, 0)
+
+
 class TestIncrementalState:
     @given(st.sampled_from(INSTANCES), st.integers(0, 10_000), st.integers(0, 40))
     @example(("segment", 40.0), 1, 40)  # stalls

@@ -253,7 +253,7 @@ def test_radius_bounded_reads_are_linear_on_a_segment(monkeypatch):
     a cut probe run with radius cap 20 read O(n * radius) distance entries:
     each block is read against the members its radius reaches, not against
     every earlier member (about n**2 / 2 = 2e6 entries per pass).  The budget
-    is 40 000 entries, so the band pass takes 19-row blocks."""
+    is 40 000 entries, so every pass takes 12-row blocks."""
     monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", 40_000)
     entries = []
     original = pl.CoordSpace.dist_block
@@ -276,5 +276,5 @@ def test_radius_bounded_reads_are_linear_on_a_segment(monkeypatch):
     probes = sum(entries)
     assert len(net) == n
     assert sweep <= 16 * n  # 12-row blocks: a 144-entry square and one earlier member each
-    assert band <= 2 * n * (100 + 19)  # the rows, each against 100 earlier members at most
-    assert probes <= 2 * n * (40 + 19) + 20 * 9 * 50  # the band pass to 40, then the probes
+    assert band <= 2 * n * (100 + 12)  # the rows, each against 100 earlier members at most
+    assert probes <= 2 * n * (40 + 12) + 20 * 9 * 50  # the band pass to 40, then the probes

@@ -161,3 +161,25 @@ def test_benchmark_scripts_import_existing_names():
     assert {"padlab.cli.main", "padlab.decomposition.verify_cover",
             "padlab.spaces.parse_fixture"} <= set(names)
     assert [name for name in names if not _resolves(name)] == []
+
+
+def test_only_the_reader_and_the_probe_set_up_ask_for_near_members():
+    """Radius-bounded blocks are sized in one place: outside ``spaces`` (whose
+    ``_near_blocks`` is the one reader), only ``cut_probability_mc`` calls
+    ``_near_members``, once per probe ball, because its nearest and farthest
+    distances run over the whole ball."""
+    package = os.path.dirname(os.path.abspath(pl.__file__))
+    callers = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "_near_members"
+                        or isinstance(node, ast.Attribute) and node.attr == "_near_members"):
+                    callers.add((name[:-3], getattr(top, "name", None)))
+    assert {caller for caller in callers if caller[0] != "spaces"} == {
+        ("carving", "cut_probability_mc")}
+    assert ("spaces", "_near_blocks") in callers

@@ -175,22 +175,22 @@ def ball_spaces(draw):
 @given(ball_spaces(), st.data())
 def test_blocked_balls_match_one_ball_per_center(space, data):
     """The blocked ball pass yields each center's sorted open ball once, in
-    blocks of at most _BALL_BATCH centers, under any block budget: centers
-    unsorted and repeated, r = 0, r equal to a distance, r above the diameter."""
+    blocks of at most 1, 3 or 125 centers (budgets of 7, 2304 and the
+    default number of entries): centers unsorted and repeated, r = 0, r equal
+    to a distance, r above the diameter."""
     centers = data.draw(st.lists(st.integers(0, space.n - 1), max_size=2 * space.n))
     diameter = space.diameter()
     radius = data.draw(st.sampled_from([0.0, diameter + 1.0]
                                        + np.unique(space.distance_matrix()).tolist())
                        | st.floats(0.0, 2 * diameter + 1.0))
-    batch = data.draw(st.sampled_from([1, 3, 64]))
-    with mock.patch.object(spaces, "_BALL_BATCH", batch), \
-            mock.patch.object(spaces, "_BLOCK_ENTRIES", data.draw(st.sampled_from([7, 4000]))):
+    budget, cap = data.draw(st.sampled_from([(7, 1), (2304, 3), (spaces._BLOCK_ENTRIES, 125)]))
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
         blocks = list(spaces._ball_blocks(space, centers, radius))
         balls = spaces._balls(space, centers, radius)
     positions = [int(p) for block, _, _ in blocks for p in block]
     assert sorted(positions) == list(range(len(centers)))
     for block, ids, starts in blocks:
-        assert len(block) <= batch and starts[0] == 0 and starts[-1] == len(ids)
+        assert len(block) <= cap and starts[0] == 0 and starts[-1] == len(ids)
         for k, p in enumerate(block):
             assert ids[starts[k]:starts[k + 1]].tolist() == literal_ball(space, centers[p], radius)
     assert [b.tolist() for b in balls] == [literal_ball(space, c, radius) for c in centers]
@@ -200,7 +200,8 @@ def test_blocked_balls_match_one_ball_per_center(space, data):
 
 def test_coordinate_ball_blocks_follow_the_first_coordinate():
     """On a coordinate space each block's centers are consecutive in
-    first-coordinate order, so it reads only the slab of points near them."""
+    first-coordinate order, so it reads only the slab of points near them: a
+    block of 125 centers in index order would span the whole cloud."""
     space = pl.euclidean_cloud(500, 2, seed=4)
     centers = np.arange(0, 500, 2)
     first = space.coords[centers, 0]
@@ -212,10 +213,69 @@ def test_coordinate_ball_blocks_follow_the_first_coordinate():
 
     with mock.patch.object(pl.CoordSpace, "dist_block", recording):
         blocks = list(spaces._ball_blocks(space, centers, 0.05))
-    assert [len(p) for p, _, _ in blocks] == [64, 64, 64, 58]
-    assert len(widths) == 4 and max(widths) < 250
+    assert [len(p) for p, _, _ in blocks] == [125, 125]
+    assert len(widths) == 2 and max(widths) < 300
     order = np.concatenate([p for p, _, _ in blocks])
     assert np.array_equal(order, np.argsort(first, kind="stable"))
+
+
+@st.composite
+def near_block_cases(draw):
+    """A segment, an l1/l2/linf grid, a rounded cloud, a tree or a Heisenberg
+    ball; rows (any order, repeats allowed); members with positions, and the
+    other points in the order they join as members, one after each block; a
+    radius equal to a distance (within 1e-13), 0 or beyond every distance;
+    and a block budget of 7, 2304 or the default number of entries, which
+    caps a block at 1, 3 or 125 rows."""
+    kind = draw(st.sampled_from(["segment", "grid", "cloud", "tree", "heis"]))
+    if kind == "segment":
+        space = pl.integer_segment(draw(st.integers(0, 60)))
+    elif kind == "grid":
+        space = pl.grid_2d(draw(st.integers(1, 8)), draw(st.integers(1, 8)),
+                           draw(st.sampled_from(["l1", "l2", "linf"])))
+    elif kind == "cloud":
+        space = pl.euclidean_cloud(draw(st.integers(1, 50)), draw(st.integers(1, 3)),
+                                   seed=draw(st.integers(0, 1000)), scale=8.0)
+    elif kind == "tree":
+        space = pl.balanced_tree(draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+    else:
+        space = pl.heisenberg_ball(draw(st.integers(1, 2)))
+    rows = np.array(draw(st.lists(st.integers(0, space.n - 1), max_size=3 * space.n)),
+                    dtype=np.intp)
+    points = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(space.n)
+    split = draw(st.integers(0, space.n))
+    radius = (draw(st.sampled_from([0.0, space.diameter() + 1.0]
+                                   + np.unique(space.distance_matrix()).tolist()))
+              + draw(st.sampled_from([0.0, 1e-13, -1e-13])))
+    budget, cap = draw(st.sampled_from([(7, 1), (2304, 3), (spaces._BLOCK_ENTRIES, 125)]))
+    return space, rows, points[:split], points[split:], max(radius, 0.0), budget, cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_block_cases())
+def test_near_blocks_partition_the_rows_and_hold_every_near_member(case):
+    """The one reader of radius-bounded blocks: its blocks partition the rows
+    in order, each within the row cap and, unless it is one row, within the
+    budget against ``near``; ``near`` is ascending and holds the position of
+    every member within the radius of the block, members that joined between
+    blocks included."""
+    space, rows, members, joining, radius, budget, cap = case
+    mat = space.distance_matrix()
+    position_of = np.full(space.n, -1, dtype=np.intp)
+    position_of[members] = np.arange(len(members))
+    end, count = 0, len(members)
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
+        for lo, hi, near in spaces._near_blocks(space, rows, radius, position_of):
+            assert lo == end < hi <= lo + cap
+            assert hi - lo == 1 or (hi - lo) * len(near) <= budget
+            assert (np.diff(near) > 0).all() and set(near) <= set(position_of[position_of >= 0])
+            close = (mat[rows[lo:hi]] < radius).any(axis=0) & (position_of >= 0)
+            assert set(position_of[close]) <= set(near)
+            end = hi
+            if count < space.n:  # a member joins before the next block is read
+                position_of[joining[count - len(members)]] = count
+                count += 1
+    assert end == len(rows)
 
 
 def test_candidates_are_the_grown_bounding_box():
