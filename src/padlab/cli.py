@@ -216,16 +216,17 @@ def cmd_cutprob(args) -> int:
 def cmd_growth(args) -> int:
     fixture = args.fixture
     seed = _number(args.seed or 0, '"seed"', "an integer >= 0", integer=True, low=0)
+    trials = _number(args.trials, '"trials"', "an integer >= 1", integer=True, low=1)
     radii = [float(tok) for tok in args.radii.split(",") if tok]
     if not radii:
         raise ConfigError("growth needs a nonempty --radii list")
     space = parse_fixture(fixture)
-    table = growth_table(space, radii, trials=args.trials, seed=seed)
+    table = growth_table(space, radii, trials=trials, seed=seed)
     out = args.out or "growth.csv"
     with open(out, "w") as fh:
         fh.write("fixture,r,trials,gamma_lower\n")
         for r in sorted(table):
-            fh.write(f"{fixture},{_fmt(r)},{args.trials},{table[r]}\n")
+            fh.write(f"{fixture},{_fmt(r)},{trials},{table[r]}\n")
     slope = loglog_slope(sorted(table), [table[r] for r in sorted(table)])
     dump_json({"fixture": fixture, "radii": sorted(table),
                "slope": slope,
@@ -253,7 +254,9 @@ def cmd_convert(args) -> int:
         dump_json(decomposition_to_json(pd, doc["fixture"]), out)
         print(f"wrote {out}: ({_fmt(pd.R)}, {_fmt(pd.D)})-padded, {pd.m} layers")
         return PASS
-    pd = decomposition_from_json(doc)  # --direction to-cover, the only other choice
+    if args.R is not None or args.r is not None:  # --direction to-cover, the only other choice
+        raise ConfigError("to-cover takes no --R or --r: the decomposition and its net fix both")
+    pd = decomposition_from_json(doc)
     cover = cover_from_padded(pd)
     dump_json(cover_to_json(cover, doc["fixture"]), out)
     print(f"wrote {out}: ({_fmt(cover.r_disjoint)}, {_fmt(cover.D_bound)})-cover")

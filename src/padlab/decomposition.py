@@ -8,6 +8,12 @@ net members only - sets may overlap off the net), are diameter-bounded, and
 give every net member one layer whose cluster contains its whole padding
 ball.
 
+Both kinds share one frame, ``_Layered``: two bounds named in the class's
+``bounds``, layers of sorted index arrays, and their count ``m``.  So one
+reader and one writer serve both JSON documents, one report set-up and one
+diameter check serve both verifiers, and one verified step serves both
+conversions.
+
 Verifiers are exhaustive, never sampled: a verifier that guesses is not a
 verifier.  They refuse spaces beyond 20000 points rather than silently
 degrade.  Every failed condition yields a concrete witness that can be
@@ -77,8 +83,25 @@ def _as_index_array(points, n: int) -> np.ndarray:
 _BOUND = "a finite number >= 0"  # the rule of every radius and diameter bound
 
 
+class _Layered:
+    """The frame of both kinds: two bounds, named in ``bounds`` and read as
+    finite numbers >= 0, and layers of sorted index arrays, ``m`` of them."""
+
+    bounds = ()
+
+    def __post_init__(self):
+        for name in self.bounds:
+            setattr(self, name, _number(getattr(self, name), name, _BOUND, low=0))
+        self.layers = [[_as_index_array(s, self.space.n) for s in layer]
+                       for layer in self.layers]
+
+    @property
+    def m(self) -> int:
+        return len(self.layers)
+
+
 @dataclass
-class Cover:
+class Cover(_Layered):
     """Layered family of separated, bounded point sets covering the space."""
 
     space: FiniteMetricSpace
@@ -86,19 +109,11 @@ class Cover:
     r_disjoint: float
     D_bound: float
 
-    def __post_init__(self):
-        self.r_disjoint = _number(self.r_disjoint, "r_disjoint", _BOUND, low=0)
-        self.D_bound = _number(self.D_bound, "D_bound", _BOUND, low=0)
-        self.layers = [[_as_index_array(s, self.space.n) for s in layer]
-                       for layer in self.layers]
-
-    @property
-    def m(self) -> int:
-        return len(self.layers)
+    bounds = ("r_disjoint", "D_bound")
 
 
 @dataclass
-class PaddedDecomposition:
+class PaddedDecomposition(_Layered):
     """Layered clusters partitioning a net, with padding parameters (R, D)."""
 
     net: Net
@@ -106,15 +121,7 @@ class PaddedDecomposition:
     R: float
     D: float
 
-    def __post_init__(self):
-        self.R = _number(self.R, "R", _BOUND, low=0)
-        self.D = _number(self.D, "D", _BOUND, low=0)
-        self.layers = [[_as_index_array(s, self.space.n) for s in layer]
-                       for layer in self.layers]
-
-    @property
-    def m(self) -> int:
-        return len(self.layers)
+    bounds = ("R", "D")
 
     @property
     def space(self) -> FiniteMetricSpace:
@@ -169,17 +176,28 @@ def set_diameter(space: FiniteMetricSpace, points) -> float:
 
 def set_distance(space: FiniteMetricSpace, a, b) -> float:
     """min distance between two point sets; +inf if either is empty."""
-    a = np.asarray(a, dtype=np.intp)
-    b = np.asarray(b, dtype=np.intp)
-    if len(a) == 0 or len(b) == 0:
-        return math.inf
-    return min(float(sub.min()) for _, sub in _dist_blocks(space, a, b))
+    pair = [np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)]
+    return next((d for _, _, d in _close_pairs(space, pair, math.inf)), math.inf)
 
 
-def _guard(space: FiniteMetricSpace):
-    if space.n > _VERIFY_MAX_POINTS:
+def _report(kind: str, obj, conditions, **extra) -> VerificationReport:
+    """The all-passing report of a cover or decomposition, whose parameters
+    are its bounds, ``m``, ``n_points`` and ``extra``; a space beyond
+    ``_VERIFY_MAX_POINTS`` points is refused."""
+    n = obj.space.n
+    if n > _VERIFY_MAX_POINTS:
         raise ValueError(
-            f"exhaustive verification is limited to {_VERIFY_MAX_POINTS} points, got {space.n}")
+            f"exhaustive verification is limited to {_VERIFY_MAX_POINTS} points, got {n}")
+    parameters = {**{b: getattr(obj, b) for b in obj.bounds}, "m": obj.m, "n_points": n}
+    return VerificationReport(kind, {**parameters, **extra}, dict.fromkeys(conditions, True))
+
+
+def _check_diameters(report, space, i: int, layer, bound: float):
+    """A diameter witness for each set of layer ``i`` wider than ``bound``."""
+    for s_id, s in enumerate(layer):
+        diam = set_diameter(space, s)
+        if diam > bound:
+            report.fail("diameter", layer=i, set=s_id, diameter=diam, bound=bound)
 
 
 def _close_pairs(space, layer, r: float):
@@ -202,21 +220,12 @@ def _close_pairs(space, layer, r: float):
 def verify_cover(cover: Cover) -> VerificationReport:
     """Exhaustively check separation, boundedness and coverage, with witnesses."""
     space = cover.space
-    _guard(space)
-    report = VerificationReport(
-        kind="cover",
-        parameters={"r_disjoint": cover.r_disjoint, "D_bound": cover.D_bound,
-                    "m": cover.m, "n_points": space.n},
-        conditions={"disjointness": True, "diameter": True, "coverage": True},
-    )
+    report = _report("cover", cover, ("disjointness", "diameter", "coverage"))
     for i, layer in enumerate(cover.layers):
         for a, b, distance in _close_pairs(space, layer, cover.r_disjoint):
             report.fail("disjointness", layer=i, sets=[a, b], distance=distance,
                         required_exceeding=cover.r_disjoint)
-        for s_id, s in enumerate(layer):
-            diam = set_diameter(space, s)
-            if diam > cover.D_bound:
-                report.fail("diameter", layer=i, set=s_id, diameter=diam, bound=cover.D_bound)
+        _check_diameters(report, space, i, layer, cover.D_bound)
     covered = np.zeros(space.n, dtype=bool)
     for layer in cover.layers:
         for s in layer:
@@ -275,28 +284,20 @@ def verify_padded(pd: PaddedDecomposition) -> VerificationReport:
     space, net, layers, R, D = pd.space, pd.net, pd.layers, pd.R, pd.D
     if not layers:
         raise ValueError("need at least one layer")
-    _guard(space)
-    report = VerificationReport(
-        kind="padded_decomposition",
-        parameters={"R": R, "D": D, "m": len(layers), "n_points": space.n,
-                    "net_size": len(net.members)},
-        conditions={"net_partition": True, "diameter": True, "padding": True},
-    )
+    report = _report("padded_decomposition", pd, ("net_partition", "diameter", "padding"),
+                     net_size=len(net.members))
     index = []  # per layer: the holder of each key, and each member's [lo, hi) span
     for i, layer in enumerate(layers):
         keys, holder = _holder_index(layer)
         lo, hi = (np.searchsorted(keys, net.members, side) for side in ("left", "right"))
         index.append((holder, lo, hi))
         for pos in np.nonzero(hi == lo)[0]:
-            report.fail("net_partition", layer=int(i), member=int(net.members[pos]),
+            report.fail("net_partition", layer=i, member=int(net.members[pos]),
                         problem="uncovered")
         for pos in np.nonzero(hi - lo > 1)[0]:
-            report.fail("net_partition", layer=int(i), member=int(net.members[pos]),
+            report.fail("net_partition", layer=i, member=int(net.members[pos]),
                         problem="overlap", sets=[int(o) for o in holder[lo[pos]:hi[pos]]])
-        for s_id, s in enumerate(layer):
-            diam = set_diameter(space, s)
-            if diam > D:
-                report.fail("diameter", layer=int(i), set=int(s_id), diameter=diam, bound=D)
+        _check_diameters(report, space, i, layer, D)
     # Pair every member with each set holding it, sets numbered across layers;
     # a member is padded iff its R-ball lies inside one of them.
     T = len(net.members)
@@ -340,20 +341,31 @@ def _grown(space: FiniteMetricSpace, sets, R: float) -> list:
     return [keys[a:b] - k * space.n for k, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
+def _net_scale(net: Net) -> float:
+    """The scale r of a net whose covering and separation radii are both r."""
+    if net.eps != net.delta:
+        raise ValueError("conversion requires a net with eps == delta")
+    return net.eps
+
+
+def _verified(obj, verify, message: str):
+    """``obj`` once ``verify`` passes it; else ``VerificationFailure(message)``."""
+    report = verify(obj)
+    if not report.passed:
+        raise VerificationFailure(message, report)
+    return obj
+
+
 def padded_from_cover(cover: Cover, net: Net, R: float) -> PaddedDecomposition:
     """Grow a verified (2R + r, D)-cover into an (R, 2R + 2r + D)-padded
     decomposition: each cover set becomes its open R-neighborhood, and net
     members missed by a layer get their own open r-ball."""
-    if net.eps != net.delta:
-        raise ValueError("conversion requires a net with eps == delta")
-    r = net.eps
+    r = _net_scale(net)
     space = cover.space
     if space is not net.space:
         raise ValueError("cover and net live on different spaces")
     R = _number(R, "R", _BOUND, low=0)
-    in_report = verify_cover(cover)
-    if not in_report.passed:
-        raise VerificationFailure("input cover fails verification", in_report)
+    _verified(cover, verify_cover, "input cover fails verification")
     if cover.r_disjoint < 2 * R + r:
         raise ValueError(f"cover separation {cover.r_disjoint} is below the "
                          f"required 2R + r = {2 * R + r}")
@@ -365,12 +377,8 @@ def padded_from_cover(cover: Cover, net: Net, R: float) -> PaddedDecomposition:
         for g in sets:
             hit[g] = True
         out_layers.append(sets + _balls(space, net.members[~hit[net.members]], r))
-    pd = PaddedDecomposition(net, out_layers, R=R,
-                             D=2 * R + 2 * r + cover.D_bound)
-    out_report = verify_padded(pd)
-    if not out_report.passed:
-        raise VerificationFailure("constructed decomposition fails verification", out_report)
-    return pd
+    return _verified(PaddedDecomposition(net, out_layers, R=R, D=2 * R + 2 * r + cover.D_bound),
+                     verify_padded, "constructed decomposition fails verification")
 
 
 def _shrink_layer(space: FiniteMetricSpace, layer, margin: float) -> list:
@@ -398,25 +406,15 @@ def cover_from_padded(pd: PaddedDecomposition) -> Cover:
     """Shrink a verified (R + 2r, D)-padded decomposition over its net into an
     (R, D)-cover: each cluster keeps the points at distance >= R + r from its
     complement (all of them, when the complement is empty)."""
-    net = pd.net
-    if net.eps != net.delta:
-        raise ValueError("conversion requires a net with eps == delta")
-    r = net.eps
-    space = pd.space
+    r = _net_scale(pd.net)
     if pd.R < 3 * r:
         raise ValueError(f"padding radius {pd.R} must be at least 3r = {3 * r}")
-    in_report = verify_padded(pd)
-    if not in_report.passed:
-        raise VerificationFailure("input decomposition fails verification", in_report)
+    _verified(pd, verify_padded, "input decomposition fails verification")
     R_out = pd.R - 2 * r
-    keep_from = R_out + r
-    out_layers = [[s for s in _shrink_layer(space, layer, keep_from) if len(s)]
+    out_layers = [[s for s in _shrink_layer(pd.space, layer, R_out + r) if len(s)]
                   for layer in pd.layers]
-    cover = Cover(space, out_layers, r_disjoint=R_out, D_bound=pd.D)
-    out_report = verify_cover(cover)
-    if not out_report.passed:
-        raise VerificationFailure("constructed cover fails verification", out_report)
-    return cover
+    return _verified(Cover(pd.space, out_layers, r_disjoint=R_out, D_bound=pd.D),
+                     verify_cover, "constructed cover fails verification")
 
 
 # ---------------------------------------------------------------------------
@@ -530,59 +528,55 @@ def dump_json(obj, path=None) -> str:
     return text
 
 
-def _document_space(doc, kind: str) -> FiniteMetricSpace:
-    """The space of a cover or decomposition document, after its kind, its
-    fixture and its point count are read."""
+def _document(kind: str, obj, fixture: str, **extra) -> dict:
+    """The JSON document of a cover or decomposition: its kind, fixture,
+    ``n_points``, ``m``, bounds, ``extra`` and layers."""
+    return {"kind": kind, "fixture": fixture, "n_points": obj.space.n, "m": obj.m,
+            **{b: getattr(obj, b) for b in obj.bounds}, **extra,
+            "layers": [[s.tolist() for s in layer] for layer in obj.layers]}
+
+
+def _read_document(doc, kind: str, *keys) -> tuple:
+    """The space and the layers of a ``kind`` document, which holds no key but
+    its kind, fixture, ``n_points``, ``m``, layers and ``keys``, and whose
+    ``m`` counts its layers."""
+    name = kind.replace("_", " ")
     if not isinstance(doc, dict) or doc.get("kind") != kind:
-        raise ValueError(f"not a {kind.replace('_', ' ')} document")
+        raise ValueError(f"not a {name} document")
+    _known_keys(doc, f"a {name} document", ("kind", "fixture", "n_points", "m", *keys, "layers"))
     space = parse_fixture(_text(doc.get("fixture"), "fixture"))
     if space.n != _number(doc.get("n_points"), "n_points", integer=True):
         raise ValueError("fixture size mismatch")
-    return space
+    m = _number(doc.get("m"), "m", integer=True)
+    layers = _read_layers(doc.get("layers"), space.n)
+    if m != len(layers):
+        raise ConfigError(f"m must be the layer count {len(layers)}, got {m}")
+    return space, layers
 
 
 def cover_to_json(cover: Cover, fixture: str) -> dict:
-    return {
-        "kind": "cover",
-        "fixture": fixture,
-        "n_points": cover.space.n,
-        "r_disjoint": cover.r_disjoint,
-        "D_bound": cover.D_bound,
-        "m": cover.m,
-        "layers": [[[int(p) for p in s] for s in layer] for layer in cover.layers],
-    }
+    return _document("cover", cover, fixture)
 
 
 def cover_from_json(doc: dict) -> Cover:
-    space = _document_space(doc, "cover")
-    return Cover(space, _read_layers(doc.get("layers"), space.n),
+    return Cover(*_read_document(doc, "cover", *Cover.bounds),
                  doc.get("r_disjoint"), doc.get("D_bound"))
 
 
 def decomposition_to_json(pd: PaddedDecomposition, fixture: str) -> dict:
-    return {
-        "kind": "padded_decomposition",
-        "fixture": fixture,
-        "n_points": pd.space.n,
-        "R": pd.R,
-        "D": pd.D,
-        "m": pd.m,
-        "net": {
-            "members": [int(x) for x in pd.net.members],
-            "eps": pd.net.eps,
-            "delta": pd.net.delta,
-        },
-        "layers": [[[int(p) for p in s] for s in layer] for layer in pd.layers],
-    }
+    net = {"members": [int(x) for x in pd.net.members], "eps": pd.net.eps,
+           "delta": pd.net.delta}
+    return _document("padded_decomposition", pd, fixture, net=net)
 
 
 def decomposition_from_json(doc: dict) -> PaddedDecomposition:
-    space = _document_space(doc, "padded_decomposition")
+    space, layers = _read_document(doc, "padded_decomposition", *PaddedDecomposition.bounds,
+                                   "net")
     net_doc = doc.get("net")
     if not isinstance(net_doc, dict):
         raise ConfigError(f"net must be a JSON object, got {_shown(net_doc)}")
+    _known_keys(net_doc, "net", ("members", "eps", "delta"))
     scale = [_number(net_doc.get(key), f"net {key}", "positive and finite", above=0)
              for key in ("eps", "delta")]
     net = Net(space, _point_ids(net_doc.get("members"), space.n), *scale)
-    return PaddedDecomposition(net, _read_layers(doc.get("layers"), space.n),
-                               doc.get("R"), doc.get("D"))
+    return PaddedDecomposition(net, layers, doc.get("R"), doc.get("D"))

@@ -392,6 +392,21 @@ class TestConvert:
         assert main(["convert", "--input", str(path), "--direction", "to-padded",
                      "--R", "1", "--r", "1", "--out", str(tmp_path / "o.json")]) == 1
 
+    @pytest.mark.parametrize("flags", [["--R", "99", "--r", "7"], ["--R", "99"], ["--r", "7"]])
+    def test_to_cover_refuses_R_and_r(self, tmp_path, capsys, flags):
+        """R and r of a shrunk cover come from the decomposition and its net,
+        so ``to-cover`` names the flags and exits 2 instead of ignoring them."""
+        pad = str(tmp_path / "padded.json")
+        assert main(["convert", "--input", self.make_cover_file(tmp_path), "--direction",
+                     "to-padded", "--R", "3", "--r", "1", "--out", pad]) == 0
+        capsys.readouterr()
+        back = tmp_path / "back.json"
+        assert main(["convert", "--input", pad, "--direction", "to-cover", *flags,
+                     "--out", str(back)]) == 2
+        assert capsys.readouterr().err == ("config error: to-cover takes no --R or --r: "
+                                           "the decomposition and its net fix both\n")
+        assert not back.exists()
+
     @pytest.mark.parametrize("direction,doc", [
         ("to-padded", cover_doc([list(range(10)) + [12]])),
         ("to-padded", cover_doc([[-1] + list(range(9))])),
@@ -404,8 +419,9 @@ class TestConvert:
     def test_out_of_range_ids_are_usage_errors(self, tmp_path, capsys, direction, doc):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))
-        assert main(["convert", "--input", str(path), "--direction", direction,
-                     "--R", "1", "--r", "1", "--out", str(tmp_path / "o.json")]) == 2
+        flags = ["--R", "1", "--r", "1"] if direction == "to-padded" else []
+        assert main(["convert", "--input", str(path), "--direction", direction, *flags,
+                     "--out", str(tmp_path / "o.json")]) == 2
         assert "0..9" in capsys.readouterr().err
 
 
@@ -566,6 +582,22 @@ TEXP_READS = 'it reads "kind", "N", "r", "eps", "D"'
                                                "sede": 1}),
      'carve config has unknown keys "max_round", "sede"; it reads "fixture", "seed", "out", '
      '"schedule", "max_rounds"'),
+    (TO_PADDED + ["--R", "1"], json.dumps({**cover_doc([list(range(10))]), "extra": "junk"}),
+     'a cover document has unknown keys "extra"; it reads "kind", "fixture", "n_points", '
+     '"m", "r_disjoint", "D_bound", "layers"'),
+    (TO_COVER, PADDED.replace('"m": 1', '"m": 1, "note": 0') % (9, 9),
+     'a padded decomposition document has unknown keys "note"; it reads "kind", "fixture", '
+     '"n_points", "m", "R", "D", "net", "layers"'),
+    (TO_COVER, PADDED.replace('"delta": 3', '"delta": 3, "r": 3') % (9, 9),
+     'net has unknown keys "r"; it reads "members", "eps", "delta"'),
+    (TO_PADDED + ["--R", "1"], json.dumps({**cover_doc([list(range(10))]), "m": 7}),
+     "m must be the layer count 1, got 7"),
+    (TO_COVER, PADDED.replace('"m": 1', '"m": 2') % (9, 9), "m must be the layer count 1, got 2"),
+    (TO_PADDED + ["--R", "1"], json.dumps({k: v for k, v in cover_doc([list(range(10))]).items()
+                                           if k != "m"}),
+     "m must be an integer, got null"),
+    (TO_PADDED + ["--R", "1"], json.dumps({**cover_doc([list(range(10))]), "m": "1"}),
+     'm must be an integer, got "1"'),
 ], ids=["carve_config_list", "cutprob_config_list", "carve_schedule_list",
         "lll_schedule_list", "convert_input_list", "texp_huge_N", "tgeo_huge_M",
         "carve_huge_seed", "texp_overflowing_M", "texp_overflowing_2M", "texp_nan_D", "texp_infinite_D",
@@ -580,7 +612,8 @@ TEXP_READS = 'it reads "kind", "N", "r", "eps", "D"'
         "tgeo_oversized_int_M", "carve_oversized_int_M", "tgeo_infinite_domain",
         "carve_infinite_domain", "texp_unread_m", "carve_texp_unread_m",
         "cutprob_tgeo_unread_note", "cutprob_net_typo", "cutprob_config_typo",
-        "carve_config_typos"])
+        "carve_config_typos", "cover_unknown_key", "padded_unknown_key", "net_unknown_key",
+        "cover_wrong_m", "padded_wrong_m", "cover_missing_m", "cover_string_m"])
 def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, argv, text, message):
     """Non-object JSON documents, values of the wrong type and non-finite
     numbers exit 2 with one line on stderr, before any output is written."""
@@ -688,6 +721,23 @@ def test_negative_seed_is_refused_by_name_before_any_work(tmp_path, capsys, monk
     assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_growth_trials_below_one_are_refused_by_name_before_any_work(tmp_path, capsys,
+                                                                     monkeypatch, trials):
+    """``growth --trials`` below 1 exits 2 naming the flag before the fixture
+    is parsed."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("fixture parsed before the trials were read")
+
+    monkeypatch.setattr(cli, "parse_fixture", no_work)
+    out = str(tmp_path / "out")
+    assert main(["growth", "--fixture", "segment:10", "--radii", "2", "--trials", str(trials),
+                 "--out", out]) == 2
+    assert capsys.readouterr().err == \
+        f'config error: "trials" must be an integer >= 1, got {trials}\n'
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
 def test_integral_float_config_fields_are_accepted(tmp_path):
     outs = []
     for tag, trials in (("int", 4), ("float", 4.0)):
@@ -747,6 +797,7 @@ RULES = {
     "text": lambda v: isinstance(v, str) and v != "",
     "id": lambda v: _integer(v) and 0 <= v <= 9,
     "ids": lambda v: isinstance(v, list) and all(RULES["id"](p) for p in v),
+    "layer count 1": lambda v: _integer(v) and v == 1,
 }
 FUZZ_CARVE = {"fixture": "segment:10", "seed": 0, "out": "run", "max_rounds": 50,
               "schedule": {"kind": "texp", "N": 3, "r": 1.0, "eps": 0.05, "D": 100.0}}
@@ -782,6 +833,8 @@ LOADER_FIELDS = [
     ("to-padded", FUZZ_COVER, ("D_bound",), "num>=0"),
     ("to-padded", FUZZ_COVER, ("layers", 0, 0, 9), "id"),
     ("to-padded", FUZZ_COVER, ("layers", 0, 0), "ids"),
+    ("to-padded", FUZZ_COVER, ("m",), "layer count 1"),
+    ("to-cover", FUZZ_PADDED, ("m",), "layer count 1"),
     ("to-cover", FUZZ_PADDED, ("R",), "num>=0"),
     ("to-cover", FUZZ_PADDED, ("D",), "num>=0"),
     ("to-cover", FUZZ_PADDED, ("net", "eps"), "num>0"),

@@ -263,6 +263,36 @@ BALL_BUDGETS = st.sampled_from([7, 2304, spaces._BLOCK_ENTRIES])
 
 
 @st.composite
+def set_pairs(draw):
+    """A space, two point sets on it that are disjoint, overlapping, identical
+    or (either one) empty, and a block budget as in ``shrink_layers``."""
+    space = small_space(draw)
+    a = draw(st.lists(st.integers(0, space.n - 1), max_size=space.n))
+    relation = draw(st.sampled_from(["disjoint", "overlapping", "identical", "empty"]))
+    if relation == "disjoint":
+        rest = sorted(set(range(space.n)) - set(a))
+        b = draw(st.lists(st.sampled_from(rest), max_size=len(rest))) if rest else []
+    elif relation == "overlapping":
+        b = a[:len(a) // 2 + 1] + draw(st.lists(st.integers(0, space.n - 1), max_size=5))
+    else:
+        b = list(a) if relation == "identical" else []
+    pair = draw(st.permutations([a, b]))
+    return space, pair[0], pair[1], draw(BALL_BUDGETS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_pairs())
+def test_set_distance_is_the_literal_minimum(system):
+    """set_distance is the minimum over every pair of points, one from each
+    set, and infinity when either set is empty."""
+    space, a, b, budget = system
+    mat = space.distance_matrix()
+    want = min((float(mat[i, j]) for i in a for j in b), default=math.inf)
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
+        assert pl.set_distance(space, a, b) == want
+
+
+@st.composite
 def shrink_layers(draw):
     """A space, a layer of possibly empty, overlapping or whole-space sets, a
     margin and a block budget: 7, 2304 or the default number of entries,

@@ -6,7 +6,7 @@ import pkgutil
 import sys
 
 import padlab as pl
-from padlab import spaces
+from padlab import decomposition, spaces
 from padlab.cli import build_parser
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -183,3 +183,19 @@ def test_only_the_reader_and_the_probe_set_up_ask_for_near_members():
     assert {caller for caller in callers if caller[0] != "spaces"} == {
         ("carving", "cut_probability_mc")}
     assert ("spaces", "_near_blocks") in callers
+
+
+def test_covers_and_decompositions_share_one_frame():
+    """``Cover`` and ``PaddedDecomposition`` read their bounds and layers and
+    count their layers in one base, and inside ``decomposition.py`` only
+    ``_check_diameters`` calls ``set_diameter``, so a per-layer diameter pass
+    replaces one call site."""
+    for cls in (pl.Cover, pl.PaddedDecomposition):
+        assert [name for name in ("__post_init__", "m") if name in vars(cls)] == []
+        assert cls.__mro__[1] is decomposition._Layered
+    with open(decomposition.__file__) as fh:
+        tree = ast.parse(fh.read())
+    callers = {top.name for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "set_diameter"}
+    assert callers == {"_check_diameters"}
