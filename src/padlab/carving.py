@@ -43,7 +43,7 @@ import numpy as np
 
 from . import spaces
 from .nets import Net, NetGraph, net_graph
-from .spaces import FiniteMetricSpace, _balls, _dist_blocks, _near_members
+from .spaces import _balls, _dist_blocks, _near_members
 
 __all__ = [
     "Coloring",
@@ -138,22 +138,21 @@ class PartitionLayer:
 _OWNER_TABLE_GUARD = 50_000_000  # largest n * width: the entries of the table
 
 
-def _owner_blocks(space: FiniteMetricSpace, members, colors, M):
-    """Yield ``(rows, cols, sub)`` over every point: a block ``rows`` of point
-    ids, the positions ``cols`` of the members near it within ``M`` in
-    (color, position) order, and their distances.  The blocks are those of
-    ``spaces._near_blocks`` over the points in the blocked passes' order
-    (first coordinate on a :class:`CoordSpace`), so a block's candidates
-    form one narrow slab."""
-    position_of = np.full(space.n, -1, dtype=np.intp)
-    position_of[members] = np.arange(len(members))
+def _owner_blocks(net: Net, colors, M):
+    """Yield ``(rows, cols, sub)`` over every point of the net's space: a
+    block ``rows`` of point ids, the positions ``cols`` of the members near it
+    within ``M`` in (color, position) order, and their distances.  The blocks
+    are those of ``spaces._near_blocks`` over the points in the blocked
+    passes' order (first coordinate on a :class:`CoordSpace`), so a block's
+    candidates form one narrow slab."""
+    space = net.space
     order = spaces._sweep_order(space, np.arange(space.n))
-    for lo, hi, near in spaces._near_blocks(space, order, M, position_of):
+    for lo, hi, near in spaces._near_blocks(space, order, M, net.position_of):
         cols = near[np.argsort(colors[near], kind="stable")]
-        yield order[lo:hi], cols, space.dist_block(order[lo:hi], members[cols])
+        yield order[lo:hi], cols, space.dist_block(order[lo:hi], net.members[cols])
 
 
-def _owner_table(space: FiniteMetricSpace, members, colors, M):
+def _owner_table(net: Net, colors, M):
     """Owner table of every point under the radius cap ``M``, in two passes
     over :func:`_owner_blocks`: one fixes the width, one fills the table.
 
@@ -165,8 +164,8 @@ def _owner_table(space: FiniteMetricSpace, members, colors, M):
     bounds n * width before the table is allocated; the passes hold one
     block at a time, so the peak is the table and one block.
     """
-    width = 1
-    for _, _, sub in _owner_blocks(space, members, colors, M):
+    space, width = net.space, 1
+    for _, _, sub in _owner_blocks(net, colors, M):
         width = max(width, int((sub < M).sum(axis=1).max(initial=0)))
     if space.n * width > _OWNER_TABLE_GUARD:
         raise ValueError(f"an owner table of {space.n} x {width} entries exceeds "
@@ -174,7 +173,7 @@ def _owner_table(space: FiniteMetricSpace, members, colors, M):
     table = np.empty((space.n, width), dtype=np.intp)
     dists = np.empty((space.n, width))
     tie_rows = np.empty(space.n, dtype=bool)
-    for rows, cols, sub in _owner_blocks(space, members, colors, M):
+    for rows, cols, sub in _owner_blocks(net, colors, M):
         within = sub < M
         slots = np.arange(width) < within.sum(axis=1)[:, None]
         block = np.zeros(slots.shape, dtype=np.intp)
@@ -256,14 +255,14 @@ def carve(coloring: Coloring, radii: RadiusAssignment) -> PartitionLayer:
     net = coloring.graph.net
     if radii.l < net.eps:
         raise ValueError(f"need radii.l >= net.eps for coverage, got l={radii.l} < eps={net.eps}")
-    if coloring.graph.band_high < 2 * radii.M:
+    if not coloring.graph.band_high >= 2 * radii.M:
         raise ValueError(f"coloring band reaches {coloring.graph.band_high}, "
                          f"carving needs at least {2 * radii.M}")
     if len(radii.t) != len(net.members):
         raise ValueError("one radius per net member required")
     if not len(net.members):
         raise ValueError("an empty net covers no point")
-    table = _owner_table(net.space, net.members, coloring.colors, radii.M)
+    table = _owner_table(net, coloring.colors, radii.M)
     return PartitionLayer(net, _first_cover(*table, coloring.colors, radii.t))
 
 
@@ -348,10 +347,9 @@ def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int,
     # it among ``space.candidates``, the only ones read), in color order,
     # with their nearest/farthest distance to the ball (a running min/max
     # over its row blocks) and the ends of their color runs.
-    position_of, probes = np.full(space.n, -1, dtype=np.intp), []
-    position_of[net.members] = np.arange(len(net.members))
+    probes = []
     for ball in _balls(space, centers, probe_radius):
-        near = _near_members(space, ball, M, position_of)
+        near = _near_members(space, ball, M, net.position_of)
         dmin = np.full(len(near), np.inf)
         dmax = np.full(len(near), -np.inf)
         for _, sub in _dist_blocks(space, ball, net.members[near]):

@@ -29,8 +29,8 @@ import sys
 import numpy as np
 
 from .carving import CarveError, cut_probability_mc
-from .decomposition import (ConfigError, VerificationFailure, _known_keys, _number, _text,
-                            cover_from_json, cover_from_padded, cover_to_json,
+from .decomposition import (_BOUND, ConfigError, VerificationFailure, _known_keys, _number,
+                            _text, cover_from_json, cover_from_padded, cover_to_json,
                             decomposition_from_json, decomposition_to_json, dump_json,
                             padded_from_cover)
 from .growth import doubling_constant_estimate, growth_table, loglog_slope
@@ -187,12 +187,13 @@ def cmd_cutprob(args) -> int:
     if not isinstance(net_cfg, dict):
         raise ConfigError('cutprob "net" must hold a JSON object')
     _known_keys(net_cfg, 'cutprob "net"', ("eps", "delta"))
+    eps, delta = (_number(net_cfg.get(key, 1.0), f'"{key}"', "a finite number > 0", above=0)
+                  for key in ("eps", "delta"))
     trials = _number(cfg.get("trials", 100), '"trials"', "an integer >= 1", integer=True, low=1)
     n_centers = _number(cfg.get("centers", 50), '"centers"', "an integer >= 1",
                         integer=True, low=1)
     schedules = [schedule_from_json(entry) for entry in grid]  # refused before any work
-    net = build_net(parse_fixture(fixture), _number(net_cfg.get("eps", 1.0), '"eps"'),
-                    _number(net_cfg.get("delta", 1.0), '"delta"'))
+    net = build_net(parse_fixture(fixture), eps, delta)
     rows = [{**_cutprob_row(net, entry, schedule, trials, n_centers, seed, _threads(args)),
              "experiment": f"cutprob-{k}"}
             for k, (entry, schedule) in enumerate(zip(grid, schedules))]
@@ -249,8 +250,10 @@ def cmd_convert(args) -> int:
     if args.direction == "to-padded":
         if args.R is None or args.r is None:
             raise ConfigError("to-padded needs --R and the net scale --r")
+        R = _number(args.R, "--R", _BOUND, low=0)
+        r = _number(args.r, "--r", "a finite number > 0", above=0)
         cover = cover_from_json(doc)
-        pd = padded_from_cover(cover, build_net(cover.space, args.r, args.r), args.R)
+        pd = padded_from_cover(cover, build_net(cover.space, r, r), R)
         dump_json(decomposition_to_json(pd, doc["fixture"]), out)
         print(f"wrote {out}: ({_fmt(pd.R)}, {_fmt(pd.D)})-padded, {pd.m} layers")
         return PASS

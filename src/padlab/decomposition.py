@@ -365,10 +365,10 @@ def padded_from_cover(cover: Cover, net: Net, R: float) -> PaddedDecomposition:
     if space is not net.space:
         raise ValueError("cover and net live on different spaces")
     R = _number(R, "R", _BOUND, low=0)
-    _verified(cover, verify_cover, "input cover fails verification")
     if cover.r_disjoint < 2 * R + r:
         raise ValueError(f"cover separation {cover.r_disjoint} is below the "
                          f"required 2R + r = {2 * R + r}")
+    _verified(cover, verify_cover, "input cover fails verification")
     grown = iter(_grown(space, [s for layer in cover.layers for s in layer], R))
     out_layers = []
     for layer in cover.layers:
@@ -578,5 +578,9 @@ def decomposition_from_json(doc: dict) -> PaddedDecomposition:
     _known_keys(net_doc, "net", ("members", "eps", "delta"))
     scale = [_number(net_doc.get(key), f"net {key}", "positive and finite", above=0)
              for key in ("eps", "delta")]
-    net = Net(space, _point_ids(net_doc.get("members"), space.n), *scale)
+    members = _point_ids(net_doc.get("members"), space.n)
+    ids, counts = np.unique(members, return_counts=True)
+    if (counts > 1).any():
+        raise ConfigError(f"net members must be distinct, got {ids[counts > 1][0]} repeated")
+    net = Net(space, members, *scale)
     return PaddedDecomposition(net, layers, doc.get("R"), doc.get("D"))

@@ -243,7 +243,7 @@ class TgeoSchedule:
     eps: float
 
     def __post_init__(self):
-        if self.b <= 0 or self.eps <= 0:
+        if not (self.b > 0 and self.eps > 0):
             raise ValueError("b and eps must be positive")
 
     @property
@@ -306,10 +306,10 @@ def tgeo_csp_bounds(b: float, r: float, m: int, p: float, M: float) -> LllBudget
 
     Requires the estimate's hypotheses r >= 9 and p <= 1/(4b+5).
     """
-    if r < 9:
-        raise ValueError("the cut estimate needs r >= 9")
-    if b < 0 or m < 1:
-        raise ValueError("need b >= 0 and m >= 1")
+    if not 9 <= r < math.inf:
+        raise ValueError("the cut estimate needs a finite r >= 9")
+    if not (b >= 0 and m >= 1 and 0 <= M < math.inf):
+        raise ValueError("need b >= 0, m >= 1 and a finite M >= 0")
     if not (0 < p < 1):
         raise ValueError("need 0 < p < 1")
     if p > 1 / (4 * b + 5):
@@ -375,7 +375,7 @@ class CspInstance:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("need at least one layer")
-        if self.probe_radius <= 0 or self.domain_radius <= 0:
+        if not (self.probe_radius > 0 and self.domain_radius > 0):
             raise ValueError("radii must be positive")
         if not isinstance(self.law, (TexpParams, TgeoParams)):
             raise TypeError(f"unsupported law {type(self.law).__name__}")
@@ -444,7 +444,7 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     if max_rounds is None:
         max_rounds = 100 * T
 
-    nb, nb_d, tie_rows = _owner_table(space, members, colors, M)
+    nb, nb_d, tie_rows = _owner_table(net, colors, M)
 
     balls = _balls(space, members, csp.probe_radius)
     sizes = np.array([len(b) for b in balls])

@@ -7,30 +7,31 @@ in a band ``[separation, M]``; its maximum degree is what bounds the number
 of colors the carving stage needs.
 
 One triangular pass over the member distances builds a net graph: each
-member is read against the members before it in index order that
-``space.candidates`` puts within the band's upper end, once, so every edge
-is seen once.  It and the net sweep (at the covering radius) take their
-row blocks, and the members near each, from ``spaces._near_blocks``, so
-neither sizes its own blocks.  The pass yields the full degrees (an edge
-counts for both ends) and the greedy coloring in that order (each member
-takes the least color no earlier neighbour holds).  :class:`NetGraph` keeps
-both, so there is one coloring per graph; :func:`padlab.carving.greedy_color`
-returns it.
+member is read once against the earlier members that ``space.candidates``
+puts within the band's upper end, so every edge is seen once.  It yields the
+full degrees (an edge counts for both ends) and the greedy coloring in index
+order (each member takes the least color no earlier neighbour holds);
+:class:`NetGraph` keeps both, so there is one coloring per graph, which
+:func:`padlab.carving.greedy_color` returns.
+
+The sweep and every pass over a net take their row blocks, and the members
+near each, from ``spaces._near_blocks``.  A net indexes its members once
+(:attr:`Net.position_of`), and the passes over it (the band pass, the owner
+table, the cut probes) read that index; only the sweep keeps its own, which
+grows as it admits members.  The sweep covers at eps by construction, so
+nothing re-reads coverage after it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .spaces import FiniteMetricSpace, _near_blocks
 
-__all__ = ["Net", "NetGraph", "build_net", "net_graph", "ball_net_count", "NetError"]
-
-
-class NetError(ValueError):
-    """A constructed net violates one of its invariants."""
+__all__ = ["Net", "NetGraph", "build_net", "net_graph", "ball_net_count"]
 
 
 @dataclass(frozen=True)
@@ -45,15 +46,25 @@ class Net:
     def __len__(self):
         return len(self.members)
 
+    @cached_property
+    def position_of(self) -> np.ndarray:
+        """Each point's member position, or -1 for a point outside the net."""
+        position_of = np.full(self.space.n, -1, dtype=np.intp)
+        position_of[self.members] = np.arange(len(self.members))
+        position_of.flags.writeable = False  # one index, shared by every pass
+        return position_of
+
 
 def build_net(space: FiniteMetricSpace, eps: float, delta: float, order=None) -> Net:
     """Greedy sweep net construction.
 
     Points are visited in ``order`` (default: index order) and admitted iff
     they lie at distance >= ``delta`` from every member admitted so far.  The
-    result is always delta-separated; the eps-covering invariant is verified
-    after the sweep and reported as :class:`NetError` if violated (with
-    ``delta == eps`` the sweep guarantees it).
+    result is delta-separated, and eps-covering with no check after the
+    sweep: a point passed over had a member at distance below ``delta <= eps``
+    when it was read, and a member is at distance 0 from itself.  Only a
+    "space" with d(p, p) >= eps breaks this, and ``validate_metric`` reports
+    its nonzero diagonal.
     """
     if not (0 < delta <= eps):
         raise ValueError(f"need 0 < delta <= eps, got delta={delta}, eps={eps}")
@@ -70,9 +81,8 @@ def build_net(space: FiniteMetricSpace, eps: float, delta: float, order=None) ->
     # Blocked sweep: each block gets its distances to the admitted members
     # within eps in one vectorized call, then runs the sequential admission
     # rule on the block's internal distances; any block size gives the naive
-    # sweep.  A member farther than eps leaves both verdicts unchanged (near
-    # >= delta at admission, nearest_seen >= eps below), so it is not read.
-    nearest_seen = np.full(n, np.inf)
+    # sweep.  A member farther than eps >= delta leaves the verdict unchanged,
+    # so it is not read.
     for lo, hi, cols in _near_blocks(space, order, eps, position_of):
         block = order[lo:hi]
         near = space.dist_block(block, member_buf[cols]).min(axis=1, initial=np.inf)
@@ -83,23 +93,12 @@ def build_net(space: FiniteMetricSpace, eps: float, delta: float, order=None) ->
                 position_of[p] = count
                 count += 1
                 np.minimum(near, inner[i], out=near)
-        nearest_seen[block] = near
-    members = member_buf[:count].copy()
-    # Re-derive coverage for points seen before later members were admitted.
-    uncovered = np.nonzero(nearest_seen >= eps)[0]
-    for lo, hi, cols in _near_blocks(space, uncovered, eps, position_of):
-        nearest_seen[uncovered[lo:hi]] = space.dist_block(
-            uncovered[lo:hi], members[cols]).min(axis=1, initial=np.inf)
-    far = np.nonzero(nearest_seen >= eps)[0]
-    if len(far):
-        raise NetError(f"sweep left {len(far)} points uncovered at eps={eps}: "
-                       f"first witnesses {far[:5].tolist()}")
-    return Net(space, members, float(eps), float(delta))
+    return Net(space, member_buf[:count].copy(), float(eps), float(delta))
 
 
-def _band_pass(space: FiniteMetricSpace, members, band_low, band_high):
-    """Degrees and greedy colors of the band graph on ``members``, both indexed
-    by member position, from one pass over the members in index order.
+def _band_pass(net: Net, band_low, band_high):
+    """Degrees and greedy colors of the band graph on the net's members, both
+    indexed by member position, from one pass over the members in index order.
 
     Row blocks ``[s, e)`` of the members come from ``spaces._near_blocks``
     at ``band_high``, and each is read against the columns ``cols``: the
@@ -110,14 +109,12 @@ def _band_pass(space: FiniteMetricSpace, members, band_low, band_high):
     earlier neighbours.  The mex of k colors is at most k, so only the first
     k + 1 scratch entries are read.
     """
-    T = len(members)
+    space, members, T = net.space, net.members, len(net)
     degrees = np.zeros(T, dtype=np.int64)
     colors = np.zeros(T, dtype=np.int64)
     seen = np.zeros(T + 1, dtype=bool)  # marks the colors of one vertex's earlier neighbours
-    position_of = np.full(space.n, -1, dtype=np.intp)
-    position_of[members] = np.arange(T)
     reach = np.nextafter(band_high, np.inf)  # candidates hold distances below their radius
-    for s, e, near in _near_blocks(space, members, reach, position_of):
+    for s, e, near in _near_blocks(space, members, reach, net.position_of):
         cols = near[:np.searchsorted(near, e)]
         sub = space.dist_block(members[s:e], members[cols])
         inband = (sub >= band_low) & (sub <= band_high)
@@ -155,10 +152,8 @@ class NetGraph:
     _colors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        members = self.net.members
-        self._degrees, self._colors = _band_pass(self.net.space, members, self.band_low,
-                                                 self.band_high)
-        self.max_degree = int(self._degrees.max()) if len(members) else 0
+        self._degrees, self._colors = _band_pass(self.net, self.band_low, self.band_high)
+        self.max_degree = int(self._degrees.max()) if len(self.net) else 0
 
     def num_vertices(self) -> int:
         return len(self.net.members)
@@ -166,7 +161,7 @@ class NetGraph:
 
 def net_graph(net: Net, M: float) -> NetGraph:
     """Band graph on net members with edges at distances in [net.delta, M]."""
-    if M <= net.delta:
+    if not M > net.delta:
         raise ValueError(f"need M > separation, got M={M}, separation={net.delta}")
     return NetGraph(net, net.delta, float(M))
 

@@ -176,7 +176,7 @@ class TestCarve:
         csp = pl.CspInstance(net, 1, pl.TexpParams(0.5, 1.0, 3.0), 1.5, 4.0)
         coloring = pl.greedy_color(pl.net_graph(net, 6.0))
         radii = pl.RadiusAssignment(np.linspace(1.0, 3.0, len(net.members)), 1.0, 3.0)
-        width = carving._owner_table(space, net.members, coloring.colors, 3.0)[0].shape[1]
+        width = carving._owner_table(net, coloring.colors, 3.0)[0].shape[1]
         assert space.n * width < space.n * len(net.members) // 10
 
         def runs():
@@ -236,7 +236,7 @@ def owner_table_cases(draw):
     else:
         colors = np.random.default_rng(draw(st.integers(0, 2**16))).integers(
             0, k, len(net.members))
-    return space, net.members, colors, M
+    return net, colors, M
 
 
 @pytest.mark.parametrize("budget", [spaces._BLOCK_ENTRIES, 7])
@@ -246,10 +246,10 @@ def test_owner_table_matches_the_literal_table(budget, case):
     """Built from radius-bounded row blocks, under the default budget and
     under 7 entries (one row a block), the owner table is entry for entry
     the literal one: width, members, distances, padding and tie flags."""
-    space, members, colors, M = case
+    net, colors, M = case
     with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
-        got = carving._owner_table(space, members, colors, M)
-    want = literal_owner_table(space, members, colors, M)
+        got = carving._owner_table(net, colors, M)
+    want = literal_owner_table(net.space, net.members, colors, M)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
@@ -261,7 +261,7 @@ def test_owner_blocks_shrink_to_the_budget(monkeypatch):
     space = pl.balanced_tree(2, 9)
     net = pl.build_net(space, 1, 1)
     colors = pl.greedy_color(pl.net_graph(net, 6.0)).colors
-    whole = carving._owner_table(space, net.members, colors, 3.0)
+    whole = carving._owner_table(net, colors, 3.0)
     monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", 1024)
     calls = []
     original = pl.MatrixSpace.dist_block
@@ -271,7 +271,7 @@ def test_owner_blocks_shrink_to_the_budget(monkeypatch):
         return original(self, rows, cols)
 
     monkeypatch.setattr(pl.MatrixSpace, "dist_block", recording)
-    blocked = carving._owner_table(space, net.members, colors, 3.0)
+    blocked = carving._owner_table(net, colors, 3.0)
     assert len(net.members) == 1023 and set(calls) == {(1, 1023)}
     for g, w in zip(blocked, whole):
         assert np.array_equal(g, w)
@@ -288,7 +288,7 @@ def test_owner_table_peaks_near_its_own_bytes():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        out = carving._owner_table(space, net.members, colors, 609.0)
+        out = carving._owner_table(net, colors, 609.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import padlab as pl
-from padlab import cli, spaces
+from padlab import cli, decomposition, spaces
 from padlab.cli import _threads, main
 
 
@@ -375,14 +375,18 @@ class TestConvert:
         doc2 = json.load(open(back))
         assert doc2["r_disjoint"] == 1.0 and doc2["D_bound"] == 8.0
 
-    def test_boundary_separation_rejected(self, tmp_path):
+    def test_boundary_separation_rejected(self, tmp_path, monkeypatch):
         cov = self.make_cover_file(tmp_path)
         # R = 3.5 needs separation strictly covering 2R + r = 8; sets sit
         # exactly 8 apart, so their true distance fails the strict check
+        def refuse(*args, **kwargs):
+            raise AssertionError("verified a cover that its separation bound refuses")
+
+        monkeypatch.setattr(decomposition, "verify_cover", refuse)
         out = str(tmp_path / "p.json")
         code = main(["convert", "--input", cov, "--direction", "to-padded",
                      "--R", "3.5", "--r", "1", "--out", out])
-        assert code == 2  # parameter precondition, reported before any growth
+        assert code == 2  # parameter precondition, reported before any growth or verification
 
     def test_unverified_input_exits_one(self, tmp_path):
         space = pl.integer_segment(20)
@@ -406,6 +410,29 @@ class TestConvert:
         assert capsys.readouterr().err == ("config error: to-cover takes no --R or --r: "
                                            "the decomposition and its net fix both\n")
         assert not back.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--R", "nan", "--r", "1"], "--R must be a finite number >= 0, got nan"),
+        (["--R", "-1", "--r", "1"], "--R must be a finite number >= 0, got -1.0"),
+        (["--R", "1", "--r", "nan"], "--r must be a finite number > 0, got nan"),
+        (["--R", "1", "--r", "-2"], "--r must be a finite number > 0, got -2.0"),
+    ])
+    def test_to_padded_reads_R_and_r_before_the_cover(self, tmp_path, capsys, monkeypatch,
+                                                      flags, message):
+        """``--R`` and ``--r`` are refused by name before the cover is read,
+        the net is swept or the cover is verified."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("called before the flags were read")
+
+        cov = self.make_cover_file(tmp_path)
+        for module, name in ((cli, "cover_from_json"), (cli, "build_net"),
+                             (decomposition, "verify_cover")):
+            monkeypatch.setattr(module, name, refuse)
+        out = tmp_path / "p.json"
+        assert main(["convert", "--input", cov, "--direction", "to-padded", *flags,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("direction,doc", [
         ("to-padded", cover_doc([list(range(10)) + [12]])),
@@ -598,6 +625,16 @@ TEXP_READS = 'it reads "kind", "N", "r", "eps", "D"'
      "m must be an integer, got null"),
     (TO_PADDED + ["--R", "1"], json.dumps({**cover_doc([list(range(10))]), "m": "1"}),
      'm must be an integer, got "1"'),
+    (TO_COVER, PADDED.replace("[0, 3, 6, 9]", "[0, 3, 6, 9, 0, 0]") % (9, 9),
+     "net members must be distinct, got 0 repeated"),
+    (["cutprob", "--config", "IN"], CUTPROB_NET.replace('"out": "x"', '"out": "OUT"')
+     % '{"eps": -1, "delta": -1}', '"eps" must be a finite number > 0, got -1'),
+    (["cutprob", "--config", "IN"], CUTPROB_NET.replace('"out": "x"', '"out": "OUT"')
+     % '{"delta": 0}', '"delta" must be a finite number > 0, got 0'),
+    (["cutprob", "--config", "IN"], CUTPROB_NET.replace("segment:10", "nonsense:3")
+     % '{"eps": 0.0}', '"eps" must be a finite number > 0, got 0.0'),
+    (TO_PADDED[:-4] + ["--R", "1", "--r", "nan", "--out", "OUT"], COVER % (9, 9),
+     "--r must be a finite number > 0, got nan"),
 ], ids=["carve_config_list", "cutprob_config_list", "carve_schedule_list",
         "lll_schedule_list", "convert_input_list", "texp_huge_N", "tgeo_huge_M",
         "carve_huge_seed", "texp_overflowing_M", "texp_overflowing_2M", "texp_nan_D", "texp_infinite_D",
@@ -613,7 +650,9 @@ TEXP_READS = 'it reads "kind", "N", "r", "eps", "D"'
         "carve_infinite_domain", "texp_unread_m", "carve_texp_unread_m",
         "cutprob_tgeo_unread_note", "cutprob_net_typo", "cutprob_config_typo",
         "carve_config_typos", "cover_unknown_key", "padded_unknown_key", "net_unknown_key",
-        "cover_wrong_m", "padded_wrong_m", "cover_missing_m", "cover_string_m"])
+        "cover_wrong_m", "padded_wrong_m", "cover_missing_m", "cover_string_m",
+        "padded_repeated_net_member", "cutprob_negative_net", "cutprob_zero_delta",
+        "cutprob_zero_eps_before_fixture", "convert_nan_r"])
 def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, argv, text, message):
     """Non-object JSON documents, values of the wrong type and non-finite
     numbers exit 2 with one line on stderr, before any output is written."""

@@ -99,6 +99,29 @@ class TestTexpBounds:
                 assert budget.log_d_plus_one == pytest.approx(float(ld), rel=1e-9)
 
 
+NAN = float("nan")
+NAN_NET = pl.build_net(pl.integer_segment(30), 1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pl.net_graph(NAN_NET, NAN),
+    lambda: pl.carve(pl.greedy_color(pl.NetGraph(NAN_NET, 1.0, NAN)),
+                     pl.RadiusAssignment(np.full(len(NAN_NET), 2.0), 1.0, 3.0)),
+    lambda: pl.CspInstance(NAN_NET, 2, pl.TexpParams(0.5, 1.0, 3.0), NAN, NAN),
+    lambda: pl.TgeoSchedule(NAN, 1.0),
+    lambda: pl.tgeo_csp_bounds(NAN, 9, 2, 0.01, 600),
+    lambda: pl.tgeo_csp_bounds(0, math.inf, 1, 0.01, 100),
+    lambda: pl.tgeo_csp_bounds(0, 10, 1, 0.01, math.inf),
+], ids=["net_graph_M", "carve_band", "csp_radii", "tgeo_schedule_b", "tgeo_bounds_b",
+        "tgeo_bounds_infinite_r", "tgeo_bounds_infinite_M"])
+def test_nan_fails_the_library_checks(call):
+    """A NaN bound or radius is refused where it comes in, not passed by a
+    comparison that NaN fails both ways.  ``tgeo_csp_bounds`` also refuses an
+    infinite r or M, with which b = 0 would report 0 * inf = NaN."""
+    with pytest.raises(ValueError):
+        call()
+
+
 class TestTgeoBounds:
     def test_desk_scale_worked_example(self):
         budget = pl.tgeo_csp_bounds(b=1.0, r=9.0, m=2, p=1 / 400, M=9585)

@@ -50,16 +50,22 @@ def test_order_changes_members():
     pl.heisenberg_ball(3),
 ], ids=lambda s: s.label)
 def test_net_invariants_under_random_orders(space):
-    """With delta == eps every sweep order yields a valid net."""
+    """At delta == eps and delta == eps / 2, every sweep order yields a
+    delta-separated net that every point lies within delta of, so it covers
+    at eps with no check after the sweep; its member index inverts
+    ``members``."""
     rng = np.random.default_rng(11)
     eps = max(1.0, space.diameter() / 8)
-    for _ in range(50):
-        net = pl.build_net(space, eps, eps, order=rng.permutation(space.n))
-        mm = space.dist_block(net.members, net.members)
-        np.fill_diagonal(mm, np.inf)
-        assert (mm >= eps).all()
-        near = space.dist_block(np.arange(space.n), net.members).min(axis=1)
-        assert (near < eps).all()
+    for delta in (eps, eps / 2):
+        for _ in range(50):
+            net = pl.build_net(space, eps, delta, order=rng.permutation(space.n))
+            mm = space.dist_block(net.members, net.members)
+            np.fill_diagonal(mm, np.inf)
+            assert (mm >= delta).all()
+            near = space.dist_block(np.arange(space.n), net.members).min(axis=1)
+            assert (near < delta).all()
+            assert np.array_equal(net.position_of[net.members], np.arange(len(net)))
+            assert (net.position_of >= 0).sum() == len(net)
 
 
 class TestNetGraph:
@@ -178,7 +184,7 @@ def test_triangular_pass_matches_full_row_passes(case):
         coloring = pl.greedy_color(g)
         expected_degrees = reference_degrees(g)
         expected_colors = reference_greedy_color(g)
-        degrees, colors = _band_pass(net.space, net.members, low, high)
+        degrees, colors = _band_pass(net, low, high)
     assert np.array_equal(g._degrees, expected_degrees)
     assert g.max_degree == (int(expected_degrees.max()) if len(net) else 0)
     assert np.array_equal(coloring.colors, expected_colors)
@@ -213,12 +219,8 @@ def coordinate_runs(draw):
 
 def _radius_bounded_outputs(space, order, eps, delta, M, probe):
     """Net members, band graph degrees and colors at M, and the cut matrix of
-    a texp probe run with the window [eps, M]; a sweep that leaves points
-    uncovered gives its error message instead."""
-    try:
-        net = pl.build_net(space, eps, delta, order=order)
-    except pl.NetError as exc:
-        return str(exc)
+    a texp probe run with the window [eps, M]."""
+    net = pl.build_net(space, eps, delta, order=order)
     graph = pl.net_graph(net, M)
     radius, centers, trials, seed = probe
     try:

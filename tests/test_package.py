@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib.util
 import inspect
 import os
@@ -6,7 +7,7 @@ import pkgutil
 import sys
 
 import padlab as pl
-from padlab import decomposition, spaces
+from padlab import carving, decomposition, nets, spaces
 from padlab.cli import build_parser
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -199,3 +200,33 @@ def test_covers_and_decompositions_share_one_frame():
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                and node.func.id == "set_diameter"}
     assert callers == {"_check_diameters"}
+
+
+def test_only_the_sweep_and_the_net_build_a_member_index():
+    """A net indexes its members once: inside ``padlab`` only the sweep (whose
+    index grows as it admits members) and ``Net.position_of`` assign a
+    ``position_of``, and the passes over a finished net take the net, not a
+    space and a member list."""
+    assert isinstance(vars(pl.Net)["position_of"], functools.cached_property)
+    package = os.path.dirname(os.path.abspath(pl.__file__))
+    indexers = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                targets = (node.targets if isinstance(node, ast.Assign) else
+                           [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                           else [])
+                if any(isinstance(part, ast.Name) and part.id == "position_of"
+                       or isinstance(part, ast.Attribute) and part.attr == "position_of"
+                       for target in targets for part in ast.walk(target)):
+                    indexers.add((name[:-3], func.name))
+    assert indexers == {("nets", "build_net"), ("nets", "position_of")}
+    for fn in (nets._band_pass, carving._owner_blocks, carving._owner_table):
+        params = list(inspect.signature(fn).parameters)
+        assert params[0] == "net" and not {"space", "members"} & set(params), fn.__name__
