@@ -30,14 +30,14 @@ import numpy as np
 
 from .carving import CarveError, cut_probability_mc
 from .decomposition import (_BOUND, ConfigError, VerificationFailure, _known_keys, _number,
-                            _text, cover_from_json, cover_from_padded, cover_to_json,
+                            _shown, _text, cover_from_json, cover_from_padded, cover_to_json,
                             decomposition_from_json, decomposition_to_json, dump_json,
                             padded_from_cover)
 from .growth import doubling_constant_estimate, growth_table, loglog_slope
 from .lll import (MoserTardosFailure, certify_decomposition, schedule_from_json,
                   schedule_to_json)
 from .nets import build_net
-from .spaces import CoordSpace, _dist_blocks, parse_fixture
+from .spaces import CoordSpace, _near_blocks, parse_fixture
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -98,11 +98,15 @@ def cmd_gen(args) -> int:
         # graph metrics serialize as the unit-distance edge list
         sidecar["format"] = "edges"
         sidecar["metric"] = "graph"
+        points = np.arange(space.n)
         with open(out, "w") as fh:
-            for start, sub in _dist_blocks(space, np.arange(space.n)):
-                # the strict upper triangle of the block, in row-major order
-                rows, cols = np.nonzero(np.triu(sub == 1.0, k=start + 1))
-                fh.writelines(f"{start + i} {j}\n" for i, j in zip(rows.tolist(), cols.tolist()))
+            # each row's unit-distance partners after it, in row-major order,
+            # read against the candidates within distance 1
+            for lo, hi, near in _near_blocks(space, points, np.nextafter(1.0, np.inf), points):
+                rows = points[lo:hi]
+                unit = (space.dist_block(rows, near) == 1.0) & (near > rows[:, None])
+                i, j = np.nonzero(unit)
+                fh.writelines(f"{p} {q}\n" for p, q in zip(rows[i].tolist(), near[j].tolist()))
     if space.n <= _SIDE_CAR_LIMIT:
         diameter = float(space.diameter())
         sidecar["diameter"] = diameter
@@ -218,7 +222,11 @@ def cmd_growth(args) -> int:
     fixture = args.fixture
     seed = _number(args.seed or 0, '"seed"', "an integer >= 0", integer=True, low=0)
     trials = _number(args.trials, '"trials"', "an integer >= 1", integer=True, low=1)
-    radii = [float(tok) for tok in args.radii.split(",") if tok]
+    try:
+        radii = [float(tok) for tok in args.radii.split(",") if tok]
+    except ValueError:
+        raise ConfigError(f"--radii must be comma-separated numbers, got {_shown(args.radii)}") \
+            from None
     if not radii:
         raise ConfigError("growth needs a nonempty --radii list")
     space = parse_fixture(fixture)

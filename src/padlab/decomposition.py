@@ -17,7 +17,8 @@ conversions.
 Verifiers are exhaustive, never sampled: a verifier that guesses is not a
 verifier.  They refuse spaces beyond 20000 points rather than silently
 degrade.  Every failed condition yields a concrete witness that can be
-re-checked in isolation.
+re-checked in isolation; a report keeps the first ``_WITNESS_LIMIT`` of
+them in a fixed order and counts the rest, per condition.
 
 The two conversion directions grow cover sets into clusters (plus singleton
 balls for net members left over) and shrink each cluster to the points whose
@@ -37,6 +38,7 @@ union of the same keys from one pass over every set's points.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import sys
@@ -136,35 +138,68 @@ class VerificationFailure(RuntimeError):
         self.report = report
 
 
+_WITNESS_LIMIT = 1000  # witnesses a report keeps; the others are only counted
+# The order of witnesses in a report: their JSON text with sorted keys, as
+# json.dumps(witness, sort_keys=True) writes it, from one encoder.
+_witness_key = json.JSONEncoder(sort_keys=True).encode
+
+
 @dataclass
 class VerificationReport:
-    """Outcome of an exhaustive check: per-condition verdicts plus witnesses."""
+    """Outcome of an exhaustive check: per-condition verdicts plus witnesses.
+
+    ``witnesses`` holds the first ``_WITNESS_LIMIT`` witnesses in the order
+    of :func:`_witness_key` (``_keys`` holds their keys); ``omitted`` counts,
+    per condition, the failures recorded beyond them, so a failing check
+    holds memory bounded by the limit however many failures it finds."""
 
     kind: str
     parameters: dict
     conditions: dict
     witnesses: list = field(default_factory=list)
+    omitted: dict = field(default_factory=dict)
+    _keys: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
         return not self.witnesses
 
     def fail(self, condition: str, **witness):
-        """Record a witness against ``condition``."""
+        """Record a witness against ``condition`` in its place in the order,
+        keeping the first ``_WITNESS_LIMIT``."""
         self.conditions[condition] = False
-        self.witnesses.append({"condition": condition, **witness})
+        witness = {"condition": condition, **witness}
+        key = _witness_key(witness)
+        at = bisect.bisect_right(self._keys, key)  # after equal keys, as a stable sort
+        self._keys.insert(at, key)
+        self.witnesses.insert(at, witness)
+        if len(self.witnesses) > _WITNESS_LIMIT:
+            self._keys.pop()
+            dropped = self.witnesses.pop()["condition"]
+            self.omitted[dropped] = self.omitted.get(dropped, 0) + 1
 
     def sort_witnesses(self):
-        self.witnesses.sort(key=lambda w: json.dumps(w, sort_keys=True))
+        """Order witnesses appended to ``witnesses`` directly, keeping the first
+        ``_WITNESS_LIMIT`` and counting the others in ``omitted``."""
+        self.witnesses.sort(key=_witness_key)
+        for w in self.witnesses[_WITNESS_LIMIT:]:
+            self.omitted[w["condition"]] = self.omitted.get(w["condition"], 0) + 1
+        del self.witnesses[_WITNESS_LIMIT:]
+        self._keys = [_witness_key(w) for w in self.witnesses]
 
     def to_jsonable(self) -> dict:
-        return {
+        """The report as JSON values; ``omitted_witnesses`` is present only
+        when some witness was left out."""
+        doc = {
             "kind": self.kind,
             "parameters": self.parameters,
             "conditions": self.conditions,
             "passed": self.passed,
             "witnesses": self.witnesses,
         }
+        if self.omitted:
+            doc["omitted_witnesses"] = self.omitted
+        return doc
 
 
 def set_diameter(space: FiniteMetricSpace, points) -> float:
@@ -232,7 +267,6 @@ def verify_cover(cover: Cover) -> VerificationReport:
             covered[s] = True
     for p in np.nonzero(~covered)[0]:
         report.fail("coverage", point=int(p))
-    report.sort_witnesses()
     return report
 
 
@@ -319,7 +353,6 @@ def verify_padded(pd: PaddedDecomposition) -> VerificationReport:
                      [int(p) for p in ball[~np.isin(ball, layers[i][s_id])][:5]]}
                     for i, s_id in held]
         report.fail("padding", member=int(x), R=R, closest_misses=escaping[:4])
-    report.sort_witnesses()
     return report
 
 

@@ -13,6 +13,10 @@ These are empirical probes, not exact computations:
 * :func:`growth_table` approximates the unit-scale growth function by
   sweeping random greedy nets; a lower estimate, since the true value is a
   supremum over all unit nets.
+
+The ball counts and mass ratios only need the points within the largest
+radius read, so they read through ``spaces._near_blocks`` at that radius, one
+bounded row block at a time, never a whole row against every point.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .decomposition import _number, _point_ids
 from .nets import build_net
-from .spaces import FiniteMetricSpace, MeasuredSpace, _dist_blocks
+from .spaces import FiniteMetricSpace, MeasuredSpace, _near_blocks, _sweep_order
 
 __all__ = [
     "doubling_constant_estimate",
@@ -123,19 +127,27 @@ def optimal_cover_size(space: FiniteMetricSpace, target, radius: float) -> int:
 
 def volume_doubling_estimate(ms: MeasuredSpace, radii, centers=None) -> float:
     """Max sampled ratio mass(B_2r(x)) / mass(B_r(x)); lower estimate of the
-    volume doubling constant."""
+    volume doubling constant.
+
+    The centers are read in ``spaces._near_blocks`` blocks at twice the
+    largest radius, every point a member, so a block holds each center's
+    distances to the candidates of its largest ball only; a ball's mass is
+    the sum of the same entries, in the same order, as over a whole row."""
     radii = [_number(r, "radii", "finite positive reals", above=0) for r in radii]
     if not radii:
         raise ValueError("radii must be a nonempty list of positive reals")
-    centers = np.arange(ms.base.n) if centers is None else _point_ids(centers, ms.base.n)
+    space = ms.base
+    centers = np.arange(space.n) if centers is None else _point_ids(centers, space.n)
+    rows = centers[_sweep_order(space, centers)]
     best = 0.0
-    for start, sub in _dist_blocks(ms.base, centers):
-        for c, row in zip(centers[start:], sub):
+    for lo, hi, near in _near_blocks(space, rows, 2 * max(radii), np.arange(space.n)):
+        mass = ms.mass[near]
+        for c, row in zip(rows[lo:hi], space.dist_block(rows[lo:hi], near)):
             for r in radii:
-                inner = float(ms.mass[row < r].sum())
+                inner = float(mass[row < r].sum())
                 if inner <= 0:
                     raise ValueError(f"ball B_{r}({c}) has zero mass")
-                outer = float(ms.mass[row < 2 * r].sum())
+                outer = float(mass[row < 2 * r].sum())
                 best = max(best, outer / inner)
     return best
 
@@ -147,6 +159,8 @@ def growth_table(space: FiniteMetricSpace, radii, trials: int = 3, seed: int = 0
     first) and returns, per radius r, the most net members found in any open
     r-ball over all centers.  The true value is a supremum over *all* unit
     nets, so this is an exhaustive-over-centers but net-sampled lower bound.
+    Each net's counts come from :func:`_max_ball_counts`, so besides the net
+    the table holds one radius-bounded block at a time.
     """
     radii = [_number(r, "radii", "finite reals >= 1", low=1) for r in radii]
     if trials < 1:
@@ -156,18 +170,24 @@ def growth_table(space: FiniteMetricSpace, radii, trials: int = 3, seed: int = 0
     for t in range(trials):
         order = np.arange(space.n) if t == 0 else rng.permutation(space.n)
         net = build_net(space, 1.0, 1.0, order=order)
-        for r, count in zip(best, _max_ball_counts(space, net.members, list(best))):
+        for r, count in zip(best, _max_ball_counts(net, list(best))):
             best[r] = max(best[r], count)
     return best
 
 
-def _max_ball_counts(space, members, radii) -> list:
-    """Per radius r, the most ``members`` in any open r-ball around a point.
+def _max_ball_counts(net, radii) -> list:
+    """Per radius r, the most members of ``net`` in any open r-ball around a
+    point of its space.
 
-    A function of its own so that the last distance block is released before
-    the caller builds its next net."""
+    Every point is read, in the blocked passes' order, in the blocks of
+    ``spaces._near_blocks`` at the largest radius against the members near
+    each block (:attr:`Net.position_of`); a member beyond that radius counts
+    for no ball, so the counts are those of whole rows."""
+    space = net.space
+    rows = _sweep_order(space, np.arange(space.n))
     counts = [0] * len(radii)
-    for _, sub in _dist_blocks(space, np.arange(space.n), members):
+    for lo, hi, near in _near_blocks(space, rows, max(radii), net.position_of):
+        sub = space.dist_block(rows[lo:hi], net.members[near])
         for k, r in enumerate(radii):
             counts[k] = max(counts[k], int((sub < r).sum(axis=1).max()))
     return counts

@@ -17,9 +17,9 @@ order (each member takes the least color no earlier neighbour holds);
 The sweep and every pass over a net take their row blocks, and the members
 near each, from ``spaces._near_blocks``.  A net indexes its members once
 (:attr:`Net.position_of`), and the passes over it (the band pass, the owner
-table, the cut probes) read that index; only the sweep keeps its own, which
-grows as it admits members.  The sweep covers at eps by construction, so
-nothing re-reads coverage after it.
+table, the cut probes, the growth ball counts) read that index; only the
+sweep keeps its own, which grows as it admits members.  The sweep covers at
+eps by construction, so nothing re-reads coverage after it.
 """
 
 from __future__ import annotations

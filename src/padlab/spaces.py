@@ -20,12 +20,18 @@ construction time so that runs reproduce bit-for-bit across platforms.
 
 Each backend implements one distance kernel, ``dist_block``, and every
 distance is read through it, in row blocks of at most ``_BLOCK_ENTRIES``
-entries (or one wider row) from one of two readers.  ``_dist_blocks`` reads
-rows against fixed columns.  ``_near_blocks`` reads rows against the members
-within a radius of each block, which :meth:`FiniteMetricSpace.candidates`
-bounds (a bounding box on coordinate spaces); the net sweep, the band pass,
-the owner table and the ball pass all read through it.  Balls, one or many,
-come from that ball pass in CSR form.
+entries (or one wider row) from one of two readers.
+
+* ``_near_blocks`` reads rows against the members within a radius of each
+  block, which :meth:`FiniteMetricSpace.candidates` bounds (a bounding box
+  on coordinate spaces).  Every pass that only counts or lists points within
+  a radius reads through it: the net sweep, the band pass, the owner table,
+  the ball pass, the growth ball counts, the volume doubling ratios and
+  ``gen``'s unit-distance edges.  Balls, one or many, come from that ball
+  pass in CSR form.
+* ``_dist_blocks`` reads rows against fixed columns.  It is kept for the
+  passes that need every column: diameters, set diameters, cover
+  disjointness and the extents of cut probes.
 """
 
 from __future__ import annotations

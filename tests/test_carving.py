@@ -468,6 +468,26 @@ class TestCutProbabilityMc:
         assert np.allclose(res.per_center_se, np.sqrt(f * (1 - f) / 40))
 
 
+def test_cut_probes_hold_one_set_up_at_a_time():
+    """On the benchmark's scaled C3 config (segment:10000, the tgeo row at
+    M = 1917, 100 probes, 200 trials in one chunk) the traced peak of
+    ``cut_probability_mc`` stays within 4 MiB of its radii buffer: a probe's
+    set-up lives only while it is evaluated (the 100 set-ups held together
+    took 12.3 MB)."""
+    net = pl.build_net(pl.integer_segment(10000), 1, 1)
+    schedule = pl.schedule_from_json({"kind": "tgeo", "b": 1.0, "p": 1 / 400, "M": 1917,
+                                      "m": 2, "r": 9.0})
+    centers = np.sort(np.random.default_rng([7, 0xC3]).choice(net.members, 100, replace=False))
+    net.position_of  # the net's own index, built with the net
+    tracemalloc.start()
+    try:
+        pl.cut_probability_mc(net, schedule.law(), schedule.probe_radius, centers, 200, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * len(net) * 8 + 4 * 2**20
+
+
 def test_probe_scan_worked_example():
     """20 candidates past the first 16-column chunk, each its own color run
     but the last two, which share one; every ball touches at t > 1 and
@@ -511,12 +531,16 @@ def probe_cases(draw):
     return n, M, law, probe, centers, trials, seed, k
 
 
+@pytest.mark.parametrize("trials_per_chunk", [None, 1, 3],
+                         ids=["default_budget", "1_trial_a_chunk", "3_trials_a_chunk"])
 @given(probe_cases())
 @settings(max_examples=200, deadline=None)
-def test_probe_scan_matches_dense_evaluation(case):
+def test_probe_scan_matches_dense_evaluation(trials_per_chunk, case):
     """The chunked first-touch scan gives the cut matrix of the dense
     evaluation over every candidate of every probe, for greedy colorings and
-    for few-color ones with long same-color runs."""
+    for few-color ones with long same-color runs.  A block budget of 1 or 3
+    trials' radii splits the trials into chunks, each of which sets its
+    probes up again; at 3 trials a chunk 4 threads give the same matrix."""
     n, M, law, probe, centers, trials, seed, k = case
     space = pl.integer_segment(n - 1)
     net = pl.build_net(space, 1, 1)
@@ -529,11 +553,15 @@ def test_probe_scan_matches_dense_evaluation(case):
         coloring = pl.Coloring(graph, colors, k)
     # the greedy coloring is swapped for the drawn one where cut_probability_mc
     # builds it
-    with mock.patch.object(carving, "greedy_color", lambda graph: coloring):
-        res = pl.cut_probability_mc(net, law, probe, centers, trials, seed)
+    budget = spaces._BLOCK_ENTRIES if trials_per_chunk is None \
+        else trials_per_chunk * len(net.members)
     radii = np.stack([pl.draw_radii(law, net, seed, t).t for t in range(trials)])
     expected = reference_probe_cuts(space, net, coloring.colors, M, probe, centers, radii)
-    assert np.array_equal(res.cut_matrix, expected)
+    with mock.patch.object(carving, "greedy_color", lambda graph: coloring), \
+            mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
+        for threads in (1, 4) if trials_per_chunk == 3 else (1,):
+            res = pl.cut_probability_mc(net, law, probe, centers, trials, seed, threads)
+            assert np.array_equal(res.cut_matrix, expected)
 
 
 @st.composite

@@ -92,13 +92,13 @@ class TestGen:
         assert main(["gen", "--fixture", f"points:{out}:linf", "--out", again]) == 0
         assert json.load(open(again + ".json"))["diameter"] == 4.0
 
-    @pytest.mark.parametrize("fixture", ["heis:3", "grid:5x5"])
-    @pytest.mark.parametrize("budget", [40, spaces._BLOCK_ENTRIES])
+    @pytest.mark.parametrize("fixture", ["heis:3", "grid:5x5", "tree:2:4"])
+    @pytest.mark.parametrize("budget", [7, 40, spaces._BLOCK_ENTRIES])
     def test_edge_file_matches_a_row_loop(self, tmp_path, monkeypatch, fixture, budget):
-        """The edge list written from row blocks is the ``dist_row`` loop's:
-        each unit-distance pair i < j once, in row-major order.  A grid
-        fixture is a coordinate space, so its 4-neighbour graph is passed
-        as an edge file, listed in shuffled order."""
+        """The edge list written from radius-bounded row blocks is a literal
+        pair loop's: each unit-distance pair i < j once, in row-major order.
+        A grid fixture is a coordinate space, so its 4-neighbour graph is
+        passed as an edge file, listed in shuffled order."""
         if fixture.startswith("grid"):
             pairs = [(5 * x + y, 5 * x + y + d) for x in range(5) for y in range(5)
                      for d in (1, 5) if (d == 1 and y < 4) or (d == 5 and x < 4)]
@@ -110,8 +110,8 @@ class TestGen:
         out = str(tmp_path / "g.txt")
         assert main(["gen", "--fixture", fixture, "--out", out]) == 0
         space = pl.parse_fixture(fixture)
-        expected = "".join(f"{i} {j}\n" for i in range(space.n)
-                           for j in np.nonzero(space.dist_row(i) == 1.0)[0] if j > i)
+        expected = "".join(f"{i} {j}\n" for i in range(space.n) for j in range(i + 1, space.n)
+                           if space.dist(i, j) == 1.0)
         assert expected and open(out).read() == expected
 
     @pytest.mark.parametrize("kind,text,message", [
@@ -337,6 +337,20 @@ class TestGrowth:
         assert main(["growth", "--fixture", "heis:4", "--radii", radii,
                      "--out", str(out)]) == 2
         assert "radii must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radii", ["3,x", "x", "3;4"])
+    def test_unreadable_radii_are_refused_by_name(self, tmp_path, capsys, monkeypatch, radii):
+        """A ``--radii`` token that is no number exits 2 with one line naming
+        the flag, before the fixture is parsed."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("fixture parsed before the radii were read")
+
+        monkeypatch.setattr(cli, "parse_fixture", no_work)
+        out = tmp_path / "g.csv"
+        assert main(["growth", "--fixture", "heis:4", "--radii", radii, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f'config error: --radii must be comma-separated numbers, got "{radii}"\n'
         assert not out.exists()
 
     def test_single_point_slope_undefined(self, tmp_path):

@@ -167,6 +167,34 @@ class TestVerifyCover:
         assert peak < 16 * 2**20
 
 
+    def test_witnesses_beyond_the_limit_are_counted_not_held(self):
+        """300 singleton sets of segment:299 at separation 2000: each of the
+        44 850 pairs fails.  The report keeps the first 1000 witnesses of the
+        order a full sort gives, counts the other 43 850, and peaks below
+        4 MiB, where holding every witness took 21 MiB (on 1000 singletons
+        of segment:999, 499 500 witnesses rose 235 MB)."""
+        space = pl.integer_segment(299)
+        cover = pl.Cover(space, [[np.array([p]) for p in range(space.n)]],
+                         r_disjoint=2000.0, D_bound=0.0)
+        tracemalloc.start()
+        try:
+            report = pl.verify_cover(cover)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        every = [{"condition": "disjointness", "layer": 0, "sets": [a, b],
+                  "distance": float(b - a), "required_exceeding": 2000.0}
+                 for a in range(space.n) for b in range(a + 1, space.n)]
+        every.sort(key=lambda w: json.dumps(w, sort_keys=True))
+        doc = report.to_jsonable()
+        assert doc["witnesses"] == every[:1000]
+        assert doc["omitted_witnesses"] == {"disjointness": len(every) - 1000}
+        assert not doc["passed"] and not doc["conditions"]["disjointness"]
+        assert peak < 4 * 2**20
+        one = pl.verify_cover(pl.Cover(space, [[np.arange(3)]], 2000.0, 2.0))
+        assert "omitted_witnesses" not in one.to_jsonable()
+
+
 class TestNaivePaddedAgreement:
     def test_random_systems_agree(self):
         rng = np.random.default_rng(23)

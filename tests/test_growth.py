@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,6 +201,25 @@ class TestVolumeDoubling:
         radii = [k / 2 + 0.01 for k in range(1, 80)]
         assert pl.volume_doubling_estimate(ms, radii) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("space", [pl.euclidean_cloud(70, 2, seed=4, scale=6.0),
+                                       pl.grid_2d(9, 7, "l1"), pl.heisenberg_ball(3),
+                                       pl.balanced_tree(2, 5)], ids=lambda s: s.label)
+    @pytest.mark.parametrize("budget", [7, spaces._BLOCK_ENTRIES])
+    def test_matches_a_per_center_literal(self, monkeypatch, space, budget):
+        """The estimate read in radius-bounded blocks is the largest ratio a
+        per-center loop finds from whole distance rows, float for float, with
+        uneven masses and centers that repeat and come out of order."""
+        monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", budget)
+        rng = np.random.default_rng(5)
+        ms = pl.MeasuredSpace(space, rng.uniform(0.1, 3.0, space.n))
+        radii = [0.8, 1.5, 2.5]
+        for centers in (None, rng.integers(0, space.n, 12).tolist()):
+            want = max(float(ms.mass[space.dist_row(c) < 2 * r].sum())
+                       / float(ms.mass[space.dist_row(c) < r].sum())
+                       for c in (range(space.n) if centers is None else centers)
+                       for r in radii)
+            assert pl.volume_doubling_estimate(ms, radii, centers=centers) == want
+
 
 class TestGrowthFunction:
     def test_open_ball_count_on_segment(self):
@@ -240,6 +261,21 @@ def test_growth_table_matches_the_row_loop(monkeypatch, space, budget):
         table = pl.growth_table(space, radii, trials=trials, seed=seed)
         expected = reference_growth_table(space, radii, trials=trials, seed=seed)
         assert list(table.items()) == list(expected.items())
+
+
+def test_growth_table_holds_one_radius_bounded_block():
+    """On ``heis:8`` (1793 points) the table's traced peak is its nets and a
+    block of at most 125 rows, not a rows x members matrix (28 MiB when all
+    rows were read against the net in one block)."""
+    space = pl.heisenberg_ball(8)
+    tracemalloc.start()
+    try:
+        table = pl.growth_table(space, [3, 4, 5, 6], trials=3, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table == reference_growth_table(space, [3, 4, 5, 6], trials=3, seed=7)
+    assert peak < 8 * 2**20
 
 
 def test_loglog_slope_undefined_cases():

@@ -166,9 +166,9 @@ def test_benchmark_scripts_import_existing_names():
 
 def test_only_the_reader_and_the_probe_set_up_ask_for_near_members():
     """Radius-bounded blocks are sized in one place: outside ``spaces`` (whose
-    ``_near_blocks`` is the one reader), only ``cut_probability_mc`` calls
-    ``_near_members``, once per probe ball, because its nearest and farthest
-    distances run over the whole ball."""
+    ``_near_blocks`` is the one reader), only cutprob's probe set-up calls
+    ``_near_members``, once per probe ball and chunk of trials, because its
+    nearest and farthest distances run over the whole ball."""
     package = os.path.dirname(os.path.abspath(pl.__file__))
     callers = set()
     for name in sorted(os.listdir(package)):
@@ -182,7 +182,7 @@ def test_only_the_reader_and_the_probe_set_up_ask_for_near_members():
                         or isinstance(node, ast.Attribute) and node.attr == "_near_members"):
                     callers.add((name[:-3], getattr(top, "name", None)))
     assert {caller for caller in callers if caller[0] != "spaces"} == {
-        ("carving", "cut_probability_mc")}
+        ("carving", "_probe_setup")}
     assert ("spaces", "_near_blocks") in callers
 
 
