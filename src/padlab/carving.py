@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spaces
+from .decomposition import _point_ids
 from .nets import Net, NetGraph, net_graph
 from .spaces import _balls, _dist_blocks, _near_members
 
@@ -367,7 +368,7 @@ def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int,
     l, M = law.window
     if l < net.eps:
         raise ValueError(f"need l >= net.eps for coverage, got l={l} < eps={net.eps}")
-    centers = np.asarray(centers, dtype=np.intp)
+    centers = _point_ids(centers, net.space.n)
     if len(centers) == 0:
         raise ValueError("need at least one probe center")
     colors = greedy_color(net_graph(net, 2 * M)).colors

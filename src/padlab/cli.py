@@ -33,15 +33,13 @@ from .decomposition import (_BOUND, ConfigError, VerificationFailure, _known_key
                             _shown, _text, cover_from_json, cover_from_padded, cover_to_json,
                             decomposition_from_json, decomposition_to_json, dump_json,
                             padded_from_cover)
-from .growth import doubling_constant_estimate, growth_table, loglog_slope
+from .growth import _COVER_MATRIX_GUARD, doubling_constant_estimate, growth_table, loglog_slope
 from .lll import (MoserTardosFailure, certify_decomposition, schedule_from_json,
                   schedule_to_json)
 from .nets import build_net
 from .spaces import CoordSpace, _near_blocks, parse_fixture
 
 PASS, FAIL, USAGE = 0, 1, 2
-
-_SIDE_CAR_LIMIT = 4000
 
 
 def _fmt(x) -> str:
@@ -107,7 +105,7 @@ def cmd_gen(args) -> int:
                 unit = (space.dist_block(rows, near) == 1.0) & (near > rows[:, None])
                 i, j = np.nonzero(unit)
                 fh.writelines(f"{p} {q}\n" for p, q in zip(rows[i].tolist(), near[j].tolist()))
-    if space.n <= _SIDE_CAR_LIMIT:
+    if space.n <= _COVER_MATRIX_GUARD:  # where the doubling estimate accepts the space
         diameter = float(space.diameter())
         sidecar["diameter"] = diameter
         span = max(1.0, diameter)

@@ -18,7 +18,8 @@ Verifiers are exhaustive, never sampled: a verifier that guesses is not a
 verifier.  They refuse spaces beyond 20000 points rather than silently
 degrade.  Every failed condition yields a concrete witness that can be
 re-checked in isolation; a report keeps the first ``_WITNESS_LIMIT`` of
-them in a fixed order and counts the rest, per condition.
+them in the order its verifier finds them, by layer, set, pair or member and
+never by block (so not by the block budget), and counts the rest per condition.
 
 The two conversion directions grow cover sets into clusters (plus singleton
 balls for net members left over) and shrink each cluster to the points whose
@@ -38,7 +39,6 @@ union of the same keys from one pass over every set's points.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import sys
@@ -139,53 +139,33 @@ class VerificationFailure(RuntimeError):
 
 
 _WITNESS_LIMIT = 1000  # witnesses a report keeps; the others are only counted
-# The order of witnesses in a report: their JSON text with sorted keys, as
-# json.dumps(witness, sort_keys=True) writes it, from one encoder.
-_witness_key = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass
 class VerificationReport:
     """Outcome of an exhaustive check: per-condition verdicts plus witnesses.
 
-    ``witnesses`` holds the first ``_WITNESS_LIMIT`` witnesses in the order
-    of :func:`_witness_key` (``_keys`` holds their keys); ``omitted`` counts,
-    per condition, the failures recorded beyond them, so a failing check
-    holds memory bounded by the limit however many failures it finds."""
+    ``witnesses`` holds the first ``_WITNESS_LIMIT`` witnesses the verifier
+    finds and ``omitted`` counts the later ones per condition, so a failing
+    check holds memory bounded by the limit however many failures it finds."""
 
     kind: str
     parameters: dict
     conditions: dict
     witnesses: list = field(default_factory=list)
     omitted: dict = field(default_factory=dict)
-    _keys: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
         return not self.witnesses
 
     def fail(self, condition: str, **witness):
-        """Record a witness against ``condition`` in its place in the order,
-        keeping the first ``_WITNESS_LIMIT``."""
+        """Record a witness against ``condition``; past ``_WITNESS_LIMIT``, only count it."""
         self.conditions[condition] = False
-        witness = {"condition": condition, **witness}
-        key = _witness_key(witness)
-        at = bisect.bisect_right(self._keys, key)  # after equal keys, as a stable sort
-        self._keys.insert(at, key)
-        self.witnesses.insert(at, witness)
-        if len(self.witnesses) > _WITNESS_LIMIT:
-            self._keys.pop()
-            dropped = self.witnesses.pop()["condition"]
-            self.omitted[dropped] = self.omitted.get(dropped, 0) + 1
-
-    def sort_witnesses(self):
-        """Order witnesses appended to ``witnesses`` directly, keeping the first
-        ``_WITNESS_LIMIT`` and counting the others in ``omitted``."""
-        self.witnesses.sort(key=_witness_key)
-        for w in self.witnesses[_WITNESS_LIMIT:]:
-            self.omitted[w["condition"]] = self.omitted.get(w["condition"], 0) + 1
-        del self.witnesses[_WITNESS_LIMIT:]
-        self._keys = [_witness_key(w) for w in self.witnesses]
+        if len(self.witnesses) < _WITNESS_LIMIT:
+            self.witnesses.append({"condition": condition, **witness})
+        else:
+            self.omitted[condition] = self.omitted.get(condition, 0) + 1
 
     def to_jsonable(self) -> dict:
         """The report as JSON values; ``omitted_witnesses`` is present only
@@ -325,12 +305,11 @@ def verify_padded(pd: PaddedDecomposition) -> VerificationReport:
         keys, holder = _holder_index(layer)
         lo, hi = (np.searchsorted(keys, net.members, side) for side in ("left", "right"))
         index.append((holder, lo, hi))
-        for pos in np.nonzero(hi == lo)[0]:
+        for pos in np.nonzero(hi - lo != 1)[0]:  # uncovered or held twice
+            sets = [int(o) for o in holder[lo[pos]:hi[pos]]]
             report.fail("net_partition", layer=i, member=int(net.members[pos]),
-                        problem="uncovered")
-        for pos in np.nonzero(hi - lo > 1)[0]:
-            report.fail("net_partition", layer=i, member=int(net.members[pos]),
-                        problem="overlap", sets=[int(o) for o in holder[lo[pos]:hi[pos]]])
+                        **({"problem": "overlap", "sets": sets} if sets else
+                           {"problem": "uncovered"}))
         _check_diameters(report, space, i, layer, D)
     # Pair every member with each set holding it, sets numbered across layers;
     # a member is padded iff its R-ball lies inside one of them.

@@ -40,6 +40,22 @@ __all__ = [
 _COVER_MATRIX_GUARD = 4000
 
 
+def _radii(radii, rule: str = "finite positive reals", low: float | None = None) -> list:
+    """``radii`` as a nonempty list of positive reals, each at least ``low`` if given."""
+    radii = [_number(r, "radii", rule, low=low, above=0) for r in radii]
+    if not radii:
+        raise ValueError("radii must be a nonempty list of positive reals")
+    return radii
+
+
+def _centers(space: FiniteMetricSpace, centers) -> np.ndarray:
+    """Every point for ``None``, else a nonempty list of point ids."""
+    centers = np.arange(space.n) if centers is None else _point_ids(centers, space.n)
+    if not len(centers):
+        raise ValueError("centers must be None or a nonempty list of point ids")
+    return centers
+
+
 def _greedy_cover_size(covers) -> int:
     """Greedy max-coverage count of a boolean matrix (rows = centers, cols = targets)."""
     # float32 gains are exact integers below 2**24, so argmax ties break as on counts
@@ -69,10 +85,8 @@ def doubling_constant_estimate(space: FiniteMetricSpace, radii, centers=None) ->
     matrix), and each center's cover problem is a row and column gather from
     it.  The matrix is freed before the next radius's is built.
     """
-    radii = [_number(r, "radii", "finite positive reals", above=0) for r in radii]
-    if not radii:
-        raise ValueError("radii must be a nonempty list of positive reals")
-    centers = np.arange(space.n) if centers is None else _point_ids(centers, space.n)
+    radii = _radii(radii)
+    centers = _centers(space, centers)
     if space.n > _COVER_MATRIX_GUARD:
         raise ValueError(
             f"n={space.n} exceeds the {_COVER_MATRIX_GUARD}-point matrix guard; "
@@ -133,11 +147,9 @@ def volume_doubling_estimate(ms: MeasuredSpace, radii, centers=None) -> float:
     largest radius, every point a member, so a block holds each center's
     distances to the candidates of its largest ball only; a ball's mass is
     the sum of the same entries, in the same order, as over a whole row."""
-    radii = [_number(r, "radii", "finite positive reals", above=0) for r in radii]
-    if not radii:
-        raise ValueError("radii must be a nonempty list of positive reals")
+    radii = _radii(radii)
     space = ms.base
-    centers = np.arange(space.n) if centers is None else _point_ids(centers, space.n)
+    centers = _centers(space, centers)
     rows = centers[_sweep_order(space, centers)]
     best = 0.0
     for lo, hi, near in _near_blocks(space, rows, 2 * max(radii), np.arange(space.n)):
@@ -162,7 +174,7 @@ def growth_table(space: FiniteMetricSpace, radii, trials: int = 3, seed: int = 0
     Each net's counts come from :func:`_max_ball_counts`, so besides the net
     the table holds one radius-bounded block at a time.
     """
-    radii = [_number(r, "radii", "finite reals >= 1", low=1) for r in radii]
+    radii = _radii(radii, "finite reals >= 1", low=1)
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)

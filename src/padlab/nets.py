@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spaces import FiniteMetricSpace, _near_blocks
+from .spaces import FiniteMetricSpace, _check_center, _near_blocks
 
 __all__ = ["Net", "NetGraph", "build_net", "net_graph", "ball_net_count"]
 
@@ -170,4 +170,5 @@ def ball_net_count(net: Net, center: int, R: float) -> int:
     """Number of net members in the open ball of radius R around ``center``."""
     if not R > 0:
         raise ValueError("R must be positive")
+    _check_center(net.space, center)
     return int((net.space.dist_block([int(center)], net.members) < R).sum())

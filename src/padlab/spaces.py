@@ -97,6 +97,7 @@ class FiniteMetricSpace:
 
     def ball(self, center: int, r: float) -> np.ndarray:
         """Sorted ids of the open ball of radius ``r`` around ``center``."""
+        _check_center(self, center)
         return _balls(self, [center], r)[0]
 
     def candidates(self, points, radius: float) -> np.ndarray:
@@ -271,6 +272,13 @@ def _ball_blocks(space: FiniteMetricSpace, centers, r: float):
         yield order[lo:hi], near[np.nonzero(within)[1]], starts
 
 
+def _check_center(space: FiniteMetricSpace, center):
+    """Refuse a center that is no point id 0..n-1: a negative id would wrap, a
+    fractional or a bool one be truncated."""
+    if isinstance(center, bool) or not (0 <= center < space.n and center == int(center)):
+        raise ValueError(f"center must be a point id in 0..{space.n - 1}, got {center}")
+
+
 def _balls(space: FiniteMetricSpace, centers, r: float) -> list:
     """The sorted open ``r``-balls of ``centers``, in center order."""
     out = [None] * len(centers)
@@ -281,14 +289,14 @@ def _balls(space: FiniteMetricSpace, centers, r: float) -> list:
 
 
 class MeasuredSpace:
-    """A finite metric space together with a strictly positive point mass."""
+    """A finite metric space together with a finite, strictly positive point mass."""
 
     def __init__(self, base: FiniteMetricSpace, mass):
         mass = np.asarray(mass, dtype=float)
         if mass.shape != (base.n,):
             raise ValueError("mass must have one entry per point")
-        if not (mass > 0).all():
-            raise ValueError("every point mass must be strictly positive")
+        if not (np.isfinite(mass) & (mass > 0)).all():
+            raise ValueError("every point mass must be finite and strictly positive")
         self.base = base
         self.mass = mass
 

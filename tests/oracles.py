@@ -119,7 +119,6 @@ def literal_verify_cover(space, layers, r_disjoint, D_bound):
     for p in range(space.n):
         if p not in held:
             report.fail("coverage", point=p)
-    report.sort_witnesses()
     return report.to_jsonable()
 
 
@@ -141,18 +140,15 @@ def literal_verify_padded(space, layers, members, R, D):
     for i, layer in enumerate(sets):
         for x in members:
             holders = [k for k, s in enumerate(layer) if x in s]
-            if len(holders) != 1:
-                report.conditions["net_partition"] = False
-                witness = {"condition": "net_partition", "layer": i, "member": x}
-                witness.update({"problem": "uncovered"} if not holders
-                               else {"problem": "overlap", "sets": holders})
-                report.witnesses.append(witness)
+            if not holders:
+                report.fail("net_partition", layer=i, member=x, problem="uncovered")
+            elif len(holders) > 1:
+                report.fail("net_partition", layer=i, member=x, problem="overlap",
+                            sets=holders)
         for k, s in enumerate(layer):
             diam = max([space.dist(p, q) for p in s for q in s], default=0.0)
             if diam > D:
-                report.conditions["diameter"] = False
-                report.witnesses.append({"condition": "diameter", "layer": i, "set": k,
-                                         "diameter": diam, "bound": D})
+                report.fail("diameter", layer=i, set=k, diameter=diam, bound=D)
     for x in members:
         ball = literal_ball(space, x, R)
         held = [(i, k) for i, layer in enumerate(sets) for k, s in enumerate(layer) if x in s]
@@ -161,10 +157,7 @@ def literal_verify_padded(space, layers, members, R, D):
         escaping = [{"layer": i, "set": k,
                      "outside_points": [p for p in ball if p not in sets[i][k]][:5]}
                     for i, k in held]
-        report.conditions["padding"] = False
-        report.witnesses.append({"condition": "padding", "member": x, "R": R,
-                                 "closest_misses": escaping[:4]})
-    report.sort_witnesses()
+        report.fail("padding", member=x, R=R, closest_misses=escaping[:4])
     return report.to_jsonable()
 
 

@@ -438,6 +438,15 @@ class TestCutProbabilityMc:
         with pytest.raises(ValueError, match=message):
             pl.cut_probability_mc(net, pl.TgeoParams(0.5, 4), 3.0, centers, trials, seed=0)
 
+    @pytest.mark.parametrize("centers,shown", [([-1], "-1"), ([5, 21], "21")],
+                             ids=["negative", "past_the_end"])
+    def test_centers_outside_the_point_ids_are_refused(self, centers, shown):
+        """A probe at -1 would wrap to the last point, and one at n would
+        read past the end."""
+        net = pl.build_net(pl.integer_segment(20), 1, 1)
+        with pytest.raises(ValueError, match=f"point ids must be integers in 0..20, got {shown}"):
+            pl.cut_probability_mc(net, pl.TgeoParams(0.5, 4), 3.0, centers, 3, seed=0)
+
     def test_threads_do_not_change_results(self):
         space = pl.integer_segment(200)
         net = pl.build_net(space, 1, 1)

@@ -649,6 +649,13 @@ TEXP_READS = 'it reads "kind", "N", "r", "eps", "D"'
      % '{"eps": 0.0}', '"eps" must be a finite number > 0, got 0.0'),
     (TO_PADDED[:-4] + ["--R", "1", "--r", "nan", "--out", "OUT"], COVER % (9, 9),
      "--r must be a finite number > 0, got nan"),
+    (["cutprob", "--config", "IN"], '{"fixture": "segment:10", "out": "OUT", "grid": []}',
+     "cutprob needs a nonempty grid list"),
+    (["growth", "--fixture", "segment:10", "--radii", ",", "--out", "OUT"], "",
+     "growth needs a nonempty --radii list"),
+    (TO_COVER[:-2], PADDED % (9, 9), "convert needs --out"),
+    (TO_PADDED[:5] + ["--out", "OUT"], COVER % (9, 9), "to-padded needs --R and the net scale --r"),
+    (["lll-check", "--out", "OUT"], "", "lll-check needs --schedule or --config"),
 ], ids=["carve_config_list", "cutprob_config_list", "carve_schedule_list",
         "lll_schedule_list", "convert_input_list", "texp_huge_N", "tgeo_huge_M",
         "carve_huge_seed", "texp_overflowing_M", "texp_overflowing_2M", "texp_nan_D", "texp_infinite_D",
@@ -666,7 +673,8 @@ TEXP_READS = 'it reads "kind", "N", "r", "eps", "D"'
         "carve_config_typos", "cover_unknown_key", "padded_unknown_key", "net_unknown_key",
         "cover_wrong_m", "padded_wrong_m", "cover_missing_m", "cover_string_m",
         "padded_repeated_net_member", "cutprob_negative_net", "cutprob_zero_delta",
-        "cutprob_zero_eps_before_fixture", "convert_nan_r"])
+        "cutprob_zero_eps_before_fixture", "convert_nan_r", "cutprob_empty_grid",
+        "growth_empty_radii", "convert_no_out", "to_padded_no_R_or_r", "lll_no_schedule"])
 def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, argv, text, message):
     """Non-object JSON documents, values of the wrong type and non-finite
     numbers exit 2 with one line on stderr, before any output is written."""

@@ -169,10 +169,11 @@ class TestVerifyCover:
 
     def test_witnesses_beyond_the_limit_are_counted_not_held(self):
         """300 singleton sets of segment:299 at separation 2000: each of the
-        44 850 pairs fails.  The report keeps the first 1000 witnesses of the
-        order a full sort gives, counts the other 43 850, and peaks below
-        4 MiB, where holding every witness took 21 MiB (on 1000 singletons
-        of segment:999, 499 500 witnesses rose 235 MB)."""
+        44 850 pairs fails.  The report keeps the first 1000 witnesses in the
+        order the pairs are checked, (a, b) ascending, counts the other
+        43 850, and peaks below 4 MiB, where holding every witness took
+        21 MiB (on 1000 singletons of segment:999, 499 500 witnesses rose
+        235 MB).  A 7-entry block budget writes the same bytes."""
         space = pl.integer_segment(299)
         cover = pl.Cover(space, [[np.array([p]) for p in range(space.n)]],
                          r_disjoint=2000.0, D_bound=0.0)
@@ -185,9 +186,11 @@ class TestVerifyCover:
         every = [{"condition": "disjointness", "layer": 0, "sets": [a, b],
                   "distance": float(b - a), "required_exceeding": 2000.0}
                  for a in range(space.n) for b in range(a + 1, space.n)]
-        every.sort(key=lambda w: json.dumps(w, sort_keys=True))
         doc = report.to_jsonable()
         assert doc["witnesses"] == every[:1000]
+        with mock.patch.object(spaces, "_BLOCK_ENTRIES", 7):
+            assert decomposition.dump_json(pl.verify_cover(cover).to_jsonable()) \
+                == decomposition.dump_json(doc)
         assert doc["omitted_witnesses"] == {"disjointness": len(every) - 1000}
         assert not doc["passed"] and not doc["conditions"]["disjointness"]
         assert peak < 4 * 2**20

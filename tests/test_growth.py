@@ -145,6 +145,17 @@ def test_centers_outside_the_point_ids_are_rejected(centers, shown):
         pl.volume_doubling_estimate(pl.MeasuredSpace.uniform(space), [2.0], centers=centers)
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda space, centers: pl.doubling_constant_estimate(space, [2.0], centers=centers),
+    lambda space, centers: pl.volume_doubling_estimate(pl.MeasuredSpace.uniform(space), [2.0],
+                                                       centers=centers),
+], ids=["doubling_constant", "volume_doubling"])
+def test_an_empty_center_sample_is_rejected(estimate):
+    """No sampled center gives no constant: ``centers=[]`` is refused, not read as 0."""
+    with pytest.raises(ValueError, match="centers must be None or a nonempty list"):
+        estimate(pl.integer_segment(10), [])
+
+
 def test_given_centers_match_their_integer_ids():
     space = pl.integer_segment(10)
     # B_4(0) = {0, 1, 2, 3} takes two open 2-balls
@@ -230,6 +241,10 @@ class TestGrowthFunction:
 
     def test_single_point(self):
         assert pl.growth_table(pl.integer_segment(0), [7.0]) == {7.0: 1}
+
+    def test_rejects_empty_radii_as_its_siblings_do(self):
+        with pytest.raises(ValueError, match="radii must be a nonempty list of positive reals"):
+            pl.growth_table(pl.integer_segment(10), [])
 
     def test_rejects_radius_below_one(self):
         with pytest.raises(ValueError):

@@ -141,6 +141,12 @@ class TestBallNetCount:
         with pytest.raises(ValueError):
             pl.ball_net_count(net, 0, 0.0)
 
+    @pytest.mark.parametrize("center", [-1, 11, 1.5])
+    def test_rejects_a_center_outside_the_point_ids(self, center):
+        net = pl.build_net(pl.integer_segment(10), 1, 1)
+        with pytest.raises(ValueError, match=f"center must be a point id in 0..10, got {center}"):
+            pl.ball_net_count(net, center, 2.0)
+
     def test_rejects_nan_radius(self):
         space = pl.integer_segment(4)
         net = pl.build_net(space, 1, 1)

@@ -444,6 +444,24 @@ def test_measured_space_requires_positive_mass():
     assert ms.mass[seg.ball(3, 1.5)].sum() == 3.0
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_measured_space_requires_finite_mass(bad):
+    """An infinite mass would make a ball's mass ratio NaN, which ``max``
+    drops: volume_doubling_estimate once read 2.33 past it."""
+    mass = np.ones(11)
+    mass[0] = bad
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        pl.MeasuredSpace(pl.integer_segment(10), mass)
+
+
+@pytest.mark.parametrize("center", [-1, 21, 1.5, True])
+def test_ball_refuses_a_center_outside_the_point_ids(center):
+    """``-1`` would wrap to the last point: ball(-1, 1.5) was [19, 20]; 1.5
+    and True were read as point 1."""
+    with pytest.raises(ValueError, match=f"center must be a point id in 0..20, got {center}"):
+        pl.integer_segment(20).ball(center, 1.5)
+
+
 def test_validate_metric_catches_violations():
     bad = pl.MatrixSpace(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(pl.MetricError):
