@@ -20,8 +20,9 @@ double in width and drops each row at its first covering chunk.
 redraw can move.  The table is read in the row blocks of
 ``spaces._near_blocks``, each against the members near it within M, once to
 fix the widest row and once to fill the rows in place, so building it holds
-the n x width table and one block; its guard bounds n x width before the
-table exists.
+the n x width table and one block.  An entry takes 12 bytes, a float64
+distance and an ``int32`` member position: positions are below |net| <= n
+<= n x width, which the guard bounds at 50M before the table exists.
 
 A probe ball is *cut* by a layer when it meets two distinct clusters; the
 Monte Carlo harness estimates cut frequencies over i.i.d. radius draws
@@ -33,7 +34,8 @@ and each trial scans them in the same widening column chunks as the owner
 rule until the first touching ball; the probe is intact iff a ball of that
 color run, from there to the run's end, swallows it.  Only the probe being
 evaluated holds its set-up, so the harness holds one per thread beside the
-radii of a chunk, at the price of one set-up per probe per chunk.
+radii of a chunk (one block of ``spaces._block_rows`` trials against the
+members), at the price of one set-up per probe per chunk.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spaces
-from .decomposition import _point_ids
+from .decomposition import _number, _point_ids
 from .nets import Net, NetGraph, net_graph
 from .spaces import _balls, _dist_blocks, _near_members
 
@@ -159,9 +161,10 @@ def _owner_table(net: Net, colors, M):
     """Owner table of every point under the radius cap ``M``, in two passes
     over :func:`_owner_blocks`: one fixes the width, one fills the table.
 
-    Returns ``(table, dists, tie_rows)``: row p holds the positions of the
-    members within ``M`` of point p in (color, position) order and their
-    distances, padded with infinite distance to the widest row.
+    Returns ``(table, dists, tie_rows)``: row p holds the ``int32``
+    positions of the members within ``M`` of point p in (color, position)
+    order and their distances, padded with infinite distance to the widest
+    row.
     ``tie_rows`` flags the rows holding two members of one color, the only
     points that two same-color balls can cover.  ``_OWNER_TABLE_GUARD``
     bounds n * width before the table is allocated; the passes hold one
@@ -173,13 +176,13 @@ def _owner_table(net: Net, colors, M):
     if space.n * width > _OWNER_TABLE_GUARD:
         raise ValueError(f"an owner table of {space.n} x {width} entries exceeds "
                          f"the owner table guard ({_OWNER_TABLE_GUARD})")
-    table = np.empty((space.n, width), dtype=np.intp)
+    table = np.empty((space.n, width), dtype=np.int32)
     dists = np.empty((space.n, width))
     tie_rows = np.empty(space.n, dtype=bool)
     for rows, cols, sub in _owner_blocks(net, colors, M):
         within = sub < M
         slots = np.arange(width) < within.sum(axis=1)[:, None]
-        block = np.zeros(slots.shape, dtype=np.intp)
+        block = np.zeros(slots.shape, dtype=np.int32)
         block[slots] = np.broadcast_to(cols, within.shape)[within]
         table[rows] = block
         block_dists = np.full(slots.shape, np.inf)
@@ -353,7 +356,8 @@ def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int,
     ``seed``; ``threads > 1`` spreads the probe centers of each chunk of
     trials over a thread pool without changing any result.
 
-    Trials run in chunks of at most ``_BLOCK_ENTRIES`` radii.  Each probe's
+    Trials run in chunks of ``spaces._block_rows`` trials against the net's
+    members: at most 125 trials and ``_BLOCK_ENTRIES`` radii.  Each probe's
     set-up (:func:`_probe_setup`) is built when a chunk evaluates it and
     dropped after, so memory holds the radii buffer and one set-up per
     thread, whatever the number of probes.  A run of several chunks builds
@@ -361,8 +365,7 @@ def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int,
     trials in chunks of 79) spends about 0.2 s on each of its two extra
     chunks.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = _number(trials, "trials", "an integer >= 1", integer=True, low=1)
     if not probe_radius > 0:
         raise ValueError("probe_radius must be positive")
     l, M = law.window
@@ -381,7 +384,7 @@ def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int,
     # Radii are drawn per trial (stream [seed, trial]) into the rows of one
     # buffer and evaluated for all trials of a chunk at once; threads split
     # the probe loop over one pool, which starts no thread unless threads > 1.
-    chunk = min(trials, max(1, spaces._BLOCK_ENTRIES // max(1, len(net.members))))
+    chunk = min(trials, spaces._block_rows(len(net.members)))
     buffer = np.empty((chunk, len(net.members)))
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         run = pool.map if threads > 1 else map

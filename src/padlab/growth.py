@@ -175,8 +175,7 @@ def growth_table(space: FiniteMetricSpace, radii, trials: int = 3, seed: int = 0
     the table holds one radius-bounded block at a time.
     """
     radii = _radii(radii, "finite reals >= 1", low=1)
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = _number(trials, "trials", "an integer >= 1", integer=True, low=1)
     rng = np.random.default_rng(seed)
     best = dict.fromkeys(radii, 0)
     for t in range(trials):

@@ -19,8 +19,9 @@ Distances for random Euclidean clouds are rounded to 12 decimal digits at
 construction time so that runs reproduce bit-for-bit across platforms.
 
 Each backend implements one distance kernel, ``dist_block``, and every
-distance is read through it, in row blocks of at most ``_BLOCK_ENTRIES``
-entries (or one wider row) from one of two readers.
+distance is read through it, in row blocks of one shape (``_block_rows``: at
+most 125 rows and ``_BLOCK_ENTRIES`` entries, or one wider row) from one of
+two readers.
 
 * ``_near_blocks`` reads rows against the members within a radius of each
   block, which :meth:`FiniteMetricSpace.candidates` bounds (a bounding box
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 
 import numpy as np
 
@@ -62,8 +63,10 @@ __all__ = [
 
 # Hard ceiling for fixtures that need an all-pairs shortest path matrix.
 _APSP_MAX_POINTS = 5000
-# Distance entries per block of a blocked pass (32 MB of float64; a
-# CoordSpace block peaks near 64 MB with its one scratch array).
+# Distance entries per block of a blocked pass.  _block_rows also caps a
+# block at isqrt(_BLOCK_ENTRIES) // 16 = 125 rows, so only a read wider than
+# 32 000 columns reaches the 32 MB of float64 (a CoordSpace block beyond 1-d
+# holds one scratch array of its size besides).
 _BLOCK_ENTRIES = 4_000_000
 
 
@@ -211,10 +214,19 @@ class MatrixSpace(FiniteMetricSpace):
         return self.matrix
 
 
+def _block_rows(width: int) -> int:
+    """Rows of a block read against ``width`` columns, the one block shape:
+    at most max(1, isqrt(``_BLOCK_ENTRIES``) // 16) rows (125 by default)
+    and at most ``_BLOCK_ENTRIES`` entries, or one row.  The row cap is the
+    net sweep's: each admission rescans its block, and a 125-row square
+    (125 KB) stays below malloc's 128 KB mmap threshold."""
+    return max(1, min(math.isqrt(_BLOCK_ENTRIES) // 16, _BLOCK_ENTRIES // max(1, width)))
+
+
 def _dist_blocks(space: FiniteMetricSpace, rows, cols=None):
     """Yield ``(start, space.dist_block(rows[start:start + step], cols))`` over
-    ``rows``, ``step`` rows holding at most ``_BLOCK_ENTRIES`` entries (or one)."""
-    step = max(1, _BLOCK_ENTRIES // max(1, space.n if cols is None else len(cols)))
+    ``rows`` in blocks of :func:`_block_rows` rows against the columns."""
+    step = _block_rows(space.n if cols is None else len(cols))
     for start in range(0, len(rows), step):
         yield start, space.dist_block(rows[start:start + step], cols)
 
@@ -238,18 +250,17 @@ def _near_blocks(space: FiniteMetricSpace, rows, radius: float, position_of):
     """Yield ``(lo, hi, near)`` over ``rows`` in the order given: the block
     ``rows[lo:hi]`` and the :func:`_near_members` of it at ``radius``.
 
-    A block holds at most max(1, isqrt(``_BLOCK_ENTRIES``) // 16) rows, cut to
-    ``_BLOCK_ENTRIES`` entries against ``near`` (or to one row).  The cap is
-    the net sweep's: each admission rescans its block, and a 125-row square
-    (125 KB) stays below malloc's 128 KB mmap threshold.  ``position_of`` is
-    read as each block is reached, so a caller may add members between blocks.
+    A block holds the :func:`_block_rows` of its ``near``: the row cap, cut
+    to fewer rows where ``near`` is wide.  ``position_of`` is read as each
+    block is reached, so a caller may add members between blocks.
     """
-    lo, cap = 0, max(1, math.isqrt(_BLOCK_ENTRIES) // 16)
+    lo = 0
     while lo < len(rows):
-        hi = min(lo + cap, len(rows))
+        hi = min(lo + _block_rows(0), len(rows))
         near = _near_members(space, rows[lo:hi], radius, position_of)
-        if (hi - lo) * len(near) > _BLOCK_ENTRIES:  # a subset's candidates are a subset
-            hi = lo + max(1, _BLOCK_ENTRIES // len(near))
+        step = _block_rows(len(near))
+        if hi - lo > step:  # a subset's candidates are a subset
+            hi = lo + step
             near = _near_members(space, rows[lo:hi], radius, position_of)
         yield lo, hi, near
         lo = hi
@@ -316,29 +327,6 @@ _HEIS_ABSENT = 255  # word-length table entry of a key that packs no table eleme
 _HEIS_CHUNK_ENTRIES = 1 << 16
 
 
-def _heis_mul(g, h):
-    a, b, c = g
-    aa, bb, cc = h
-    return (a + aa, b + bb, c + cc + a * bb)
-
-
-def _heis_bfs(radius):
-    """Group elements within the given word length (rows of triples) and their lengths."""
-    wl = {(0, 0, 0): 0}
-    frontier = deque([(0, 0, 0)])
-    while frontier:
-        g = frontier.popleft()
-        d = wl[g]
-        if d == radius:
-            continue
-        for s in _HEIS_GENERATORS:
-            h = _heis_mul(g, s)
-            if h not in wl:
-                wl[h] = d + 1
-                frontier.append(h)
-    return np.array(list(wl), dtype=np.int64), np.array(list(wl.values()), dtype=np.int64)
-
-
 class HeisenbergBall(FiniteMetricSpace):
     """Word-metric ball in the discrete Heisenberg group.
 
@@ -360,9 +348,25 @@ class HeisenbergBall(FiniteMetricSpace):
             raise ValueError("radius must be >= 1")
         if radius > _HEIS_MAX_RADIUS:
             raise ValueError(f"radius {radius} exceeds the memory guard {_HEIS_MAX_RADIUS}")
-        triples, lengths = _heis_bfs(2 * radius)  # one BFS: the distance table and the ball
-        # the ball is a prefix of the elements sorted by (word length, a, b, c)
-        ball = np.lexsort((*triples.T[::-1], lengths))[:np.count_nonzero(lengths <= radius)]
+        self._span = s = 2 * radius
+        base = 2 * s + 1
+        self._table = np.full((2 * s * s + 1) * base * base, _HEIS_ABSENT, dtype=np.uint8)
+        # one BFS to word length s fills the table; its first radius + 1
+        # levels are the ball
+        levels = [np.zeros((1, 3), dtype=np.int64)]
+        self._table[self._pack(levels[0])] = 0
+        for d in range(1, s + 1):
+            a, b, c = levels[-1].T  # right products g * (x, y, 0) = (a + x, b + y, c + a*y)
+            products = np.concatenate([np.stack([a + x, b + y, c + a * y], axis=1)
+                                       for x, y, _ in _HEIS_GENERATORS])
+            keys = self._pack(products)
+            new = self._table[keys] == _HEIS_ABSENT
+            keys, first = np.unique(keys[new], return_index=True)
+            levels.append(products[new][first])
+            self._table[keys] = d
+        triples = np.concatenate(levels[:radius + 1])
+        lengths = np.repeat(np.arange(radius + 1), [len(level) for level in levels[:radius + 1]])
+        ball = np.lexsort((*triples.T[::-1], lengths))  # by (word length, a, b, c)
         super().__init__(len(ball), f"heis:{radius}")
         self.radius = radius
         self.elements = triples[ball]
@@ -371,10 +375,6 @@ class HeisenbergBall(FiniteMetricSpace):
         #: ball_sizes[k] = number of elements of word length <= k
         self.ball_sizes = np.cumsum(counts).tolist()
 
-        self._span = s = 2 * radius
-        base = 2 * s + 1
-        self._table = np.full((2 * s * s + 1) * base * base, _HEIS_ABSENT, dtype=np.uint8)
-        self._table[self._pack(triples)] = lengths
         # _pack(g_i^-1 g_j) = _row_key[i] + _col_key[j] - _row_cross[i] * b_j, with
         # g_i^-1 = (-a_i, -b_i, a_i*b_i - c_i) and the product expanded
         a, b, c = self.elements.T

@@ -327,6 +327,32 @@ def reference_growth_table(space, radii, trials=3, seed=0) -> dict:
     return best
 
 
+def reference_heis_bfs(radius):
+    """``spaces._heis_bfs`` before the BFS ran level by level on arrays: a
+    dict of every group element within word length ``radius`` and its
+    length, found one element at a time from a queue."""
+    from collections import deque
+
+    def mul(g, h):
+        a, b, c = g
+        aa, bb, cc = h
+        return (a + aa, b + bb, c + cc + a * bb)
+
+    wl = {(0, 0, 0): 0}
+    frontier = deque([(0, 0, 0)])
+    while frontier:
+        g = frontier.popleft()
+        d = wl[g]
+        if d == radius:
+            continue
+        for s in [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]:
+            h = mul(g, s)
+            if h not in wl:
+                wl[h] = d + 1
+                frontier.append(h)
+    return wl
+
+
 # The distance reduction and the set reads below are the package's code
 # before coordinate distances were accumulated one coordinate at a time and
 # before set reads were restricted to ``candidates``, kept verbatim as
@@ -400,7 +426,7 @@ def literal_owner_table(space, members, colors, M):
                 entries.append((int(colors[k]), k, d))
         rows.append(sorted(entries))  # positions are distinct: d never decides
     width = max([1] + [len(row) for row in rows])
-    table = np.zeros((space.n, width), dtype=np.intp)
+    table = np.zeros((space.n, width), dtype=np.int32)
     dists = np.full((space.n, width), np.inf)
     tie_rows = np.zeros(space.n, dtype=bool)
     for p, row in enumerate(rows):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import padlab as pl
 from padlab import carving, spaces
 from padlab.carving import _first_cover, _probe_cuts
+from padlab.decomposition import ConfigError
 from oracles import (literal_carve, literal_is_cut, literal_owner_table,
                      reference_first_cover, reference_probe_cuts)
 
@@ -429,7 +430,8 @@ class TestCutProbabilityMc:
                 assert res.cut_matrix[k, j] == pl.is_cut(layer, int(c), 9.0)
 
     @pytest.mark.parametrize("trials,centers,message", [
-        (0, [10], "need at least one trial"), (3, [], "need at least one probe center"),
+        (0, [10], "trials must be an integer >= 1, got 0"),
+        (3, [], "need at least one probe center"),
     ], ids=["no_trial", "no_center"])
     def test_empty_run_is_refused(self, trials, centers, message):
         """A call with no trial or no probe center is refused (the CLI
@@ -437,6 +439,17 @@ class TestCutProbabilityMc:
         net = pl.build_net(pl.integer_segment(20), 1, 1)
         with pytest.raises(ValueError, match=message):
             pl.cut_probability_mc(net, pl.TgeoParams(0.5, 4), 3.0, centers, trials, seed=0)
+
+    @pytest.mark.parametrize("trials,message", [
+        (True, "an integer, got true"), (2.5, "an integer, got 2.5"),
+        ("3", 'an integer, got "3"'),
+    ], ids=["bool", "fractional", "string"])
+    def test_trials_are_read_by_name(self, trials, message):
+        """A bool is no trial count, and neither a fractional nor a string
+        count is truncated or parsed (0 is the ``no_trial`` case above)."""
+        net = pl.build_net(pl.integer_segment(20), 1, 1)
+        with pytest.raises(ConfigError, match=f"^trials must be {message}$"):
+            pl.cut_probability_mc(net, pl.TgeoParams(0.5, 4), 3.0, [10], trials, seed=0)
 
     @pytest.mark.parametrize("centers,shown", [([-1], "-1"), ([5, 21], "21")],
                              ids=["negative", "past_the_end"])
@@ -479,10 +492,11 @@ class TestCutProbabilityMc:
 
 def test_cut_probes_hold_one_set_up_at_a_time():
     """On the benchmark's scaled C3 config (segment:10000, the tgeo row at
-    M = 1917, 100 probes, 200 trials in one chunk) the traced peak of
-    ``cut_probability_mc`` stays within 4 MiB of its radii buffer: a probe's
-    set-up lives only while it is evaluated (the 100 set-ups held together
-    took 12.3 MB)."""
+    M = 1917, 100 probes, 200 trials in two chunks of 125) the traced peak of
+    ``cut_probability_mc`` stays within 4 MiB of its 125-trial radii buffer:
+    a probe's set-up lives only while it is evaluated (the 100 set-ups held
+    together took 12.3 MB), and its extents are read in 125-row blocks
+    (10.4 MiB; one 200-trial chunk peaked at 16.2 MiB)."""
     net = pl.build_net(pl.integer_segment(10000), 1, 1)
     schedule = pl.schedule_from_json({"kind": "tgeo", "b": 1.0, "p": 1 / 400, "M": 1917,
                                       "m": 2, "r": 9.0})
@@ -494,7 +508,7 @@ def test_cut_probes_hold_one_set_up_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 200 * len(net) * 8 + 4 * 2**20
+    assert peak < 125 * len(net) * 8 + 4 * 2**20
 
 
 def test_probe_scan_worked_example():
@@ -561,13 +575,16 @@ def test_probe_scan_matches_dense_evaluation(trials_per_chunk, case):
         colors = np.random.default_rng(seed).integers(0, k, len(net.members))
         coloring = pl.Coloring(graph, colors, k)
     # the greedy coloring is swapped for the drawn one where cut_probability_mc
-    # builds it
+    # builds it; a budget of max(k |net|, (16 k)**2) entries gives chunks of
+    # k trials: a row cap of k, and room for k rows against the members
     budget = spaces._BLOCK_ENTRIES if trials_per_chunk is None \
-        else trials_per_chunk * len(net.members)
+        else max(trials_per_chunk * len(net.members), (16 * trials_per_chunk) ** 2)
     radii = np.stack([pl.draw_radii(law, net, seed, t).t for t in range(trials)])
     expected = reference_probe_cuts(space, net, coloring.colors, M, probe, centers, radii)
     with mock.patch.object(carving, "greedy_color", lambda graph: coloring), \
             mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
+        if trials_per_chunk is not None:
+            assert spaces._block_rows(len(net.members)) == trials_per_chunk
         for threads in (1, 4) if trials_per_chunk == 3 else (1,):
             res = pl.cut_probability_mc(net, law, probe, centers, trials, seed, threads)
             assert np.array_equal(res.cut_matrix, expected)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import padlab as pl
 from padlab import growth, spaces
+from padlab.decomposition import ConfigError
 from oracles import (literal_optimal_cover_size, reference_greedy_cover_size,
                      reference_growth_table)
 
@@ -249,6 +250,16 @@ class TestGrowthFunction:
     def test_rejects_radius_below_one(self):
         with pytest.raises(ValueError):
             pl.growth_table(pl.integer_segment(10), [0.5])
+
+    @pytest.mark.parametrize("trials,message", [
+        (True, "an integer, got true"), (2.5, "an integer, got 2.5"),
+        (0, "an integer >= 1, got 0"), ("3", 'an integer, got "3"'),
+    ], ids=["bool", "fractional", "zero", "string"])
+    def test_trials_are_read_by_name(self, trials, message):
+        """A bool is no trial count (``True`` built a one-trial table), and
+        neither a fractional nor a string count is truncated or parsed."""
+        with pytest.raises(ConfigError, match=f"^trials must be {message}$"):
+            pl.growth_table(pl.integer_segment(20), [2.0], trials=trials)
 
     def test_segment_slope_is_roughly_linear(self):
         table = pl.growth_table(pl.integer_segment(10000), [8, 16, 32, 64],

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -496,3 +497,45 @@ class TestCertify:
         layer = pl.carve(coloring, res.assignments[0])
         pd = pl.PaddedDecomposition(net, [layer.cluster_sets()], R=26.0, D=104.0)
         assert pl.verify_padded(pd).passed
+
+
+def _traced_peak(fn):
+    """``fn()`` and the traced peak of the allocations it made."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def carve_seg3000_seed0():
+    """The carve benchmark's seed-0 run: segment:3000, texp N=3 r=3 eps=0.05
+    D=100 on the (3, 3)-net, whose owner table is 3001 x 406 entries."""
+    net = pl.build_net(pl.integer_segment(3000), 3, 3)
+    csp = pl.csp_from_schedule(net, pl.TexpSchedule(N=3, r=3.0, eps=0.05, D=100.0))
+    return net, csp, pl.moser_tardos(net.space, net, csp, 0)
+
+
+def test_resampler_holds_the_owner_table_and_little_else(carve_seg3000_seed0):
+    """The resampler's traced peak stays within 4 MiB of its owner table at
+    12 bytes an entry (an int32 position and a float64 distance): 16.2 MiB,
+    where 8-byte positions peaked at 20.9 MiB."""
+    net, csp, _ = carve_seg3000_seed0
+    result, peak = _traced_peak(lambda: pl.moser_tardos(net.space, net, csp, 0))
+    assert result.success
+    assert peak < 12 * net.space.n * 406 + 4 * 2**20
+
+
+def test_verifying_the_carve_reads_set_diameters_in_small_blocks(carve_seg3000_seed0):
+    """Verifying the seed-0 decomposition holds one 125-row block of a set's
+    diameter at a time: a traced peak of 2.5 MiB, where its 1165-point
+    cluster read as one 1165 x 1165 block peaked at 10.6 MiB."""
+    net, csp, result = carve_seg3000_seed0
+    layers = [layer.cluster_sets() for layer in result.layers]
+    assert max(len(s) for sets in layers for s in sets) == 1165
+    pd = pl.PaddedDecomposition(net, layers, R=csp.probe_radius, D=2 * csp.law.window[1])
+    report, peak = _traced_peak(lambda: pl.verify_padded(pd))
+    assert report.passed
+    assert peak < 4 * 2**20

@@ -164,13 +164,12 @@ def test_benchmark_scripts_import_existing_names():
     assert [name for name in names if not _resolves(name)] == []
 
 
-def test_only_the_reader_and_the_probe_set_up_ask_for_near_members():
-    """Radius-bounded blocks are sized in one place: outside ``spaces`` (whose
-    ``_near_blocks`` is the one reader), only cutprob's probe set-up calls
-    ``_near_members``, once per probe ball and chunk of trials, because its
-    nearest and farthest distances run over the whole ball."""
+def _readers(attr):
+    """``(module, top-level name)`` of every top-level statement of ``padlab``
+    that names ``attr``, bare or as an attribute (``None`` for a statement
+    with no name, such as an assignment)."""
     package = os.path.dirname(os.path.abspath(pl.__file__))
-    callers = set()
+    readers = set()
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
             continue
@@ -178,12 +177,33 @@ def test_only_the_reader_and_the_probe_set_up_ask_for_near_members():
             tree = ast.parse(fh.read())
         for top in tree.body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.Name) and node.id == "_near_members"
-                        or isinstance(node, ast.Attribute) and node.attr == "_near_members"):
-                    callers.add((name[:-3], getattr(top, "name", None)))
+                if (isinstance(node, ast.Name) and node.id == attr
+                        or isinstance(node, ast.Attribute) and node.attr == attr):
+                    readers.add((name[:-3], getattr(top, "name", None)))
+    return readers
+
+
+def test_only_the_reader_and_the_probe_set_up_ask_for_near_members():
+    """Radius-bounded blocks are sized in one place: outside ``spaces`` (whose
+    ``_near_blocks`` is the one reader), only cutprob's probe set-up calls
+    ``_near_members``, once per probe ball and chunk of trials, because its
+    nearest and farthest distances run over the whole ball."""
+    callers = _readers("_near_members")
     assert {caller for caller in callers if caller[0] != "spaces"} == {
         ("carving", "_probe_setup")}
     assert ("spaces", "_near_blocks") in callers
+
+
+def test_only_the_block_shape_reads_the_block_budget():
+    """Every blocked buffer has one shape: besides the constant's definition,
+    only ``spaces._block_rows`` reads ``_BLOCK_ENTRIES`` to size rows, and the
+    two readers and the cut probes' radii chunk call it.  ``validate_metric``
+    reads the budget too, but to size a chunk of sampled triples whose
+    distinct points give one square block, not rows."""
+    assert _readers("_BLOCK_ENTRIES") == {
+        ("spaces", None), ("spaces", "_block_rows"), ("spaces", "validate_metric")}
+    assert {("spaces", "_dist_blocks"), ("spaces", "_near_blocks"),
+            ("carving", "cut_probability_mc")} <= _readers("_block_rows")
 
 
 def test_covers_and_decompositions_share_one_frame():

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import padlab as pl
 from padlab import spaces
 from oracles import (heisenberg_distances, heisenberg_words, literal_ball,
-                     reference_dist_block, reference_dist_row, reference_sampled_validate)
+                     reference_dist_block, reference_dist_row, reference_heis_bfs,
+                     reference_sampled_validate)
 
 
 FIXTURES = [
@@ -310,6 +311,21 @@ class TestHeisenberg:
     def test_bfs_matches_word_enumeration(self):
         h = pl.heisenberg_ball(4)
         assert h.ball_sizes == heisenberg_words(4)
+
+    @pytest.mark.parametrize("radius", range(1, 9))
+    def test_level_bfs_matches_a_dict_bfs(self, radius):
+        """Elements, word lengths, ball sizes and the whole word-length table
+        are those of a one-element-at-a-time BFS to word length 2 * radius,
+        the ball sorted by (word length, a, b, c)."""
+        length = reference_heis_bfs(2 * radius)
+        h = pl.heisenberg_ball(radius)
+        ball = sorted((d, g) for g, d in length.items() if d <= radius)
+        assert h.elements.tolist() == [list(g) for _, g in ball]
+        assert h.word_lengths.tolist() == [d for d, _ in ball]
+        assert h.ball_sizes == np.cumsum(np.bincount([d for d, _ in ball])).tolist()
+        table = np.full_like(h._table, spaces._HEIS_ABSENT)
+        table[h._pack(np.array(list(length)))] = list(length.values())
+        assert np.array_equal(h._table, table)
 
     def test_ball_sizes_monotone(self):
         h = pl.heisenberg_ball(8)
