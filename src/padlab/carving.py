@@ -366,6 +366,8 @@ def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int,
     chunks.
     """
     trials = _number(trials, "trials", "an integer >= 1", integer=True, low=1)
+    if not len(net.members):
+        raise ValueError("an empty net covers no point")
     if not probe_radius > 0:
         raise ValueError("probe_radius must be positive")
     l, M = law.window

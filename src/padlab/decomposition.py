@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nets import Net
-from .spaces import FiniteMetricSpace, _ball_blocks, _balls, _dist_blocks, parse_fixture
+from .spaces import (FiniteMetricSpace, _ball_blocks, _balls, _dist_blocks, parse_fixture,
+                     set_diameter)
 
 __all__ = [
     "Cover",
@@ -180,13 +181,6 @@ class VerificationReport:
         if self.omitted:
             doc["omitted_witnesses"] = self.omitted
         return doc
-
-
-def set_diameter(space: FiniteMetricSpace, points) -> float:
-    points = np.asarray(points, dtype=np.intp)
-    if len(points) <= 1:
-        return 0.0
-    return max(float(sub.max()) for _, sub in _dist_blocks(space, points, points))
 
 
 def set_distance(space: FiniteMetricSpace, a, b) -> float:

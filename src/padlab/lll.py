@@ -395,7 +395,7 @@ class MoserTardosResult:
     assignments: list  # m RadiusAssignments (final state, even on failure)
     violated_history: list  # violated-constraint count after init and each round
     residual_violations: int
-    layers: list  # m PartitionLayers carved from the final radii (none for an empty net)
+    layers: list  # m PartitionLayers carved from the final radii
 
 
 class MoserTardosFailure(RuntimeError):
@@ -434,13 +434,12 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
         raise ValueError("net was built on a different space")
     members = net.members
     T = len(members)
+    if not T:
+        raise ValueError("an empty net covers no point")
     l, M = csp.law.window
-    if T and l < net.eps:
+    if l < net.eps:
         raise ValueError(f"law lower truncation {l} is below the covering radius {net.eps}")
     colors = greedy_color(net_graph(net, 2 * M)).colors
-    if T == 0:
-        return MoserTardosResult(True, 0, [RadiusAssignment(np.empty(0), l, M)
-                                           for _ in range(csp.m)], [0], 0, [])
     if max_rounds is None:
         max_rounds = 100 * T
 

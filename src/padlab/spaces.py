@@ -30,9 +30,9 @@ two readers.
   the ball pass, the growth ball counts, the volume doubling ratios and
   ``gen``'s unit-distance edges.  Balls, one or many, come from that ball
   pass in CSR form.
-* ``_dist_blocks`` reads rows against fixed columns.  It is kept for the
-  passes that need every column: diameters, set diameters, cover
-  disjointness and the extents of cut probes.
+* ``_dist_blocks`` reads rows against fixed columns, for the passes that
+  need every column: the distance matrix, set diameters (the diameter too),
+  cover disjointness and the extents of cut probes.  No kernel chunks rows.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ __all__ = [
 _APSP_MAX_POINTS = 5000
 # Distance entries per block of a blocked pass.  _block_rows also caps a
 # block at isqrt(_BLOCK_ENTRIES) // 16 = 125 rows, so only a read wider than
-# 32 000 columns reaches the 32 MB of float64 (a CoordSpace block beyond 1-d
-# holds one scratch array of its size besides).
+# 32 000 columns reaches the 32 MB of float64; every kernel holds at most one
+# scratch array of its block's size besides.
 _BLOCK_ENTRIES = 4_000_000
 
 
@@ -85,7 +85,6 @@ class FiniteMetricSpace:
     def __init__(self, n: int, label: str):
         self.n = int(n)
         self.label = label
-        self._diameter = None
 
     def dist_block(self, rows, cols=None) -> np.ndarray:
         """Distance submatrix ``rows x cols`` (``cols=None`` means all points),
@@ -110,15 +109,15 @@ class FiniteMetricSpace:
         return np.arange(self.n)
 
     def diameter(self) -> float:
-        if self._diameter is None:
-            blocks = _dist_blocks(self, np.arange(self.n))
-            self._diameter = max(float(sub.max()) for _, sub in blocks)
-        return self._diameter
+        return set_diameter(self, np.arange(self.n))
 
     def distance_matrix(self) -> np.ndarray:
         if self.n > _APSP_MAX_POINTS:
             raise ValueError(f"refusing to materialize a {self.n}x{self.n} distance matrix")
-        return self.dist_block(np.arange(self.n))
+        mat = np.empty((self.n, self.n))
+        for start, sub in _dist_blocks(self, np.arange(self.n)):
+            mat[start:start + len(sub)] = sub
+        return mat
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, label={self.label!r})"
@@ -231,6 +230,14 @@ def _dist_blocks(space: FiniteMetricSpace, rows, cols=None):
         yield start, space.dist_block(rows[start:start + step], cols)
 
 
+def set_diameter(space: FiniteMetricSpace, points) -> float:
+    """Largest distance between two of ``points``; 0 for fewer than two."""
+    points = np.asarray(points, dtype=np.intp)
+    if len(points) <= 1:
+        return 0.0
+    return max(float(sub.max()) for _, sub in _dist_blocks(space, points, points))
+
+
 def _near_members(space: FiniteMetricSpace, points, radius: float, position_of):
     """Ascending positions of the members among the ``candidates`` of
     ``points`` at ``radius`` (a superset of the members within ``radius``),
@@ -323,8 +330,6 @@ class MeasuredSpace:
 _HEIS_GENERATORS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
 _HEIS_MAX_RADIUS = 16  # ball size grows like radius**4
 _HEIS_ABSENT = 255  # word-length table entry of a key that packs no table element
-# Table lookups per row chunk of HeisenbergBall.dist_block (512 KB of int64 keys).
-_HEIS_CHUNK_ENTRIES = 1 << 16
 
 
 class HeisenbergBall(FiniteMetricSpace):
@@ -340,6 +345,7 @@ class HeisenbergBall(FiniteMetricSpace):
     indexed by a packed key of the triple (255 marks keys that are no group
     element of that length) and holds ``(2s**2 + 1) * (2s + 1)**2`` bytes for
     ``s = 2*radius``: 0.56 MB at radius 8, 8.7 MB at the radius-16 guard.
+    A block frees its int64 keys before converting its lengths to float.
     """
 
     def __init__(self, radius: int):
@@ -394,20 +400,14 @@ class HeisenbergBall(FiniteMetricSpace):
     def dist_block(self, rows, cols=None):
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.arange(self.n) if cols is None else np.asarray(cols, dtype=np.intp)
-        out = np.empty((len(rows), len(cols)))
-        col_key, col_b = self._col_key[cols], self.elements[cols, 1]
-        # row chunks keep the int64 keys a small fraction of the float output
-        step = max(1, _HEIS_CHUNK_ENTRIES // max(1, len(cols)))
-        for start in range(0, len(rows), step):
-            chunk = rows[start:start + step]
-            key = np.multiply.outer(-self._row_cross[chunk], col_b)
-            key += self._row_key[chunk, None]
-            key += col_key
-            lengths = self._table.take(key)
-            if (lengths == _HEIS_ABSENT).any():
-                raise IndexError("queried element outside the word-length table")
-            out[start:start + step] = lengths
-        return out
+        key = np.multiply.outer(-self._row_cross[rows], self.elements[cols, 1])
+        key += self._row_key[rows, None]
+        key += self._col_key[cols]
+        lengths = self._table.take(key)
+        del key
+        if (lengths == _HEIS_ABSENT).any():
+            raise IndexError("queried element outside the word-length table")
+        return lengths.astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -596,22 +596,24 @@ def validate_metric(space: FiniteMetricSpace, seed: int = 0, exhaustive_limit: i
                     samples: int = 100_000) -> None:
     """Check the metric axioms, raising :class:`MetricError` on violation.
 
-    For ``n <= exhaustive_limit`` every axiom is checked over all pairs and
-    triples; the triangle inequality allows a hairline slack of 1e-9 relative
-    to the largest distance, because square-root metrics land within a unit
-    in the last place of collinear equality.
+    For ``n <= exhaustive_limit`` every axiom is checked on ``distance_matrix``,
+    finite non-negative entries first; the triangle inequality allows a slack
+    of 1e-9 relative to the largest distance, as square-root metrics land
+    within a unit in the last place of collinear equality.
 
     Otherwise ``samples`` random triples ``(i, j, k)`` are drawn and each is
-    checked for ``d(i,j) == d(j,i)``, then ``d(i,i) == 0``, then
-    ``d(j,k) <= d(i,j) + d(i,k) + 1e-9 * max(1, d(i,j))``.  The triples are
-    read in chunks: each chunk's distinct points get one distance block of at
-    most ``_BLOCK_ENTRIES`` entries, whatever ``n`` is.  The error names the
-    first failing triple in sample order and the first check it fails, as a
-    triple-by-triple loop would.
+    checked for finite, non-negative ``d(i,j), d(j,i), d(i,i), d(j,k),
+    d(i,k)``, then ``d(i,j) == d(j,i)``, then ``d(i,i) == 0``, then
+    ``d(j,k) <= d(i,j) + d(i,k) + 1e-9 * max(1, d(i,j))``.  A chunk of a
+    third of the block row cap (41) triples reads its distinct points as one
+    block.  The error names the first failing triple in sample order and the
+    first check it fails, as a triple-by-triple loop would.
     """
     n = space.n
     if n <= exhaustive_limit:
-        mat = space.dist_block(np.arange(n))
+        mat = space.distance_matrix()
+        if not np.isfinite(mat).all():
+            raise MetricError("non-finite distance")
         if (mat < 0).any():
             raise MetricError("negative distance")
         if not np.allclose(np.diag(mat), 0.0, atol=0.0):
@@ -629,21 +631,24 @@ def validate_metric(space: FiniteMetricSpace, seed: int = 0, exhaustive_limit: i
         return
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(samples, 3))
-    tol = 1e-9
-    step = max(1, math.isqrt(_BLOCK_ENTRIES) // 3)  # a chunk touches <= 3*step points
+    step = max(1, _block_rows(0) // 3)  # a chunk touches <= 3*step points
     for start in range(0, samples, step):
         triples = idx[start:start + step]
         ids, pos = np.unique(triples, return_inverse=True)
-        pi, pj, pk = pos.reshape(triples.shape).T  # positions in ids
-        block = space.dist_block(ids, ids)
-        dij = block[pi, pj]
-        asymmetric = dij != block[pj, pi]
-        self_dist = block[pi, pi] != 0.0
-        triangle = block[pj, pk] > dij + block[pi, pk] + tol * np.maximum(1.0, dij)
-        failed = asymmetric | self_dist | triangle
+        p = pos.reshape(triples.shape).T  # positions in ids of i, j and k
+        read = space.dist_block(ids, ids)[p[[0, 1, 0, 1, 0]], p[[1, 0, 0, 2, 2]]]
+        dij, dji, dii, djk, dik = read
+        invalid = ~(np.isfinite(read) & (read >= 0)).all(axis=0)
+        asymmetric = dij != dji
+        self_dist = dii != 0.0
+        with np.errstate(invalid="ignore"):  # inf + -inf only on a triple already invalid
+            triangle = djk > dij + dik + 1e-9 * np.maximum(1.0, dij)
+        failed = invalid | asymmetric | self_dist | triangle
         if failed.any():
             t = int(np.argmax(failed))
             i, j, k = triples[t]
+            if invalid[t]:
+                raise MetricError(f"negative or non-finite distance on triple ({i},{j},{k})")
             if asymmetric[t]:
                 raise MetricError(f"asymmetric: d({i},{j}) != d({j},{i})")
             if self_dist[t]:

@@ -5,6 +5,8 @@ definitions, brute-force enumeration.  None of it shares code with the
 package paths it validates.
 """
 
+import math
+
 import numpy as np
 
 
@@ -269,13 +271,15 @@ def reference_sampled_validate(space, seed=0, samples=100_000):
     idx = rng.integers(0, n, size=(samples, 3))
     tol = 1e-9
     for i, j, k in idx:
-        dij = space.dist(int(i), int(j))
-        dji = space.dist(int(j), int(i))
+        read = [space.dist(int(a), int(b)) for a, b in ((i, j), (j, i), (i, i), (j, k), (i, k))]
+        if not all(0 <= d < math.inf for d in read):
+            raise MetricError(f"negative or non-finite distance on triple ({i},{j},{k})")
+        dij, dji, dii, djk, dik = read
         if dij != dji:
             raise MetricError(f"asymmetric: d({i},{j}) != d({j},{i})")
-        if space.dist(int(i), int(i)) != 0.0:
+        if dii != 0.0:
             raise MetricError(f"nonzero self distance at {i}")
-        if space.dist(int(j), int(k)) > dij + space.dist(int(i), int(k)) + tol * max(1.0, dij):
+        if djk > dij + dik + tol * max(1.0, dij):
             raise MetricError(f"triangle inequality fails on triple ({j},{i},{k})")
 
 

@@ -575,21 +575,26 @@ class TestIndexArrays:
 class TestBlockBudget:
     def test_every_distance_block_fits_the_budget(self, monkeypatch):
         """With a tiny block budget, no distance block any verifier, conversion,
-        set reduction, net, carving, cut probe, growth, ball or sampled metric
-        pass asks for exceeds the budget, or one row when a row is wider, and
-        each of them reads through ``dist_block``.  The resampler runs rounds,
-        so its per-round domain reads are checked too."""
+        set reduction, net, carving, cut probe, growth, ball, distance matrix
+        or metric check asks for exceeds the budget, or one row when a row is
+        wider, and each of them reads through ``dist_block``: a coordinate
+        space's, or a Heisenberg ball's for its diameter, matrix and check.
+        The resampler runs rounds, so its per-round domain reads are checked
+        too."""
         budget = 20
         monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", budget)
         calls = []
-        original = pl.CoordSpace.dist_block
 
-        def recording(self, rows, cols=None):
-            calls.append((len(rows), self.n if cols is None else len(cols)))
-            return original(self, rows, cols)
+        def recording(original):
+            def dist_block(self, rows, cols=None):
+                calls.append((len(rows), self.n if cols is None else len(cols)))
+                return original(self, rows, cols)
+            return dist_block
 
-        monkeypatch.setattr(pl.CoordSpace, "dist_block", recording)
+        for cls in (pl.CoordSpace, pl.HeisenbergBall):
+            monkeypatch.setattr(cls, "dist_block", recording(cls.dist_block))
         space = pl.integer_segment(60)
+        heis = pl.heisenberg_ball(3)
         cloud = pl.euclidean_cloud(50, 2, seed=1)
         net = pl.build_net(space, 1, 1)
         cloud_net = pl.build_net(cloud, 0.3, 0.2)
@@ -618,6 +623,13 @@ class TestBlockBudget:
             "growth_table": lambda: pl.growth_table(space, [2.0, 5.0], trials=2),
             "validate_metric": lambda: pl.validate_metric(space, exhaustive_limit=10,
                                                           samples=50),
+            "validate_metric_exhaustive": lambda: pl.validate_metric(space),
+            "distance_matrix": space.distance_matrix,
+            "doubling_constant_estimate": lambda: pl.doubling_constant_estimate(
+                space, [2.0, 5.0], centers=[0, 30]),
+            "heis_diameter": heis.diameter,
+            "heis_distance_matrix": heis.distance_matrix,
+            "heis_validate_metric": lambda: pl.validate_metric(heis),
             "cut_probability_mc": lambda: pl.cut_probability_mc(
                 net, pl.TgeoParams(0.2, 3), 4.0, [5, 30, 55], trials=3, seed=0),
             "is_cut": lambda: pl.is_cut(layer, 30, 4.0),

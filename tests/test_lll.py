@@ -235,12 +235,18 @@ def converging_schedule():
 
 
 class TestMoserTardos:
-    def test_empty_net_trivially_succeeds(self):
+    def test_empty_net_is_refused(self):
+        """An empty net covers no point: the resampler and the cut probes
+        refuse it as ``carve`` does, before any work."""
         space = pl.integer_segment(20)
         net = pl.Net(space, np.array([], dtype=np.intp), 1.0, 1.0)
         csp = pl.CspInstance(net, 2, pl.TexpParams(0.5, 1.0, 2.0), 1.0, 3.0)
-        res = pl.moser_tardos(space, net, csp, seed=0)
-        assert res.success and res.rounds == 0 and len(res.assignments) == 2
+        coloring = pl.greedy_color(pl.net_graph(net, 4.0))
+        for run in (lambda: pl.moser_tardos(space, net, csp, seed=0),
+                    lambda: pl.carve(coloring, pl.RadiusAssignment(np.empty(0), 1.0, 2.0)),
+                    lambda: pl.cut_probability_mc(net, csp.law, 1.0, [5], trials=2, seed=0)):
+            with pytest.raises(ValueError, match="^an empty net covers no point$"):
+                run()
 
     def test_single_covering_ball_succeeds_in_zero_rounds(self):
         space = pl.integer_segment(20)

@@ -196,14 +196,12 @@ def test_only_the_reader_and_the_probe_set_up_ask_for_near_members():
 
 def test_only_the_block_shape_reads_the_block_budget():
     """Every blocked buffer has one shape: besides the constant's definition,
-    only ``spaces._block_rows`` reads ``_BLOCK_ENTRIES`` to size rows, and the
-    two readers and the cut probes' radii chunk call it.  ``validate_metric``
-    reads the budget too, but to size a chunk of sampled triples whose
-    distinct points give one square block, not rows."""
-    assert _readers("_BLOCK_ENTRIES") == {
-        ("spaces", None), ("spaces", "_block_rows"), ("spaces", "validate_metric")}
+    only ``spaces._block_rows`` reads ``_BLOCK_ENTRIES``, and the two readers,
+    the cut probes' radii chunk and the sampled triples' chunk call it."""
+    assert _readers("_BLOCK_ENTRIES") == {("spaces", None), ("spaces", "_block_rows")}
     assert {("spaces", "_dist_blocks"), ("spaces", "_near_blocks"),
-            ("carving", "cut_probability_mc")} <= _readers("_block_rows")
+            ("carving", "cut_probability_mc"),
+            ("spaces", "validate_metric")} <= _readers("_block_rows")
 
 
 def test_covers_and_decompositions_share_one_frame():

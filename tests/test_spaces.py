@@ -338,9 +338,7 @@ class TestHeisenberg:
             assert h.dist(0, i) == h.word_lengths[i]
         pl.validate_metric(h)
 
-    @pytest.mark.parametrize("chunk", [7, spaces._HEIS_CHUNK_ENTRIES])
-    def test_dist_block_matches_word_metric_oracle(self, monkeypatch, chunk):
-        monkeypatch.setattr(spaces, "_HEIS_CHUNK_ENTRIES", chunk)
+    def test_dist_block_matches_word_metric_oracle(self):
         h = pl.heisenberg_ball(3)
         everything = np.arange(h.n)
         assert np.array_equal(h.dist_block(everything),
@@ -362,7 +360,8 @@ class TestHeisenberg:
             h.dist_row(0)
 
     def test_all_pairs_block_peaks_near_its_output(self):
-        """Row chunks keep one all-pairs block within 1.25x its own bytes."""
+        """Freeing its int64 keys before the float conversion keeps one
+        all-pairs block within 1.25x its own bytes."""
         h = pl.heisenberg_ball(8)
         tracemalloc.start()
         try:
@@ -487,6 +486,68 @@ def test_validate_metric_catches_violations():
         pl.validate_metric(bad2)
 
 
+@pytest.mark.filterwarnings("error")
+def test_exhaustive_validation_refuses_an_infinite_distance():
+    """An infinite distance would make the triangle slack 1e-9 * max infinite
+    too, so it is refused before that."""
+    inf = np.inf
+    with pytest.raises(pl.MetricError, match="^non-finite distance$"):
+        pl.validate_metric(pl.MatrixSpace([[0, 1, inf], [1, 0, 1], [inf, 1, 0]]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_sampled_validation_refuses_infinite_distances():
+    """Off-diagonal distances all infinite keep every sampled triangle, so
+    only the check of the values read refuses them, on the first triple."""
+    mat = np.full((400, 400), np.inf)
+    np.fill_diagonal(mat, 0.0)
+    space = pl.MatrixSpace(mat)
+    expected = _verdict(lambda: reference_sampled_validate(space))
+    assert expected.startswith("negative or non-finite distance on triple")
+    assert _verdict(lambda: pl.validate_metric(space)) == expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_sampled_validation_refuses_a_negative_distance_inside_a_triangle():
+    """d(3,7) = -1 on a 400-point segment: the first sampled triple that
+    reads it, #51708 at seed 0, keeps its triangle (29 <= 33 - 1), so the
+    check of the values read is what names it."""
+    mat = pl.integer_segment(399).distance_matrix()
+    mat[3, 7] = mat[7, 3] = -1.0
+    space = pl.MatrixSpace(mat)
+    expected = "negative or non-finite distance on triple (3,36,7)"
+    assert _verdict(lambda: reference_sampled_validate(space)) == expected
+    assert _verdict(lambda: pl.validate_metric(space)) == expected
+
+
+def test_sampled_validation_reads_small_blocks():
+    """A chunk of 41 triples reads one block of at most 123 x 123 distances,
+    so 100k triples on 5001 points stay under 4 MiB, the 2.4 MB of sampled
+    ids included (chunks of 666 triples peaked at 45 MiB)."""
+    space = pl.integer_segment(5000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        pl.validate_metric(space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("budget", [7, spaces._BLOCK_ENTRIES])
+@pytest.mark.parametrize("space", FIXTURES, ids=lambda s: s.label)
+def test_distance_matrix_stacks_the_kernel_rows(monkeypatch, space, budget):
+    """The distance matrix, filled block by block, equals one kernel row per
+    point byte for byte, under the default budget and a 7-entry one."""
+    ids = np.arange(space.n)
+    rows = np.concatenate([space.dist_block([i], ids) for i in ids])
+    monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", budget)
+    mat = space.distance_matrix()
+    assert mat.dtype == rows.dtype and mat.shape == rows.shape
+    assert mat.tobytes() == rows.tobytes()
+
+
 class _Perturbed(pl.CoordSpace):
     """A coordinate space plus a fixed perturbation matrix in its kernel."""
 
@@ -534,10 +595,10 @@ def _verdict(check):
 
 @settings(max_examples=150, deadline=None)
 @given(flawed_spaces(), st.integers(0, 1500), st.integers(0, 100),
-       st.sampled_from([9, 50, spaces._BLOCK_ENTRIES]))
+       st.sampled_from([9, 9216, spaces._BLOCK_ENTRIES]))
 def test_sampled_validation_matches_the_triple_loop(space, samples, seed, budget):
     """Chunked sampling names the same first failure (or none) as checking
-    the triples one at a time, whatever the chunk size (1, 2 or 666 triples
+    the triples one at a time, whatever the chunk size (1, 2 or 41 triples
     under these budgets) and however the sample count splits into chunks."""
     expected = _verdict(lambda: reference_sampled_validate(space, seed, samples))
     with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
