@@ -12,17 +12,24 @@ what is left, and so on) without quadratic set differences.
 
 The rule reads an owner table, which only :func:`_owner_table` builds: row
 p lists the members within the radius cap M of point p (no other ball can
-cover it) in color order, padded with infinite distance, so the owner of p
-is the first covering entry of its row.  That entry usually sits in the
-first few columns, so the scan reads rows in place in column chunks that
-double in width and drops each row at its first covering chunk.
-:func:`carve` scans every row; the resampler passes the ids of the rows a
-redraw can move.  The table is read in the row blocks of
-``spaces._near_blocks``, each against the members near it within M, once to
-fix the widest row and once to fill the rows in place, so building it holds
-the n x width table and one block.  An entry takes 12 bytes, a float64
-distance and an ``int32`` member position: positions are below |net| <= n
-<= n x width, which the guard bounds at 50M before the table exists.
+cover it) in color order, so the owner of p is the first covering entry of
+its row.  Every radius is at least l, and l at least the covering radius,
+so a member within l of p covers it under every draw: the first one in the
+row is p's *sure cover*.  The owner's color is at most the sure cover's,
+so the row ends with the sure cover's color run, and nothing after it can
+own p or share the owner's color.  The rows are ragged and stored back to
+back, and each is read as a window of the longest row's width from its
+start; a window reads past its row's end only when the row holds no
+covering entry.  The first covering entry usually sits in the first few
+columns, so the scan reads windows in column chunks that double in width
+and drops each row at its first covering chunk.  :func:`carve` scans every
+row; the resampler passes the ids of the rows a redraw can move.  The table
+is read in the row blocks of ``spaces._near_blocks``, each against the
+members near it within M, once to size the rows and once to fill them in
+place, so building it holds the table and one block.  An entry takes 12
+bytes, a float64 distance and an ``int32`` member position (positions are
+below |net| <= n), and the guard bounds the kept entries at 50M before the
+table exists.
 
 A probe ball is *cut* by a layer when it meets two distinct clusters; the
 Monte Carlo harness estimates cut frequencies over i.i.d. radius draws
@@ -46,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spaces
-from .decomposition import _number, _point_ids
+from .decomposition import _number, _point_ids, _ranges
 from .nets import Net, NetGraph, net_graph
 from .spaces import _balls, _dist_blocks, _near_members
 
@@ -140,58 +147,79 @@ class PartitionLayer:
                 fh.write(f"{p},{cid},{int(self.centers[cid])}\n")
 
 
-_OWNER_TABLE_GUARD = 50_000_000  # largest n * width: the entries of the table
+_OWNER_TABLE_GUARD = 50_000_000  # largest number of kept entries of the table
 
 
-def _owner_blocks(net: Net, colors, M):
-    """Yield ``(rows, cols, sub)`` over every point of the net's space: a
-    block ``rows`` of point ids, the positions ``cols`` of the members near it
-    within ``M`` in (color, position) order, and their distances.  The blocks
-    are those of ``spaces._near_blocks`` over the points in the blocked
-    passes' order (first coordinate on a :class:`CoordSpace`), so a block's
-    candidates form one narrow slab."""
+def _owner_blocks(net: Net, colors, l, M):
+    """Yield ``(rows, cols, sub, kept)`` over every point of the net's space:
+    a block ``rows`` of point ids, the positions ``cols`` of the members near
+    it within ``M`` in (color, position) order, their distances, and the
+    entries each row keeps.  A row keeps the members within ``M`` up to the
+    end of the color run of its first member within ``l`` (its sure cover),
+    or all of them when none lies within ``l``.  The blocks are those of
+    ``spaces._near_blocks`` over the points in the blocked passes' order
+    (first coordinate on a :class:`CoordSpace`), so a block's candidates
+    form one narrow slab."""
     space = net.space
     order = spaces._sweep_order(space, np.arange(space.n))
     for lo, hi, near in spaces._near_blocks(space, order, M, net.position_of):
         cols = near[np.argsort(colors[near], kind="stable")]
-        yield order[lo:hi], cols, space.dist_block(order[lo:hi], net.members[cols])
+        sub = space.dist_block(order[lo:hi], net.members[cols])
+        run_colors = colors[cols]
+        ends = np.append(np.searchsorted(run_colors, run_colors, side="right"), len(cols))
+        sure = sub < l
+        first = sure.argmax(axis=1) if len(cols) else 0
+        cut = np.where(sure.any(axis=1), ends[first], len(cols))
+        yield order[lo:hi], cols, sub, (sub < M) & (np.arange(len(cols)) < cut[:, None])
 
 
-def _owner_table(net: Net, colors, M):
-    """Owner table of every point under the radius cap ``M``, in two passes
-    over :func:`_owner_blocks`: one fixes the width, one fills the table.
+def _owner_table(net: Net, colors, l, M):
+    """Owner table of every point under radii in ``[l, M]``, in two passes
+    over :func:`_owner_blocks`: one sizes the rows, one fills them.
 
-    Returns ``(table, dists, tie_rows)``: row p holds the ``int32``
-    positions of the members within ``M`` of point p in (color, position)
-    order and their distances, padded with infinite distance to the widest
-    row.
-    ``tie_rows`` flags the rows holding two members of one color, the only
-    points that two same-color balls can cover.  ``_OWNER_TABLE_GUARD``
-    bounds n * width before the table is allocated; the passes hold one
-    block at a time, so the peak is the table and one block.
+    Row p holds the ``int32`` positions of the members within ``M`` of point
+    p in (color, position) order and their distances, cut at the end of the
+    color run of its sure cover, its first member within ``l``, if it has
+    one: that ball holds p under every radius, so the owner's color is at
+    most the sure cover's, and no entry past its run can own p or share the
+    owner's color.  The rows lie back to back in flat storage, which ends in
+    one longest row of padding (position 0, infinite distance).
+
+    Returns ``(members, dists, starts, lengths, tie_rows)``.  ``members``
+    and ``dists`` are sliding windows of the longest row's width over the
+    flat storage: window e starts at flat entry e, so row p is the first
+    ``lengths[p]`` columns of window ``starts[p]``, and entry e is
+    ``dists[e, 0]``.  ``tie_rows`` flags the rows holding two members of one
+    color, the only points that two same-color balls can cover.
+    ``_OWNER_TABLE_GUARD`` bounds the kept entries before the storage is
+    allocated; the passes hold one block at a time, so the peak is the
+    table and one block.
     """
-    space, width = net.space, 1
-    for _, _, sub in _owner_blocks(net, colors, M):
-        width = max(width, int((sub < M).sum(axis=1).max(initial=0)))
-    if space.n * width > _OWNER_TABLE_GUARD:
-        raise ValueError(f"an owner table of {space.n} x {width} entries exceeds "
+    n = net.space.n
+    starts = np.empty(n, dtype=np.intp)
+    lengths = np.empty(n, dtype=np.intp)
+    total = 0
+    for rows, _, _, kept in _owner_blocks(net, colors, l, M):
+        sizes = kept.sum(axis=1)
+        lengths[rows], starts[rows] = sizes, total + np.cumsum(sizes) - sizes
+        total += int(sizes.sum())
+    if total > _OWNER_TABLE_GUARD:
+        raise ValueError(f"an owner table of {total} entries exceeds "
                          f"the owner table guard ({_OWNER_TABLE_GUARD})")
-    table = np.empty((space.n, width), dtype=np.int32)
-    dists = np.empty((space.n, width))
-    tie_rows = np.empty(space.n, dtype=bool)
-    for rows, cols, sub in _owner_blocks(net, colors, M):
-        within = sub < M
-        slots = np.arange(width) < within.sum(axis=1)[:, None]
-        block = np.zeros(slots.shape, dtype=np.int32)
-        block[slots] = np.broadcast_to(cols, within.shape)[within]
-        table[rows] = block
-        block_dists = np.full(slots.shape, np.inf)
-        block_dists[slots] = sub[within]
-        dists[rows] = block_dists
-        block_colors = colors[block]
-        tie_rows[rows] = ((block_colors[:, 1:] == block_colors[:, :-1])
-                          & slots[:, 1:]).any(axis=1)
-    return table, dists, tie_rows
+    width = max(1, int(lengths.max()))
+    members = np.zeros(total + width, dtype=np.int32)
+    dists = np.full(total + width, np.inf)
+    tie_rows = np.empty(n, dtype=bool)
+    for rows, cols, sub, kept in _owner_blocks(net, colors, l, M):
+        sizes = lengths[rows]
+        lo = starts[rows[0]]
+        hi = lo + sizes.sum()
+        members[lo:hi] = np.broadcast_to(cols, kept.shape)[kept]
+        dists[lo:hi] = sub[kept]
+        runs = np.unique(colors[cols], return_index=True)[1]
+        tie_rows[rows] = np.logical_or.reduceat(kept, runs, axis=1).sum(axis=1) < sizes
+    window = np.lib.stride_tricks.sliding_window_view
+    return window(members, width), window(dists, width), starts, lengths, tie_rows
 
 
 _FIRST_CHUNK = 16  # columns in the first chunk of the owner and probe scans
@@ -220,35 +248,46 @@ def _first_hit(n_rows, width, test, message):
     return first
 
 
-def _first_cover(members, dists, tie_rows, colors, t, rows=None):
+def _first_cover(table, colors, t, rows=None):
     """Owner of the point behind each selected owner-table row under radii
     ``t``: the member position of the row's first covering entry.
 
-    ``rows`` picks table rows (default: every row, in order; repeats and any
-    order are allowed).  The rows are read in place, in column chunks that
-    double in width, and a row leaves the scan at the first chunk holding a
-    covering entry, so a cover near the front of a row costs one short read.
-    Rows still pending after the last column are covered by no ball.  The
-    same-color check reads full rows, but only those ``tie_rows`` flags.
+    ``table`` is what :func:`_owner_table` returns; ``rows`` picks its rows
+    (default: every row, in order; repeats and any order are allowed).  Each
+    row is read in place as its window, in column chunks that double in
+    width, and leaves the scan at the first chunk holding a covering entry,
+    so a cover near the front of a row costs one short read.  A window runs
+    past its row's end, which cannot move the row's first cover: a row ends
+    with its sure cover's run, and holds all its members within ``M`` when it
+    has no sure cover.  A first hit past the row's end, or none in the
+    window, means no ball covers the point.  The same-color check reads the
+    kept entries of the rows ``tie_rows`` flags, and only those.
     """
-    rows = np.arange(len(members)) if rows is None else np.asarray(rows, dtype=np.intp)
+    members, dists, starts, lengths, tie_rows = table
+    rows = np.arange(len(starts)) if rows is None else np.asarray(rows, dtype=np.intp)
+    at = starts[rows]
 
     def covered(pending, lo, hi):
-        r = rows[pending]
+        r = at[pending]
         return dists[r, lo:hi] < t[members[r, lo:hi]]
 
-    first = _first_hit(len(rows), members.shape[1], covered,
-                       "a point is covered by no ball; radii violate the "
-                       "coverage precondition l >= covering radius")
+    message = ("a point is covered by no ball; radii violate the "
+               "coverage precondition l >= covering radius")
+    first = _first_hit(len(rows), members.shape[1], covered, message)
+    if (first >= lengths[rows]).any():
+        raise CarveError(message)
+    owners = members[at, first]
     tied = np.nonzero(tie_rows[rows])[0]
-    tied_rows = rows[tied]
-    best = colors[members[tied_rows, first[tied]]]
-    same = ((dists[tied_rows] < t[members[tied_rows]])
-            & (colors[members[tied_rows]] == best[:, None]))
-    if (same.sum(axis=1) > 1).any():
+    sizes = lengths[rows[tied]]
+    entries = _ranges(at[tied], sizes)
+    entry_rows = np.repeat(np.arange(len(tied)), sizes)
+    entry_members = members[entries, 0]
+    same = ((dists[entries, 0] < t[entry_members])
+            & (colors[entry_members] == colors[owners[tied]][entry_rows]))
+    if np.bincount(entry_rows[same]).max(initial=0) > 1:
         raise CarveError("two same-color centers cover one point; the coloring "
                          "is not proper for the doubled radius band")
-    return members[rows, first]
+    return owners
 
 
 def carve(coloring: Coloring, radii: RadiusAssignment) -> PartitionLayer:
@@ -268,8 +307,8 @@ def carve(coloring: Coloring, radii: RadiusAssignment) -> PartitionLayer:
         raise ValueError("one radius per net member required")
     if not len(net.members):
         raise ValueError("an empty net covers no point")
-    table = _owner_table(net, coloring.colors, radii.M)
-    return PartitionLayer(net, _first_cover(*table, coloring.colors, radii.t))
+    table = _owner_table(net, coloring.colors, radii.l, radii.M)
+    return PartitionLayer(net, _first_cover(table, coloring.colors, radii.t))
 
 
 def is_cut(layer: PartitionLayer, center: int, r: float) -> bool:

@@ -422,7 +422,10 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     ``space`` must be ``net.space`` and ``csp`` built on ``net`` (the three stay
     arguments: ``perfbench/tracer.py`` reads ``net`` and ``csp`` by position).
     Every carving applies the owner rule of :mod:`padlab.carving` to one owner
-    table built up front.  A recarve passes
+    table built up front at the law's window ``[l, M]``: every draw is at
+    least ``l`` (a texp draw is ``l - log1p(.)/lam``, a tgeo draw at least
+    1 = l), so each row ends with the color run of its sure cover, its
+    first member within ``l``.  A recarve passes
     ``space.candidates`` of the domain at the radius cap, a superset of the
     points a redrawn ball can cover, to the chunked scan; a row whose radii
     did not change keeps its owner, so the final layers equal
@@ -443,7 +446,7 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     if max_rounds is None:
         max_rounds = 100 * T
 
-    nb, nb_d, tie_rows = _owner_table(net, colors, M)
+    table = _owner_table(net, colors, l, M)
 
     balls = _balls(space, members, csp.probe_radius)
     sizes = np.array([len(b) for b in balls])
@@ -452,7 +455,7 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
 
     rng = np.random.default_rng(seed)
     radii = [csp.law.sample(rng, T) for _ in range(csp.m)]
-    assign = [_first_cover(nb, nb_d, tie_rows, colors, t) for t in radii]
+    assign = [_first_cover(table, colors, t) for t in radii]
 
     def cut_per_constraint(a):
         f = a[flat]
@@ -476,8 +479,7 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
             radii[li][dom] = csp.law.sample(rng, len(dom))
         affected = space.candidates(members[dom], M)
         for li in range(csp.m):
-            assign[li][affected] = _first_cover(nb, nb_d, tie_rows, colors, radii[li],
-                                                affected)
+            assign[li][affected] = _first_cover(table, colors, radii[li], affected)
         violated = violated_now()
         rounds += 1
         history.append(int(violated.sum()))

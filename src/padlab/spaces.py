@@ -599,7 +599,10 @@ def validate_metric(space: FiniteMetricSpace, seed: int = 0, exhaustive_limit: i
     For ``n <= exhaustive_limit`` every axiom is checked on ``distance_matrix``,
     finite non-negative entries first; the triangle inequality allows a slack
     of 1e-9 relative to the largest distance, as square-root metrics land
-    within a unit in the last place of collinear equality.
+    within a unit in the last place of collinear equality.  It is checked
+    through each point i in row chunks of :func:`_block_rows`, so it holds
+    one chunk of slacks beside the matrix, and names the first failing
+    ``(j, k)`` of the first failing i.
 
     Otherwise ``samples`` random triples ``(i, j, k)`` are drawn and each is
     checked for finite, non-negative ``d(i,j), d(j,i), d(i,i), d(j,k),
@@ -621,13 +624,14 @@ def validate_metric(space: FiniteMetricSpace, seed: int = 0, exhaustive_limit: i
         if not (mat == mat.T).all():
             raise MetricError("asymmetric distances")
         tol = 1e-9 * max(1.0, float(mat.max()))
+        step = _block_rows(n)
         for i in range(n):
-            slack = mat[i][None, :] + mat[i][:, None] - mat
-            if (slack < -tol).any():
-                j, k = np.argwhere(slack < -tol)[0]
-                raise MetricError(
-                    f"triangle inequality fails: d({j},{k}) > d({j},{i}) + d({i},{k})"
-                )
+            for lo in range(0, n, step):
+                slack = mat[i][None, :] + mat[i, lo:lo + step, None] - mat[lo:lo + step]
+                if (slack < -tol).any():
+                    j, k = np.argwhere(slack < -tol)[0]
+                    raise MetricError(f"triangle inequality fails: "
+                                      f"d({lo + j},{k}) > d({lo + j},{i}) + d({i},{k})")
         return
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(samples, 3))

@@ -416,49 +416,50 @@ def reference_shrink_set(space, points, margin):
     return s[near >= margin]
 
 
-def literal_owner_table(space, members, colors, M):
-    """Owner table from single distances: per point, the members within ``M``
-    in (color, position) order and their distances, padded with position 0
-    and infinite distance to the widest row (at least one column), and
-    whether two neighbouring entries of the row share a color."""
-    rows = []
+def literal_owner_table(space, members, colors, l, M):
+    """Owner table from single distances, its rows back to back in point
+    order: per point, the members within ``M`` in (color, position) order
+    and their distances, up to the last one of the color of its first member
+    within ``l`` (all of them when none lies within ``l``); the row lengths;
+    and whether two neighbouring entries of a row share a color."""
+    positions, dists, lengths = [], [], []
+    tie_rows = np.zeros(space.n, dtype=bool)
     for p in range(space.n):
         entries = []
         for k in range(len(members)):
             d = space.dist(p, int(members[k]))
             if d < M:
                 entries.append((int(colors[k]), k, d))
-        rows.append(sorted(entries))  # positions are distinct: d never decides
-    width = max([1] + [len(row) for row in rows])
-    table = np.zeros((space.n, width), dtype=np.int32)
-    dists = np.full((space.n, width), np.inf)
-    tie_rows = np.zeros(space.n, dtype=bool)
-    for p, row in enumerate(rows):
+        row = sorted(entries)  # positions are distinct: d never decides
+        sure = [color for color, _, d in row if d < l]
+        if sure:
+            row = [entry for entry in row if entry[0] <= sure[0]]
         for j, (color, k, d) in enumerate(row):
-            table[p, j], dists[p, j] = k, d
+            positions.append(k)
+            dists.append(d)
             if j and row[j - 1][0] == color:
                 tie_rows[p] = True
-    return table, dists, tie_rows
+        lengths.append(len(row))
+    return (np.array(positions, dtype=np.int32), np.array(dists, dtype=float),
+            np.array(lengths, dtype=np.intp), tie_rows)
 
 
-def reference_first_cover(members, dists, tie_rows, colors, t):
+def reference_first_cover(rows, tie_rows, colors, t):
     """Owner of the point behind each owner-table row under radii ``t``: the
-    member position of the row's first covering entry, read at full width."""
+    member position of the row's first covering entry, each row given as its
+    ``(members, dists)`` arrays and read whole."""
     from padlab.carving import CarveError
 
-    covered = dists < t[members]
-    first = covered.argmax(axis=1)
-    rows = np.arange(len(members))
-    if not covered[rows, first].all():
+    covered = [dists < t[members] for members, dists in rows]
+    if not all(c.any() for c in covered):
         raise CarveError("a point is covered by no ball; radii violate the "
                          "coverage precondition l >= covering radius")
-    tied = np.nonzero(tie_rows)[0]
-    best = colors[members[tied, first[tied]]]
-    same = covered[tied] & (colors[members[tied]] == best[:, None])
-    if (same.sum(axis=1) > 1).any():
-        raise CarveError("two same-color centers cover one point; the coloring "
-                         "is not proper for the doubled radius band")
-    return members[rows, first]
+    first = [int(c.argmax()) for c in covered]
+    for (members, _), c, f, tie in zip(rows, covered, first, tie_rows):
+        if tie and (c & (colors[members] == colors[members[f]])).sum() > 1:
+            raise CarveError("two same-color centers cover one point; the coloring "
+                             "is not proper for the doubled radius band")
+    return np.array([members[f] for (members, _), f in zip(rows, first)], dtype=np.int32)
 
 
 def reference_degrees(graph):

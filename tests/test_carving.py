@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import padlab as pl
 from padlab import carving, spaces
 from padlab.carving import _first_cover, _probe_cuts
-from padlab.decomposition import ConfigError
+from padlab.decomposition import ConfigError, _ranges
 from oracles import (literal_carve, literal_is_cut, literal_owner_table,
                      reference_first_cover, reference_probe_cuts)
 
@@ -169,16 +169,16 @@ class TestCarve:
             pl.carve(coloring, radii)
 
     def test_guard_bounds_the_table_not_the_net(self, monkeypatch):
-        """A guard at n * width, far below n * |net|, lets carve and the
-        resampler run exactly as unguarded runs do; one entry less refuses
-        both."""
+        """A guard at the table's kept entries, far below n * |net|, lets
+        carve and the resampler run exactly as unguarded runs do; one entry
+        less refuses both."""
         space = pl.integer_segment(60)
         net = pl.build_net(space, 1, 1)
         csp = pl.CspInstance(net, 1, pl.TexpParams(0.5, 1.0, 3.0), 1.5, 4.0)
         coloring = pl.greedy_color(pl.net_graph(net, 6.0))
         radii = pl.RadiusAssignment(np.linspace(1.0, 3.0, len(net.members)), 1.0, 3.0)
-        width = carving._owner_table(net, coloring.colors, 3.0)[0].shape[1]
-        assert space.n * width < space.n * len(net.members) // 10
+        entries = int(carving._owner_table(net, coloring.colors, 1.0, 3.0)[3].sum())
+        assert entries < space.n * len(net.members) // 10
 
         def runs():
             layer = pl.carve(coloring, radii)
@@ -188,13 +188,39 @@ class TestCarve:
                     [x.cluster_of.tolist() for x in result.layers])
 
         unguarded = runs()
-        monkeypatch.setattr(carving, "_OWNER_TABLE_GUARD", space.n * width)
+        monkeypatch.setattr(carving, "_OWNER_TABLE_GUARD", entries)
         assert runs() == unguarded
-        monkeypatch.setattr(carving, "_OWNER_TABLE_GUARD", space.n * width - 1)
+        monkeypatch.setattr(carving, "_OWNER_TABLE_GUARD", entries - 1)
         with pytest.raises(ValueError, match="owner table guard"):
             pl.moser_tardos(space, net, csp, 0, max_rounds=40)
         with pytest.raises(ValueError, match="owner table guard"):
             pl.carve(coloring, radii)
+
+    @pytest.mark.parametrize("t0", [3.0, 3.5], ids=["uncovered", "covered"])
+    def test_a_row_without_sure_cover_ends_where_it_ends(self, t0):
+        """A hand-made net claims a covering radius of 2.5, but point 3 lies
+        3 from members 0 and 6.  Its row (members 0 and 6, no sure cover) is
+        shorter than point 4's next to it, whose first entry is member 8, 4
+        from point 4 but 5 from point 3, so point 3's window ends on an entry
+        that ball 8 at radius 4.5 covers.  With ball 0 at radius 3 no ball
+        covers point 3, and carve refuses; at 3.5 it covers it, and the layer
+        is the peel-off's."""
+        space = pl.integer_segment(10)
+        net = pl.Net(space, np.array([8, 0, 6]), 2.5, 1.0)
+        coloring = pl.greedy_color(pl.net_graph(net, 10.0))
+        members, _, starts, lengths, _ = carving._owner_table(net, coloring.colors, 2.5, 5.0)
+        assert lengths[3] == 2 and lengths[4] == 3 and starts[4] == starts[3] + 2
+        assert members.shape[1] == 3 and members[starts[3], 2] == 0  # member 8
+        t = np.array([4.5, t0, 3.0])
+        radii = pl.RadiusAssignment(t, 2.5, 5.0)
+        if t0 == 3.0:
+            with pytest.raises(pl.CarveError, match="covered by no ball"):
+                pl.carve(coloring, radii)
+        else:
+            layer = pl.carve(coloring, radii)
+            oracle = literal_carve(space, net.members, coloring.colors, t)
+            assert np.array_equal(layer.center_positions[layer.cluster_of], oracle)
+            assert oracle[3] == 1
 
     def test_csv_serialization(self, tmp_path):
         radii = pl.RadiusAssignment(np.full(4, 4.0), 3.0, 5.0)
@@ -210,9 +236,10 @@ class TestCarve:
 @st.composite
 def owner_table_cases(draw):
     """A segment, an l1/l2/linf grid, a rounded cloud, a tree or a Heisenberg
-    ball; an honest net on it; a radius cap equal to one of its distances
-    (within 1e-13) or beyond every distance; and the greedy coloring of the
-    net or a random one with 1-3 colors, whose rows hold same-color ties."""
+    ball; an honest net on it; a sure-cover radius up to a radius cap, each
+    equal to one of its distances (within 1e-13) or beyond every distance;
+    and the greedy coloring of the net or a random one with 1-3 colors, whose
+    rows hold same-color ties."""
     kind = draw(st.sampled_from(["segment", "grid", "cloud", "tree", "heis"]))
     if kind == "segment":
         space = pl.integer_segment(draw(st.integers(0, 40)))
@@ -229,15 +256,31 @@ def owner_table_cases(draw):
     gaps = np.unique(space.distance_matrix()).tolist()
     eps = max(draw(st.sampled_from(gaps)), 0.5)
     net = pl.build_net(space, eps, eps)
-    M = (draw(st.sampled_from(gaps + [space.diameter() + 1.0]))
-         + draw(st.sampled_from([0.0, 1e-13, -1e-13])))
+    l, M = sorted(draw(st.sampled_from(gaps + [space.diameter() + 1.0]))
+                  + draw(st.sampled_from([0.0, 1e-13, -1e-13])) for _ in range(2))
     k = draw(st.none() | st.integers(1, 3))
     if k is None:
         colors = pl.greedy_color(pl.net_graph(net, 2 * max(M, eps))).colors
     else:
         colors = np.random.default_rng(draw(st.integers(0, 2**16))).integers(
             0, k, len(net.members))
-    return net, colors, M
+    return net, colors, l, M
+
+
+def _flat_table(table):
+    """An owner table's rows back to back in point order, its row lengths
+    and tie flags, after checking its layout: ``int32`` positions and
+    float64 distances in flat storage holding each row once, back to back,
+    then one longest row (at least one entry) of padding, read through
+    windows of that width."""
+    members, dists, starts, lengths, tie_rows = table
+    total, width = int(lengths.sum()), max(1, int(lengths.max()))
+    assert members.dtype == np.int32 and dists.dtype == np.float64
+    assert members.shape == dists.shape == (total + 1, width)
+    entries = _ranges(starts, lengths)
+    assert np.array_equal(np.sort(entries), np.arange(total))
+    assert not members[total].any() and np.isinf(dists[total]).all()
+    return members[entries, 0], dists[entries, 0], lengths, tie_rows
 
 
 @pytest.mark.parametrize("budget", [spaces._BLOCK_ENTRIES, 7])
@@ -246,11 +289,12 @@ def owner_table_cases(draw):
 def test_owner_table_matches_the_literal_table(budget, case):
     """Built from radius-bounded row blocks, under the default budget and
     under 7 entries (one row a block), the owner table is entry for entry
-    the literal one: width, members, distances, padding and tie flags."""
-    net, colors, M = case
+    the literal one: rows cut at their sure cover's color run, members,
+    distances, padding and tie flags."""
+    net, colors, l, M = case
     with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
-        got = carving._owner_table(net, colors, M)
-    want = literal_owner_table(net.space, net.members, colors, M)
+        got = _flat_table(carving._owner_table(net, colors, l, M))
+    want = literal_owner_table(net.space, net.members, colors, l, M)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
@@ -262,7 +306,7 @@ def test_owner_blocks_shrink_to_the_budget(monkeypatch):
     space = pl.balanced_tree(2, 9)
     net = pl.build_net(space, 1, 1)
     colors = pl.greedy_color(pl.net_graph(net, 6.0)).colors
-    whole = carving._owner_table(net, colors, 3.0)
+    whole = carving._owner_table(net, colors, 1.5, 3.0)
     monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", 1024)
     calls = []
     original = pl.MatrixSpace.dist_block
@@ -272,29 +316,33 @@ def test_owner_blocks_shrink_to_the_budget(monkeypatch):
         return original(self, rows, cols)
 
     monkeypatch.setattr(pl.MatrixSpace, "dist_block", recording)
-    blocked = carving._owner_table(net, colors, 3.0)
+    blocked = carving._owner_table(net, colors, 1.5, 3.0)
     assert len(net.members) == 1023 and set(calls) == {(1, 1023)}
-    for g, w in zip(blocked, whole):
+    for g, w in zip(_flat_table(blocked), _flat_table(whole)):
         assert np.array_equal(g, w)
 
 
 def test_owner_table_peaks_near_its_own_bytes():
-    """On segment:3000 with a (3, 3)-net and the carve benchmark's cap
-    M = 609, building the owner table holds the table and one row block: its
-    traced peak stays below 1.25x the bytes it returns (reading every point
-    against the whole net at once peaked near 2.7x)."""
+    """On segment:3000 with a (3, 3)-net and the carve benchmark's radii in
+    [9, 609], the rows cut at their sure covers keep 536,220 of the
+    3001 x 406 entries within the cap, and building the table holds it and
+    one row block: its traced peak stays below 1.25x the bytes it returns
+    (reading every point against the whole net at once peaked near 2.7x)."""
     space = pl.integer_segment(3000)
     net = pl.build_net(space, 3, 3)
     colors = pl.greedy_color(pl.net_graph(net, 2 * 609.0)).colors
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        out = carving._owner_table(net, colors, 609.0)
+        out = carving._owner_table(net, colors, 9.0, 609.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out[0].shape == (space.n, 406)
-    assert peak < 1.25 * sum(a.nbytes for a in out)
+    members, dists, starts, lengths, tie_rows = out
+    assert lengths.sum() == 536_220 and members.shape[1] == lengths.max()
+    flat = len(members) - 1 + members.shape[1]  # the entries under the windows
+    held = 12 * flat + starts.nbytes + lengths.nbytes + tie_rows.nbytes
+    assert peak < 1.25 * held
 
 
 # columns on either side of the owner scan's chunk boundaries (16, 48, 112, 240)
@@ -304,37 +352,50 @@ EDGE_COLUMNS = [0, 1, 14, 15, 16, 17, 46, 47, 48, 49, 110, 111, 112, 113,
 
 @st.composite
 def owner_tables(draw):
-    """An owner table of random rows with first covers placed around the
-    chunk boundaries, ``inf`` padding after each row's entries, a few
-    tie-flagged rows and maybe one uncovered row, plus a row selection that
-    is every row (``None``) or a list that may be empty, repeat or be
-    unsorted."""
-    width = draw(st.integers(1, 300))
+    """Owner-table rows of 0-300 entries, first covers placed around the
+    chunk boundaries and most rows ending on or after theirs, a few
+    tie-flagged rows and maybe one uncovered row, whose window runs into the
+    covering entries of the rows stored after it; the rows stored back to
+    back in random order, then one longest row of padding, as
+    ``_owner_table`` returns them; and a row selection that is every row
+    (``None``) or a list that may be empty, repeat or be unsorted."""
     n_rows = draw(st.integers(1, 10))
     T = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     colors = rng.integers(0, draw(st.integers(1, T)), T)
     t = rng.uniform(1.0, 2.0, T)
-    members = rng.integers(0, T, (n_rows, width))
-    covering = rng.random((n_rows, width)) < draw(st.sampled_from([0.0, 0.05, 0.5]))
-    first = [draw(st.sampled_from(EDGE_COLUMNS) | st.integers(0, width - 1)) % width
-             for _ in range(n_rows)]
+    p_cover = draw(st.sampled_from([0.0, 0.05, 0.5]))
     uncovered = draw(st.sets(st.integers(0, n_rows - 1), max_size=1))
-    dists = np.where(covering, t[members] * rng.random((n_rows, width)),
-                     t[members] + rng.integers(0, 2, (n_rows, width)))
-    for i, c in enumerate(first):
-        dists[i, :c] = t[members[i, :c]]  # not covering: balls are open
-        if i not in uncovered:
-            dists[i, c] = 0.5 * t[members[i, c]]
-        length = draw(st.integers(c + 1, width))
-        members[i, length:] = 0
-        dists[i, length:] = np.inf
+    rows = []
+    for i in range(n_rows):
+        first = draw(st.sampled_from(EDGE_COLUMNS) | st.integers(0, 299))
+        length = draw(st.sampled_from([first + 1, first + 2]) | st.integers(first + 1, 300))
         if i in uncovered:
-            dists[i, c:] = np.inf
+            length = draw(st.sampled_from([0, first, length]))
+        members = rng.integers(0, T, length)
+        covering = rng.random(length) < p_cover
+        dists = np.where(covering, t[members] * rng.random(length),
+                         t[members] + rng.integers(0, 2, length))
+        dists[:first] = t[members[:first]]  # not covering: balls are open
+        if i in uncovered:
+            dists[first:] = t[members[first:]]
+        else:
+            dists[first] = 0.5 * t[members[first]]
+        rows.append((members, dists))
     tie_rows = np.zeros(n_rows, dtype=bool)
     tie_rows[list(draw(st.sets(st.integers(0, n_rows - 1), max_size=2)))] = True
-    rows = draw(st.none() | st.lists(st.integers(0, n_rows - 1), max_size=12))
-    return members, dists, tie_rows, colors, t, rows
+    order = rng.permutation(n_rows)
+    lengths = np.array([len(m) for m, _ in rows], dtype=np.intp)
+    width = max(1, int(lengths.max()))
+    starts = np.empty(n_rows, dtype=np.intp)
+    starts[order] = np.cumsum(lengths[order]) - lengths[order]
+    flat_members = np.concatenate([rows[i][0] for i in order] + [np.zeros(width)])
+    flat_dists = np.concatenate([rows[i][1] for i in order] + [np.full(width, np.inf)])
+    window = np.lib.stride_tricks.sliding_window_view
+    table = (window(flat_members.astype(np.int32), width), window(flat_dists, width),
+             starts, lengths, tie_rows)
+    picked = draw(st.none() | st.lists(st.integers(0, n_rows - 1), max_size=12))
+    return rows, table, colors, t, picked
 
 
 def _outcome(fn, *args):
@@ -346,15 +407,16 @@ def _outcome(fn, *args):
 
 @given(owner_tables())
 @settings(max_examples=300, deadline=None)
-def test_chunked_first_cover_matches_full_width_scan(table):
-    """The chunked in-place scan picks the owners of the full-width scan over
-    the selected rows, and raises CarveError in the same cases with the same
-    message."""
-    members, dists, tie_rows, colors, t, rows = table
-    picked = np.arange(len(members)) if rows is None else np.array(rows, dtype=np.intp)
-    expected = _outcome(reference_first_cover, members[picked], dists[picked],
-                        tie_rows[picked], colors, t)
-    got = _outcome(_first_cover, members, dists, tie_rows, colors, t, rows)
+def test_chunked_first_cover_matches_full_width_scan(case):
+    """The chunked scan of each selected row's window picks the owners of a
+    scan of the whole row, and raises CarveError in the same cases with the
+    same message: a row covered by none of its own entries is covered by no
+    ball, whatever the entries its window reads past its end."""
+    rows, table, colors, t, picked = case
+    selected = range(len(rows)) if picked is None else picked
+    expected = _outcome(reference_first_cover, [rows[i] for i in selected],
+                        table[4][list(selected)], colors, t)
+    got = _outcome(_first_cover, table, colors, t, picked)
     if isinstance(expected, str):
         assert got == expected
     else:

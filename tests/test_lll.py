@@ -518,20 +518,22 @@ def _traced_peak(fn):
 @pytest.fixture(scope="module")
 def carve_seg3000_seed0():
     """The carve benchmark's seed-0 run: segment:3000, texp N=3 r=3 eps=0.05
-    D=100 on the (3, 3)-net, whose owner table is 3001 x 406 entries."""
+    D=100 on the (3, 3)-net, whose owner table keeps 536,220 of the 3001 x
+    406 entries within the radius cap."""
     net = pl.build_net(pl.integer_segment(3000), 3, 3)
     csp = pl.csp_from_schedule(net, pl.TexpSchedule(N=3, r=3.0, eps=0.05, D=100.0))
     return net, csp, pl.moser_tardos(net.space, net, csp, 0)
 
 
 def test_resampler_holds_the_owner_table_and_little_else(carve_seg3000_seed0):
-    """The resampler's traced peak stays within 4 MiB of its owner table at
-    12 bytes an entry (an int32 position and a float64 distance): 16.2 MiB,
-    where 8-byte positions peaked at 20.9 MiB."""
+    """The resampler's traced peak stays within 4 MiB of its owner table's
+    536,220 kept entries at 12 bytes an entry (an int32 position and a
+    float64 distance): 10.1 MiB, which the table of every member within the
+    radius cap, padded to 406 a row (16.2 MiB), exceeds."""
     net, csp, _ = carve_seg3000_seed0
     result, peak = _traced_peak(lambda: pl.moser_tardos(net.space, net, csp, 0))
     assert result.success
-    assert peak < 12 * net.space.n * 406 + 4 * 2**20
+    assert peak < 12 * 536_220 + 4 * 2**20
 
 
 def test_verifying_the_carve_reads_set_diameters_in_small_blocks(carve_seg3000_seed0):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -493,6 +494,37 @@ def test_exhaustive_validation_refuses_an_infinite_distance():
     inf = np.inf
     with pytest.raises(pl.MetricError, match="^non-finite distance$"):
         pl.validate_metric(pl.MatrixSpace([[0, 1, inf], [1, 0, 1], [inf, 1, 0]]))
+
+
+@pytest.mark.parametrize("a,b,d,message", [
+    (200, 250, 60.0, "d(200,250) > d(200,196) + d(196,250)"),
+    (10, 20, 12.0, "d(10,20) > d(10,11) + d(11,20)"),
+    (250, 130, 125.0, "d(130,250) > d(130,128) + d(128,250)"),
+])
+def test_exhaustive_triangle_check_names_the_first_failure(a, b, d, message):
+    """A distance of a 300-point segment planted too long: the row chunks
+    (125 rows) name the first failing (j, k) of the first failing i, as the
+    check of whole n x n slacks did, also where j lies past the first
+    chunk."""
+    mat = pl.integer_segment(299).distance_matrix()
+    mat[a, b] = mat[b, a] = d
+    with pytest.raises(pl.MetricError, match=f"^triangle inequality fails: {re.escape(message)}$"):
+        pl.validate_metric(pl.MatrixSpace(mat))
+
+
+def test_exhaustive_validation_holds_one_chunk_of_slacks():
+    """Checking all of segment:999 holds its 7.6 MiB matrix and one 125-row
+    chunk of slacks: a traced peak under 11 MiB, where one n x n slack array
+    for each point peaked at 23.0 MiB."""
+    space = pl.integer_segment(999)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        pl.validate_metric(space, exhaustive_limit=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 2**20
 
 
 @pytest.mark.filterwarnings("error")
