@@ -10,26 +10,27 @@ to twice the radius cap rules out the second, so the rule reproduces the
 classical inductive peel-off (color class 0 claims its balls, class 1 claims
 what is left, and so on) without quadratic set differences.
 
-The rule reads an owner table, which only :func:`_owner_table` builds: row
-p lists the members within the radius cap M of point p (no other ball can
-cover it) in color order, so the owner of p is the first covering entry of
-its row.  Every radius is at least l, and l at least the covering radius,
-so a member within l of p covers it under every draw: the first one in the
-row is p's *sure cover*.  The owner's color is at most the sure cover's,
-so the row ends with the sure cover's color run, and nothing after it can
-own p or share the owner's color.  The rows are ragged and stored back to
-back, and each is read as a window of the longest row's width from its
-start; a window reads past its row's end only when the row holds no
+The rule reads an owner table, which only :func:`_owner_table` builds: row p
+lists the members within the radius cap M of point p (no other ball can
+cover it) in (color, position) order, so the owner of p is the first
+covering entry of its row.  Every radius is at least l, and l at least the
+covering radius, so a member within l of p covers it under every draw: the
+first one in the row is p's *sure cover*.  The owner's color is at most the
+sure cover's, so the row ends with the sure cover's color run, and nothing
+after it can own p or share the owner's color.  The rows are ragged and
+stored back to back, and each is read as a window of the longest row's width
+from its start; a window reads past its row's end only when the row holds no
 covering entry.  The first covering entry usually sits in the first few
-columns, so the scan reads windows in column chunks that double in width
-and drops each row at its first covering chunk.  :func:`carve` scans every
-row; the resampler passes the ids of the rows a redraw can move.  The table
-is read in the row blocks of ``spaces._near_blocks``, each against the
-members near it within M, once to size the rows and once to fill them in
-place, so building it holds the table and one block.  An entry takes 12
-bytes, a float64 distance and an ``int32`` member position (positions are
-below |net| <= n), and the guard bounds the kept entries at 50M before the
-table exists.
+columns, so the scan reads windows in column chunks that double in width and
+drops each row at its first covering chunk, then walks on through the
+owner's color run for a second cover (one step on a proper coloring).
+:func:`carve` scans every row; the resampler passes the ids of the rows a
+redraw can move.  The table is read in the row blocks of
+``spaces._near_blocks``, each against the members near it within M, once to
+size the rows and once to fill them in place, so building it holds the table
+and one block.  An entry takes 12 bytes, a float64 distance and an ``int32``
+member position (positions are below |net|, at most n), and the guard bounds
+the kept entries at 50M before the table exists.
 
 A probe ball is *cut* by a layer when it meets two distinct clusters; the
 Monte Carlo harness estimates cut frequencies over i.i.d. radius draws
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spaces
-from .decomposition import _number, _point_ids, _ranges
+from .decomposition import _number, _point_ids
 from .nets import Net, NetGraph, net_graph
 from .spaces import _balls, _dist_blocks, _near_members
 
@@ -185,15 +186,13 @@ def _owner_table(net: Net, colors, l, M):
     owner's color.  The rows lie back to back in flat storage, which ends in
     one longest row of padding (position 0, infinite distance).
 
-    Returns ``(members, dists, starts, lengths, tie_rows)``.  ``members``
-    and ``dists`` are sliding windows of the longest row's width over the
-    flat storage: window e starts at flat entry e, so row p is the first
+    Returns ``(members, dists, starts, lengths)``.  ``members`` and
+    ``dists`` are sliding windows of the longest row's width over the flat
+    storage: window e starts at flat entry e, so row p is the first
     ``lengths[p]`` columns of window ``starts[p]``, and entry e is
-    ``dists[e, 0]``.  ``tie_rows`` flags the rows holding two members of one
-    color, the only points that two same-color balls can cover.
-    ``_OWNER_TABLE_GUARD`` bounds the kept entries before the storage is
-    allocated; the passes hold one block at a time, so the peak is the
-    table and one block.
+    ``dists[e, 0]``.  ``_OWNER_TABLE_GUARD`` bounds the kept entries before
+    the storage is allocated; the passes hold one block at a time, so the
+    peak is the table and one block.
     """
     n = net.space.n
     starts = np.empty(n, dtype=np.intp)
@@ -209,17 +208,13 @@ def _owner_table(net: Net, colors, l, M):
     width = max(1, int(lengths.max()))
     members = np.zeros(total + width, dtype=np.int32)
     dists = np.full(total + width, np.inf)
-    tie_rows = np.empty(n, dtype=bool)
     for rows, cols, sub, kept in _owner_blocks(net, colors, l, M):
-        sizes = lengths[rows]
         lo = starts[rows[0]]
-        hi = lo + sizes.sum()
+        hi = lo + lengths[rows].sum()
         members[lo:hi] = np.broadcast_to(cols, kept.shape)[kept]
         dists[lo:hi] = sub[kept]
-        runs = np.unique(colors[cols], return_index=True)[1]
-        tie_rows[rows] = np.logical_or.reduceat(kept, runs, axis=1).sum(axis=1) < sizes
     window = np.lib.stride_tricks.sliding_window_view
-    return window(members, width), window(dists, width), starts, lengths, tie_rows
+    return window(members, width), window(dists, width), starts, lengths
 
 
 _FIRST_CHUNK = 16  # columns in the first chunk of the owner and probe scans
@@ -260,10 +255,10 @@ def _first_cover(table, colors, t, rows=None):
     past its row's end, which cannot move the row's first cover: a row ends
     with its sure cover's run, and holds all its members within ``M`` when it
     has no sure cover.  A first hit past the row's end, or none in the
-    window, means no ball covers the point.  The same-color check reads the
-    kept entries of the rows ``tie_rows`` flags, and only those.
+    window, means no ball covers the point.  A covering entry after the
+    owner, in its color run and row, means two same-color balls cover it.
     """
-    members, dists, starts, lengths, tie_rows = table
+    members, dists, starts, lengths = table
     rows = np.arange(len(starts)) if rows is None else np.asarray(rows, dtype=np.intp)
     at = starts[rows]
 
@@ -277,17 +272,24 @@ def _first_cover(table, colors, t, rows=None):
     if (first >= lengths[rows]).any():
         raise CarveError(message)
     owners = members[at, first]
-    tied = np.nonzero(tie_rows[rows])[0]
-    sizes = lengths[rows[tied]]
-    entries = _ranges(at[tied], sizes)
-    entry_rows = np.repeat(np.arange(len(tied)), sizes)
-    entry_members = members[entries, 0]
-    same = ((dists[entries, 0] < t[entry_members])
-            & (colors[entry_members] == colors[owners[tied]][entry_rows]))
-    if np.bincount(entry_rows[same]).max(initial=0) > 1:
-        raise CarveError("two same-color centers cover one point; the coloring "
-                         "is not proper for the doubled radius band")
+    pending, col = np.arange(len(rows)), first + 1
+    while len(pending):
+        entry = at[pending] + col
+        after = members[entry, 0]
+        same = (col < lengths[rows[pending]]) & (colors[after] == colors[owners[pending]])
+        if (dists[entry[same], 0] < t[after[same]]).any():
+            raise CarveError("two same-color centers cover one point; the coloring "
+                             "is not proper for the doubled radius band")
+        pending, col = pending[same], col[same] + 1
     return owners
+
+
+def _check_coverage(net: Net, l) -> None:
+    """Refuse an empty net, and a radius floor ``l`` that may leave a point uncovered."""
+    if not len(net.members):
+        raise ValueError("an empty net covers no point")
+    if l < net.eps:
+        raise ValueError(f"need l >= net.eps for coverage, got l={l} < eps={net.eps}")
 
 
 def carve(coloring: Coloring, radii: RadiusAssignment) -> PartitionLayer:
@@ -298,15 +300,12 @@ def carve(coloring: Coloring, radii: RadiusAssignment) -> PartitionLayer:
     same-color centers sit more than two radius caps apart).
     """
     net = coloring.graph.net
-    if radii.l < net.eps:
-        raise ValueError(f"need radii.l >= net.eps for coverage, got l={radii.l} < eps={net.eps}")
+    _check_coverage(net, radii.l)
     if not coloring.graph.band_high >= 2 * radii.M:
         raise ValueError(f"coloring band reaches {coloring.graph.band_high}, "
                          f"carving needs at least {2 * radii.M}")
     if len(radii.t) != len(net.members):
         raise ValueError("one radius per net member required")
-    if not len(net.members):
-        raise ValueError("an empty net covers no point")
     table = _owner_table(net, coloring.colors, radii.l, radii.M)
     return PartitionLayer(net, _first_cover(table, coloring.colors, radii.t))
 
@@ -399,19 +398,13 @@ def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int,
     members: at most 125 trials and ``_BLOCK_ENTRIES`` radii.  Each probe's
     set-up (:func:`_probe_setup`) is built when a chunk evaluates it and
     dropped after, so memory holds the radii buffer and one set-up per
-    thread, whatever the number of probes.  A run of several chunks builds
-    every set-up once per chunk: C3 (``segment:50000``, 100 probes, 200
-    trials in chunks of 79) spends about 0.2 s on each of its two extra
-    chunks.
+    thread, whatever the number of probes, at one set-up per chunk.
     """
     trials = _number(trials, "trials", "an integer >= 1", integer=True, low=1)
-    if not len(net.members):
-        raise ValueError("an empty net covers no point")
+    l, M = law.window
+    _check_coverage(net, l)
     if not probe_radius > 0:
         raise ValueError("probe_radius must be positive")
-    l, M = law.window
-    if l < net.eps:
-        raise ValueError(f"need l >= net.eps for coverage, got l={l} < eps={net.eps}")
     centers = _point_ids(centers, net.space.n)
     if len(centers) == 0:
         raise ValueError("need at least one probe center")

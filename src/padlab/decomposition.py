@@ -319,6 +319,9 @@ def verify_padded(pd: PaddedDecomposition) -> VerificationReport:
     padded[member_of[_balls_inside(space, net.members, R, sets, member_of, set_of)]] = True
     for pos in np.nonzero(~padded)[0]:
         x = net.members[pos]
+        if len(report.witnesses) >= _WITNESS_LIMIT:  # the report only counts it
+            report.fail("padding")
+            continue
         ball = space.ball(int(x), R)
         held = [(i, s_id) for i, (holder, lo, hi) in enumerate(index)
                 for s_id in holder[lo[pos]:hi[pos]]]

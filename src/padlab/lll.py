@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .carving import (PartitionLayer, RadiusAssignment, _first_cover, _owner_table,
-                      greedy_color)
+from .carving import (PartitionLayer, RadiusAssignment, _check_coverage, _first_cover,
+                      _owner_table, greedy_color)
 from .decomposition import (ConfigError, PaddedDecomposition, VerificationReport,
                             _known_keys, _number, _shown, verify_padded)
 from .nets import Net, net_graph
@@ -435,13 +435,10 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
         raise ValueError("csp was built for a different net")
     if space is not net.space:
         raise ValueError("net was built on a different space")
+    l, M = csp.law.window
+    _check_coverage(net, l)
     members = net.members
     T = len(members)
-    if not T:
-        raise ValueError("an empty net covers no point")
-    l, M = csp.law.window
-    if l < net.eps:
-        raise ValueError(f"law lower truncation {l} is below the covering radius {net.eps}")
     colors = greedy_color(net_graph(net, 2 * M)).colors
     if max_rounds is None:
         max_rounds = 100 * T

@@ -298,9 +298,15 @@ def _check_center(space: FiniteMetricSpace, center):
 
 
 def _balls(space: FiniteMetricSpace, centers, r: float) -> list:
-    """The sorted open ``r``-balls of ``centers``, in center order."""
+    """The sorted open ``r``-balls of ``centers``, in center order, holding at
+    most ``_APSP_MAX_POINTS ** 2`` ids: the entries of the largest matrix."""
     out = [None] * len(centers)
+    held = 0
     for positions, ids, starts in _ball_blocks(space, centers, r):
+        held += len(ids)
+        if held > _APSP_MAX_POINTS ** 2:
+            raise ValueError(f"balls holding more than {_APSP_MAX_POINTS ** 2} point ids exceed "
+                             f"the ball guard (the entries of a {_APSP_MAX_POINTS}-point matrix)")
         for k, p in enumerate(positions):
             out[p] = ids[starts[k]:starts[k + 1]]
     return out

@@ -420,10 +420,9 @@ def literal_owner_table(space, members, colors, l, M):
     """Owner table from single distances, its rows back to back in point
     order: per point, the members within ``M`` in (color, position) order
     and their distances, up to the last one of the color of its first member
-    within ``l`` (all of them when none lies within ``l``); the row lengths;
-    and whether two neighbouring entries of a row share a color."""
+    within ``l`` (all of them when none lies within ``l``); and the row
+    lengths."""
     positions, dists, lengths = [], [], []
-    tie_rows = np.zeros(space.n, dtype=bool)
     for p in range(space.n):
         entries = []
         for k in range(len(members)):
@@ -434,20 +433,19 @@ def literal_owner_table(space, members, colors, l, M):
         sure = [color for color, _, d in row if d < l]
         if sure:
             row = [entry for entry in row if entry[0] <= sure[0]]
-        for j, (color, k, d) in enumerate(row):
+        for _, k, d in row:
             positions.append(k)
             dists.append(d)
-            if j and row[j - 1][0] == color:
-                tie_rows[p] = True
         lengths.append(len(row))
     return (np.array(positions, dtype=np.int32), np.array(dists, dtype=float),
-            np.array(lengths, dtype=np.intp), tie_rows)
+            np.array(lengths, dtype=np.intp))
 
 
-def reference_first_cover(rows, tie_rows, colors, t):
+def reference_first_cover(rows, colors, t):
     """Owner of the point behind each owner-table row under radii ``t``: the
     member position of the row's first covering entry, each row given as its
-    ``(members, dists)`` arrays and read whole."""
+    ``(members, dists)`` arrays and read whole.  Every row is checked: more
+    than one covering entry of the owner's color raises."""
     from padlab.carving import CarveError
 
     covered = [dists < t[members] for members, dists in rows]
@@ -455,8 +453,8 @@ def reference_first_cover(rows, tie_rows, colors, t):
         raise CarveError("a point is covered by no ball; radii violate the "
                          "coverage precondition l >= covering radius")
     first = [int(c.argmax()) for c in covered]
-    for (members, _), c, f, tie in zip(rows, covered, first, tie_rows):
-        if tie and (c & (colors[members] == colors[members[f]])).sum() > 1:
+    for (members, _), c, f in zip(rows, covered, first):
+        if (c & (colors[members] == colors[members[f]])).sum() > 1:
             raise CarveError("two same-color centers cover one point; the coloring "
                              "is not proper for the doubled radius band")
     return np.array([members[f] for (members, _), f in zip(rows, first)], dtype=np.int32)

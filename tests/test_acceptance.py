@@ -8,14 +8,17 @@ the feasibility budgets, word enumeration for the Heisenberg ball, exhaustive
 covers for the doubling constants.
 
 Criterion 4 encodes an end-to-end resampling run at a fixed aggressive
-parameter point (window cap factor D = 20 on the 3001-point segment).  At
-that point each probe ball is cut per layer with frequency about 1/3, so a
-constraint is violated with probability about 0.11 while every resampling
-step re-randomizes on the order of 180 neighboring constraints; the process
-is supercritical and stalls near 140 violated constraints (it converges
-comfortably for D >= 100, see test_lll.py).  The test asserts the stated
-claim as written and is therefore expected to fail; it is kept red rather
-than weakened.
+parameter point (window cap factor D = 20 on the 3001-point segment).  Under
+the program's ascending color order the resampler stalls there near 140
+violated constraints (it converges comfortably for D >= 100, see
+test_lll.py).  At that point each probe ball is cut per layer with frequency
+about 1/3, so a constraint is violated with probability about 0.11, and
+every resampling step re-randomizes on the order of 180 neighboring
+constraints; yet the local lemma decides neither outcome: e * p * (d + 1) is
+about 53 under the ascending order and about 20 under a golden-ratio order
+of the color classes, and the order alone moves the run from 0 of 20 seeds
+converging to 20 of 20.  The test asserts the stated claim as written and is
+therefore expected to fail; it is kept red rather than weakened.
 """
 
 import json

@@ -208,7 +208,7 @@ class TestCarve:
         space = pl.integer_segment(10)
         net = pl.Net(space, np.array([8, 0, 6]), 2.5, 1.0)
         coloring = pl.greedy_color(pl.net_graph(net, 10.0))
-        members, _, starts, lengths, _ = carving._owner_table(net, coloring.colors, 2.5, 5.0)
+        members, _, starts, lengths = carving._owner_table(net, coloring.colors, 2.5, 5.0)
         assert lengths[3] == 2 and lengths[4] == 3 and starts[4] == starts[3] + 2
         assert members.shape[1] == 3 and members[starts[3], 2] == 0  # member 8
         t = np.array([4.5, t0, 3.0])
@@ -239,7 +239,7 @@ def owner_table_cases(draw):
     ball; an honest net on it; a sure-cover radius up to a radius cap, each
     equal to one of its distances (within 1e-13) or beyond every distance;
     and the greedy coloring of the net or a random one with 1-3 colors, whose
-    rows hold same-color ties."""
+    rows hold long same-color runs."""
     kind = draw(st.sampled_from(["segment", "grid", "cloud", "tree", "heis"]))
     if kind == "segment":
         space = pl.integer_segment(draw(st.integers(0, 40)))
@@ -268,19 +268,19 @@ def owner_table_cases(draw):
 
 
 def _flat_table(table):
-    """An owner table's rows back to back in point order, its row lengths
-    and tie flags, after checking its layout: ``int32`` positions and
-    float64 distances in flat storage holding each row once, back to back,
-    then one longest row (at least one entry) of padding, read through
-    windows of that width."""
-    members, dists, starts, lengths, tie_rows = table
+    """An owner table's rows back to back in point order and its row
+    lengths, after checking its layout: ``int32`` positions and float64
+    distances in flat storage holding each row once, back to back, then one
+    longest row (at least one entry) of padding, read through windows of
+    that width."""
+    members, dists, starts, lengths = table
     total, width = int(lengths.sum()), max(1, int(lengths.max()))
     assert members.dtype == np.int32 and dists.dtype == np.float64
     assert members.shape == dists.shape == (total + 1, width)
     entries = _ranges(starts, lengths)
     assert np.array_equal(np.sort(entries), np.arange(total))
     assert not members[total].any() and np.isinf(dists[total]).all()
-    return members[entries, 0], dists[entries, 0], lengths, tie_rows
+    return members[entries, 0], dists[entries, 0], lengths
 
 
 @pytest.mark.parametrize("budget", [spaces._BLOCK_ENTRIES, 7])
@@ -290,7 +290,7 @@ def test_owner_table_matches_the_literal_table(budget, case):
     """Built from radius-bounded row blocks, under the default budget and
     under 7 entries (one row a block), the owner table is entry for entry
     the literal one: rows cut at their sure cover's color run, members,
-    distances, padding and tie flags."""
+    distances and padding."""
     net, colors, l, M = case
     with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
         got = _flat_table(carving._owner_table(net, colors, l, M))
@@ -338,10 +338,10 @@ def test_owner_table_peaks_near_its_own_bytes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    members, dists, starts, lengths, tie_rows = out
+    members, dists, starts, lengths = out
     assert lengths.sum() == 536_220 and members.shape[1] == lengths.max()
     flat = len(members) - 1 + members.shape[1]  # the entries under the windows
-    held = 12 * flat + starts.nbytes + lengths.nbytes + tie_rows.nbytes
+    held = 12 * flat + starts.nbytes + lengths.nbytes
     assert peak < 1.25 * held
 
 
@@ -350,15 +350,32 @@ EDGE_COLUMNS = [0, 1, 14, 15, 16, 17, 46, 47, 48, 49, 110, 111, 112, 113,
                 238, 239, 240, 241, 298, 299]
 
 
+def _stored(rows, order):
+    """Owner-table rows, each a ``(members, dists)`` pair, stored back to
+    back in ``order`` and followed by one longest row of padding, as
+    ``_owner_table`` returns them."""
+    lengths = np.array([len(m) for m, _ in rows], dtype=np.intp)
+    width = max(1, int(lengths.max()))
+    starts = np.empty(len(rows), dtype=np.intp)
+    starts[order] = np.cumsum(lengths[order]) - lengths[order]
+    flat_members = np.concatenate([rows[i][0] for i in order] + [np.zeros(width)])
+    flat_dists = np.concatenate([rows[i][1] for i in order] + [np.full(width, np.inf)])
+    window = np.lib.stride_tricks.sliding_window_view
+    return (window(flat_members.astype(np.int32), width), window(flat_dists, width),
+            starts, lengths)
+
+
 @st.composite
 def owner_tables(draw):
-    """Owner-table rows of 0-300 entries, first covers placed around the
-    chunk boundaries and most rows ending on or after theirs, a few
-    tie-flagged rows and maybe one uncovered row, whose window runs into the
-    covering entries of the rows stored after it; the rows stored back to
-    back in random order, then one longest row of padding, as
-    ``_owner_table`` returns them; and a row selection that is every row
-    (``None``) or a list that may be empty, repeat or be unsorted."""
+    """Owner-table rows of 0-300 entries in (color, position) order, as
+    ``_owner_table`` builds them, so each color is one run of a row; 1 to
+    |net| colors, so long same-color runs occur; first covers placed around
+    the chunk boundaries, more covering entries (of the owner's color among
+    them) after them, and most rows ending on or after their first cover;
+    maybe one uncovered row, whose window runs into the covering entries of
+    the rows stored after it; the rows stored as :func:`_stored` stores
+    them, in random order; and a row selection that is every row (``None``)
+    or a list that may be empty, repeat or be unsorted."""
     n_rows = draw(st.integers(1, 10))
     T = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -373,6 +390,7 @@ def owner_tables(draw):
         if i in uncovered:
             length = draw(st.sampled_from([0, first, length]))
         members = rng.integers(0, T, length)
+        members = members[np.lexsort((members, colors[members]))]
         covering = rng.random(length) < p_cover
         dists = np.where(covering, t[members] * rng.random(length),
                          t[members] + rng.integers(0, 2, length))
@@ -382,18 +400,7 @@ def owner_tables(draw):
         else:
             dists[first] = 0.5 * t[members[first]]
         rows.append((members, dists))
-    tie_rows = np.zeros(n_rows, dtype=bool)
-    tie_rows[list(draw(st.sets(st.integers(0, n_rows - 1), max_size=2)))] = True
-    order = rng.permutation(n_rows)
-    lengths = np.array([len(m) for m, _ in rows], dtype=np.intp)
-    width = max(1, int(lengths.max()))
-    starts = np.empty(n_rows, dtype=np.intp)
-    starts[order] = np.cumsum(lengths[order]) - lengths[order]
-    flat_members = np.concatenate([rows[i][0] for i in order] + [np.zeros(width)])
-    flat_dists = np.concatenate([rows[i][1] for i in order] + [np.full(width, np.inf)])
-    window = np.lib.stride_tricks.sliding_window_view
-    table = (window(flat_members.astype(np.int32), width), window(flat_dists, width),
-             starts, lengths, tie_rows)
+    table = _stored(rows, rng.permutation(n_rows))
     picked = draw(st.none() | st.lists(st.integers(0, n_rows - 1), max_size=12))
     return rows, table, colors, t, picked
 
@@ -414,13 +421,35 @@ def test_chunked_first_cover_matches_full_width_scan(case):
     ball, whatever the entries its window reads past its end."""
     rows, table, colors, t, picked = case
     selected = range(len(rows)) if picked is None else picked
-    expected = _outcome(reference_first_cover, [rows[i] for i in selected],
-                        table[4][list(selected)], colors, t)
+    expected = _outcome(reference_first_cover, [rows[i] for i in selected], colors, t)
     got = _outcome(_first_cover, table, colors, t, picked)
     if isinstance(expected, str):
         assert got == expected
     else:
         assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("rows,expected", [
+    ([([0, 1, 2, 3], [0.5, 1.0, 0.5, 0.5])], "two same-color centers cover one point"),
+    ([([0, 1, 3], [0.5, 1.0, 0.5])], [0]),
+    ([([0, 1], [0.5, 1.0]), ([2], [0.5])], [0, 2]),
+], ids=["second_cover_in_the_run", "cover_past_the_run", "cover_past_the_row"])
+def test_same_color_check_walks_the_owners_run(rows, expected):
+    """Members 0-2 have color 0 and member 3 color 1, every radius is 1,
+    and each row's owner is member 0.  A ball of color 0 covering the point
+    two steps after the owner, past an entry at distance 1 that does not
+    cover it, raises; a covering ball of the next color just past the
+    owner's run does not, and neither does one of the owner's color in the
+    next row's entries, just past the row's end."""
+    rows = [(np.array(m), np.array(d)) for m, d in rows]
+    colors, t = np.array([0, 0, 0, 1]), np.ones(4)
+    table = _stored(rows, np.arange(len(rows)))
+    for got in (_outcome(_first_cover, table, colors, t),
+                _outcome(reference_first_cover, rows, colors, t)):
+        if isinstance(expected, str):
+            assert got.startswith(expected)
+        else:
+            assert got.tolist() == expected
 
 
 class TestIsCut:

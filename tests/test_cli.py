@@ -186,6 +186,24 @@ class TestCarve:
             assert a == b
 
 
+    def test_probe_balls_past_the_ball_guard_are_usage_errors(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """The resampler's probe balls count against the ball guard: under a
+        30-point guard, radius-10 probes on every point of segment:100 hold
+        more than 900 ids, and the run exits 2 with the guard's message and
+        writes nothing."""
+        monkeypatch.setattr(spaces, "_APSP_MAX_POINTS", 30)
+        out = str(tmp_path / "big")
+        cfg = write_config(tmp_path, "c.json", {
+            "fixture": "segment:100", "seed": 0, "out": out,
+            "schedule": {"kind": "tgeo", "b": 1, "p": 0.01, "M": 20, "m": 2, "r": 10},
+        })
+        assert main(["carve", "--config", cfg]) == 2
+        assert capsys.readouterr().err == ("error: balls holding more than 900 point ids "
+                                           "exceed the ball guard (the entries of a "
+                                           "30-point matrix)\n")
+        assert not list(tmp_path.glob("big*"))
+
     def test_tgeo_schedule_carves_on_a_net_at_the_law_lower_end(self, tmp_path):
         """A truncated-geometric schedule with r = 9 > 1 builds its net at the
         law's lower end 1 (``TgeoRun.net_scale``), so the resampler accepts

@@ -107,6 +107,22 @@ class TestVerifyPadded:
         with pytest.raises(ValueError, match="must be a finite number"):
             pl.PaddedDecomposition(net, layers, R=R, D=D)
 
+    def test_padding_witnesses_past_the_limit_read_no_ball(self, monkeypatch):
+        """On the all-singleton layer of segment:1499 with every point a
+        member, each of the 1500 members is unpadded at R = 2.  The report
+        keeps the first 1000 witnesses and only counts the other 500, so the
+        verifier reads the balls of the first 1000 members and no other."""
+        space = pl.integer_segment(1499)
+        net = pl.Net(space, np.arange(space.n), 0.5, 1.0)
+        calls = []
+        ball = space.ball
+        monkeypatch.setattr(space, "ball", lambda x, r: calls.append(x) or ball(x, r))
+        report = verify([[np.array([p]) for p in range(space.n)]], net, R=2.0, D=1.0)
+        doc = report.to_jsonable()
+        assert len(doc["witnesses"]) == decomposition._WITNESS_LIMIT
+        assert doc["omitted_witnesses"] == {"padding": space.n - decomposition._WITNESS_LIMIT}
+        assert calls == list(range(decomposition._WITNESS_LIMIT))
+
 
 class TestVerifyCover:
     def test_spaced_singletons_pass(self):

@@ -230,23 +230,28 @@ class TestSchedules:
 
 def converging_schedule():
     # empirically safe regime for the resampler on segment:3000 (see the
-    # supercriticality notes in the acceptance module)
+    # criterion 4 notes in the acceptance module)
     return pl.TexpSchedule(N=3, r=3.0, eps=0.05, D=100.0)
 
 
 class TestMoserTardos:
     def test_empty_net_is_refused(self):
-        """An empty net covers no point: the resampler and the cut probes
-        refuse it as ``carve`` does, before any work."""
+        """An empty net covers no point, and a radius floor below the net's
+        covering radius can leave a point uncovered: the resampler, ``carve``
+        and the cut probes refuse both in the same words, before any work."""
         space = pl.integer_segment(20)
-        net = pl.Net(space, np.array([], dtype=np.intp), 1.0, 1.0)
-        csp = pl.CspInstance(net, 2, pl.TexpParams(0.5, 1.0, 2.0), 1.0, 3.0)
-        coloring = pl.greedy_color(pl.net_graph(net, 4.0))
-        for run in (lambda: pl.moser_tardos(space, net, csp, seed=0),
-                    lambda: pl.carve(coloring, pl.RadiusAssignment(np.empty(0), 1.0, 2.0)),
-                    lambda: pl.cut_probability_mc(net, csp.law, 1.0, [5], trials=2, seed=0)):
-            with pytest.raises(ValueError, match="^an empty net covers no point$"):
-                run()
+        for members, eps, message in [
+                ([], 1.0, "an empty net covers no point"),
+                (range(0, 21, 4), 2.0, "need l >= net.eps for coverage, got l=1.0 < eps=2.0")]:
+            net = pl.Net(space, np.array(members, dtype=np.intp), eps, eps)
+            csp = pl.CspInstance(net, 2, pl.TexpParams(0.5, 1.0, 2.0), 1.0, 3.0)
+            coloring = pl.greedy_color(pl.net_graph(net, 4.0))
+            radii = pl.RadiusAssignment(np.full(len(members), 1.5), 1.0, 2.0)
+            for run in (lambda: pl.moser_tardos(space, net, csp, seed=0),
+                        lambda: pl.carve(coloring, radii),
+                        lambda: pl.cut_probability_mc(net, csp.law, 1.0, [5], trials=2, seed=0)):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    run()
 
     def test_single_covering_ball_succeeds_in_zero_rounds(self):
         space = pl.integer_segment(20)
@@ -391,7 +396,7 @@ def test_resampler_refuses_a_net_coarser_than_the_law_lower_end():
     run = pl.TgeoRun(b=1, p=0.02, M=40, m=2, r=9)
     assert run.net_scale == 1.0 and pl.TexpSchedule(N=3, r=3.0, eps=0.05, D=100).net_scale == 3.0
     net = pl.build_net(space, run.r, run.r)
-    message = "law lower truncation 1.0 is below the covering radius 9.0"
+    message = re.escape("need l >= net.eps for coverage, got l=1.0 < eps=9.0")
     with pytest.raises(ValueError, match=message):
         pl.moser_tardos(space, net, pl.csp_from_schedule(net, run), 0)
     with pytest.raises(ValueError, match=message):

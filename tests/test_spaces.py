@@ -200,6 +200,31 @@ def test_blocked_balls_match_one_ball_per_center(space, data):
         assert space.ball(c, radius).tolist() == literal_ball(space, c, radius)
 
 
+def test_balls_are_bounded_by_the_largest_matrix(monkeypatch):
+    """The ids the balls hold count against the entries of the largest
+    distance matrix the lab builds.  Under a 30-point guard (900 ids) on
+    segment:100, whose net at scale 1 is every point, the 101 balls of
+    radius 4 pass and so does the resampler probing them; those of radius
+    10 are refused, in ``_balls`` and in the resampler."""
+    monkeypatch.setattr(spaces, "_APSP_MAX_POINTS", 30)
+    space = pl.integer_segment(100)
+    net = pl.build_net(space, 1, 1)
+    assert len(net.members) == space.n
+    assert sum(len(b) for b in spaces._balls(space, np.arange(space.n), 4.0)) <= 900
+    message = ("balls holding more than 900 point ids exceed the ball guard "
+               "(the entries of a 30-point matrix)")
+    for r, guarded in ((4, False), (10, True)):
+        run = pl.TgeoRun(b=1, p=0.01, M=20, m=2, r=r)
+        csp = pl.csp_from_schedule(net, run)
+        if guarded:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                spaces._balls(space, np.arange(space.n), r)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                pl.moser_tardos(space, net, csp, 0, max_rounds=0)
+        else:
+            assert pl.moser_tardos(space, net, csp, 0, max_rounds=0).rounds == 0
+
+
 def test_coordinate_ball_blocks_follow_the_first_coordinate():
     """On a coordinate space each block's centers are consecutive in
     first-coordinate order, so it reads only the slab of points near them: a
