@@ -27,9 +27,13 @@ owner's color run for a second cover (one step on a proper coloring).
 :func:`carve` scans every row; the resampler passes the ids of the rows a
 redraw can move.  The table is read in the row blocks of
 ``spaces._near_blocks``, each against the members near it within M, once to
-size the rows and once to fill them in place, so building it holds the table
-and one block.  An entry takes 12 bytes, a float64 distance and an ``int32``
-member position (positions are below |net|, at most n), and the guard bounds
+size the rows and pick the element types, and once to fill them in place;
+each pass drops a block before it reads the next, so building it holds the
+table and one block.  A member position takes 2 bytes below 2**15 members
+and 4 above.  Where every kept distance is a whole number (segments, l1 and
+linf grids, trees, unweighted graphs, Heisenberg balls), a distance takes
+1 or 2 bytes, an unsigned integer whose largest value exceeds M and pads the
+table; elsewhere it takes a float64, padded with infinity.  The guard bounds
 the kept entries at 50M before the table exists.
 
 A probe ball is *cut* by a layer when it meets two distinct clusters; the
@@ -172,47 +176,63 @@ def _owner_blocks(net: Net, colors, l, M):
         first = sure.argmax(axis=1) if len(cols) else 0
         cut = np.where(sure.any(axis=1), ends[first], len(cols))
         yield order[lo:hi], cols, sub, (sub < M) & (np.arange(len(cols)) < cut[:, None])
+        del cols, sub, sure  # before the next block is read
 
 
 def _owner_table(net: Net, colors, l, M):
     """Owner table of every point under radii in ``[l, M]``, in two passes
-    over :func:`_owner_blocks`: one sizes the rows, one fills them.
+    over :func:`_owner_blocks`: one sizes the rows and picks the element
+    types, one fills them.
 
-    Row p holds the ``int32`` positions of the members within ``M`` of point
-    p in (color, position) order and their distances, cut at the end of the
-    color run of its sure cover, its first member within ``l``, if it has
-    one: that ball holds p under every radius, so the owner's color is at
-    most the sure cover's, and no entry past its run can own p or share the
-    owner's color.  The rows lie back to back in flat storage, which ends in
-    one longest row of padding (position 0, infinite distance).
+    Row p holds the positions of the members within ``M`` of point p in
+    (color, position) order and their distances, cut at the end of the color
+    run of its sure cover, its first member within ``l``, if it has one: that
+    ball holds p under every radius, so the owner's color is at most the sure
+    cover's, and no entry past its run can own p or share the owner's color.
+    The rows lie back to back in flat storage, which ends in one longest row
+    of padding (position 0, a distance no radius exceeds).
+
+    Positions are ``int16`` below 2**15 members and ``int32`` above.  When
+    every kept distance is a whole number, distances are stored in the first
+    of ``uint8`` and ``uint16`` whose maximum exceeds ``M``, and that maximum
+    pads; otherwise they are float64, padded with infinity.  A comparison
+    with a float64 radius widens the stored value exactly.
 
     Returns ``(members, dists, starts, lengths)``.  ``members`` and
     ``dists`` are sliding windows of the longest row's width over the flat
     storage: window e starts at flat entry e, so row p is the first
     ``lengths[p]`` columns of window ``starts[p]``, and entry e is
     ``dists[e, 0]``.  ``_OWNER_TABLE_GUARD`` bounds the kept entries before
-    the storage is allocated; the passes hold one block at a time, so the
-    peak is the table and one block.
+    the storage is allocated; each pass drops a block before it reads the
+    next, so the peak is the table and one block.
     """
     n = net.space.n
     starts = np.empty(n, dtype=np.intp)
     lengths = np.empty(n, dtype=np.intp)
-    total = 0
-    for rows, _, _, kept in _owner_blocks(net, colors, l, M):
+    total, whole = 0, True
+    for rows, _, sub, kept in _owner_blocks(net, colors, l, M):
         sizes = kept.sum(axis=1)
         lengths[rows], starts[rows] = sizes, total + np.cumsum(sizes) - sizes
         total += int(sizes.sum())
+        if whole:
+            values = sub[kept]
+            whole = bool((np.floor(values) == values).all())
+        del sub, kept
     if total > _OWNER_TABLE_GUARD:
         raise ValueError(f"an owner table of {total} entries exceeds "
                          f"the owner table guard ({_OWNER_TABLE_GUARD})")
+    kind = np.float64
+    if whole:
+        kind = next((t for t in (np.uint8, np.uint16) if np.iinfo(t).max > M), kind)
     width = max(1, int(lengths.max()))
-    members = np.zeros(total + width, dtype=np.int32)
-    dists = np.full(total + width, np.inf)
+    members = np.zeros(total + width, dtype=np.int16 if len(net.members) <= 2**15 else np.int32)
+    dists = np.full(total + width, np.inf if kind is np.float64 else np.iinfo(kind).max, kind)
     for rows, cols, sub, kept in _owner_blocks(net, colors, l, M):
         lo = starts[rows[0]]
         hi = lo + lengths[rows].sum()
         members[lo:hi] = np.broadcast_to(cols, kept.shape)[kept]
         dists[lo:hi] = sub[kept]
+        del cols, sub, kept
     window = np.lib.stride_tricks.sliding_window_view
     return window(members, width), window(dists, width), starts, lengths
 
@@ -245,7 +265,8 @@ def _first_hit(n_rows, width, test, message):
 
 def _first_cover(table, colors, t, rows=None):
     """Owner of the point behind each selected owner-table row under radii
-    ``t``: the member position of the row's first covering entry.
+    ``t``: the member position of the row's first covering entry, as
+    ``intp`` whatever the table's position type.
 
     ``table`` is what :func:`_owner_table` returns; ``rows`` picks its rows
     (default: every row, in order; repeats and any order are allowed).  Each
@@ -271,7 +292,7 @@ def _first_cover(table, colors, t, rows=None):
     first = _first_hit(len(rows), members.shape[1], covered, message)
     if (first >= lengths[rows]).any():
         raise CarveError(message)
-    owners = members[at, first]
+    owners = members[at, first].astype(np.intp)
     pending, col = np.arange(len(rows)), first + 1
     while len(pending):
         entry = at[pending] + col

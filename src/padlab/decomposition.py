@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nets import Net
-from .spaces import (FiniteMetricSpace, _ball_blocks, _balls, _dist_blocks, parse_fixture,
-                     set_diameter)
+from .spaces import (FiniteMetricSpace, _ball_blocks, _balls, _dist_blocks, _set_diameters,
+                     parse_fixture, set_diameter)
 
 __all__ = [
     "Cover",
@@ -202,11 +202,12 @@ def _report(kind: str, obj, conditions, **extra) -> VerificationReport:
 
 
 def _check_diameters(report, space, i: int, layer, bound: float):
-    """A diameter witness for each set of layer ``i`` wider than ``bound``."""
-    for s_id, s in enumerate(layer):
-        diam = set_diameter(space, s)
-        if diam > bound:
-            report.fail("diameter", layer=i, set=s_id, diameter=diam, bound=bound)
+    """A diameter witness for each set of layer ``i`` wider than ``bound``,
+    from one pass over the layer's sets."""
+    diameters = _set_diameters(space, layer)
+    for s_id in np.nonzero(diameters > bound)[0]:
+        report.fail("diameter", layer=i, set=int(s_id), diameter=float(diameters[s_id]),
+                    bound=bound)
 
 
 def _close_pairs(space, layer, r: float):
@@ -515,8 +516,11 @@ def _read_layers(layers, n: int) -> list:
 
 
 def _round_floats(obj):
-    """Recursively cap floats at 12 significant digits for stable output."""
+    """Recursively cap floats at 12 significant digits for stable output.
+    NaN and infinity have no JSON spelling (RFC 8259) and raise ``ValueError``."""
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"{float(obj)} has no JSON spelling")
         return float(format(float(obj), ".12g"))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
@@ -528,13 +532,18 @@ def _round_floats(obj):
 
 
 def dump_json(obj, path=None) -> str:
-    """Serialize with sorted keys and 12-significant-digit floats.  NaN and
-    infinity have no JSON spelling (RFC 8259) and raise ``ValueError``."""
-    text = json.dumps(_round_floats(obj), sort_keys=True, indent=1, allow_nan=False) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    """The JSON text of ``obj`` with sorted keys and 12-significant-digit
+    floats; a float without a JSON spelling raises ``ValueError`` before
+    anything is written.  With a ``path``, the text streams into that file
+    piece by piece, and the text returned is read back from it."""
+    doc, options = _round_floats(obj), {"sort_keys": True, "indent": 1, "allow_nan": False}
+    if path is None:
+        return json.dumps(doc, **options) + "\n"
+    with open(path, "w") as fh:
+        json.dump(doc, fh, **options)
+        fh.write("\n")
+    with open(path) as fh:
+        return fh.read()
 
 
 def _document(kind: str, obj, fixture: str, **extra) -> dict:

@@ -176,9 +176,10 @@ def growth_table(space: FiniteMetricSpace, radii, trials: int = 3, seed: int = 0
     """
     radii = _radii(radii, "finite reals >= 1", low=1)
     trials = _number(trials, "trials", "an integer >= 1", integer=True, low=1)
-    rng = np.random.default_rng(seed)
     best = dict.fromkeys(radii, 0)
     for t in range(trials):
+        if t == 1:  # one trial, as gen runs, needs no generator
+            rng = np.random.default_rng(seed)
         order = np.arange(space.n) if t == 0 else rng.permutation(space.n)
         net = build_net(space, 1.0, 1.0, order=order)
         for r, count in zip(best, _max_ball_counts(net, list(best))):

@@ -31,8 +31,11 @@ two readers.
   ``gen``'s unit-distance edges.  Balls, one or many, come from that ball
   pass in CSR form.
 * ``_dist_blocks`` reads rows against fixed columns, for the passes that
-  need every column: the distance matrix, set diameters (the diameter too),
-  cover disjointness and the extents of cut probes.  No kernel chunks rows.
+  need every column: the distance matrix, cover disjointness and the extents
+  of cut probes.  No kernel chunks rows.
+
+Set diameters (the diameter too) come from one pass over a list of sets,
+each block read against the points of its own sets (``_set_diameters``).
 """
 
 from __future__ import annotations
@@ -232,10 +235,45 @@ def _dist_blocks(space: FiniteMetricSpace, rows, cols=None):
 
 def set_diameter(space: FiniteMetricSpace, points) -> float:
     """Largest distance between two of ``points``; 0 for fewer than two."""
-    points = np.asarray(points, dtype=np.intp)
-    if len(points) <= 1:
-        return 0.0
-    return max(float(sub.max()) for _, sub in _dist_blocks(space, points, points))
+    return float(_set_diameters(space, [points])[0])
+
+
+def _set_diameters(space: FiniteMetricSpace, sets) -> np.ndarray:
+    """:func:`set_diameter` of each of ``sets``, in one pass over their points
+    back to back, in row blocks of the one block shape.
+
+    A set of more than ``_block_rows(0)`` points is read alone, in blocks of
+    :func:`_block_rows` of its rows against its own points; smaller sets are
+    read whole, as many as the row cap holds, against their own points
+    together, with the entries between two of them set to 0.  Each row's
+    maximum goes to its set's with ``np.maximum.reduceat``.
+    """
+    sets = [np.asarray(s, dtype=np.intp) for s in sets]
+    sizes = np.array([len(s) for s in sets], dtype=np.intp)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    points = np.concatenate([np.empty(0, np.intp)] + sets)
+    owner = np.repeat(np.arange(len(sets)), sizes)
+    cap = _block_rows(0)
+    row_max = np.empty(len(points))
+    lo = 0
+    while lo < len(points):
+        s = owner[lo]
+        if sizes[s] > cap:
+            c0, c1 = starts[s], ends[s]
+            hi = min(c1, lo + _block_rows(c1 - c0))
+        else:  # lo starts set s, which the block holds whole
+            c0 = lo
+            c1 = hi = ends[np.searchsorted(ends, lo + cap, "right") - 1]
+        sub = space.dist_block(points[lo:hi], points[c0:c1])
+        if owner[c0] != owner[c1 - 1]:
+            sub[owner[lo:hi, None] != owner[c0:c1]] = 0
+        row_max[lo:hi] = sub.max(axis=1)
+        lo = hi
+    diameters = np.zeros(len(sets))
+    if len(points):
+        diameters[sizes > 0] = np.maximum.reduceat(row_max, starts[sizes > 0])
+    return diameters
 
 
 def _near_members(space: FiniteMetricSpace, points, radius: float, position_of):

@@ -421,7 +421,9 @@ def literal_owner_table(space, members, colors, l, M):
     order: per point, the members within ``M`` in (color, position) order
     and their distances, up to the last one of the color of its first member
     within ``l`` (all of them when none lies within ``l``); and the row
-    lengths."""
+    lengths.  Positions are ``int16`` up to 2**15 members, ``int32`` past
+    them; distances are ``uint8`` when all are whole and 255 exceeds ``M``,
+    else ``uint16`` when all are whole and 65535 exceeds ``M``, else float64."""
     positions, dists, lengths = [], [], []
     for p in range(space.n):
         entries = []
@@ -437,8 +439,11 @@ def literal_owner_table(space, members, colors, l, M):
             positions.append(k)
             dists.append(d)
         lengths.append(len(row))
-    return (np.array(positions, dtype=np.int32), np.array(dists, dtype=float),
-            np.array(lengths, dtype=np.intp))
+    whole = all(d == int(d) for d in dists)
+    kind = (np.uint8 if whole and M < 255 else np.uint16 if whole and M < 65535
+            else np.float64)
+    return (np.array(positions, dtype=np.int16 if len(members) <= 2**15 else np.int32),
+            np.array(dists, dtype=kind), np.array(lengths, dtype=np.intp))
 
 
 def reference_first_cover(rows, colors, t):
@@ -457,7 +462,7 @@ def reference_first_cover(rows, colors, t):
         if (c & (colors[members] == colors[members[f]])).sum() > 1:
             raise CarveError("two same-color centers cover one point; the coloring "
                              "is not proper for the doubled radius band")
-    return np.array([members[f] for (members, _), f in zip(rows, first)], dtype=np.int32)
+    return np.array([members[f] for (members, _), f in zip(rows, first)], dtype=np.intp)
 
 
 def reference_degrees(graph):

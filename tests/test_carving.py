@@ -267,19 +267,24 @@ def owner_table_cases(draw):
     return net, colors, l, M
 
 
-def _flat_table(table):
+def _padding(kind):
+    """The padding distance of an owner table storing distances as ``kind``."""
+    return np.inf if kind == np.float64 else np.iinfo(kind).max
+
+
+def _flat_table(table, M):
     """An owner table's rows back to back in point order and its row
-    lengths, after checking its layout: ``int32`` positions and float64
-    distances in flat storage holding each row once, back to back, then one
-    longest row (at least one entry) of padding, read through windows of
-    that width."""
+    lengths, after checking its layout: flat storage holding each row once,
+    back to back, then one longest row (at least one entry) of padding, read
+    through windows of that width.  The padding is position 0 at the largest
+    value of the distances' type, which exceeds the radius cap ``M``."""
     members, dists, starts, lengths = table
     total, width = int(lengths.sum()), max(1, int(lengths.max()))
-    assert members.dtype == np.int32 and dists.dtype == np.float64
     assert members.shape == dists.shape == (total + 1, width)
     entries = _ranges(starts, lengths)
     assert np.array_equal(np.sort(entries), np.arange(total))
-    assert not members[total].any() and np.isinf(dists[total]).all()
+    assert not members[total].any() and (dists[total] == _padding(dists.dtype)).all()
+    assert _padding(dists.dtype) > M
     return members[entries, 0], dists[entries, 0], lengths
 
 
@@ -290,13 +295,56 @@ def test_owner_table_matches_the_literal_table(budget, case):
     """Built from radius-bounded row blocks, under the default budget and
     under 7 entries (one row a block), the owner table is entry for entry
     the literal one: rows cut at their sure cover's color run, members,
-    distances and padding."""
+    distances, their element types and padding."""
     net, colors, l, M = case
     with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
-        got = _flat_table(carving._owner_table(net, colors, l, M))
+        got = _flat_table(carving._owner_table(net, colors, l, M), M)
     want = literal_owner_table(net.space, net.members, colors, l, M)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+ELEMENT_TYPE_CASES = {
+    "segment": (lambda: pl.integer_segment(3000), 3.0, 609.0, np.uint16),
+    "tree": (lambda: pl.balanced_tree(3, 4), 1.0, 3.0, np.uint8),
+    "heis": (lambda: pl.heisenberg_ball(3), 1.0, 3.0, np.uint8),
+    "grid_l1": (lambda: pl.grid_2d(12, 12, "l1"), 1.0, 4.0, np.uint8),
+    "cap_255": (lambda: pl.integer_segment(600), 3.0, 255.0, np.uint16),
+    "cloud": (lambda: pl.euclidean_cloud(200, 2, seed=1, scale=12.0), 1.0, 3.0, np.float64),
+    "grid_l2": (lambda: pl.grid_2d(12, 12), 1.0, 4.0, np.float64),
+    "halves": (lambda: pl.CoordSpace(np.arange(81) / 2), 1.0, 4.0, np.float64),
+    "cap_65535": (lambda: pl.integer_segment(100), 3.0, 65535.0, np.float64),
+}
+
+
+@pytest.mark.parametrize("name", list(ELEMENT_TYPE_CASES))
+def test_owner_table_stores_whole_distances_narrow(name):
+    """Whole-number metrics (a segment, a tree, a Heisenberg ball, an l1
+    grid) store their distances in the first of uint8 and uint16 whose
+    maximum exceeds the radius cap M, which pads; a cloud, an l2 grid, a
+    space of half-integers and a cap of 65535 keep float64 padded with
+    infinity.  Positions are int16 below 2**15 members, and the owners of
+    every row come back as intp."""
+    make, eps, M, kind = ELEMENT_TYPE_CASES[name]
+    net = pl.build_net(make(), eps, eps)
+    colors = pl.greedy_color(pl.net_graph(net, 2 * M)).colors
+    table = carving._owner_table(net, colors, eps, M)
+    members, dists, _, _ = table
+    assert members.dtype == np.int16 and dists.dtype == kind
+    _flat_table(table, M)
+    owners = _first_cover(table, colors, np.full(len(net.members), eps))
+    assert owners.dtype == np.intp and len(owners) == net.space.n
+
+
+@pytest.mark.parametrize("size,kind", [(2**15, np.int16), (2**15 + 1, np.int32)])
+def test_owner_table_positions_hold_the_last_member(size, kind):
+    """Every point of a segment a member: 2**15 members store their
+    positions as int16, one more as int32, and the last position is kept."""
+    space = pl.integer_segment(size - 1)
+    net = pl.Net(space, np.arange(size), 1.0, 1.0)
+    members, dists, _, _ = carving._owner_table(net, np.arange(size) % 3, 1.0, 2.0)
+    assert members.dtype == kind and dists.dtype == np.uint8
+    assert int(members[:, 0].max()) == size - 1
 
 
 def test_owner_blocks_shrink_to_the_budget(monkeypatch):
@@ -318,31 +366,43 @@ def test_owner_blocks_shrink_to_the_budget(monkeypatch):
     monkeypatch.setattr(pl.MatrixSpace, "dist_block", recording)
     blocked = carving._owner_table(net, colors, 1.5, 3.0)
     assert len(net.members) == 1023 and set(calls) == {(1, 1023)}
-    for g, w in zip(_flat_table(blocked), _flat_table(whole)):
+    for g, w in zip(_flat_table(blocked, 3.0), _flat_table(whole, 3.0)):
         assert np.array_equal(g, w)
 
 
 def test_owner_table_peaks_near_its_own_bytes():
     """On segment:3000 with a (3, 3)-net and the carve benchmark's radii in
     [9, 609], the rows cut at their sure covers keep 536,220 of the
-    3001 x 406 entries within the cap, and building the table holds it and
-    one row block: its traced peak stays below 1.25x the bytes it returns
-    (reading every point against the whole net at once peaked near 2.7x)."""
-    space = pl.integer_segment(3000)
-    net = pl.build_net(space, 3, 3)
-    colors = pl.greedy_color(pl.net_graph(net, 2 * 609.0)).colors
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        out = carving._owner_table(net, colors, 9.0, 609.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    members, dists, starts, lengths = out
-    assert lengths.sum() == 536_220 and members.shape[1] == lengths.max()
-    flat = len(members) - 1 + members.shape[1]  # the entries under the windows
-    held = 12 * flat + starts.nbytes + lengths.nbytes
-    assert peak < 1.25 * held
+    3001 x 406 entries within the cap, in uint16; the same segment at half
+    the spacing (and half the radii) keeps the same rows in float64.
+    Building either table holds it and one row block: the traced peak stays
+    below the bytes it returns plus 2.5x the float64 distances of the widest
+    block (125 rows against 448 members).  The block, its masks and the
+    copies of its kept entries come to ~2.16x in both layouts; holding two
+    blocks at once came to ~2.91x, and every point's distances to the whole
+    net would alone be ~54x."""
+    for scale, kind in ((1.0, np.uint16), (0.5, np.float64)):
+        space = pl.CoordSpace(np.arange(3001) * scale)
+        l, M = 9.0 * scale, 609.0 * scale
+        net = pl.build_net(space, 3 * scale, 3 * scale)
+        colors = pl.greedy_color(pl.net_graph(net, 2 * M)).colors
+        order = spaces._sweep_order(space, np.arange(space.n))
+        width = max(len(near) for _, _, near in spaces._near_blocks(space, order, M,
+                                                                    net.position_of))
+        block = 8 * spaces._block_rows(width) * width
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = carving._owner_table(net, colors, l, M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        members, dists, starts, lengths = out
+        assert lengths.sum() == 536_220 and members.shape[1] == lengths.max()
+        assert (width, block, dists.dtype) == (448, 448_000, kind)
+        flat = len(members) - 1 + members.shape[1]  # the entries under the windows
+        held = (members.itemsize + dists.itemsize) * flat + starts.nbytes + lengths.nbytes
+        assert peak < held + 2.5 * block
 
 
 # columns on either side of the owner scan's chunk boundaries (16, 48, 112, 240)
@@ -426,7 +486,8 @@ def test_chunked_first_cover_matches_full_width_scan(case):
     if isinstance(expected, str):
         assert got == expected
     else:
-        assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+        assert isinstance(got, np.ndarray) and got.dtype == expected.dtype == np.intp
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("rows,expected", [

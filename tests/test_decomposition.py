@@ -761,6 +761,14 @@ class TestReaders:
             with pytest.raises(decomposition.ConfigError, match="layers must be"):
                 decomposition._read_layers(bad, 10)
 
+    def test_dump_json_streams_the_text_it_returns(self, tmp_path):
+        """Written to a file, the document is the text returned without one."""
+        doc = {"b": [np.float64(1 / 3), np.int64(2)], "a": {"c": [[0, 1], []]}}
+        path = tmp_path / "out.json"
+        text = decomposition.dump_json(doc)
+        assert decomposition.dump_json(doc, path) == path.read_text() == text
+        assert text.endswith("]\n}\n") and '"b": [\n  0.333333333333,' in text
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_dump_json_refuses_non_finite_floats(self, tmp_path, value):
         path = tmp_path / "out.json"

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +306,18 @@ def test_growth_table_holds_one_radius_bounded_block():
         tracemalloc.stop()
     assert table == reference_growth_table(space, [3, 4, 5, 6], trials=3, seed=7)
     assert peak < 8 * 2**20
+
+
+def test_one_trial_imports_no_random_generator():
+    """``gen`` builds one trial, in index order: a fresh process that builds a
+    one-trial table never imports ``numpy.random``, whose import costs a bare
+    process ~13 ms and ~6 MB."""
+    src = str(Path(pl.__file__).resolve().parent.parent)
+    code = ("import sys, padlab as pl; pl.growth_table(pl.heisenberg_ball(3), [2.0], trials=1); "
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.stdout.strip() == "False", proc.stderr[-2000:]
 
 
 def test_loglog_slope_undefined_cases():

@@ -532,13 +532,14 @@ def carve_seg3000_seed0():
 
 def test_resampler_holds_the_owner_table_and_little_else(carve_seg3000_seed0):
     """The resampler's traced peak stays within 4 MiB of its owner table's
-    536,220 kept entries at 12 bytes an entry (an int32 position and a
-    float64 distance): 10.1 MiB, which the table of every member within the
-    radius cap, padded to 406 a row (16.2 MiB), exceeds."""
+    536,220 kept entries at 4 bytes an entry (an int16 position and a uint16
+    distance, the segment's distances being whole): 6.0 MiB.  It traced at
+    3.3 MiB; with 12-byte entries (an int32 position and a float64 distance)
+    it traced at 7.7 MiB."""
     net, csp, _ = carve_seg3000_seed0
     result, peak = _traced_peak(lambda: pl.moser_tardos(net.space, net, csp, 0))
     assert result.success
-    assert peak < 12 * 536_220 + 4 * 2**20
+    assert peak < 4 * 536_220 + 4 * 2**20
 
 
 def test_verifying_the_carve_reads_set_diameters_in_small_blocks(carve_seg3000_seed0):

@@ -197,27 +197,29 @@ def test_only_the_reader_and_the_probe_set_up_ask_for_near_members():
 def test_only_the_block_shape_reads_the_block_budget():
     """Every blocked buffer has one shape: besides the constant's definition,
     only ``spaces._block_rows`` reads ``_BLOCK_ENTRIES``, and the two readers,
-    the cut probes' radii chunk and the sampled triples' chunk call it."""
+    the set diameters' pass, the cut probes' radii chunk and the sampled
+    triples' chunk call it."""
     assert _readers("_BLOCK_ENTRIES") == {("spaces", None), ("spaces", "_block_rows")}
     assert {("spaces", "_dist_blocks"), ("spaces", "_near_blocks"),
-            ("carving", "cut_probability_mc"),
+            ("spaces", "_set_diameters"), ("carving", "cut_probability_mc"),
             ("spaces", "validate_metric")} <= _readers("_block_rows")
 
 
 def test_covers_and_decompositions_share_one_frame():
     """``Cover`` and ``PaddedDecomposition`` read their bounds and layers and
-    count their layers in one base, and inside ``decomposition.py`` only
-    ``_check_diameters`` calls ``set_diameter``, so a per-layer diameter pass
-    replaces one call site."""
+    count their layers in one base, and inside ``decomposition.py`` set
+    diameters are read only by ``_check_diameters``, in one pass per layer
+    through ``spaces._set_diameters``: nothing calls ``set_diameter`` set by
+    set."""
     for cls in (pl.Cover, pl.PaddedDecomposition):
         assert [name for name in ("__post_init__", "m") if name in vars(cls)] == []
         assert cls.__mro__[1] is decomposition._Layered
     with open(decomposition.__file__) as fh:
         tree = ast.parse(fh.read())
-    callers = {top.name for top in tree.body for node in ast.walk(top)
-               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-               and node.func.id == "set_diameter"}
-    assert callers == {"_check_diameters"}
+    calls = {(top.name, node.func.id) for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("set_diameter", "_set_diameters")}
+    assert calls == {("_check_diameters", "_set_diameters")}
 
 
 def test_only_the_sweep_and_the_net_build_a_member_index():

@@ -305,6 +305,25 @@ def test_near_blocks_partition_the_rows_and_hold_every_near_member(case):
     assert end == len(rows)
 
 
+@pytest.mark.parametrize("budget", [7, 2304, spaces._BLOCK_ENTRIES])
+@given(st.sampled_from(FIXTURES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_set_diameters_match_each_sets_pairs(budget, space, data):
+    """One pass over a list of sets (empty, overlapping or repeating points,
+    up to the whole space) gives each set's largest pairwise distance from
+    the distance matrix, bit for bit, and ``set_diameter`` of each alone.  A
+    2304-entry budget caps a block at 3 rows, so most sets are read alone,
+    in blocks of their own rows."""
+    point_sets = st.lists(st.integers(0, space.n - 1), max_size=space.n)
+    sets = data.draw(st.lists(point_sets, max_size=8) | st.just([np.arange(space.n)]))
+    mat = space.distance_matrix()
+    want = [float(mat[np.ix_(s, s)].max()) if len(s) else 0.0 for s in sets]
+    with mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
+        got = spaces._set_diameters(space, sets)
+        alone = [pl.set_diameter(space, s) for s in sets]
+    assert got.dtype == np.float64 and got.tolist() == want == alone
+
+
 def test_candidates_are_the_grown_bounding_box():
     seg = pl.integer_segment(100)
     assert seg.candidates([50, 52], 3.0).tolist() == list(range(47, 56))
