@@ -45,14 +45,13 @@ candidate members are sorted by color as each chunk of trials reaches it,
 and each trial scans them in the same widening column chunks as the owner
 rule until the first touching ball; the probe is intact iff a ball of that
 color run, from there to the run's end, swallows it.  Only the probe being
-evaluated holds its set-up, so the harness holds one per thread beside the
-radii of a chunk (one block of ``spaces._block_rows`` trials against the
-members), at the price of one set-up per probe per chunk.
+evaluated holds its set-up, so the harness holds one beside the radii of a
+chunk (one block of ``spaces._block_rows`` trials against the members), at
+the price of one set-up per probe per chunk.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -396,6 +395,7 @@ def _probe_setup(net: Net, colors, M, ball):
     for _, sub in _dist_blocks(net.space, ball, net.members[near]):
         np.minimum(dmin, sub.min(axis=0), out=dmin)
         np.maximum(dmax, sub.max(axis=0), out=dmax)
+        del sub  # before the next block is read
     keep = np.nonzero(dmin < M)[0]
     keep = keep[np.argsort(colors[near[keep]], kind="stable")]
     run_colors = colors[near[keep]]
@@ -403,8 +403,8 @@ def _probe_setup(net: Net, colors, M, ball):
             np.searchsorted(run_colors, run_colors, side="right"))
 
 
-def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int, seed: int,
-                       threads: int = 1) -> CutProbeResult:
+def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int,
+                       seed: int) -> CutProbeResult:
     """Monte Carlo cut frequencies of probe balls under i.i.d. carving radii.
 
     Each trial draws one radius per net member in the law's window [l, M]
@@ -412,14 +412,13 @@ def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int,
     two clusters.  The carve is evaluated lazily through the first-touching-ball
     rule, which agrees with carving the full layer (the test suite checks this
     against a literal inductive implementation).  Deterministic given
-    ``seed``; ``threads > 1`` spreads the probe centers of each chunk of
-    trials over a thread pool without changing any result.
+    ``seed``.
 
     Trials run in chunks of ``spaces._block_rows`` trials against the net's
     members: at most 125 trials and ``_BLOCK_ENTRIES`` radii.  Each probe's
     set-up (:func:`_probe_setup`) is built when a chunk evaluates it and
-    dropped after, so memory holds the radii buffer and one set-up per
-    thread, whatever the number of probes, at one set-up per chunk.
+    dropped after, so memory holds the radii buffer and one set-up, whatever
+    the number of probes, at one set-up per chunk.
     """
     trials = _number(trials, "trials", "an integer >= 1", integer=True, low=1)
     l, M = law.window
@@ -432,24 +431,17 @@ def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int,
     colors = greedy_color(net_graph(net, 2 * M)).colors
     balls = _balls(net.space, centers, probe_radius)
     cut = np.zeros((trials, len(centers)), dtype=bool)
-
-    def eval_probe(j, radii_chunk, rows):
-        cut[rows, j] = _probe_cuts(*_probe_setup(net, colors, M, balls[j]), radii_chunk)
-
     # Radii are drawn per trial (stream [seed, trial]) into the rows of one
-    # buffer and evaluated for all trials of a chunk at once; threads split
-    # the probe loop over one pool, which starts no thread unless threads > 1.
+    # buffer and evaluated for all trials of a chunk at once.
     chunk = min(trials, spaces._block_rows(len(net.members)))
     buffer = np.empty((chunk, len(net.members)))
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        run = pool.map if threads > 1 else map
-        for start in range(0, trials, chunk):
-            ks = range(start, min(start + chunk, trials))
-            radii_chunk = buffer[:len(ks)]
-            for row, k in zip(radii_chunk, ks):
-                row[:] = draw_radii(law, net, seed, k).t
-            rows = np.arange(ks.start, ks.stop)
-            list(run(lambda j: eval_probe(j, radii_chunk, rows), range(len(centers))))
+    for start in range(0, trials, chunk):
+        ks = range(start, min(start + chunk, trials))
+        radii = buffer[:len(ks)]
+        for row, k in zip(radii, ks):
+            row[:] = draw_radii(law, net, seed, k).t
+        for j, ball in enumerate(balls):
+            cut[ks.start:ks.stop, j] = _probe_cuts(*_probe_setup(net, colors, M, ball), radii)
 
     per_freq = cut.mean(axis=0)
     per_se = np.sqrt(per_freq * (1 - per_freq) / trials)

@@ -14,16 +14,14 @@ Exit codes: 0 = pass, 1 = a verified failure (a bound or verifier said no),
 byte-identical output files: floats are capped at 12 significant digits,
 JSON keys are sorted, and nothing timestamps itself.
 
-``--threads`` spreads cutprob's probe centers within each chunk of trials
-over at most one thread per CPU; it never changes results.  A config, a
-cutprob ``net`` and a schedule refuse keys they do not read.
+padlab runs in one thread; the global ``--threads`` accepts only 1.  A
+config, a cutprob ``net`` and a schedule refuse keys they do not read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -67,10 +65,6 @@ def _run_fields(args, cfg: dict, *keys) -> tuple:
             _number(cfg.get("seed", 0) if args.seed is None else args.seed, '"seed"',
                     "an integer >= 0", integer=True, low=0),
             _text(args.out or cfg.get("out"), '"out"'))
-
-
-def _threads(args) -> int:
-    return max(1, min(args.threads, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +154,12 @@ def cmd_carve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cutprob_row(net, entry, schedule, trials, n_centers, seed, threads):
+def _cutprob_row(net, entry, schedule, trials, n_centers, seed):
     law, probe = schedule.law(), schedule.probe_radius
     bound, regime = schedule.cut_bound()
     rng = np.random.default_rng([seed, 0xC3])
     centers = np.sort(rng.choice(net.members, min(n_centers, len(net.members)), replace=False))
-    res = cut_probability_mc(net, law, probe, centers, trials, seed, threads=threads)
+    res = cut_probability_mc(net, law, probe, centers, trials, seed)
     params = ";".join(f"{k}={_fmt(entry[k])}" for k in sorted(entry))
     ok = "" if not regime else str(res.aggregate_freq <= bound + 3 * res.aggregate_se).lower()
     return {
@@ -196,7 +190,7 @@ def cmd_cutprob(args) -> int:
                         integer=True, low=1)
     schedules = [schedule_from_json(entry) for entry in grid]  # refused before any work
     net = build_net(parse_fixture(fixture), eps, delta)
-    rows = [{**_cutprob_row(net, entry, schedule, trials, n_centers, seed, _threads(args)),
+    rows = [{**_cutprob_row(net, entry, schedule, trials, n_centers, seed),
              "experiment": f"cutprob-{k}"}
             for k, (entry, schedule) in enumerate(zip(grid, schedules))]
     cols = ["experiment", "fixture", "params", "probe_radius", "trials", "centers",
@@ -308,8 +302,8 @@ def cmd_lll_check(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="padlab", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--threads", type=int, default=1,
-                    help="threads over cutprob's probe centers, at most one per CPU")
+    ap.add_argument("--threads", type=int, default=1, choices=[1],
+                    help="accepted for old command lines; padlab runs in one thread")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a fixture file plus a constants sidecar")

@@ -222,6 +222,7 @@ def _close_pairs(space, layer, r: float):
         colmin = np.full(len(pts) - later, np.inf)
         for _, sub in _dist_blocks(space, layer[a], pts[later:]):
             np.minimum(colmin, sub.min(axis=0), out=colmin)
+            del sub  # before the next block is read
         setmin = np.minimum.reduceat(colmin, starts[k + 1:-1] - later)
         for j in np.nonzero(setmin <= r)[0]:
             yield a, ids[k + 1 + j], float(setmin[j])

@@ -161,6 +161,7 @@ def volume_doubling_estimate(ms: MeasuredSpace, radii, centers=None) -> float:
                     raise ValueError(f"ball B_{r}({c}) has zero mass")
                 outer = float(mass[row < 2 * r].sum())
                 best = max(best, outer / inner)
+        del row  # a view that holds its block alive while the next is read
     return best
 
 
@@ -202,6 +203,7 @@ def _max_ball_counts(net, radii) -> list:
         sub = space.dist_block(rows[lo:hi], net.members[near])
         for k, r in enumerate(radii):
             counts[k] = max(counts[k], int((sub < r).sum(axis=1).max()))
+        del sub  # before the next block is read
     return counts
 
 

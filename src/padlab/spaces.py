@@ -21,7 +21,7 @@ construction time so that runs reproduce bit-for-bit across platforms.
 Each backend implements one distance kernel, ``dist_block``, and every
 distance is read through it, in row blocks of one shape (``_block_rows``: at
 most 125 rows and ``_BLOCK_ENTRIES`` entries, or one wider row) from one of
-two readers.
+two readers.  Each pass drops a block before it reads the next.
 
 * ``_near_blocks`` reads rows against the members within a radius of each
   block, which :meth:`FiniteMetricSpace.candidates` bounds (a bounding box
@@ -81,8 +81,7 @@ class FiniteMetricSpace:
     """A finite point set with a total distance oracle.
 
     Subclasses implement :meth:`dist_block`; rows, single distances and
-    balls are read through it.  Instances are immutable after construction
-    and safe to share across concurrent readers.
+    balls are read through it.  Instances are immutable after construction.
     """
 
     def __init__(self, n: int, label: str):
@@ -120,6 +119,7 @@ class FiniteMetricSpace:
         mat = np.empty((self.n, self.n))
         for start, sub in _dist_blocks(self, np.arange(self.n)):
             mat[start:start + len(sub)] = sub
+            del sub  # before the next block is read
         return mat
 
     def __repr__(self):
@@ -227,7 +227,8 @@ def _block_rows(width: int) -> int:
 
 def _dist_blocks(space: FiniteMetricSpace, rows, cols=None):
     """Yield ``(start, space.dist_block(rows[start:start + step], cols))`` over
-    ``rows`` in blocks of :func:`_block_rows` rows against the columns."""
+    ``rows`` in blocks of :func:`_block_rows` rows against the columns.  A
+    caller drops each block before it asks for the next, so it holds one."""
     step = _block_rows(space.n if cols is None else len(cols))
     for start in range(0, len(rows), step):
         yield start, space.dist_block(rows[start:start + step], cols)
@@ -269,6 +270,7 @@ def _set_diameters(space: FiniteMetricSpace, sets) -> np.ndarray:
         if owner[c0] != owner[c1 - 1]:
             sub[owner[lo:hi, None] != owner[c0:c1]] = 0
         row_max[lo:hi] = sub.max(axis=1)
+        del sub  # before the next block is read
         lo = hi
     diameters = np.zeros(len(sets))
     if len(points):
@@ -621,13 +623,13 @@ def parse_fixture(spec: str) -> FiniteMetricSpace:
             seed = 0
             if len(parts) == 4:
                 if not parts[3].startswith("seed="):
-                    raise ValueError
+                    raise ValueError(f"expected seed=N, got {parts[3]!r}")
                 seed = int(parts[3][5:])
             return euclidean_cloud(int(parts[1]), int(parts[2]), seed)
         if kind == "tree" and len(parts) == 3:
             return balanced_tree(int(parts[1]), int(parts[2]))
     except (ValueError, IndexError) as exc:
-        raise ValueError(f"bad fixture spec {spec!r}") from exc
+        raise ValueError(f"bad fixture spec {spec!r}: {exc}") from exc
     raise ValueError(f"unknown fixture spec {spec!r}")
 
 

@@ -612,15 +612,6 @@ class TestCutProbabilityMc:
         with pytest.raises(ValueError, match=f"point ids must be integers in 0..20, got {shown}"):
             pl.cut_probability_mc(net, pl.TgeoParams(0.5, 4), 3.0, centers, 3, seed=0)
 
-    def test_threads_do_not_change_results(self):
-        space = pl.integer_segment(200)
-        net = pl.build_net(space, 1, 1)
-        law = pl.TgeoParams(0.1, 15)
-        centers = np.arange(10, 190, 17)
-        a = pl.cut_probability_mc(net, law, 4.0, centers, 30, 5)
-        b = pl.cut_probability_mc(net, law, 4.0, centers, 30, 5, threads=4)
-        assert np.array_equal(a.cut_matrix, b.cut_matrix)
-
     @pytest.mark.parametrize("coords,members,law,center", [
         ([0.0, 20.0], [0], pl.TgeoParams(0.5, 4), 1),            # no candidate
         ([0.0, 3.5], [0], pl.TexpParams(50.0, 1.0, 4.0), 1),     # none reaches
@@ -715,7 +706,7 @@ def test_probe_scan_matches_dense_evaluation(trials_per_chunk, case):
     evaluation over every candidate of every probe, for greedy colorings and
     for few-color ones with long same-color runs.  A block budget of 1 or 3
     trials' radii splits the trials into chunks, each of which sets its
-    probes up again; at 3 trials a chunk 4 threads give the same matrix."""
+    probes up again."""
     n, M, law, probe, centers, trials, seed, k = case
     space = pl.integer_segment(n - 1)
     net = pl.build_net(space, 1, 1)
@@ -737,9 +728,8 @@ def test_probe_scan_matches_dense_evaluation(trials_per_chunk, case):
             mock.patch.object(spaces, "_BLOCK_ENTRIES", budget):
         if trials_per_chunk is not None:
             assert spaces._block_rows(len(net.members)) == trials_per_chunk
-        for threads in (1, 4) if trials_per_chunk == 3 else (1,):
-            res = pl.cut_probability_mc(net, law, probe, centers, trials, seed, threads)
-            assert np.array_equal(res.cut_matrix, expected)
+        res = pl.cut_probability_mc(net, law, probe, centers, trials, seed)
+    assert np.array_equal(res.cut_matrix, expected)
 
 
 @st.composite

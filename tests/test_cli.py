@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import copy
 import io
@@ -13,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import padlab as pl
 from padlab import cli, decomposition, spaces
-from padlab.cli import _threads, main
+from padlab.cli import main
 
 
 def write_config(tmp_path, name, payload):
@@ -123,6 +122,17 @@ class TestGen:
         path.write_text(text)
         assert main(["gen", "--fixture", f"{kind}:{path}", "--out", str(tmp_path / "x")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,reason", [
+        ("heis:100", "radius 100 exceeds the memory guard 16"),
+        ("tree:3:9", "tree with 29524 nodes exceeds the 5000-point guard"),
+        ("cloud:5:2:foo=3", "expected seed=N, got 'foo=3'"),
+    ], ids=["heis", "tree", "cloud_seed"])
+    def test_refused_fixture_spec_names_its_reason(self, tmp_path, capsys, spec, reason):
+        """A refused spec exits 2 with the reason after the spec: the
+        fixture's own, or the field the parser could not read."""
+        assert main(["gen", "--fixture", spec, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: bad fixture spec {spec!r}: {reason}\n"
 
 
 CONVERGING = {"kind": "texp", "N": 3, "r": 3.0, "eps": 0.05, "D": 100.0}
@@ -312,19 +322,6 @@ class TestCutprob:
             assert main(["cutprob", "--config", cfg]) == 0
             outs.append(out)
         assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
-
-    def test_thread_count_is_clamped_to_cpus(self):
-        cpus = os.cpu_count() or 1
-        assert _threads(argparse.Namespace(threads=10**9)) == cpus
-
-    def test_threads_flag_keeps_bytes(self, tmp_path):
-        out1 = str(tmp_path / "t1.csv")
-        assert main(["cutprob", "--config", tgeo_grid_config(tmp_path, out1)]) == 0
-        out2 = str(tmp_path / "t2.csv")
-        code = main(["--threads", "3", "cutprob", "--config",
-                     tgeo_grid_config(tmp_path, out2)])
-        assert code == 0
-        assert open(out1).read().replace("t1", "") == open(out2).read().replace("t2", "")
 
 
 class TestGrowth:
@@ -832,6 +829,22 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("threads", ["2", "0", "-3"])
+def test_threads_accepts_only_one(capsys, threads):
+    """padlab runs in one thread: ``--threads 1`` parses and changes nothing,
+    and any other count, 0 and negative ones included, exits 2 with a
+    message rather than running as one thread."""
+    sched = json.dumps({"kind": "tgeo", "b": 1, "p": 0.0025, "M": 9585, "m": 2, "r": 9})
+    assert main(["--threads", "1", "lll-check", "--schedule", sched]) == 0
+    one = capsys.readouterr().out
+    assert main(["lll-check", "--schedule", sched]) == 0
+    assert capsys.readouterr().out == one
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", threads, "lll-check", "--schedule", sched])
+    assert exc.value.code == 2
+    assert f"argument --threads: invalid choice: {threads}" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_two(tmp_path):

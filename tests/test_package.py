@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import os
 import pkgutil
+import subprocess
 import sys
 
 import padlab as pl
@@ -126,6 +127,30 @@ def test_benchmark_command_lines_parse(tmp_path):
                 assert args.threads == 1 and callable(args.func), (name, op.key)
                 parsed += 1
     assert parsed
+
+
+def test_padlab_runs_in_one_thread():
+    """No module of ``padlab`` imports a thread or process pool, and a fresh
+    ``import padlab.cli`` loads neither ``concurrent.futures`` nor the
+    ``logging`` it pulls in (~0.75 MB and 6-8 ms a process)."""
+    package = os.path.dirname(os.path.abspath(pl.__file__))
+    imported = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                for node in ast.walk(ast.parse(fh.read())):
+                    if isinstance(node, ast.Import):
+                        imported.update(a.name for a in node.names)
+                    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                        imported.add(node.module)
+    pools = {"concurrent", "concurrent.futures", "threading", "multiprocessing"}
+    assert imported & pools == set()
+    code = ("import sys, padlab.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.path.dirname(package)},
+                          timeout=120)
+    assert proc.stdout.strip() == "[]", proc.stderr[-2000:]
 
 
 def _padlab_names(source):
