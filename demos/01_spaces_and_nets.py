@@ -30,7 +30,7 @@ print(f"doubling constant lower estimate: {N}")
 for M in (2.0, 4.0, 8.0):
     g = pl.net_graph(net, M)
     bound = N**2 * (M / r) ** np.log2(N)
-    print(f"band [{r}, {M}]: {g.num_vertices()} vertices, max degree "
+    print(f"band [{r}, {M}]: {len(g.net)} vertices, max degree "
           f"{g.max_degree:3d} <= predicted {bound:7.1f}")
 
 print("\n== net-point counts inside balls ==")

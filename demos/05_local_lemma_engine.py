@@ -29,7 +29,7 @@ for D in (20.0, 50.0, 100.0, 200.0):
     sched = pl.TexpSchedule(N=3, r=3.0, eps=0.05, D=D)
     csp = pl.csp_from_schedule(net, sched)
     t0 = time.time()
-    res = pl.moser_tardos(space, net, csp, seed=0, max_rounds=600)
+    res = pl.moser_tardos(net, csp, seed=0, max_rounds=600)
     state = f"converged in {res.rounds} rounds" if res.success else \
         f"stalled with {res.residual_violations} violations"
     print(f"D = {D:5g}: initial violations {res.violated_history[0]:3d}, {state} "

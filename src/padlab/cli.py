@@ -14,8 +14,9 @@ Exit codes: 0 = pass, 1 = a verified failure (a bound or verifier said no),
 byte-identical output files: floats are capped at 12 significant digits,
 JSON keys are sorted, and nothing timestamps itself.
 
-padlab runs in one thread; the global ``--threads`` accepts only 1.  A
-config, a cutprob ``net`` and a schedule refuse keys they do not read.
+Each run input comes in one way: ``carve`` and ``cutprob`` read only their
+``--config``, ``lll-check`` only ``--schedule``.  padlab runs in one thread
+(``--threads`` accepts only 1).  Configs and schedules refuse unread keys.
 """
 
 from __future__ import annotations
@@ -58,13 +59,12 @@ def _load_config(path) -> dict:
 
 
 def _run_fields(args, cfg: dict, *keys) -> tuple:
-    """The fixture, seed and output path of a carve or cutprob run, whose config
-    holds no key but these and ``keys``; a flag wins over its config key."""
+    """The fixture, seed (default 0) and output path of a carve or cutprob run,
+    read from its config, which holds no key but these and ``keys``."""
     _known_keys(cfg, f"{args.command} config", ("fixture", "seed", "out", *keys))
-    return (_text(args.fixture or cfg.get("fixture"), '"fixture"'),
-            _number(cfg.get("seed", 0) if args.seed is None else args.seed, '"seed"',
-                    "an integer >= 0", integer=True, low=0),
-            _text(args.out or cfg.get("out"), '"out"'))
+    return (_text(cfg.get("fixture"), '"fixture"'),
+            _number(cfg.get("seed", 0), '"seed"', "an integer >= 0", integer=True, low=0),
+            _text(cfg.get("out"), '"out"'))
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +78,11 @@ def cmd_gen(args) -> int:
     their unit-distance pairs: that reloads a tree or an unweighted ``edges:`` input,
     but not a Heisenberg ball (geodesics leave it) nor a weighted ``edges:`` input."""
     space = parse_fixture(args.fixture)
-    out = args.out
     sidecar = {"fixture": args.fixture, "n": space.n}
     if isinstance(space, CoordSpace):
         sidecar["format"] = "points"
         sidecar["metric"] = space.metric
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             for row in space.coords:
                 fh.write(" ".join(_fmt(float(v)) for v in row) + "\n")
     else:
@@ -91,7 +90,7 @@ def cmd_gen(args) -> int:
         sidecar["format"] = "edges"
         sidecar["metric"] = "graph"
         points = np.arange(space.n)
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             # each row's unit-distance partners after it, in row-major order,
             # read against the candidates within distance 1
             for lo, hi, near in _near_blocks(space, points, np.nextafter(1.0, np.inf), points):
@@ -108,8 +107,8 @@ def cmd_gen(args) -> int:
         gradii = [r for r in (2.0, 4.0, 8.0) if r <= span] or [1.0]
         table = growth_table(space, gradii, trials=1, seed=0)
         sidecar["growth_table"] = {_fmt(r): int(v) for r, v in sorted(table.items())}
-    dump_json(sidecar, out + ".json")
-    print(f"wrote {out} and {out}.json ({space.n} points)")
+    dump_json(sidecar, args.out + ".json")
+    print(f"wrote {args.out} and {args.out}.json ({space.n} points)")
     return PASS
 
 
@@ -214,13 +213,13 @@ def cmd_growth(args) -> int:
     fixture = args.fixture
     seed = _number(args.seed or 0, '"seed"', "an integer >= 0", integer=True, low=0)
     trials = _number(args.trials, '"trials"', "an integer >= 1", integer=True, low=1)
-    try:
-        radii = [float(tok) for tok in args.radii.split(",") if tok]
+    if not args.radii.strip(", "):
+        raise ConfigError("growth needs a nonempty --radii list")
+    try:  # an empty token, as in "2,,4", is no number either
+        radii = [float(tok) for tok in args.radii.split(",")]
     except ValueError:
         raise ConfigError(f"--radii must be comma-separated numbers, got {_shown(args.radii)}") \
             from None
-    if not radii:
-        raise ConfigError("growth needs a nonempty --radii list")
     space = parse_fixture(fixture)
     table = growth_table(space, radii, trials=trials, seed=seed)
     out = args.out or "growth.csv"
@@ -244,8 +243,7 @@ def cmd_growth(args) -> int:
 def cmd_convert(args) -> int:
     with open(args.input) as fh:
         doc = json.load(fh)
-    out = args.out
-    if out is None:
+    if args.out is None:
         raise ConfigError("convert needs --out")
     if args.direction == "to-padded":
         if args.R is None or args.r is None:
@@ -254,15 +252,15 @@ def cmd_convert(args) -> int:
         r = _number(args.r, "--r", "a finite number > 0", above=0)
         cover = cover_from_json(doc)
         pd = padded_from_cover(cover, build_net(cover.space, r, r), R)
-        dump_json(decomposition_to_json(pd, doc["fixture"]), out)
-        print(f"wrote {out}: ({_fmt(pd.R)}, {_fmt(pd.D)})-padded, {pd.m} layers")
+        dump_json(decomposition_to_json(pd, doc["fixture"]), args.out)
+        print(f"wrote {args.out}: ({_fmt(pd.R)}, {_fmt(pd.D)})-padded, {pd.m} layers")
         return PASS
     if args.R is not None or args.r is not None:  # --direction to-cover, the only other choice
         raise ConfigError("to-cover takes no --R or --r: the decomposition and its net fix both")
     pd = decomposition_from_json(doc)
     cover = cover_from_padded(pd)
-    dump_json(cover_to_json(cover, doc["fixture"]), out)
-    print(f"wrote {out}: ({_fmt(cover.r_disjoint)}, {_fmt(cover.D_bound)})-cover")
+    dump_json(cover_to_json(cover, doc["fixture"]), args.out)
+    print(f"wrote {args.out}: ({_fmt(cover.r_disjoint)}, {_fmt(cover.D_bound)})-cover")
     return PASS
 
 
@@ -272,13 +270,9 @@ def cmd_convert(args) -> int:
 
 
 def cmd_lll_check(args) -> int:
-    if args.schedule:
-        doc = json.loads(args.schedule)
-    elif args.config:
-        doc = _load_config(args.config).get("schedule")
-    else:
-        raise ConfigError("lll-check needs --schedule or --config")
-    schedule = schedule_from_json(doc)
+    if args.schedule is None:
+        raise ConfigError("lll-check needs --schedule")
+    schedule = schedule_from_json(json.loads(args.schedule))
     budget = schedule.budget()
     payload = {
         "schedule": schedule_to_json(schedule),
@@ -289,8 +283,7 @@ def cmd_lll_check(args) -> int:
         "margin_log": budget.margin_log,
         "feasible": budget.feasible,
     }
-    text = dump_json(payload, args.out)
-    sys.stdout.write(text)
+    sys.stdout.write(dump_json(payload, args.out))
     return PASS
 
 
@@ -313,16 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("carve", help="resample, carve, and verify the padding claim")
     p.add_argument("--config", required=True)
-    p.add_argument("--fixture")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_carve)
 
     p = sub.add_parser("cutprob", help="Monte Carlo cut frequencies vs closed-form bounds")
     p.add_argument("--config", required=True)
-    p.add_argument("--fixture")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_cutprob)
 
     p = sub.add_parser("growth", help="growth table and log-log slope")
@@ -343,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lll-check", help="evaluate a schedule's feasibility budget")
     p.add_argument("--schedule", help="inline schedule JSON")
-    p.add_argument("--config")
     p.add_argument("--out")
     p.set_defaults(func=cmd_lll_check)
     return ap

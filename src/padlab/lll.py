@@ -35,7 +35,7 @@ from .decomposition import (ConfigError, PaddedDecomposition, VerificationReport
                             _known_keys, _number, _shown, verify_padded)
 from .nets import Net, net_graph
 from .sampler import TexpParams, TgeoParams
-from .spaces import FiniteMetricSpace, _balls
+from .spaces import _balls
 
 __all__ = [
     "LllBudget",
@@ -408,7 +408,7 @@ class MoserTardosFailure(RuntimeError):
         self.result = result
 
 
-def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int,
+def moser_tardos(net: Net, csp: CspInstance, seed: int,
                  max_rounds: int | None = None) -> MoserTardosResult:
     """Resample until every probe ball is uncut in some layer.
 
@@ -419,22 +419,20 @@ def moser_tardos(space: FiniteMetricSpace, net: Net, csp: CspInstance, seed: int
     recarves the points a redrawn ball can cover.  Reports failure (never
     retries) after ``max_rounds`` (default: 100 per constraint).
 
-    ``space`` must be ``net.space`` and ``csp`` built on ``net`` (the three stay
-    arguments: ``perfbench/tracer.py`` reads ``net`` and ``csp`` by position).
+    ``csp`` must be built on ``net``, whose space the resampler carves.
     Every carving applies the owner rule of :mod:`padlab.carving` to one owner
     table built up front at the law's window ``[l, M]``: every draw is at
     least ``l`` (a texp draw is ``l - log1p(.)/lam``, a tgeo draw at least
-    1 = l), so each row ends with the color run of its sure cover, its
-    first member within ``l``.  A recarve passes
-    ``space.candidates`` of the domain at the radius cap, a superset of the
-    points a redrawn ball can cover, to the chunked scan; a row whose radii
-    did not change keeps its owner, so the final layers equal
-    :func:`carving.carve` of the final radii and are returned as they stand.
+    1 = l), so each row ends with the color run of its sure cover, its first
+    member within ``l``.  A recarve passes ``space.candidates`` of the domain
+    at the radius cap, a superset of the points a redrawn ball can cover, to
+    the chunked scan; a row whose radii did not change keeps its owner, so
+    the final layers equal :func:`carving.carve` of the final radii and are
+    returned as they stand.
     """
     if csp.net is not net:
         raise ValueError("csp was built for a different net")
-    if space is not net.space:
-        raise ValueError("net was built on a different space")
+    space = net.space
     l, M = csp.law.window
     _check_coverage(net, l)
     members = net.members
@@ -500,7 +498,8 @@ def certify_decomposition(net: Net, schedule, seed: int,
     the layers it carved: (R, D) = (probe radius, 2M).  Raises
     :class:`MoserTardosFailure` when the resampler gives up."""
     csp = csp_from_schedule(net, schedule)
-    result = moser_tardos(net.space, net, csp, seed, max_rounds=max_rounds)
+    # by name: perfbench/tracer.py reads net and csp at their parameter names
+    result = moser_tardos(net=net, csp=csp, seed=seed, max_rounds=max_rounds)
     if not result.success:
         raise MoserTardosFailure(result)
     layers = [layer.cluster_sets() for layer in result.layers]

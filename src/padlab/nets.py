@@ -155,9 +155,6 @@ class NetGraph:
         self._degrees, self._colors = _band_pass(self.net, self.band_low, self.band_high)
         self.max_degree = int(self._degrees.max()) if len(self.net) else 0
 
-    def num_vertices(self) -> int:
-        return len(self.net.members)
-
 
 def net_graph(net: Net, M: float) -> NetGraph:
     """Band graph on net members with edges at distances in [net.delta, M]."""

@@ -208,12 +208,13 @@ class MatrixSpace(FiniteMetricSpace):
         self.matrix = matrix
 
     def dist_block(self, rows, cols=None):
-        rows = np.asarray(rows, dtype=np.intp)
-        sub = self.matrix[rows]
+        sub = self.matrix[np.asarray(rows, dtype=np.intp)]
         return sub if cols is None else sub[:, np.asarray(cols, dtype=np.intp)]
 
     def distance_matrix(self):
-        return self.matrix
+        view = self.matrix.view()
+        view.flags.writeable = False  # the live matrix, not a copy: read-only
+        return view
 
 
 def _block_rows(width: int) -> int:
@@ -528,7 +529,10 @@ def load_points(path, metric: str = "l2") -> CoordSpace:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(tok) for tok in line.split()])
+            try:
+                rows.append([float(tok) for tok in line.split()])
+            except ValueError:
+                raise ValueError(f"bad point line: {line!r}") from None
     if not rows:
         raise ValueError(f"no points in {path}")
     width = {len(r) for r in rows}
@@ -557,12 +561,15 @@ def load_edge_list(path) -> MatrixSpace:
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise ValueError(f"bad edge line: {line!r}")
-            u, v = int(parts[0]), int(parts[1])
+            try:
+                u, v = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError:
+                raise ValueError(f"bad edge line: {line!r}") from None
             if u < 0 or v < 0:
                 raise ValueError(f"negative vertex id in edge line: {line!r}")
-            w = float(parts[2]) if len(parts) == 3 else 1.0
             if not 0 < w < np.inf:
-                raise ValueError("edge weights must be positive and finite")
+                raise ValueError(f"edge weights must be positive and finite: {line!r}")
             adj[u].append((v, w))
             adj[v].append((u, w))
             nmax = max(nmax, u, v)
@@ -590,6 +597,13 @@ def load_edge_list(path) -> MatrixSpace:
     return MatrixSpace(mat, f"edges:{path}")
 
 
+def _spec_int(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
 def parse_fixture(spec: str) -> FiniteMetricSpace:
     """Build a fixture from a spec string.
 
@@ -612,22 +626,25 @@ def parse_fixture(spec: str) -> FiniteMetricSpace:
     parts = spec.strip().split(":")
     try:
         if kind == "segment" and len(parts) == 2:
-            return integer_segment(int(parts[1]))
+            return integer_segment(_spec_int(parts[1], "segment length"))
         if kind == "grid" and len(parts) in (2, 3):
-            w, h = parts[1].lower().split("x")
-            metric = parts[2] if len(parts) == 3 else "l2"
-            return grid_2d(int(w), int(h), metric)
+            size = parts[1].lower().split("x")
+            if len(size) != 2:
+                raise ValueError(f"grid size must be WxH, got {parts[1]!r}")
+            return grid_2d(_spec_int(size[0], "grid width"), _spec_int(size[1], "grid height"),
+                           parts[2] if len(parts) == 3 else "l2")
         if kind == "heis" and len(parts) == 2:
-            return heisenberg_ball(int(parts[1]))
+            return heisenberg_ball(_spec_int(parts[1], "heis radius"))
         if kind == "cloud" and len(parts) in (3, 4):
-            seed = 0
-            if len(parts) == 4:
-                if not parts[3].startswith("seed="):
-                    raise ValueError(f"expected seed=N, got {parts[3]!r}")
-                seed = int(parts[3][5:])
-            return euclidean_cloud(int(parts[1]), int(parts[2]), seed)
+            seed = parts[3] if len(parts) == 4 else "seed=0"
+            if not seed.startswith("seed="):
+                raise ValueError(f"expected seed=N, got {seed!r}")
+            return euclidean_cloud(_spec_int(parts[1], "cloud size"),
+                                   _spec_int(parts[2], "cloud dimension"),
+                                   _spec_int(seed[5:], "cloud seed"))
         if kind == "tree" and len(parts) == 3:
-            return balanced_tree(int(parts[1]), int(parts[2]))
+            return balanced_tree(_spec_int(parts[1], "tree branching"),
+                                 _spec_int(parts[2], "tree depth"))
     except (ValueError, IndexError) as exc:
         raise ValueError(f"bad fixture spec {spec!r}: {exc}") from exc
     raise ValueError(f"unknown fixture spec {spec!r}")

@@ -486,7 +486,7 @@ def reference_greedy_color(graph):
     color unused on the already colored in-band members."""
     from padlab.spaces import _dist_blocks
 
-    T = graph.num_vertices()
+    T = len(graph.net)
     members = graph.net.members
     colors = np.full(T, -1, dtype=np.int64)
     max_degree = int(reference_degrees(graph).max()) if T else 0

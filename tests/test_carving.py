@@ -43,8 +43,8 @@ class TestGreedyColor:
             col = pl.greedy_color(g)
             assert col.num_colors <= g.max_degree + 1
             mm = space.dist_block(net.members, net.members)
-            for a in range(g.num_vertices()):
-                for b in range(a + 1, g.num_vertices()):
+            for a in range(len(g.net)):
+                for b in range(a + 1, len(g.net)):
                     if g.band_low <= mm[a, b] <= g.band_high:
                         assert col.colors[a] != col.colors[b]
 
@@ -164,7 +164,7 @@ class TestCarve:
         radii = pl.RadiusAssignment(np.full(len(net.members), 1.5), 1.0, 2.0)
         monkeypatch.setattr(carving, "_OWNER_TABLE_GUARD", 10)
         with pytest.raises(ValueError, match="owner table guard"):
-            pl.moser_tardos(space, net, csp, seed=0)
+            pl.moser_tardos(net, csp, seed=0)
         with pytest.raises(ValueError, match="owner table guard"):
             pl.carve(coloring, radii)
 
@@ -182,7 +182,7 @@ class TestCarve:
 
         def runs():
             layer = pl.carve(coloring, radii)
-            result = pl.moser_tardos(space, net, csp, 0, max_rounds=40)
+            result = pl.moser_tardos(net, csp, 0, max_rounds=40)
             return (layer.cluster_of.tolist(), layer.centers.tolist(), result.rounds,
                     result.violated_history, [a.t.tolist() for a in result.assignments],
                     [x.cluster_of.tolist() for x in result.layers])
@@ -192,7 +192,7 @@ class TestCarve:
         assert runs() == unguarded
         monkeypatch.setattr(carving, "_OWNER_TABLE_GUARD", entries - 1)
         with pytest.raises(ValueError, match="owner table guard"):
-            pl.moser_tardos(space, net, csp, 0, max_rounds=40)
+            pl.moser_tardos(net, csp, 0, max_rounds=40)
         with pytest.raises(ValueError, match="owner table guard"):
             pl.carve(coloring, radii)
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import padlab as pl
 from padlab import cli, decomposition, spaces
-from padlab.cli import main
+from padlab.cli import build_parser, main
 
 
 def write_config(tmp_path, name, payload):
@@ -116,6 +117,12 @@ class TestGen:
     @pytest.mark.parametrize("kind,text,message", [
         ("edges", "0 1\n1 -1\n", "negative vertex id"),
         ("points", "0 0\n1 nan\n", "non-finite coordinate"),
+        ("edges", "0 1\n0 1.5\n", "bad edge line: '0 1.5'"),
+        ("edges", "0 1\n1 2 1 7\n", "bad edge line: '1 2 1 7'"),
+        ("edges", "# no edge\n\n", "no edges in"),
+        ("points", "0 0\n1 abc\n", "bad point line: '1 abc'"),
+        ("points", "# no point\n\n", "no points in"),
+        ("points", "0 0\n1\n", "inconsistent coordinate count"),
     ])
     def test_malformed_fixture_file_is_usage_error(self, tmp_path, capsys, kind, text, message):
         path = tmp_path / "bad.txt"
@@ -127,7 +134,14 @@ class TestGen:
         ("heis:100", "radius 100 exceeds the memory guard 16"),
         ("tree:3:9", "tree with 29524 nodes exceeds the 5000-point guard"),
         ("cloud:5:2:foo=3", "expected seed=N, got 'foo=3'"),
-    ], ids=["heis", "tree", "cloud_seed"])
+        ("grid:3", "grid size must be WxH, got '3'"),
+        ("grid:3x3x3", "grid size must be WxH, got '3x3x3'"),
+        ("grid:3xa", "grid height must be an integer, got 'a'"),
+        ("segment:1e3", "segment length must be an integer, got '1e3'"),
+        ("segment:", "segment length must be an integer, got ''"),
+        ("heis:x", "heis radius must be an integer, got 'x'"),
+    ], ids=["heis", "tree", "cloud_seed", "grid_one_side", "grid_three_sides",
+            "grid_height_text", "segment_float", "segment_empty", "heis_text"])
     def test_refused_fixture_spec_names_its_reason(self, tmp_path, capsys, spec, reason):
         """A refused spec exits 2 with the reason after the spec: the
         fixture's own, or the field the parser could not read."""
@@ -510,17 +524,6 @@ class TestLllCheck:
     def test_bad_schedule_is_usage_error(self):
         assert main(["lll-check", "--schedule", '{"kind": "nope"}']) == 2
 
-    def test_config_reads_only_the_schedule(self, tmp_path, capsys):
-        """``--config`` takes a carve config, whose other keys it does not read."""
-        sched = {"kind": "texp", "N": 3, "r": 3.0, "eps": 0.05, "D": 100.0}
-        cfg = write_config(tmp_path, "carve.json", {"fixture": "segment:3000", "seed": 7,
-                                                    "out": "run", "max_rounds": 5,
-                                                    "schedule": sched})
-        assert main(["lll-check", "--config", cfg]) == 0
-        from_config = capsys.readouterr().out
-        assert main(["lll-check", "--schedule", json.dumps(sched)]) == 0
-        assert capsys.readouterr().out == from_config
-
 
 TEXP = '{"kind": "texp", "N": %s, "r": 3.0, "eps": 0.05, "D": %s}'
 COVER = ('{"kind": "cover", "fixture": "segment:9", "n_points": 10, "r_disjoint": %s, '
@@ -668,9 +671,11 @@ TEXP_READS = 'it reads "kind", "N", "r", "eps", "D"'
      "cutprob needs a nonempty grid list"),
     (["growth", "--fixture", "segment:10", "--radii", ",", "--out", "OUT"], "",
      "growth needs a nonempty --radii list"),
+    (["growth", "--fixture", "segment:10", "--radii", "2,,4", "--out", "OUT"], "",
+     '--radii must be comma-separated numbers, got "2,,4"'),
     (TO_COVER[:-2], PADDED % (9, 9), "convert needs --out"),
     (TO_PADDED[:5] + ["--out", "OUT"], COVER % (9, 9), "to-padded needs --R and the net scale --r"),
-    (["lll-check", "--out", "OUT"], "", "lll-check needs --schedule or --config"),
+    (["lll-check", "--out", "OUT"], "", "lll-check needs --schedule"),
 ], ids=["carve_config_list", "cutprob_config_list", "carve_schedule_list",
         "lll_schedule_list", "convert_input_list", "texp_huge_N", "tgeo_huge_M",
         "carve_huge_seed", "texp_overflowing_M", "texp_overflowing_2M", "texp_nan_D", "texp_infinite_D",
@@ -689,7 +694,8 @@ TEXP_READS = 'it reads "kind", "N", "r", "eps", "D"'
         "cover_wrong_m", "padded_wrong_m", "cover_missing_m", "cover_string_m",
         "padded_repeated_net_member", "cutprob_negative_net", "cutprob_zero_delta",
         "cutprob_zero_eps_before_fixture", "convert_nan_r", "cutprob_empty_grid",
-        "growth_empty_radii", "convert_no_out", "to_padded_no_R_or_r", "lll_no_schedule"])
+        "growth_empty_radii", "growth_empty_radius", "convert_no_out", "to_padded_no_R_or_r",
+        "lll_no_schedule"])
 def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, argv, text, message):
     """Non-object JSON documents, values of the wrong type and non-finite
     numbers exit 2 with one line on stderr, before any output is written."""
@@ -775,13 +781,13 @@ def test_empty_cutprob_run_exits_two_before_band_graph(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("command,cfg_seed,flags", [
     ("carve", -1, []), ("cutprob", -1, []),
-    ("carve", 1, ["--seed", "-1"]), ("cutprob", 1, ["--seed", "-1"]),
     ("growth", None, ["--fixture", "segment:10", "--radii", "2", "--seed", "-1"]),
 ])
 def test_negative_seed_is_refused_by_name_before_any_work(tmp_path, capsys, monkeypatch,
                                                           command, cfg_seed, flags):
-    """A negative seed, from a config or from ``--seed``, exits 2 naming the
-    field before the fixture is parsed or a net is built."""
+    """A negative seed, from a carve or cutprob config or from ``growth
+    --seed``, exits 2 naming the field before the fixture is parsed or a net
+    is built."""
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the seed was read")
 
@@ -791,8 +797,10 @@ def test_negative_seed_is_refused_by_name_before_any_work(tmp_path, capsys, monk
     if cfg_seed is not None:
         base = CARVE_CFG if command == "carve" else CUTPROB_CFG
         flags = ["--config", write_config(tmp_path, "cfg.json",
-                                          {**base, "seed": cfg_seed, "out": out}), *flags]
-    assert main([command, *flags, "--out", out]) == 2
+                                          {**base, "seed": cfg_seed, "out": out})]
+    else:
+        flags = [*flags, "--out", out]
+    assert main([command, *flags]) == 2
     assert capsys.readouterr().err == 'config error: "seed" must be an integer >= 0, got -1\n'
     assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
@@ -829,6 +837,38 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _flags(parser) -> list:
+    return [flag for action in parser._actions for flag in action.option_strings
+            if flag not in ("-h", "--help")]
+
+
+def test_each_run_input_has_one_flag():
+    """``carve`` and ``cutprob`` take only ``--config``, ``lll-check`` only
+    ``--schedule`` and ``--out``: 17 settable flags in all."""
+    ap = build_parser()
+    subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: _flags(p) for name, p in subparsers.choices.items()}
+    assert flags["carve"] == flags["cutprob"] == ["--config"]
+    assert flags["lll-check"] == ["--schedule", "--out"]
+    assert len(_flags(ap)) + sum(map(len, flags.values())) == 17
+
+
+@pytest.mark.parametrize("argv", [
+    ["carve", "--config", "IN", "--seed", "1"],
+    ["cutprob", "--config", "IN", "--fixture", "segment:10"],
+    ["lll-check", "--config", "IN"],
+], ids=["carve_seed", "cutprob_fixture", "lll_check_config"])
+def test_a_second_way_in_exits_two(tmp_path, capsys, argv):
+    """A flag beside the config, or a config for ``lll-check``, is refused
+    by the parser rather than read."""
+    path = write_config(tmp_path, "in.json", {**CARVE_CFG, "out": str(tmp_path / "out")})
+    with pytest.raises(SystemExit) as exc:
+        main([path if a == "IN" else a for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
 
 
 @pytest.mark.parametrize("threads", ["2", "0", "-3"])

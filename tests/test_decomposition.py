@@ -635,7 +635,7 @@ class TestBlockBudget:
             "net_graph": lambda: pl.net_graph(net, 6.0),
             "net_graph_2d": lambda: pl.net_graph(cloud_net, 0.5),
             "carve": lambda: pl.carve(coloring, radii),
-            "moser_tardos": lambda: pl.moser_tardos(space, net, csp, seed=0, max_rounds=5),
+            "moser_tardos": lambda: pl.moser_tardos(net, csp, seed=0, max_rounds=5),
             "growth_table": lambda: pl.growth_table(space, [2.0, 5.0], trials=2),
             "validate_metric": lambda: pl.validate_metric(space, exhaustive_limit=10,
                                                           samples=50),

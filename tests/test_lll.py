@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import sys
@@ -247,7 +248,7 @@ class TestMoserTardos:
             csp = pl.CspInstance(net, 2, pl.TexpParams(0.5, 1.0, 2.0), 1.0, 3.0)
             coloring = pl.greedy_color(pl.net_graph(net, 4.0))
             radii = pl.RadiusAssignment(np.full(len(members), 1.5), 1.0, 2.0)
-            for run in (lambda: pl.moser_tardos(space, net, csp, seed=0),
+            for run in (lambda: pl.moser_tardos(net, csp, seed=0),
                         lambda: pl.carve(coloring, radii),
                         lambda: pl.cut_probability_mc(net, csp.law, 1.0, [5], trials=2, seed=0)):
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -257,32 +258,31 @@ class TestMoserTardos:
         space = pl.integer_segment(20)
         net = pl.Net(space, np.array([10]), 21.0, 21.0)
         csp = pl.CspInstance(net, 1, pl.TexpParams(0.5, 21.0, 22.0), 3.0, 43.0)
-        res = pl.moser_tardos(space, net, csp, seed=0)
+        res = pl.moser_tardos(net, csp, seed=0)
         assert res.success and res.rounds == 0
         assert res.violated_history == [0]
 
     def test_refuses_a_space_or_csp_the_net_was_not_built_for(self):
-        """On a copy of the segment stretched threefold, the net of the
-        original would carve a different space; an equal but distinct space
-        is refused too."""
+        """No space is passed beside the net, which fixes the space the
+        resampler carves; a csp posed on an equal but distinct net is
+        refused."""
+        assert list(inspect.signature(pl.moser_tardos).parameters) == \
+            ["net", "csp", "seed", "max_rounds"]
         space = pl.integer_segment(30)
         net = pl.build_net(space, 2, 2)
         csp = pl.CspInstance(net, 1, pl.TexpParams(0.5, 2.0, 4.0), 1.0, 5.0)
-        for other in (pl.CoordSpace(space.coords * 3), pl.integer_segment(30)):
-            with pytest.raises(ValueError, match="net was built on a different space"):
-                pl.moser_tardos(other, net, csp, seed=0)
         foreign = pl.CspInstance(pl.build_net(space, 2, 2), 1, csp.law, 1.0, 5.0)
         with pytest.raises(ValueError, match="csp was built for a different net"):
-            pl.moser_tardos(space, net, foreign, seed=0)
-        assert pl.moser_tardos(space, net, csp, seed=0, max_rounds=0).rounds == 0
+            pl.moser_tardos(net, foreign, seed=0)
+        assert pl.moser_tardos(net, csp, seed=0, max_rounds=0).rounds == 0
 
     def test_deterministic_given_seed(self):
         space = pl.integer_segment(600)
         net = pl.build_net(space, 3, 3)
         sched = converging_schedule()
         csp = pl.csp_from_schedule(net, sched)
-        a = pl.moser_tardos(space, net, csp, seed=5)
-        b = pl.moser_tardos(space, net, csp, seed=5)
+        a = pl.moser_tardos(net, csp, seed=5)
+        b = pl.moser_tardos(net, csp, seed=5)
         assert a.rounds == b.rounds
         assert a.violated_history == b.violated_history
         for ta, tb in zip(a.assignments, b.assignments):
@@ -301,7 +301,7 @@ class TestMoserTardos:
         net = pl.build_net(space, 3, 3)
         sched = pl.TexpSchedule(N=3, r=3.0, eps=0.05, D=20.0)  # supercritical
         csp = pl.csp_from_schedule(net, sched)
-        res = pl.moser_tardos(space, net, csp, seed=1, max_rounds=30)
+        res = pl.moser_tardos(net, csp, seed=1, max_rounds=30)
         assert not res.success
         assert res.rounds == 30
         assert res.residual_violations > 0
@@ -398,7 +398,7 @@ def test_resampler_refuses_a_net_coarser_than_the_law_lower_end():
     net = pl.build_net(space, run.r, run.r)
     message = re.escape("need l >= net.eps for coverage, got l=1.0 < eps=9.0")
     with pytest.raises(ValueError, match=message):
-        pl.moser_tardos(space, net, pl.csp_from_schedule(net, run), 0)
+        pl.moser_tardos(net, pl.csp_from_schedule(net, run), 0)
     with pytest.raises(ValueError, match=message):
         pl.certify_decomposition(net, run, 0)
 
@@ -415,7 +415,7 @@ class TestIncrementalState:
         counts the probe balls cut in every layer; the layers the resampler
         returns are those fresh carvings."""
         space, net, csp = small_instances[config]
-        res = pl.moser_tardos(space, net, csp, seed, max_rounds=max_rounds)
+        res = pl.moser_tardos(net, csp, seed, max_rounds=max_rounds)
         coloring = pl.greedy_color(pl.net_graph(net, 2 * csp.law.M))
         layers = [pl.carve(coloring, a) for a in res.assignments]
         assert all(np.array_equal(kept.cluster_of, fresh.cluster_of)
@@ -433,9 +433,9 @@ class TestIncrementalState:
         recarves: the initial carving of these seeds is valid, and a later
         redraw breaks it."""
         space, net, csp = dishonest_pair()
-        assert not pl.moser_tardos(space, net, csp, seed, max_rounds=0).success
+        assert not pl.moser_tardos(net, csp, seed, max_rounds=0).success
         with pytest.raises(pl.CarveError, match=message):
-            pl.moser_tardos(space, net, csp, seed, max_rounds=50)
+            pl.moser_tardos(net, csp, seed, max_rounds=50)
 
 
 class TestCertify:
@@ -494,7 +494,7 @@ class TestCertify:
         net = pl.build_net(space, 3, 3)
         law = pl.TexpParams(0.05 / 9, 9.0, 129.0)
         csp = pl.CspInstance(net, 1, law, probe_radius=9.0, domain_radius=138.0)
-        res = pl.moser_tardos(space, net, csp, seed=0, max_rounds=120)
+        res = pl.moser_tardos(net, csp, seed=0, max_rounds=120)
         assert not res.success
 
     def test_trivial_whole_space_schedule(self):
@@ -502,7 +502,7 @@ class TestCertify:
         net = pl.Net(space, np.array([25]), 51.0, 51.0)
         run_law = pl.TexpParams(0.01, 51.0, 52.0)
         csp = pl.CspInstance(net, 1, run_law, probe_radius=26.0, domain_radius=78.0)
-        res = pl.moser_tardos(space, net, csp, seed=0)
+        res = pl.moser_tardos(net, csp, seed=0)
         assert res.success
         coloring = pl.greedy_color(pl.net_graph(net, 104.0))
         layer = pl.carve(coloring, res.assignments[0])
@@ -527,7 +527,7 @@ def carve_seg3000_seed0():
     406 entries within the radius cap."""
     net = pl.build_net(pl.integer_segment(3000), 3, 3)
     csp = pl.csp_from_schedule(net, pl.TexpSchedule(N=3, r=3.0, eps=0.05, D=100.0))
-    return net, csp, pl.moser_tardos(net.space, net, csp, 0)
+    return net, csp, pl.moser_tardos(net, csp, 0)
 
 
 def test_resampler_holds_the_owner_table_and_little_else(carve_seg3000_seed0):
@@ -537,7 +537,7 @@ def test_resampler_holds_the_owner_table_and_little_else(carve_seg3000_seed0):
     3.3 MiB; with 12-byte entries (an int32 position and a float64 distance)
     it traced at 7.7 MiB."""
     net, csp, _ = carve_seg3000_seed0
-    result, peak = _traced_peak(lambda: pl.moser_tardos(net.space, net, csp, 0))
+    result, peak = _traced_peak(lambda: pl.moser_tardos(net, csp, 0))
     assert result.success
     assert peak < 4 * 536_220 + 4 * 2**20
 

@@ -83,10 +83,7 @@ def test_no_public_signature_passes_an_argument_twice():
     ``coloring``, nor ``net`` beside ``pd`` or ``coloring``.  A padded
     decomposition also fixes its layers and its (R, D), so no public
     function takes ``layers`` beside ``net``, nor ``R`` or ``D`` beside
-    ``pd``; a class takes them to build one.  The one exemption is
-    ``moser_tardos``, whose ``(space, net, csp, ...)`` order
-    ``perfbench/tracer.py`` reads by position; it refuses a space other than
-    ``net.space``."""
+    ``pd``; a class takes them to build one."""
     redundant = {"space": {"net", "coloring"}, "net": {"pd", "coloring"}}
     decomposed = {"layers": {"net"}, "R": {"pd"}, "D": {"pd"}}
     doubled = []
@@ -100,7 +97,24 @@ def test_no_public_signature_passes_an_argument_twice():
         rules = redundant if is_class else {**redundant, **decomposed}
         if any(key in params and params & owners for key, owners in rules.items()):
             doubled.append(name)
-    assert doubled == ["moser_tardos"]
+    assert doubled == []
+
+
+def test_benchmark_tracer_reads_the_resampler_by_name():
+    """``certify_decomposition`` calls ``moser_tardos`` by name, so the
+    benchmark's tracer, which reads ``net`` and ``csp`` at their names when
+    no position holds them, counts the run's rounds and its m * |net|
+    initial draws."""
+    tracer = _perfbench_module("tracer").install()
+    try:
+        net = pl.build_net(pl.integer_segment(600), 3, 3)
+        run = pl.certify_decomposition(net, pl.TexpSchedule(N=3, r=3.0, eps=0.05, D=100.0), 0)
+    finally:
+        tracer.restore()
+    assert run.report.passed
+    [span] = [s for s in tracer.spans if s.name == "moser_tardos"]
+    assert span.counters["rounds"] == run.meta["rounds"]
+    assert span.counters["initial_draws"] == run.meta["m"] * len(net)
 
 
 def test_benchmark_wraps_existing_names():

@@ -220,9 +220,9 @@ def test_balls_are_bounded_by_the_largest_matrix(monkeypatch):
             with pytest.raises(ValueError, match=re.escape(message)):
                 spaces._balls(space, np.arange(space.n), r)
             with pytest.raises(ValueError, match=re.escape(message)):
-                pl.moser_tardos(space, net, csp, 0, max_rounds=0)
+                pl.moser_tardos(net, csp, 0, max_rounds=0)
         else:
-            assert pl.moser_tardos(space, net, csp, 0, max_rounds=0).rounds == 0
+            assert pl.moser_tardos(net, csp, 0, max_rounds=0).rounds == 0
 
 
 def test_coordinate_ball_blocks_follow_the_first_coordinate():
@@ -572,6 +572,27 @@ def test_validate_metric_catches_violations():
     bad2 = pl.MatrixSpace(np.array([[0, 1, 9], [1, 0, 1], [9, 1, 0]], dtype=float))
     with pytest.raises(pl.MetricError):
         pl.validate_metric(bad2)
+
+
+def test_exhaustive_validation_refuses_a_negative_distance():
+    with pytest.raises(pl.MetricError, match="^negative distance$"):
+        pl.validate_metric(pl.MatrixSpace([[0, 1, -2], [1, 0, 1], [-2, 1, 0]]))
+
+
+def test_exhaustive_validation_refuses_a_nonzero_diagonal():
+    with pytest.raises(pl.MetricError, match="^nonzero diagonal$"):
+        pl.validate_metric(pl.MatrixSpace([[0, 1, 2], [1, 0.5, 1], [2, 1, 0]]))
+
+
+def test_matrix_space_lends_its_matrix_read_only():
+    """``distance_matrix()`` returns the stored matrix without copying it,
+    so a write into it raises instead of moving the space's distances."""
+    space = pl.MatrixSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    d = space.distance_matrix()
+    assert np.shares_memory(d, space.matrix)
+    with pytest.raises(ValueError, match="read-only"):
+        d[0, 2] = d[2, 0] = 50
+    assert space.dist(0, 2) == 2.0 and space.diameter() == 2.0
 
 
 @pytest.mark.filterwarnings("error")
