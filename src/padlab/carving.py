@@ -47,7 +47,10 @@ rule until the first touching ball; the probe is intact iff a ball of that
 color run, from there to the run's end, swallows it.  Only the probe being
 evaluated holds its set-up, so the harness holds one beside the radii of a
 chunk (one block of ``spaces._block_rows`` trials against the members), at
-the price of one set-up per probe per chunk.
+the price of one set-up per probe per chunk.  The chunk stores the radii in
+the law's ``dtype`` (whole-number tgeo radii in the narrowest unsigned type
+holding M, 2 bytes each up to M = 65535), and every comparison with a
+float64 distance widens them exactly.
 """
 
 from __future__ import annotations
@@ -415,7 +418,9 @@ def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int,
     ``seed``.
 
     Trials run in chunks of ``spaces._block_rows`` trials against the net's
-    members: at most 125 trials and ``_BLOCK_ENTRIES`` radii.  Each probe's
+    members: at most 125 trials and ``_BLOCK_ENTRIES`` radii.  The chunk's
+    buffer holds one row of radii per trial in the law's ``dtype``, and a
+    draw the type does not hold exactly raises ``ValueError``.  Each probe's
     set-up (:func:`_probe_setup`) is built when a chunk evaluates it and
     dropped after, so memory holds the radii buffer and one set-up, whatever
     the number of probes, at one set-up per chunk.
@@ -434,12 +439,15 @@ def cut_probability_mc(net: Net, law, probe_radius: float, centers, trials: int,
     # Radii are drawn per trial (stream [seed, trial]) into the rows of one
     # buffer and evaluated for all trials of a chunk at once.
     chunk = min(trials, spaces._block_rows(len(net.members)))
-    buffer = np.empty((chunk, len(net.members)))
+    buffer = np.empty((chunk, len(net.members)), dtype=law.dtype)
     for start in range(0, trials, chunk):
         ks = range(start, min(start + chunk, trials))
         radii = buffer[:len(ks)]
         for row, k in zip(radii, ks):
-            row[:] = draw_radii(law, net, seed, k).t
+            t = draw_radii(law, net, seed, k).t
+            row[:] = t
+            if not np.array_equal(row, t):
+                raise ValueError(f"a radius draw does not round-trip through {buffer.dtype}")
         for j, ball in enumerate(balls):
             cut[ks.start:ks.stop, j] = _probe_cuts(*_probe_setup(net, colors, M, ball), radii)
 

@@ -272,7 +272,11 @@ def cmd_convert(args) -> int:
 def cmd_lll_check(args) -> int:
     if args.schedule is None:
         raise ConfigError("lll-check needs --schedule")
-    schedule = schedule_from_json(json.loads(args.schedule))
+    try:
+        doc = json.loads(args.schedule)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot read --schedule: {exc}") from exc
+    schedule = schedule_from_json(doc)
     budget = schedule.budget()
     payload = {
         "schedule": schedule_to_json(schedule),

@@ -39,7 +39,6 @@ from .spaces import _balls
 
 __all__ = [
     "LllBudget",
-    "lll_feasible",
     "TexpSchedule",
     "TgeoSchedule",
     "TgeoRun",
@@ -95,15 +94,6 @@ class LllBudget:
     def margin_log(self) -> float:
         """log of e * p_bound * (d_bound + 1); negative means feasible."""
         return 1.0 + self.log_p_bound + self.log_d_plus_one
-
-
-def lll_feasible(p_bound: float, d_bound: float) -> bool:
-    """Whether e * p * (d + 1) < 1, conservatively (boundary counts as no)."""
-    if not (p_bound >= 0 and d_bound >= 0):
-        raise ValueError(f"bounds must be nonnegative, got p={p_bound} and d={d_bound}")
-    if p_bound == 0:
-        return True
-    return _feasible_from_logs(math.log(p_bound), math.log1p(d_bound))
 
 
 # ---------------------------------------------------------------------------

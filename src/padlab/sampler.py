@@ -13,8 +13,9 @@ small rates do not lose precision to cancellation.  Sampling is inverse
 transform from a single uniform stream, which makes every draw a
 deterministic function of (params, seed, draw index).
 
-Each law owns its truncation ``window`` (l, M) and ``sample(rng, size)``,
-the one radius-drawing path of carving, the harness and the resampler.
+Each law owns its truncation ``window`` (l, M), ``sample(rng, size)``, the
+one radius-drawing path of carving, the harness and the resampler, and the
+``dtype`` that stores its draws exactly.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ class TexpParams:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return sample_texp(self, rng, size)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """Storage type of the draws: float64, the type they are drawn in."""
+        return np.dtype(np.float64)
+
 
 @dataclass(frozen=True)
 class TgeoParams:
@@ -93,6 +99,12 @@ class TgeoParams:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` radii in {1..M}, as floats."""
         return sample_tgeo(self, rng, size).astype(float)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """Storage type of the draws: the narrowest unsigned integer type
+        holding M (``uint16`` for M from 256 to 65535)."""
+        return np.min_scalar_type(self.M)
 
 
 def texp_tail(params: TexpParams, beta: float) -> float:

@@ -198,13 +198,18 @@ class CoordSpace(FiniteMetricSpace):
 
 
 class MatrixSpace(FiniteMetricSpace):
-    """Explicit symmetric distance matrix."""
+    """Explicit symmetric distance matrix, held as a read-only copy of the
+    caller's, so no later write on either side moves the distances."""
 
     def __init__(self, matrix, label: str = ""):
-        matrix = np.asarray(matrix, dtype=float)
+        self._own(np.array(matrix, dtype=float), label)
+
+    def _own(self, matrix, label):
+        """Take ``matrix``, a float64 array no one else writes, without a copy."""
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("distance matrix must be square")
         super().__init__(matrix.shape[0], label)
+        matrix.flags.writeable = False
         self.matrix = matrix
 
     def dist_block(self, rows, cols=None):
@@ -212,9 +217,15 @@ class MatrixSpace(FiniteMetricSpace):
         return sub if cols is None else sub[:, np.asarray(cols, dtype=np.intp)]
 
     def distance_matrix(self):
-        view = self.matrix.view()
-        view.flags.writeable = False  # the live matrix, not a copy: read-only
-        return view
+        return self.matrix  # read-only, so lent without a copy
+
+
+def _matrix_space(matrix, label: str) -> MatrixSpace:
+    """A :class:`MatrixSpace` over a fresh float64 ``matrix`` its builder
+    hands over, without the copy the constructor makes."""
+    space = MatrixSpace.__new__(MatrixSpace)
+    space._own(matrix, label)
+    return space
 
 
 def _block_rows(width: int) -> int:
@@ -317,18 +328,29 @@ def _near_blocks(space: FiniteMetricSpace, rows, radius: float, position_of):
 def _ball_blocks(space: FiniteMetricSpace, centers, r: float):
     """Yield the open ``r``-balls of ``centers`` block by block, as CSR
     ``(positions, ids, starts)``: ``ids[starts[k]:starts[k + 1]]`` is the
-    sorted ball of ``centers[positions[k]]``.  The blocks are those of
-    :func:`_near_blocks` over the centers in the blocked passes' order, with
-    every point a member, so on a :class:`CoordSpace` a block's candidates
-    form one narrow slab."""
+    sorted ball of ``centers[positions[k]]``.
+
+    The centers are taken in the blocked passes' order.  On a
+    :class:`CoordSpace` they split into runs wherever two consecutive first
+    coordinates differ by more than ``2 * r``, where the balls on either side
+    share no point; the blocks are those of :func:`_near_blocks` over each
+    run, with every point a member, so a block's candidates form one narrow
+    slab and a center far from the others reads only its own.  Centers no
+    farther apart than ``2 * r`` keep one run and the blocks of one pass."""
     centers = np.asarray(centers, dtype=np.intp)
     order = _sweep_order(space, centers)
     rows = centers[order]
-    for lo, hi, near in _near_blocks(space, rows, r, np.arange(space.n)):
-        within = space.dist_block(rows[lo:hi], near) < r
-        starts = np.zeros(hi - lo + 1, dtype=np.intp)
-        np.cumsum(within.sum(axis=1), out=starts[1:])
-        yield order[lo:hi], near[np.nonzero(within)[1]], starts
+    cuts = [0, len(rows)]
+    if isinstance(space, CoordSpace):
+        gaps = np.nonzero(np.diff(space.coords[rows, 0]) > 2 * r)[0] + 1
+        cuts = np.concatenate([[0], gaps, [len(rows)]])
+    every = np.arange(space.n)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        for lo, hi, near in _near_blocks(space, rows[a:b], r, every):
+            within = space.dist_block(rows[a + lo:a + hi], near) < r
+            starts = np.zeros(hi - lo + 1, dtype=np.intp)
+            np.cumsum(within.sum(axis=1), out=starts[1:])
+            yield order[a + lo:a + hi], near[np.nonzero(within)[1]], starts
 
 
 def _check_center(space: FiniteMetricSpace, center):
@@ -508,7 +530,7 @@ def balanced_tree(branching: int, depth: int) -> MatrixSpace:
         lca_depth += (row[:, None] == row[None, :]) & (row[:, None] >= 0)
         up = np.where(depth_of >= k, np.maximum(up - 1, 0) // branching, up)
     mat = (depth_of[:, None] + depth_of[None, :] - 2 * lca_depth).astype(float)
-    return MatrixSpace(mat, f"tree:{branching}:{depth}")
+    return _matrix_space(mat, f"tree:{branching}:{depth}")
 
 
 def heisenberg_ball(radius: int) -> HeisenbergBall:
@@ -594,7 +616,7 @@ def load_edge_list(path) -> MatrixSpace:
                     heapq.heappush(heap, (nd, v))
     if np.isinf(mat).any():
         raise ValueError("graph is disconnected; shortest-path metric undefined")
-    return MatrixSpace(mat, f"edges:{path}")
+    return _matrix_space(mat, f"edges:{path}")
 
 
 def _spec_int(text: str, name: str) -> int:

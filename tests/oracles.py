@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: double loops, literal inductive
 definitions, brute-force enumeration.  None of it shares code with the
-package paths it validates.
+package paths it validates, but for :func:`lll_feasible`, which puts the
+package's own local-lemma boundary rule in (p, d) terms for its tests.
 """
 
 import math
@@ -530,3 +531,79 @@ def reference_probe_cuts(space, net, colors, M, probe_radius, centers, radii):
         contains = touch & (cols[None, :] == cmin[:, None]) & (tc > dmax[None, :])
         cut[rows, j] = ~contains.any(axis=1)
     return cut
+
+
+def lll_feasible(p_bound: float, d_bound: float) -> bool:
+    """Whether e * p * (d + 1) < 1, conservatively (boundary counts as no),
+    by the log-space rule every ``LllBudget`` verdict uses."""
+    from padlab.lll import _feasible_from_logs
+
+    if not (p_bound >= 0 and d_bound >= 0):
+        raise ValueError(f"bounds must be nonnegative, got p={p_bound} and d={d_bound}")
+    if p_bound == 0:
+        return True
+    return _feasible_from_logs(math.log(p_bound), math.log1p(d_bound))
+
+
+def _law_cdf(law, a):
+    """P[t <= a] for one radius of ``law``: ``texp_cdf`` for the truncated
+    exponential; 1 - (1 - p)**floor(a) below M and 1 from M on for the
+    truncated geometric, whose radii are whole numbers."""
+    import padlab as pl
+
+    if isinstance(law, pl.TexpParams):
+        return float(pl.texp_cdf(law, a))
+    if a >= law.M:
+        return 1.0
+    return 1.0 - (1.0 - law.p) ** math.floor(max(a, 0.0))
+
+
+def exact_cut_probability(net, law, probe_radius, centers):
+    """Exact one-layer cut probability of each probe ball B(c, probe_radius)
+    under i.i.d. radii of ``law``, by the rule ``_probe_cuts`` evaluates.
+
+    The candidates are the members within ``M`` of the ball, in (color,
+    position) order of the greedy coloring at band 2M, with nearest and
+    farthest distances ``dmin``/``dmax`` to the ball.  The ball is first
+    touched at candidate j (t_j > dmin_j) with probability
+    A_j (1 - F_j(dmin_j)), A_j = prod_{i<j} F_i(dmin_i); it is then intact
+    iff t_j > dmax_j or some later k of j's color run has t_k > dmax_k.  So
+
+        intact = sum_j A_j [1 - F_j(dmax_j) + (F_j(dmax_j) - F_j(dmin_j)) (1 - P_j)]
+        cut    = sum_j A_j (F_j(dmax_j) - F_j(dmin_j)) P_j
+
+    with P_j = prod_{k in (j, end_j)} F_k(dmax_k).  Coverage puts a member
+    within l of every ball, so some ball touches it and the two sum to 1;
+    the result is ``cut / (cut + intact)``, which is exactly 0 when no draw
+    cuts the ball and exactly 1 when every draw does.
+    """
+    import padlab as pl
+
+    space, members = net.space, net.members
+    M = law.window[1]
+    colors = pl.greedy_color(pl.net_graph(net, 2 * M)).colors
+    out = []
+    for c in centers:
+        ball = literal_ball(space, c, probe_radius)
+        dmin, dmax, cand = [], [], []
+        for k in sorted(range(len(members)), key=lambda k: (colors[k], k)):
+            d = [space.dist(int(members[k]), p) for p in ball]
+            if min(d) < M:
+                cand.append(k)
+                dmin.append(min(d))
+                dmax.append(max(d))
+        Fmin = [_law_cdf(law, a) for a in dmin]
+        Fmax = [_law_cdf(law, a) for a in dmax]
+        cut = intact = 0.0
+        A = 1.0
+        for j, k in enumerate(cand):
+            P = 1.0
+            for i in range(j + 1, len(cand)):
+                if colors[cand[i]] != colors[k]:
+                    break
+                P *= Fmax[i]
+            cut += A * (Fmax[j] - Fmin[j]) * P
+            intact += A * (1.0 - Fmax[j] + (Fmax[j] - Fmin[j]) * (1.0 - P))
+            A *= Fmin[j]
+        out.append(cut / (cut + intact))
+    return np.array(out)

@@ -9,8 +9,8 @@ import padlab as pl
 from padlab import carving, spaces
 from padlab.carving import _first_cover, _probe_cuts
 from padlab.decomposition import ConfigError, _ranges
-from oracles import (literal_carve, literal_is_cut, literal_owner_table,
-                     reference_first_cover, reference_probe_cuts)
+from oracles import (exact_cut_probability, literal_carve, literal_is_cut,
+                     literal_owner_table, reference_first_cover, reference_probe_cuts)
 
 
 def path_graph_netgraph(n):
@@ -652,6 +652,103 @@ def test_cut_probes_hold_one_set_up_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 125 * len(net) * 8 + 4 * 2**20
+
+
+def test_cut_probes_hold_narrow_radii():
+    """On the same config the tgeo radii are stored as ``uint16``, 2 bytes
+    where float64 took 8, and the probe balls are read from their own slabs,
+    so the traced peak of ``cut_probability_mc`` stays within 4 MiB of a
+    125-trial buffer of 2-byte radii (measured 5.4 MiB, where float64 radii
+    and one ball block against the whole segment peaked at 10.3 MiB)."""
+    net = pl.build_net(pl.integer_segment(10000), 1, 1)
+    law = pl.schedule_from_json({"kind": "tgeo", "b": 1.0, "p": 1 / 400, "M": 1917,
+                                 "m": 2, "r": 9.0}).law()
+    centers = np.sort(np.random.default_rng([7, 0xC3]).choice(net.members, 100, replace=False))
+    net.position_of  # the net's own index, built with the net
+    assert law.dtype == np.uint16
+    tracemalloc.start()
+    try:
+        pl.cut_probability_mc(net, law, 9.0, centers, 200, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 125 * len(net) * 2 + 4 * 2**20
+
+
+@pytest.mark.parametrize("M,kind", [(200, np.uint8), (1917, np.uint16), (70000, np.uint32)])
+def test_tgeo_radii_are_stored_in_the_narrowest_type_holding_M(M, kind):
+    """A tgeo law stores its whole-number draws in the narrowest unsigned
+    type that holds M, the probes compare them in that type, and the cut
+    matrix equals the dense evaluation over float64 radii."""
+    space = pl.integer_segment(300)
+    net = pl.build_net(space, 1, 1)
+    law = pl.TgeoParams(0.02, M)
+    assert law.dtype == kind
+    centers, trials, seed = [3, 100, 150, 297], 30, 5
+    seen = []
+
+    def spy(cand, dmin, dmax, ends, radii):
+        seen.append(radii.dtype)
+        return _probe_cuts(cand, dmin, dmax, ends, radii)
+
+    with mock.patch.object(carving, "_probe_cuts", spy):
+        res = pl.cut_probability_mc(net, law, 9.0, centers, trials, seed)
+    assert set(seen) == {np.dtype(kind)}
+    colors = pl.greedy_color(pl.net_graph(net, 2 * M)).colors
+    radii = np.stack([pl.draw_radii(law, net, seed, t).t for t in range(trials)])
+    expected = reference_probe_cuts(space, net, colors, M, 9.0, centers, radii)
+    assert np.array_equal(res.cut_matrix, expected) and expected.any()
+
+
+class _TypedLaw:
+    """A law on ``window`` whose every draw is ``value``, stored as ``dtype``."""
+
+    def __init__(self, value, window, dtype):
+        self.value, self.window, self.dtype = value, window, np.dtype(dtype)
+
+    def sample(self, rng, size):
+        return np.full(size, self.value)
+
+
+@pytest.mark.parametrize("value,window", [(1.5, (1.0, 4.0)), (300.0, (1.0, 400.0))],
+                         ids=["fraction", "too_large"])
+def test_a_radius_its_type_does_not_hold_is_refused(value, window):
+    """A draw that does not round-trip through the law's storage type, a
+    fraction or a value past the type's largest, raises instead of being
+    truncated or wrapped."""
+    net = pl.build_net(pl.integer_segment(20), 1, 1)
+    with pytest.raises(ValueError, match="does not round-trip through uint8"):
+        pl.cut_probability_mc(net, _TypedLaw(value, window, np.uint8), 2.0, [5], 3, 0)
+
+
+LAWS = [pl.TgeoParams(0.05, 20), pl.TexpParams(0.3, 1.0, 12.0)]
+
+
+@pytest.mark.parametrize("law,probe", [(LAWS[0], 3.0), (LAWS[1], 2.5)], ids=["tgeo", "texp"])
+def test_exact_cut_probability_matches_a_carve_loop(law, probe):
+    """The exact one-layer cut probability of each probe agrees, within a
+    binomial tolerance, with the cut frequency of 400 literal carves."""
+    space = pl.integer_segment(200)
+    net = pl.build_net(space, 1, 1)
+    centers, trials = [0, 57, 100, 163], 400
+    exact = exact_cut_probability(net, law, probe, centers)
+    coloring = pl.greedy_color(pl.net_graph(net, 2 * law.window[1]))
+    cuts = np.zeros(len(centers))
+    for t in range(trials):
+        layer = pl.carve(coloring, pl.draw_radii(law, net, 11, t))
+        cuts += [pl.is_cut(layer, c, probe) for c in centers]
+    assert ((0 < exact) & (exact < 1)).all()
+    tolerance = 4.5 * np.sqrt(exact * (1 - exact) / trials) + 1 / trials
+    assert (np.abs(cuts / trials - exact) <= tolerance).all()
+
+
+@pytest.mark.parametrize("law", LAWS, ids=["tgeo", "texp"])
+def test_exact_cut_probability_is_exact_where_the_window_forces_it(law):
+    """A one-point probe is never cut: 0 exactly.  A probe of radius M + 2
+    reaches past M from every member, so no ball swallows it: 1 exactly."""
+    net = pl.build_net(pl.integer_segment(200), 1, 1)
+    assert exact_cut_probability(net, law, 0.5, [0, 100, 200]).tolist() == [0.0] * 3
+    assert exact_cut_probability(net, law, law.window[1] + 2, [100]).tolist() == [1.0]
 
 
 def test_probe_scan_worked_example():

@@ -676,6 +676,9 @@ TEXP_READS = 'it reads "kind", "N", "r", "eps", "D"'
     (TO_COVER[:-2], PADDED % (9, 9), "convert needs --out"),
     (TO_PADDED[:5] + ["--out", "OUT"], COVER % (9, 9), "to-padded needs --R and the net scale --r"),
     (["lll-check", "--out", "OUT"], "", "lll-check needs --schedule"),
+    (["lll-check", "--schedule", "{bad", "--out", "OUT"], "",
+     "cannot read --schedule: Expecting property name"),
+    (["lll-check", "--schedule", "", "--out", "OUT"], "", "cannot read --schedule: Expecting value"),
 ], ids=["carve_config_list", "cutprob_config_list", "carve_schedule_list",
         "lll_schedule_list", "convert_input_list", "texp_huge_N", "tgeo_huge_M",
         "carve_huge_seed", "texp_overflowing_M", "texp_overflowing_2M", "texp_nan_D", "texp_infinite_D",
@@ -695,7 +698,7 @@ TEXP_READS = 'it reads "kind", "N", "r", "eps", "D"'
         "padded_repeated_net_member", "cutprob_negative_net", "cutprob_zero_delta",
         "cutprob_zero_eps_before_fixture", "convert_nan_r", "cutprob_empty_grid",
         "growth_empty_radii", "growth_empty_radius", "convert_no_out", "to_padded_no_R_or_r",
-        "lll_no_schedule"])
+        "lll_no_schedule", "lll_schedule_not_json", "lll_schedule_empty"])
 def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, argv, text, message):
     """Non-object JSON documents, values of the wrong type and non-finite
     numbers exit 2 with one line on stderr, before any output is written."""

